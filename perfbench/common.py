@@ -4,7 +4,6 @@ percentile rule, the host fingerprint and /proc readers."""
 import json
 import os
 import platform
-import statistics
 import sys
 import time
 
@@ -72,15 +71,15 @@ def percentile(values, q):
 # host speed
 # ---------------------------------------------------------------------------
 
-#: Seconds the calibration loop takes on the reference host.  Small
-#: shared-CPU hosts drift in speed by 2x over minutes; the end-to-end
-#: times are scaled to the reference host by the calibration measured
-#: right before and right after the timed phase.
-CALIBRATION_REF_S = 0.30
-CALIBRATION_REPS = 3
+#: Iterations of one calibration loop, and the seconds it is taken to
+#: last on the reference host.  A small shared-CPU host's speed drifts
+#: by 2x within seconds; a stretch of work between two calibrations is
+#: reported in reference-host seconds, scaled by those two loops.
+CALIBRATION_N = 50_000
+CALIBRATION_REF_S = 0.15
 
 
-def calibration_loop(n=100_000):
+def calibration_loop(n=CALIBRATION_N):
     """Seconds for a fixed pure-Python mix of hashing, dict and list
     work (the kind the simulator and server do)."""
     table = {}
@@ -98,16 +97,29 @@ def calibration_loop(n=100_000):
     return time.perf_counter() - t0
 
 
-def calibrate():
-    """Median seconds of :data:`CALIBRATION_REPS` calibration loops."""
-    return statistics.median(calibration_loop()
-                             for _ in range(CALIBRATION_REPS))
+class HostClock:
+    """Times consecutive stretches of work with a calibration loop
+    between each two.  :meth:`lap` ends a stretch and returns its raw
+    seconds and its reference-host seconds (raw scaled by the mean of
+    the calibrations right before and right after it); calibration time
+    is in no stretch."""
 
+    def __init__(self):
+        self._cal = calibration_loop()
+        self._t0 = time.perf_counter()
 
-def host_scale(before, after):
-    """Factor turning seconds measured between two calibrations into
-    reference-host seconds."""
-    return CALIBRATION_REF_S / ((before + after) / 2.0)
+    def start(self):
+        """Begin the next stretch now; time since the last lap is not
+        counted."""
+        self._t0 = time.perf_counter()
+
+    def lap(self):
+        raw = time.perf_counter() - self._t0
+        cal = calibration_loop()
+        ref = raw * 2.0 * CALIBRATION_REF_S / (self._cal + cal)
+        self._cal = cal
+        self._t0 = time.perf_counter()
+        return raw, ref
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +173,7 @@ def emit(result, metrics_table, host, report_lines):
     print("host %s" % json.dumps(host, sort_keys=True))
     for line in report_lines:
         print(line)
-    for name in metrics_table:
-        unit = metrics_table[name][0]
+    for name, unit in metrics_table.items():
         print("metric %-40s %.6g %s" % (name, result["metrics"][name],
                                         unit))
     print("attempted %d failed %d correct %s"
@@ -172,8 +183,8 @@ def emit(result, metrics_table, host, report_lines):
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: {"value": result["metrics"][name],
-                           "unit": metrics_table[name][0]}
-                    for name in metrics_table},
+                           "unit": unit}
+                    for name, unit in metrics_table.items()},
     }
     sys.stdout.flush()
     print(json.dumps(doc, sort_keys=True))

@@ -1,43 +1,48 @@
-"""The benchmark's metric table: every metric it prints, with its unit,
-its better direction and -- for per-layer metrics -- the end-to-end
-metric and workload it should move.
+"""The benchmark's metric table.
 
-``BENCHMARK.json`` at the repository root repeats the name, unit and
-direction of each metric (its schema has no room for the rest);
-``tests/test_metrics.py`` keeps the two in step.
+Names, units, better directions and each workload's one-line reason
+live in ``BENCHMARK.json`` at the checkout root; this module loads them
+and adds only what that file's schema has no room for: what each
+end-to-end metric measures, and, for each per-layer metric, the
+end-to-end metric and workload it should move.
 """
 
-WORKLOADS = {
-    "simulate": "fig10 grid, Baseline and SILO over the five scale-out "
-                "workloads, serial and uncached: what a figure costs",
-    "serve-warm": "job server answering a seeded pool of fig10/fig14 "
-                  "points from its response memo: the warm round trip",
-    "serve-cold": "job server estimating never-seen points with repeats "
-                  "and an overflowing LRU-capped run cache: the write "
-                  "side",
-}
+import json
+import os
 
-#: name -> (unit, better, definition).  Every workload reports all of
-#: them, with tracing off.  An operation is a grid point (simulate) or
-#: a request (serve-*).  Times and rates are in reference-host seconds
-#: (common.host_scale); the report prints the raw measurements too.
-END_TO_END = {
-    "setup_s": ("s", "lower",
-                "median of repeated set-ups: imports and engine "
-                "construction (simulate), or server start until READY "
-                "plus warm-pool resolution (serve-*)"),
-    "wall_s": ("s", "lower",
-               "duration of the timed phase, a fixed amount of work"),
-    "ops_per_s": ("1/s", "higher",
-                  "operations completed per second of wall_s"),
-    "events_per_s": ("1/s", "higher",
-                     "driven events of the answered points per second "
-                     "of wall_s (simulated by the program for "
-                     "simulate, estimated for serve-*)"),
-    "peak_rss_mb": ("MB", "lower",
-                    "peak RSS of the process running the program: the "
-                    "benchmark process for simulate, the server's "
-                    "VmHWM for serve-*"),
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load():
+    """The checkout's ``BENCHMARK.json``."""
+    with open(os.path.join(_ROOT, "BENCHMARK.json")) as f:
+        return json.load(f)
+
+
+def units(bench, kind):
+    """``{metric: unit}`` of ``bench[kind]``: every ``"end_to_end"``
+    metric is reported by every workload with tracing off, every
+    ``"per_layer"`` metric by every traced run (0 where a layer does no
+    work on that workload)."""
+    return {m["name"]: m["unit"] for m in bench[kind]}
+
+
+#: What each end-to-end metric measures.  An operation is a grid point
+#: (simulate) or a request (serve-*).  Set-up times, and the timed
+#: phases of simulate and serve-cold, are in reference-host seconds
+#: (common.HostClock); the report prints the raw measurements too.
+DEFINITIONS = {
+    "setup_s": "median of repeated set-ups: imports and engine "
+               "construction (simulate), or server start until READY "
+               "plus warm-pool resolution (serve-*)",
+    "wall_s": "duration of the timed phase, a fixed amount of work",
+    "ops_per_s": "operations completed per second of wall_s",
+    "events_per_s": "driven events of the answered points per second "
+                    "of wall_s (simulated by the program for simulate, "
+                    "estimated for serve-*)",
+    "peak_rss_mb": "peak RSS of the process running the program: the "
+                   "benchmark process for simulate, the server's VmHWM "
+                   "for serve-*",
 }
 
 ORGS = ("shared", "silo")
@@ -63,67 +68,57 @@ SERVER_COUNTS = ("submitted", "memo_hits", "deduped_inflight",
                  "dedup_ratio")
 
 
-def _per_layer():
+def _moves():
     sim_wall = ("simulate", "wall_s")
     sim_eps = ("simulate", "events_per_s")
     warm_ops = ("serve-warm", "ops_per_s")
     cold_ops = ("serve-cold", "ops_per_s")
     cold_wall = ("serve-cold", "wall_s")
     rows = [
-        ("experiments.self_s", "s", "lower", sim_wall),
-        ("workloads.generate_s", "s", "lower", sim_wall),
-        ("workloads.events", "count", "higher", None),
-        ("sim.system.build_s", "s", "lower", sim_wall),
-        ("sim.driver.warmup_s", "s", "lower", sim_eps),
-        ("sim.driver.measure_s", "s", "lower", sim_eps),
+        ("experiments.self_s", sim_wall),
+        ("workloads.generate_s", sim_wall),
+        ("workloads.events", None),
+        ("sim.system.build_s", sim_wall),
+        ("sim.driver.warmup_s", sim_eps),
+        ("sim.driver.measure_s", sim_eps),
+        ("sim.engine.summarize_s", sim_eps),
+        ("energy.breakdown_s", sim_wall),
+        ("sim.fastpath.bails", sim_eps),
     ]
-    rows += [("sim.engine.events_per_s." + org, "1/s", "higher", sim_eps)
-             for org in ORGS]
+    for org in ORGS:
+        rows.append(("sim.engine.events_per_s." + org, sim_eps))
+        rows.append(("sim.fastpath.retired_fraction." + org, sim_eps))
+        rows += [("%s.self_s.%s" % (layer, org), sim_eps)
+                 for layer in EVENT_LAYERS]
+        rows += [("%s.%s" % (name, org), None)
+                 for name, _kind, _key in WORK_COUNTS]
     rows += [
-        ("sim.engine.summarize_s", "s", "lower", sim_eps),
-        ("energy.breakdown_s", "s", "lower", sim_wall),
+        ("serve.proto.read_s", warm_ops),
+        ("serve.proto.parse_s", warm_ops),
+        ("serve.proto.render_s", warm_ops),
+        ("serve.proto.response_bytes", warm_ops),
+        ("sim.engine.key_s", warm_ops),
+        ("serve.client.rtt_p50_ms", warm_ops),
+        ("serve.client.rtt_p90_ms", cold_wall),
+        ("serve.server.cpu_ms_per_req", warm_ops),
+        ("serve.client.cpu_ms_per_req", warm_ops),
+        ("serve.server.queue_wait_s", cold_wall),
+        ("serve.server.batch_size_mean", cold_wall),
+        ("analytic.estimate_s", cold_ops),
+        ("analytic.estimates", cold_ops),
+        ("analytic.ms_per_point", cold_ops),
+        ("sim.engine.cache_get_s", cold_ops),
+        ("sim.engine.cache_put_s", cold_ops),
+        ("sim.engine.cache_misses", cold_ops),
+        ("sim.engine.cache_pruned_entries", cold_ops),
+        ("sim.engine.self_s", cold_ops),
+        ("trace.overhead", None),
     ]
-    rows += [("%s.self_s.%s" % (layer, org), "s", "lower", sim_eps)
-             for layer in EVENT_LAYERS for org in ORGS]
-    rows += [("sim.fastpath.retired_fraction." + org, "ratio", "higher",
-              sim_eps) for org in ORGS]
-    rows.append(("sim.fastpath.bails", "count", "lower", sim_eps))
-    rows += [("%s.%s" % (name, org), "count", "higher", None)
-             for name, _kind, _key in WORK_COUNTS for org in ORGS]
-    rows += [
-        ("serve.proto.read_s", "s", "lower", warm_ops),
-        ("serve.proto.parse_s", "s", "lower", warm_ops),
-        ("serve.proto.render_s", "s", "lower", warm_ops),
-        ("serve.proto.response_bytes", "bytes", "lower", warm_ops),
-        ("sim.engine.key_s", "s", "lower", warm_ops),
-        ("serve.client.rtt_p50_ms", "ms", "lower", warm_ops),
-        ("serve.client.rtt_p90_ms", "ms", "lower", cold_wall),
-        ("serve.server.cpu_ms_per_req", "ms", "lower", warm_ops),
-        ("serve.client.cpu_ms_per_req", "ms", "lower", warm_ops),
-    ]
-    for name in SERVER_COUNTS:
-        better = "lower" if name in ("errors", "rejected") else "higher"
-        unit = "ratio" if name == "dedup_ratio" else "count"
-        rows.append(("serve.server." + name, unit, better, cold_ops))
-    rows += [
-        ("serve.server.queue_wait_s", "s", "lower", cold_wall),
-        ("serve.server.batch_size_mean", "count", "higher", cold_wall),
-        ("analytic.estimate_s", "s", "lower", cold_ops),
-        ("analytic.estimates", "count", "lower", cold_ops),
-        ("analytic.ms_per_point", "ms", "lower", cold_ops),
-        ("sim.engine.cache_get_s", "s", "lower", cold_ops),
-        ("sim.engine.cache_put_s", "s", "lower", cold_ops),
-        ("sim.engine.cache_misses", "count", "lower", cold_ops),
-        ("sim.engine.cache_pruned_entries", "count", "lower", cold_ops),
-        ("sim.engine.self_s", "s", "lower", cold_ops),
-        ("trace.overhead", "ratio", "lower", None),
-    ]
-    return {name: (unit, better, moves)
-            for name, unit, better, moves in rows}
+    rows += [("serve.server." + name, cold_ops) for name in SERVER_COUNTS]
+    return dict(rows)
 
 
-#: name -> (unit, better, (workload, end-to-end metric) it should move,
-#: or None for counts a speed-only change must leave identical and for
-#: the tracing overhead itself).  Every traced run reports all of them;
-#: a layer that does no work on a workload reports 0 there.
-PER_LAYER = _per_layer()
+#: per-layer metric -> the (workload, end-to-end metric) it should
+#: move, or None for counts a speed-only change must leave identical
+#: and for the tracing overhead itself.
+MOVES = _moves()

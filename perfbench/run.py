@@ -23,16 +23,16 @@ import tempfile
 sys.path.insert(0, os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 
-from perfbench import common  # noqa: E402
-from perfbench.metrics import END_TO_END, PER_LAYER, WORKLOADS  # noqa: E402
+from perfbench import common, metrics  # noqa: E402
 
 DEFAULT_SEED = 7
 
 
 def main(argv=None):
+    bench = metrics.load()
     parser = argparse.ArgumentParser(prog="perfbench/run.py")
     parser.add_argument("--workload", required=True,
-                        choices=sorted(WORKLOADS))
+                        choices=[w["name"] for w in bench["workloads"]])
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -68,13 +68,14 @@ def main(argv=None):
             json.dump(dumped, f)
         lines.append("spans written to %s" % os.path.relpath(
             path, common.ROOT))
-    table = PER_LAYER if args.trace else END_TO_END
-    metrics = result["metrics"]
+    table = metrics.units(bench, "per_layer" if args.trace
+                          else "end_to_end")
+    measured = result["metrics"]
     if args.trace:
         # A layer that does no work on this workload reports 0 here.
         for name in table:
-            metrics.setdefault(name, 0.0)
-    missing = [name for name in table if name not in metrics]
+            measured.setdefault(name, 0.0)
+    missing = [name for name in table if name not in measured]
     if missing:
         raise RuntimeError("metrics not measured: %s" % missing)
     common.emit(result, table, host, lines)

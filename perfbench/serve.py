@@ -13,10 +13,15 @@ the loop is closed because every in-repo caller waits for its reply.
   do all the work.
 * ``serve-cold`` sends never-seen points inside the estimator's trust
   region to a fresh, LRU-capped run cache that the run overflows; a
-  seeded share of points repeats (the twin client's point, for
-  in-flight dedup, or a recent one of its own, for the memo), so the
-  estimator, engine dispatch and ``RunCache.put`` with live eviction do
-  the work.
+  share of the requests repeats an earlier key (both clients sending
+  the same new point at once, for in-flight dedup, or a client
+  re-sending an earlier point, for the memo), so the estimator, engine
+  dispatch and ``RunCache.put`` with live eviction do the work.
+
+The timed phase runs in segments with a host calibration between each
+two (``common.HostClock``).  serve-cold reports it in reference-host
+seconds, each segment scaled by the host's speed around it;
+serve-warm reports it raw (see :attr:`Warm.host_scaled`).
 """
 
 import json
@@ -35,23 +40,40 @@ from perfbench import common, spans
 from perfbench.metrics import SERVER_COUNTS
 
 CLIENTS = 2
-#: Nominal request rates: ``--seconds`` buys this many requests per
-#: second of timed phase, a fixed amount of work.
-RATE = {"serve-warm": 500, "serve-cold": 60}
+#: Requests per second of ``--seconds``, which sizes each run's fixed
+#: work: the throughput both workloads reach on a 2-vCPU host, not a
+#: property of the traffic.
+RATE = {"serve-warm": 500, "serve-cold": 100}
 #: Enough round trips for a p90 with ten samples beyond it.
 MIN_REQUESTS = 100
+#: Seconds of nominal work per timed segment (a calibration follows
+#: each segment).
+SEGMENT_S = 2
 #: Requests not sent by then count as failed (the run must end).
 LOOP_DEADLINE_S = 120.0
+#: Seconds a client waits for the other at a twin step.
+TWIN_WAIT_S = 30.0
+#: serve-warm's share of json requests.  Every in-repo caller posts
+#: pickle (``--server``, ``ClientEngine``, the client CLI), so the
+#: measured share is 0; this nonzero share is an unmeasured pick that
+#: keeps the json render path in the warm round trip.  serve-cold posts
+#: pickle only.
 JSON_SHARE = 0.1
+#: Share of posted requests whose key an earlier request already
+#: carried, measured over every simulating experiment's grid at the
+#: CLI defaults as ``--server`` posts them (within-batch duplicates
+#: folded by ``ClientEngine``): 100 of 274 (``python3 -m
+#: perfbench.traffic``).
+REPEAT_SHARE = 100 / 274
+#: How serve-cold splits the repeats: half as in-flight twins (both
+#: clients send the same new point at once) and half as memo repeats
+#: (a client re-sends a point sent in an earlier step).  The split is
+#: an unmeasured pick: which repeats overlap in flight depends on how
+#: many users run figures against one server at once.
+TWIN_SHARE = MEMO_SHARE = REPEAT_SHARE / 2
 #: Both LLC organizations: shared (baseline, vaults_sh) and private
 #: vaults (silo, silo_co).
 SYSTEMS = ("baseline", "silo", "silo_co", "vaults_sh")
-#: serve-cold: every TWIN_EVERY-th step both clients send the same new
-#: point (in-flight dedup); every REPEAT_EVERY-th request of a client
-#: repeats one of its last COLD_RECENT points (memo).
-TWIN_EVERY = 10
-REPEAT_EVERY = 10
-COLD_RECENT = 16
 COLD_CACHE_CAP = "1m"
 COLD_SCALES = (64, 128, 256, 512)
 COLD_CORES = (4, 16)
@@ -104,10 +126,13 @@ def _fmt(rng):
 
 
 def cold_streams(seed, total):
-    """Per-client lists of ``(request, format)``: never-seen points with
-    the same mix of workload, system, core count and scale for every
-    seed (drawn without replacement from shuffled blocks), plus
-    scheduled twins across clients and repeats of recent points."""
+    """Per-client lists of ``(request, "pickle")`` and the set of twin
+    steps.  New points have the same mix of workload, system, core
+    count and scale for every seed (drawn without replacement from
+    shuffled blocks).  ``total * TWIN_SHARE`` seeded steps are twin
+    steps, on which both clients send the same new point; on
+    ``total * MEMO_SHARE`` seeded other requests a client re-sends a
+    point sent in an earlier step."""
     from repro.core.systems import system_config
     from repro.sim.engine import RunRequest
     from repro.sim.sampling import PRESETS
@@ -127,17 +152,23 @@ def cold_streams(seed, total):
             system_config(system, num_cores=cores, scale=scale), spec,
             PRESETS["quick"], rng.randrange(1 << 30))
 
+    steps = total // CLIENTS
+    twins = set(rng.sample(range(1, steps), round(total * TWIN_SHARE)))
+    slots = [(k, step) for step in range(1, steps) if step not in twins
+             for k in range(CLIENTS)]
+    repeats = set(rng.sample(slots, round(total * MEMO_SHARE)))
     streams = [[] for _ in range(CLIENTS)]
-    for step in range(total // CLIENTS):
-        if step % TWIN_EVERY == TWIN_EVERY // 2:
+    sent = []
+    for step in range(steps):
+        if step in twins:
             points = [new_point()] * CLIENTS
         else:
-            points = [new_point() for _ in range(CLIENTS)]
-        for k in range(CLIENTS):
-            if step >= COLD_RECENT and step % REPEAT_EVERY == k:
-                points[k] = rng.choice(streams[k][-COLD_RECENT:])[0]
-            streams[k].append((points[k], _fmt(rng)))
-    return streams
+            points = [rng.choice(sent) if (k, step) in repeats
+                      else new_point() for k in range(CLIENTS)]
+        for k, point in enumerate(points):
+            streams[k].append((point, "pickle"))
+        sent.extend(points)
+    return streams, twins
 
 
 def request_bodies(streams):
@@ -252,41 +283,54 @@ class LoopResult:
         self.failed = 0
         self.completed = 0
         self.events = 0
+        #: X-Silo-Dedup header value -> responses carrying it.
+        self.dedup = {}
         self.lines = []
-        self.wall = 0.0
+        self.unmet = []
+        self.raw_s = self.ref_s = 0.0
         self.start = self.end = 0.0
 
 
-def closed_loop(url, streams, check):
-    """Run every client's stream to the end, each client blocking on
-    ``ServerClient.submit``.  ``check(client, index, doc)`` returns True
-    for a correct response; the rest count as failed."""
+def closed_loop(url, streams, check, steps, res, deadline, twins=()):
+    """Run ``steps`` (a range of step indexes) of every client's
+    stream, each client blocking on ``ServerClient.submit``; on a twin
+    step the clients first wait for each other, so the twin requests
+    arrive together.  ``check(client, step, doc)`` returns True for a
+    correct response; the rest count as failed.  Adds to ``res``."""
     from repro.serve.client import ServerClient, ServerError
 
-    res = LoopResult()
     lock = threading.Lock()
-    deadline = time.perf_counter() + LOOP_DEADLINE_S
+    barrier = threading.Barrier(len(streams))
 
     def client(k):
         conn = ServerClient(url, timeout=30.0)
         rtts = []
         failed = completed = events = 0
+        dedup = {}
         errors = []
-        for j, (req, fmt) in enumerate(streams[k]):
-            t0 = time.perf_counter()
-            if t0 > deadline:
-                failed += len(streams[k]) - j
+        for j in steps:
+            req, fmt = streams[k][j]
+            if time.perf_counter() > deadline:
+                failed += steps.stop - j
                 errors.append("client %d: %d requests not sent by the "
-                              "deadline" % (k, len(streams[k]) - j))
+                              "deadline" % (k, steps.stop - j))
+                barrier.abort()
                 break
+            if j in twins:
+                try:
+                    barrier.wait(TWIN_WAIT_S)
+                except threading.BrokenBarrierError:
+                    pass
+            t0 = time.perf_counter()
             try:
-                doc, _dedup = conn.submit(req, fmt=fmt)
+                doc, how = conn.submit(req, fmt=fmt)
             except (ServerError, OSError) as e:
                 rtts.append(time.perf_counter() - t0)
                 failed += 1
                 errors.append("client %d request %d: %s" % (k, j, e))
                 continue
             rtts.append(time.perf_counter() - t0)
+            dedup[how] = dedup.get(how, 0) + 1
             if check(k, j, doc):
                 completed += 1
                 events += doc["summary"].driven_events()
@@ -297,17 +341,35 @@ def closed_loop(url, streams, check):
             res.failed += failed
             res.completed += completed
             res.events += events
+            for how, n in dedup.items():
+                res.dedup[how] = res.dedup.get(how, 0) + n
             res.lines += errors[:5]
 
     threads = [threading.Thread(target=client, args=(k,))
                for k in range(len(streams))]
-    res.start = time.perf_counter()
     for t in threads:
         t.start()
     for t in threads:
         t.join()
+
+
+def timed_phase(url, work, segments):
+    """Every client's whole stream, in ``segments`` consecutive slices
+    of equal steps with a host calibration after each."""
+    res = LoopResult()
+    steps = len(work.streams[0])
+    bounds = [round(i * steps / segments) for i in range(segments + 1)]
+    deadline = time.perf_counter() + LOOP_DEADLINE_S
+    clock = common.HostClock()
+    res.start = time.perf_counter()
+    for lo, hi in zip(bounds, bounds[1:]):
+        clock.start()
+        closed_loop(url, work.streams, work.check, range(lo, hi), res,
+                    deadline, work.twins)
+        raw, ref = clock.lap()
+        res.raw_s += raw
+        res.ref_s += ref
     res.end = time.perf_counter()
-    res.wall = res.end - res.start
     return res
 
 
@@ -335,6 +397,13 @@ class Warm:
     """serve-warm: replay a memo-resident pool."""
 
     server_args = ()
+    twins = frozenset()
+    #: Over ten interleaved seeds on a 2-vCPU host, scaling widened the
+    #: warm loop's wall spread (IQR/median 0.062 raw, 0.116 scaled):
+    #: its time goes to loopback connections and syscalls, which the
+    #: pure-Python calibration loop does not track.  It narrowed
+    #: serve-cold's (0.071 raw, 0.050 scaled).
+    host_scaled = False
 
     def __init__(self, seed, total):
         self.seed = seed
@@ -372,15 +441,24 @@ class Warm:
                         "%d of %d sampled keys match a local estimate"
                         % (CHECK_SAMPLE - len(bad), CHECK_SAMPLE)]
 
+    def premise(self, loop, counts):
+        """Every timed request must be answered from the memo."""
+        memo = loop.dedup.get("memo", 0)
+        requests = sum(loop.dedup.values())
+        return ([] if memo == requests else
+                ["%d of %d warm requests missed the memo"
+                 % (requests - memo, requests)])
+
 
 class Cold:
     """serve-cold: never-seen points into a capped, fresh cache."""
 
     server_args = ("--cache-max-bytes", COLD_CACHE_CAP)
+    host_scaled = True
 
     def __init__(self, seed, total):
         self.seed = seed
-        self.streams = cold_streams(seed, total)
+        self.streams, self.twins = cold_streams(seed, total)
         rng = random.Random("cold-check-%d" % seed)
         flat = [(k, j) for k, s in enumerate(self.streams)
                 for j in range(len(s))]
@@ -413,27 +491,33 @@ class Cold:
         return failed, ["%d of %d sampled responses match a local "
                         "estimate" % (len(pairs) - len(bad), len(pairs))]
 
+    def premise(self, loop, counts):
+        """In-flight dedup and LRU pruning must both have happened."""
+        return ["no %s during the timed phase" % name
+                for name in ("silo_serve_deduped_inflight",
+                             "silo_engine_cache_pruned_entries")
+                if not counts.get(name)]
 
-def _timed_pass(work, workdir, spans_out=None):
+
+def _timed_pass(work, workdir, segments, spans_out=None):
     """Start a server, set it up, run the timed phase, check, stop.
-    Returns ``(loop result, setup seconds, server observations)``."""
+    Returns ``(loop result, set-up (raw, reference-host) seconds,
+    server observations)``."""
     from repro.serve.client import ServerClient
 
-    t0 = time.perf_counter()
+    clock = common.HostClock()
     server = ServerProcess(workdir, work.server_args, spans_out)
     with server:
         client = ServerClient(server.url)
         work.setup(client)
-        setup_s = time.perf_counter() - t0
+        setup = clock.lap()
         before = scrape(client)
-        cal_before = common.calibrate()
         cpu0 = common.cpu_seconds(server.proc.pid)
         me0 = common.cpu_seconds(os.getpid())
-        loop = closed_loop(server.url, work.streams, work.check)
+        loop = timed_phase(server.url, work, segments)
         obs = {
             "server_cpu_s": common.cpu_seconds(server.proc.pid) - cpu0,
             "client_cpu_s": common.cpu_seconds(os.getpid()) - me0,
-            "scale": common.host_scale(cal_before, common.calibrate()),
         }
         after = scrape(client)
         obs["rss_mb"] = common.peak_rss_mb(server.proc.pid)
@@ -442,17 +526,19 @@ def _timed_pass(work, workdir, spans_out=None):
     failed, lines = work.verify(loop)
     loop.failed += failed
     loop.lines += lines
-    return loop, setup_s, obs
+    loop.unmet += work.premise(loop, obs["counts"])
+    return loop, setup, obs
 
 
-def _setup_only(work, workdir):
-    """One more fresh server set-up, timed, then stopped."""
+def _setup_only(work, workdir, clock):
+    """One more fresh server set-up, between two host calibrations,
+    then stopped; returns its (raw, reference-host) seconds."""
     from repro.serve.client import ServerClient
 
-    t0 = time.perf_counter()
+    clock.start()
     with ServerProcess(workdir, work.server_args) as server:
         work.setup(ServerClient(server.url))
-        return time.perf_counter() - t0
+        return clock.lap()
 
 
 def _percentiles(rtts, lines):
@@ -526,26 +612,34 @@ def server_layers(rows, t_start, t_end, counts):
 def run(workload, seed, seconds, trace, tmp):
     """Run a serve workload; returns ``(result, report lines, spans)``."""
     total = max(MIN_REQUESTS, seconds * RATE[workload])
-    work = (Warm if workload == "serve-warm" else Cold)(seed, total)
+    segments = max(1, round(seconds / SEGMENT_S))
+    make = Warm if workload == "serve-warm" else Cold
+    work = make(seed, total)
     lines = []
-    loop, setup_first, obs = _timed_pass(work, os.path.join(tmp, "main"))
+    loop, setup_first, obs = _timed_pass(work, os.path.join(tmp, "main"),
+                                         segments)
     result = {"attempted": sum(len(s) for s in work.streams),
               "failed": loop.failed}
+    unmet = list(loop.unmet)
     lines += loop.lines
     p50, p90 = _percentiles(loop.rtts, lines)
     requests = len(loop.rtts)
     lines.append("server counts during the timed phase: %s" % json.dumps(
-        {name: obs["counts"].get("silo_serve_" + name, 0.0)
-         for name in SERVER_COUNTS if name != "dedup_ratio"},
-        sort_keys=True))
+        {name: obs["counts"].get(name, 0.0)
+         for name in ["silo_serve_" + n for n in SERVER_COUNTS
+                      if n != "dedup_ratio"]
+         + ["silo_engine_cache_pruned_entries"]}, sort_keys=True))
+    lines.append("responses by X-Silo-Dedup: %s"
+                 % json.dumps(loop.dedup, sort_keys=True))
     dumped = None
     if trace:
         spans_out = os.path.join(tmp, "spans.json")
-        t_work = (Warm if workload == "serve-warm" else Cold)(seed, total)
+        t_work = make(seed, total)
         t_loop, _setup, t_obs = _timed_pass(
-            t_work, os.path.join(tmp, "traced"), spans_out)
+            t_work, os.path.join(tmp, "traced"), segments, spans_out)
         result["failed"] += t_loop.failed
         result["attempted"] += sum(len(s) for s in t_work.streams)
+        unmet += t_loop.unmet
         with open(spans_out) as f:
             dumped = json.load(f)
         metrics = server_layers(dumped, t_loop.start, t_loop.end,
@@ -557,26 +651,35 @@ def run(workload, seed, seconds, trace, tmp):
                 1000.0 * obs["server_cpu_s"] / requests,
             "serve.client.cpu_ms_per_req":
                 1000.0 * obs["client_cpu_s"] / requests,
-            "trace.overhead": (t_loop.wall * t_obs["scale"])
-                              / (loop.wall * obs["scale"]),
+            "trace.overhead": (t_loop.ref_s / loop.ref_s
+                               if work.host_scaled
+                               else t_loop.raw_s / loop.raw_s),
         })
     else:
+        clock = common.HostClock()
         setups = [setup_first] + [
-            _setup_only(work, os.path.join(tmp, "setup%d" % i))
+            _setup_only(work, os.path.join(tmp, "setup%d" % i), clock)
             for i in range(SETUP_REPS[workload] - 1)]
-        scale = obs["scale"]
-        lines.insert(0, "setup samples (s): %s"
-                     % ", ".join("%.4f" % v for v in setups))
-        lines.insert(1, "measured wall %.4f s; host scale %.4f"
-                     % (loop.wall, scale))
-        wall = loop.wall * scale
+        setup_raw = [raw for raw, _ref in setups]
+        setup = [ref for _raw, ref in setups]
+        lines.insert(0, "setup samples raw (s): %s; median %.4f"
+                     % (", ".join("%.4f" % v for v in setup_raw),
+                        statistics.median(setup_raw)))
+        lines.insert(1, "setup samples reference-host (s): %s"
+                     % ", ".join("%.4f" % v for v in setup))
+        lines.insert(2, "timed phase raw %.4f s, reference-host %.4f s "
+                     "in %d segments; wall_s is %s"
+                     % (loop.raw_s, loop.ref_s, segments,
+                        "reference-host" if work.host_scaled else "raw"))
+        wall = loop.ref_s if work.host_scaled else loop.raw_s
         metrics = {
-            "setup_s": statistics.median(setups) * scale,
+            "setup_s": statistics.median(setup),
             "wall_s": wall,
             "ops_per_s": loop.completed / wall,
             "events_per_s": loop.events / wall,
             "peak_rss_mb": obs["rss_mb"],
         }
+    lines += ["premise not met: %s" % line for line in unmet]
     result["metrics"] = metrics
-    result["correct"] = result["failed"] == 0
+    result["correct"] = result["failed"] == 0 and not unmet
     return result, lines, dumped

@@ -5,6 +5,10 @@ the five scale-out workloads, under an installed serial, uncached
 The modelled caches start empty; each trace's prewarm pass and the
 plan's warm-up window fill them, and statistics come from the measure
 window only.  Host time covers both phases, because users pay for both.
+
+The engine resolves the grid's batch one point at a time with a host
+calibration loop after each point (``common.HostClock``), so every
+point's time is scaled by the host's speed around that point.
 """
 
 import json
@@ -13,7 +17,6 @@ import resource
 import statistics
 import subprocess
 import sys
-import time
 
 from perfbench import common, spans
 from perfbench.metrics import EVENT_LAYERS, ORGS, WORK_COUNTS
@@ -23,7 +26,7 @@ SCALE = 256
 PLAN = "quick"
 #: Fresh interpreters timed for setup_s (the median is reported).
 SETUP_REPS = 9
-#: Host seconds one grid is counted as (it takes 16-35 s on a 2-vCPU
+#: Host seconds one grid is counted as (it takes 9-35 s on a 2-vCPU
 #: host): ``--seconds`` buys that many seconds' worth of whole grids,
 #: at least one, so the timed work is fixed for a given ``--seconds``.
 GRID_S = 20
@@ -43,14 +46,20 @@ print(repr(time.perf_counter() - t0))
 def measure_setup(reps=SETUP_REPS):
     """Seconds from a fresh interpreter's first import to a constructed
     engine (``code_fingerprint`` hashes every source file), ``reps``
-    times."""
-    samples = []
+    times, each between two host calibrations.  Returns the raw and the
+    reference-host samples."""
+    clock = common.HostClock()
+    raw, ref = [], []
     for _ in range(reps):
+        clock.start()
         out = subprocess.run([sys.executable, "-c", _SETUP_PROGRAM],
                              cwd=common.ROOT, capture_output=True,
                              text=True, timeout=120, check=True)
-        samples.append(float(out.stdout.split()[-1]))
-    return samples
+        lap_raw, lap_ref = clock.lap()
+        seconds = float(out.stdout.split()[-1])
+        raw.append(seconds)
+        ref.append(seconds * lap_ref / lap_raw)
+    return raw, ref
 
 
 def _org(config):
@@ -58,16 +67,19 @@ def _org(config):
     return "silo" if config.llc_kind == LLC_PRIVATE_VAULT else "shared"
 
 
-def new_engine():
-    """A serial, cache-less engine that also keeps every (request,
+def new_engine(after_point):
+    """A serial, cache-less engine that resolves a batch one point at a
+    time, calls ``after_point()`` after each, and keeps every (request,
     summary) pair it resolves, for the per-point checks."""
     from repro.sim.engine import RunEngine
 
     class RecordingEngine(RunEngine):
         def run(self, requests):
-            requests = list(requests)
-            summaries = super().run(requests)
-            self.log.extend(zip(requests, summaries))
+            summaries = []
+            for req in requests:
+                summaries += super().run([req])
+                self.log.append((req, summaries[-1]))
+                after_point()
             return summaries
 
     engine = RecordingEngine(jobs=1, cache=None)
@@ -77,23 +89,32 @@ def new_engine():
 
 def run_grid(seed, rounds):
     """The timed phase: ``rounds`` grids of the same seed, each under a
-    fresh engine.  Returns ``(rows of every round, wall seconds,
-    [(request, summary)] of every point)``."""
+    fresh engine.  Returns ``(rows of every round, [(request, summary)]
+    of every point, raw seconds, reference-host seconds, [(raw,
+    reference-host) seconds of each stretch]``."""
     import repro.experiments
     from repro.sim.engine import use_engine
     from repro.sim.sampling import parse_plan
 
     all_rows = []
     log = []
-    t0 = time.perf_counter()
+    laps = []
+    clock = common.HostClock()
+
+    def lap():
+        laps.append(clock.lap())
+
+    clock.start()
     for _ in range(rounds):
-        engine = new_engine()
+        engine = new_engine(lap)
         with use_engine(engine):
             all_rows.append(repro.experiments.fig10_scaleout(
                 plan=parse_plan(PLAN), scale=SCALE, seed=seed,
                 systems=SYSTEMS))
+        lap()
         log.extend(engine.log)
-    return all_rows, time.perf_counter() - t0, log
+    return (all_rows, log, sum(raw for raw, _ref in laps),
+            sum(ref for _raw, ref in laps), laps)
 
 
 def rows_blob(rows):
@@ -197,34 +218,26 @@ def _install(tracer, sampler):
                                                       for t in r[0])})
     tracer.wrap(sim_engine, "summarize", "sim.engine.summarize")
     tracer.wrap(EnergyModel, "breakdown", "energy.breakdown")
-
-
-def calibrated_grid(seed, rounds):
-    """:func:`run_grid` between two host calibrations; also returns the
-    factor to reference-host seconds."""
-    before = common.calibrate()
-    rows, wall, log = run_grid(seed, rounds)
-    return rows, wall, log, common.host_scale(before, common.calibrate())
+    # A child span, so host calibration is in no layer's self time.
+    tracer.wrap(common, "calibration_loop", "perfbench.calibrate")
 
 
 def traced_grid(seed, rounds):
-    """The timed phase again, under wrappers and the sampler."""
+    """The timed phase again, under wrappers and the sampler.  Returns
+    :func:`run_grid`'s results plus the tracer and the sampler."""
     tracer = spans.Tracer()
     sampler = spans.Sampler()
-    before = common.calibrate()
     _install(tracer, sampler)
     sampler.start()
     try:
-        rows, wall, log = run_grid(seed, rounds)
+        return run_grid(seed, rounds) + (tracer, sampler)
     finally:
         sampler.stop()
         tracer.uninstall()
-    scale = common.host_scale(before, common.calibrate())
-    return rows, wall * scale, log, tracer, sampler
 
 
 def layer_metrics(tracer, sampler, log):
-    """Per-layer metrics of a traced grid (see metrics.PER_LAYER)."""
+    """Per-layer metrics of a traced grid (BENCHMARK.json's per_layer)."""
     sp = tracer.spans
     self_s = spans.self_times(sp)
 
@@ -280,22 +293,25 @@ def layer_metrics(tracer, sampler, log):
 def run(seed, seconds, trace, default_seed):
     """Run the workload; returns ``(result dict, report lines, spans)``."""
     rounds = max(1, round(seconds / GRID_S))
-    setup = measure_setup()
-    t0 = time.perf_counter()
+    setup_raw, setup = measure_setup()
     import repro.experiments  # noqa: F401  (the timed grid's imports)
-    setup_main = time.perf_counter() - t0
-    rows, raw_wall, log, scale = calibrated_grid(seed, rounds)
-    wall = raw_wall * scale
+    rows, log, raw_wall, wall, laps = run_grid(seed, rounds)
     failed, lines = check(seed, rows, log, default_seed)
-    lines.insert(0, "setup samples (s): %s; in-process imports %.4f s"
-                 % (", ".join("%.4f" % v for v in setup), setup_main))
-    lines.insert(1, "measured wall %.4f s; host scale %.4f"
-                 % (raw_wall, scale))
+    lines.insert(0, "setup samples raw (s): %s; median %.4f"
+                 % (", ".join("%.4f" % v for v in setup_raw),
+                    statistics.median(setup_raw)))
+    lines.insert(1, "setup samples reference-host (s): %s"
+                 % ", ".join("%.4f" % v for v in setup))
+    lines.insert(2, "timed phase raw %.4f s, reference-host %.4f s"
+                 % (raw_wall, wall))
+    lines.insert(3, "stretches raw/reference-host (s): %s" % ", ".join(
+        "%.3f/%.3f" % lap for lap in laps))
     events = sum(s.driven_events() for _r, s in log)
     result = {"attempted": len(log), "failed": len(failed)}
     dumped = None
     if trace:
-        t_rows, t_wall, t_log, tracer, sampler = traced_grid(seed, rounds)
+        t_rows, t_log, _t_raw, t_wall, _laps, tracer, sampler = \
+            traced_grid(seed, rounds)
         metrics = layer_metrics(tracer, sampler, t_log)
         metrics["trace.overhead"] = t_wall / wall
         if rows_blob(t_rows) != rows_blob(rows):
@@ -308,7 +324,7 @@ def run(seed, seconds, trace, default_seed):
         dumped = tracer.dump()
     else:
         metrics = {
-            "setup_s": statistics.median(setup) * scale,
+            "setup_s": statistics.median(setup),
             "wall_s": wall,
             "ops_per_s": len(log) / wall,
             "events_per_s": events / wall,
@@ -325,7 +341,7 @@ def write_reference(seed):
     root as ``python3 -m perfbench.simulate``); only a change that is
     meant to alter simulated results may re-record them."""
     common.prepare_checkout()
-    all_rows, _wall, _log = run_grid(seed, 1)
+    all_rows = run_grid(seed, 1)[0]
     with open(REFERENCE, "w") as f:
         json.dump({"seed": seed, "scale": SCALE, "plan": PLAN,
                    "systems": list(SYSTEMS), "rows": all_rows[0]},

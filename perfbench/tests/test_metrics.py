@@ -1,36 +1,27 @@
-"""BENCHMARK.json and the benchmark's metric table agree."""
+"""Every end-to-end metric is defined, and every per-layer metric names
+the end-to-end metric it should move."""
 
-import json
-import os
-
-from perfbench import common
-from perfbench.metrics import END_TO_END, PER_LAYER, WORKLOADS
+from perfbench.metrics import DEFINITIONS, MOVES, load, units
 
 
-def _bench():
-    with open(os.path.join(common.ROOT, "BENCHMARK.json")) as f:
-        return json.load(f)
-
-
-def test_benchmark_json_matches_the_metric_table():
-    bench = _bench()
-    assert {w["name"]: w["why"] for w in bench["workloads"]} == WORKLOADS
-    assert [m["name"] for m in bench["end_to_end"]] == list(END_TO_END)
-    for m in bench["end_to_end"]:
-        assert (m["unit"], m["better"]) == END_TO_END[m["name"]][:2]
-        assert 0 < m["bound"] <= 0.25
-    assert [m["name"] for m in bench["per_layer"]] == list(PER_LAYER)
-    for m in bench["per_layer"]:
-        assert (m["unit"], m["better"]) == PER_LAYER[m["name"]][:2]
-
-
-def test_setup_has_the_largest_bound():
-    bounds = {m["name"]: m["bound"] for m in _bench()["end_to_end"]}
-    assert bounds["setup_s"] == max(bounds.values())
+def test_every_per_layer_metric_has_a_moves_entry():
+    assert set(MOVES) == set(units(load(), "per_layer"))
 
 
 def test_every_moved_metric_is_a_real_workload_and_metric():
-    for _unit, _better, moves in PER_LAYER.values():
+    bench = load()
+    workloads = {w["name"] for w in bench["workloads"]}
+    end_to_end = units(bench, "end_to_end")
+    for moves in MOVES.values():
         if moves is not None:
             workload, metric = moves
-            assert workload in WORKLOADS and metric in END_TO_END
+            assert workload in workloads and metric in end_to_end
+
+
+def test_every_end_to_end_metric_is_defined():
+    assert set(DEFINITIONS) == set(units(load(), "end_to_end"))
+
+
+def test_setup_has_the_largest_bound():
+    bounds = {m["name"]: m["bound"] for m in load()["end_to_end"]}
+    assert bounds["setup_s"] == max(bounds.values())

@@ -19,8 +19,9 @@ def test_traced_grid_is_bit_identical_and_reports_layers(monkeypatch):
     monkeypatch.setattr(simulate, "SCALE", 1024)
     run_before = sim_engine.RunEngine.run
     execute_before = sim_engine.execute_request
-    rows, _wall, log = simulate.run_grid(11, 1)
-    t_rows, _t_wall, t_log, tracer, sampler = simulate.traced_grid(11, 1)
+    rows, log, _raw, _wall, _laps = simulate.run_grid(11, 1)
+    t_rows, t_log, _t_raw, _t_wall, _t_laps, tracer, sampler = \
+        simulate.traced_grid(11, 1)
     assert simulate.rows_blob(t_rows) == simulate.rows_blob(rows)
     assert [_simulated(s) for _r, s in t_log] == \
         [_simulated(s) for _r, s in log]
@@ -39,7 +40,10 @@ def test_traced_grid_is_bit_identical_and_reports_layers(monkeypatch):
     names = {s.name for s in tracer.spans}
     assert {"experiments.fig10", "sim.engine.run", "sim.engine.execute",
             "sim.system.build", "workloads.generate", "sim.driver.run",
-            "sim.engine.summarize", "energy.breakdown"} <= names
+            "sim.engine.summarize", "energy.breakdown",
+            "perfbench.calibrate"} <= names
+    # Host calibration between points is in no layer's self time.
+    assert metrics["experiments.self_s"] < 0.05
 
 
 def test_checks_flag_a_lost_verdict_and_a_reference_mismatch():

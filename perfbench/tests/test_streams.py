@@ -35,18 +35,27 @@ def test_warm_pool_is_distinct_memo_resident_and_16_core():
 def test_cold_streams_reproduce_and_stay_in_the_trust_region():
     from repro.analytic.estimator import in_trust_region
 
-    first = serve.cold_streams(5, 600)
-    assert serve.request_bodies(first) == serve.request_bodies(
-        serve.cold_streams(5, 600))
+    first, twins = serve.cold_streams(5, 600)
+    again, twins_again = serve.cold_streams(5, 600)
+    assert serve.request_bodies(first) == serve.request_bodies(again)
+    assert twins == twins_again
     assert serve.request_bodies(first) != serve.request_bodies(
-        serve.cold_streams(6, 600))
+        serve.cold_streams(6, 600)[0])
     flat = [req for stream in first for req, _fmt in stream]
     assert all(in_trust_region(req) for req in flat)
-    keys = [json.dumps(r.canonical(), sort_keys=True) for r in flat]
-    # Mostly never-seen points, with scheduled twins and repeats.
-    assert 0.7 * len(keys) < len(set(keys)) < len(keys)
-    twins = sum(a[0] is b[0] for a, b in zip(*first))
-    assert twins >= len(first[0]) // serve.TWIN_EVERY
+    assert {fmt for stream in first for _req, fmt in stream} == {"pickle"}
     assert {r.config.num_cores for r in flat} == set(serve.COLD_CORES)
     assert {r.config.llc_kind for r in flat} == {"shared",
                                                  "private_vault"}
+
+
+def test_cold_streams_repeat_the_measured_share():
+    streams, twins = serve.cold_streams(5, 600)
+    flat = [req for stream in streams for req, _fmt in stream]
+    keys = [json.dumps(r.canonical(), sort_keys=True) for r in flat]
+    assert len(twins) == round(600 * serve.TWIN_SHARE)
+    assert all(streams[0][j][0] is streams[1][j][0] for j in twins)
+    repeats = len(keys) - len(set(keys))
+    assert repeats == round(600 * serve.TWIN_SHARE) + round(
+        600 * serve.MEMO_SHARE)
+    assert abs(repeats / len(keys) - serve.REPEAT_SHARE) < 0.01
