@@ -73,8 +73,8 @@ def percentile(values, q):
 
 #: Iterations of one calibration loop, and the seconds it is taken to
 #: last on the reference host.  A small shared-CPU host's speed drifts
-#: by 2x within seconds; a stretch of work between two calibrations is
-#: reported in reference-host seconds, scaled by those two loops.
+#: by up to 2x over minutes; a stretch of work between two calibrations
+#: is reported in reference-host seconds, scaled by those two loops.
 CALIBRATION_N = 50_000
 CALIBRATION_REF_S = 0.15
 

@@ -28,9 +28,9 @@ def units(bench, kind):
 
 
 #: What each end-to-end metric measures.  An operation is a grid point
-#: (simulate) or a request (serve-*).  Set-up times, and the timed
-#: phases of simulate and serve-cold, are in reference-host seconds
-#: (common.HostClock); the report prints the raw measurements too.
+#: (simulate) or a request (serve-*).  Times and rates are in
+#: reference-host seconds (common.HostClock); the report prints the raw
+#: measurements too.
 DEFINITIONS = {
     "setup_s": "median of repeated set-ups: imports and engine "
                "construction (simulate), or server start until READY "

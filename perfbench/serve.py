@@ -19,9 +19,9 @@ the loop is closed because every in-repo caller waits for its reply.
   dispatch and ``RunCache.put`` with live eviction do the work.
 
 The timed phase runs in segments with a host calibration between each
-two (``common.HostClock``).  serve-cold reports it in reference-host
-seconds, each segment scaled by the host's speed around it;
-serve-warm reports it raw (see :attr:`Warm.host_scaled`).
+two, and every set-up sample between two calibrations
+(``common.HostClock``); both are reported in reference-host seconds,
+each stretch scaled by the host's speed around it.
 """
 
 import json
@@ -287,8 +287,17 @@ class LoopResult:
         self.dedup = {}
         self.lines = []
         self.unmet = []
-        self.raw_s = self.ref_s = 0.0
+        #: (raw, reference-host) seconds of each timed segment.
+        self.laps = []
         self.start = self.end = 0.0
+
+    @property
+    def raw_s(self):
+        return sum(raw for raw, _ref in self.laps)
+
+    @property
+    def ref_s(self):
+        return sum(ref for _raw, ref in self.laps)
 
 
 def closed_loop(url, streams, check, steps, res, deadline, twins=()):
@@ -366,9 +375,7 @@ def timed_phase(url, work, segments):
         clock.start()
         closed_loop(url, work.streams, work.check, range(lo, hi), res,
                     deadline, work.twins)
-        raw, ref = clock.lap()
-        res.raw_s += raw
-        res.ref_s += ref
+        res.laps.append(clock.lap())
     res.end = time.perf_counter()
     return res
 
@@ -398,12 +405,6 @@ class Warm:
 
     server_args = ()
     twins = frozenset()
-    #: Over ten interleaved seeds on a 2-vCPU host, scaling widened the
-    #: warm loop's wall spread (IQR/median 0.062 raw, 0.116 scaled):
-    #: its time goes to loopback connections and syscalls, which the
-    #: pure-Python calibration loop does not track.  It narrowed
-    #: serve-cold's (0.071 raw, 0.050 scaled).
-    host_scaled = False
 
     def __init__(self, seed, total):
         self.seed = seed
@@ -454,7 +455,6 @@ class Cold:
     """serve-cold: never-seen points into a capped, fresh cache."""
 
     server_args = ("--cache-max-bytes", COLD_CACHE_CAP)
-    host_scaled = True
 
     def __init__(self, seed, total):
         self.seed = seed
@@ -651,9 +651,7 @@ def run(workload, seed, seconds, trace, tmp):
                 1000.0 * obs["server_cpu_s"] / requests,
             "serve.client.cpu_ms_per_req":
                 1000.0 * obs["client_cpu_s"] / requests,
-            "trace.overhead": (t_loop.ref_s / loop.ref_s
-                               if work.host_scaled
-                               else t_loop.raw_s / loop.raw_s),
+            "trace.overhead": t_loop.ref_s / loop.ref_s,
         })
     else:
         clock = common.HostClock()
@@ -661,19 +659,19 @@ def run(workload, seed, seconds, trace, tmp):
             _setup_only(work, os.path.join(tmp, "setup%d" % i), clock)
             for i in range(SETUP_REPS[workload] - 1)]
         setup_raw = [raw for raw, _ref in setups]
-        setup = [ref for _raw, ref in setups]
+        setup_ref = [ref for _raw, ref in setups]
         lines.insert(0, "setup samples raw (s): %s; median %.4f"
                      % (", ".join("%.4f" % v for v in setup_raw),
                         statistics.median(setup_raw)))
         lines.insert(1, "setup samples reference-host (s): %s"
-                     % ", ".join("%.4f" % v for v in setup))
+                     % ", ".join("%.4f" % v for v in setup_ref))
         lines.insert(2, "timed phase raw %.4f s, reference-host %.4f s "
-                     "in %d segments; wall_s is %s"
-                     % (loop.raw_s, loop.ref_s, segments,
-                        "reference-host" if work.host_scaled else "raw"))
-        wall = loop.ref_s if work.host_scaled else loop.raw_s
+                     "in %d segments" % (loop.raw_s, loop.ref_s, segments))
+        lines.insert(3, "segments raw/reference-host (s): %s" % ", ".join(
+            "%.3f/%.3f" % lap for lap in loop.laps))
+        wall = loop.ref_s
         metrics = {
-            "setup_s": statistics.median(setup),
+            "setup_s": statistics.median(setup_ref),
             "wall_s": wall,
             "ops_per_s": loop.completed / wall,
             "events_per_s": loop.events / wall,
