@@ -8,9 +8,8 @@ to be re-sampled), prints the regenerated table, and writes it to
 Every benchmark also runs under a metered :class:`repro.sim.engine.
 RunEngine`; per-figure wall clock and engine throughput (driven
 events/sec, cache hits/misses) are collected and written to
-``benchmarks/results/BENCH_engine.json`` -- and mirrored to the repo
-root -- at the end of the session, so CI can archive one
-machine-readable performance record per run.
+``benchmarks/results/BENCH_engine.json`` at the end of the session, so
+CI can archive one machine-readable performance record per run.
 """
 
 import json
@@ -23,19 +22,16 @@ from repro.experiments.common import render_table
 from repro.sim import engine as sim_engine
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_ENGINE_PATH = os.path.join(RESULTS_DIR, "BENCH_engine.json")
 
 
 def write_bench_json(name, payload):
-    """Write a BENCH_*.json record to ``benchmarks/results/`` and to the
-    repo root (the root copy is the one CI diffs and READMEs link)."""
+    """Write a BENCH_*.json record to ``benchmarks/results/`` (the copy
+    CI uploads)."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
-    for directory in (RESULTS_DIR, REPO_ROOT):
-        path = os.path.join(directory, name)
-        with open(path, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
+    with open(os.path.join(RESULTS_DIR, name), "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 #: node name -> {"wall_clock_s": ..., "engine": snapshot, ...extras}
 _ENGINE_RECORDS = {}
@@ -46,7 +42,9 @@ def metered_engine(request):
     """Install a fresh run engine for each benchmark and record its
     wall clock + throughput counters for BENCH_engine.json.  Caching is
     off by default so every figure reports real simulation time; set
-    $REPRO_JOBS to benchmark parallel fan-out."""
+    $REPRO_JOBS to benchmark parallel fan-out.  A benchmark that builds
+    its own engines leaves this one unused; its record then carries no
+    ``engine`` snapshot rather than an all-zero one."""
     engine = sim_engine.RunEngine(jobs=sim_engine.jobs_from_env(),
                                   cache=None)
     start = time.perf_counter()
@@ -54,7 +52,8 @@ def metered_engine(request):
         yield engine
     record = _ENGINE_RECORDS.setdefault(request.node.name, {})
     record["wall_clock_s"] = round(time.perf_counter() - start, 3)
-    record["engine"] = engine.snapshot()
+    if engine.requests:
+        record["engine"] = engine.snapshot()
 
 
 @pytest.fixture
@@ -80,8 +79,8 @@ def pytest_sessionfinish(session, exitstatus):
 
 @pytest.fixture
 def write_bench():
-    """Write a benchmark's own BENCH_*.json record to both locations
-    (``benchmarks/results/`` and the repo root)."""
+    """Write a benchmark's own BENCH_*.json record to
+    ``benchmarks/results/``."""
     return write_bench_json
 
 

@@ -51,15 +51,6 @@ class SharedNUCA:
         """Bank (== mesh tile) holding the block, by address interleave."""
         return block % self.num_banks
 
-    def home_entries(self, block):
-        """The home bank's set dict covering ``block`` (whether or not
-        the block is currently resident).  The fastpath tier-2 shadow
-        recomputes a block's safe keys against this dict when its
-        sharing entry changes: membership is the residency test and
-        the dict itself is the LRU-replay handle."""
-        bank = self.banks[block % self.num_banks]
-        return bank._sets[(block // bank.index_stride) % bank.num_sets]
-
     def lookup(self, block, touch=True):
         return self.banks[block % self.num_banks].lookup(block, touch)
 

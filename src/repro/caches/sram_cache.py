@@ -33,15 +33,13 @@ class SetAssocCache:
         module-level stream, so runs stay reproducible from the
         manifest-recorded seed (silolint SL001).
 
-    When a :class:`repro.sim.fastpath.ShadowView` is attached as
-    ``shadow``, every content mutation (insert, evict, state change,
-    invalidate, clear) notifies it -- the fast-path kernel's safe-set
-    invariant depends on no mutation bypassing these hooks.
+    ``repro.sim.driver._drive`` probes ``_sets``, ``num_sets``,
+    ``index_stride`` and ``_reorder`` directly to retire trivial L1
+    hits, repeating :meth:`lookup`'s hit path.
     """
 
     __slots__ = ("size_bytes", "ways", "block_bytes", "num_sets",
-                 "index_stride", "policy", "_reorder", "_sets",
-                 "shadow")
+                 "index_stride", "policy", "_reorder", "_sets")
 
     def __init__(self, size_bytes, ways, block_bytes=BLOCK_BYTES,
                  policy="lru", index_stride=1, seed=0, rng=None):
@@ -60,7 +58,6 @@ class SetAssocCache:
         self.policy = make_policy(policy, seed, rng)
         self._reorder = self.policy.reorder_on_hit
         self._sets = [dict() for _ in range(self.num_sets)]
-        self.shadow = None
 
     @property
     def capacity_blocks(self):
@@ -96,29 +93,21 @@ class SetAssocCache:
         if block not in entries:
             raise KeyError("block %d not resident" % block)
         entries[block] = state
-        if self.shadow is not None:
-            self.shadow.note(block, state, entries)
 
     def insert(self, block, state):
         """Insert (or refresh) a block.  Returns the evicted
         ``(victim_block, victim_state)`` pair or None if no eviction."""
         entries = self._sets[(block // self.index_stride) % self.num_sets]
-        shadow = self.shadow
         if block in entries:
             if self._reorder:
                 del entries[block]
             entries[block] = state
-            if shadow is not None:
-                shadow.note(block, state, entries)
             return None
-        vblock = None
         victim = None
         if len(entries) >= self.ways:
             vblock = self.policy.victim(entries)
             victim = (vblock, entries.pop(vblock))
         entries[block] = state
-        if shadow is not None:
-            shadow.fill(block, state, entries, vblock)
         return victim
 
     def insert_cold(self, block, state):
@@ -129,30 +118,22 @@ class SetAssocCache:
         entries = self._sets[(block // self.index_stride) % self.num_sets]
         if block in entries:
             return None
-        shadow = self.shadow
-        vblock = None
         victim = None
         if len(entries) >= self.ways:
             vblock = self.policy.victim(entries)
             victim = (vblock, entries.pop(vblock))
-        # rebuild with the new block in front (dict order = LRU order);
-        # the dict object survives, so shadow references stay valid
+        # rebuild with the new block in front (dict order = LRU order)
         old = list(entries.items())
         entries.clear()
         entries[block] = state
         for k, v in old:
             entries[k] = v
-        if shadow is not None:
-            shadow.fill(block, state, entries, vblock)
         return victim
 
     def invalidate(self, block):
         """Remove a block; returns its state or None if absent."""
-        state = self._sets[(block // self.index_stride)
-                           % self.num_sets].pop(block, None)
-        if state is not None and self.shadow is not None:
-            self.shadow.drop(block)
-        return state
+        return self._sets[(block // self.index_stride)
+                          % self.num_sets].pop(block, None)
 
     def blocks(self):
         """Iterate over (block, state) pairs (test/debug helper)."""
@@ -168,5 +149,3 @@ class SetAssocCache:
         """Drop every resident block."""
         for entries in self._sets:
             entries.clear()
-        if self.shadow is not None:
-            self.shadow.wipe()

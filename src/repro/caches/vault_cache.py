@@ -18,8 +18,7 @@ class VaultCache:
     """A direct-mapped vault of 64-byte TAD blocks."""
 
     __slots__ = ("size_bytes", "block_bytes", "num_sets", "tags",
-                 "states", "resident", "shadow", "holder_map",
-                 "holder_bit")
+                 "states", "resident", "holder_map", "holder_bit")
 
     def __init__(self, size_bytes, block_bytes=BLOCK_BYTES):
         if size_bytes <= 0 or size_bytes % block_bytes != 0:
@@ -31,11 +30,6 @@ class VaultCache:
         self.tags = [-1] * self.num_sets     # -1 == invalid
         self.states = [0] * self.num_sets
         self.resident = 0                    # valid sets (O(1) occupancy)
-        # Optional repro.sim.fastpath.VaultShadow: every content
-        # mutation (insert, evict, state change, invalidate, clear)
-        # notifies it -- the tier-2 vault-hit kernel's safe-set
-        # invariant depends on no mutation bypassing these methods.
-        self.shadow = None
         # Optional DupTagDirectory residency index (block -> core
         # bitmask) this vault keeps current; ``holder_bit`` is this
         # core's bit.  Set by the directory, validated by its
@@ -65,8 +59,6 @@ class VaultCache:
         if self.tags[s] != block:
             raise KeyError("block %d not resident in vault" % block)
         self.states[s] = state
-        if self.shadow is not None:
-            self.shadow.note(block, state)
 
     def insert(self, block, state):
         """Fill a block; returns the evicted (victim_block, victim_state)
@@ -92,9 +84,6 @@ class VaultCache:
                 else:
                     del hm[vb]
             hm[block] = hm.get(block, 0) | bit
-        if self.shadow is not None:
-            self.shadow.fill(block, state,
-                             None if victim is None else victim[0])
         return victim
 
     def invalidate(self, block):
@@ -111,8 +100,6 @@ class VaultCache:
                     hm[block] = left
                 else:
                     del hm[block]
-            if self.shadow is not None:
-                self.shadow.drop(block)
             return state
         return None
 
@@ -158,5 +145,3 @@ class VaultCache:
         self.tags = [-1] * self.num_sets
         self.states = [0] * self.num_sets
         self.resident = 0
-        if self.shadow is not None:
-            self.shadow.wipe()

@@ -19,11 +19,6 @@ class SharerTable:
         # block -> [sharers_mask, owner]; owner is the core holding the
         # block in M/E, or NO_OWNER.
         self._entries = {}
-        # Optional repro.sim.fastpath.TableShadow: every sharing-vector
-        # transition reports the block's resulting (mask, owner) so the
-        # tier-2 NUCA-hit kernel can recompute which accesses to the
-        # block are trivially retirable.  No mutation may bypass it.
-        self.shadow = None
 
     def sharers(self, block):
         """Bitmask of cores with an L1 copy of the block."""
@@ -52,8 +47,6 @@ class SharerTable:
             entry[0] |= bit
             if exclusive:
                 entry[1] = core
-        if self.shadow is not None:
-            self.shadow.on_entry(block, entry[0], entry[1])
 
     def set_owner(self, block, core):
         """Promote ``core`` to M/E owner (it must already be a sharer)."""
@@ -61,16 +54,12 @@ class SharerTable:
         if entry is None or not entry[0] & (1 << core):
             raise KeyError("core %d does not share block %d" % (core, block))
         entry[1] = core
-        if self.shadow is not None:
-            self.shadow.on_entry(block, entry[0], core)
 
     def clear_owner(self, block):
         """Downgrade the owner (M -> S transition)."""
         entry = self._entries.get(block)
         if entry is not None:
             entry[1] = self.NO_OWNER
-            if self.shadow is not None:
-                self.shadow.on_entry(block, entry[0], self.NO_OWNER)
 
     def remove_sharer(self, block, core):
         """Record that ``core`` dropped its copy."""
@@ -82,14 +71,10 @@ class SharerTable:
             entry[1] = self.NO_OWNER
         if entry[0] == 0:
             del self._entries[block]
-        if self.shadow is not None:
-            self.shadow.on_entry(block, entry[0], entry[1])
 
     def drop_block(self, block):
         """Forget all sharing info for a block."""
-        if self._entries.pop(block, None) is not None:
-            if self.shadow is not None:
-                self.shadow.on_entry(block, 0, self.NO_OWNER)
+        self._entries.pop(block, None)
 
     def is_cached(self, block):
         return block in self._entries

@@ -21,7 +21,6 @@ from repro.obs import session as obs_session
 from repro.obs.telemetry import interval_from_env
 from repro.sim import engine as sim_engine
 from repro.sim.driver import DEFAULT_CHUNK, use_chunk
-from repro.sim.fastpath import use_fastpath
 from repro.sim.sampling import PRESETS, parse_plan
 
 
@@ -78,9 +77,9 @@ def main(argv=None):
                              "(default: $REPRO_TELEMETRY or off)")
     parser.add_argument("--profile", action="store_true",
                         help="hierarchical wall-clock self-profile of "
-                             "the simulator (drive loop, fastpath, "
-                             "vault/NUCA, coherence, directory, NoC, "
-                             "memory, ECC regions)")
+                             "the simulator (drive loop, vault/NUCA, "
+                             "coherence, directory, NoC, memory, ECC "
+                             "regions)")
     parser.add_argument("--faults", type=float, default=None,
                         metavar="RATE",
                         help="inject bit-flip faults (data/tag/"
@@ -132,10 +131,6 @@ def main(argv=None):
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the run cache (every point "
                              "simulates)")
-    parser.add_argument("--no-fastpath", action="store_true",
-                        help="disable the shadow-filter batch kernel "
-                             "(results are bit-identical; only "
-                             "throughput changes)")
     parser.add_argument("--chunk", type=int, default=None, metavar="N",
                         help="core-interleave grain in events "
                              "(default: $REPRO_CHUNK or %d)"
@@ -238,8 +233,6 @@ def main(argv=None):
         plan_ctx = use_plan(fault_plan)
     else:
         plan_ctx = contextlib.nullcontext()
-    fastpath_ctx = (use_fastpath(False) if args.no_fastpath
-                    else contextlib.nullcontext())
     chunk_ctx = (use_chunk(args.chunk) if args.chunk is not None
                  else contextlib.nullcontext())
 
@@ -249,8 +242,7 @@ def main(argv=None):
                              collect_stats=args.stats,
                              telemetry_every=telemetry_every,
                              profile=args.profile) as session:
-        with sim_engine.use_engine(engine), plan_ctx, \
-                fastpath_ctx, chunk_ctx:
+        with sim_engine.use_engine(engine), plan_ctx, chunk_ctx:
             if session.profiler is not None:
                 with session.profiler.region("experiment"):
                     rows = func(**kwargs)

@@ -2,20 +2,18 @@
 
 Answers "where does the *simulator* spend its time" -- not simulated
 time -- with explicit regions for every architectural layer: the drive
-loop (``warmup``/``measure``), the fastpath ``retire_chunk`` kernel,
-L1/vault/NUCA lookup, coherence, the directory, the NoC, memory and
-ECC recovery.  The per-region report (inclusive/exclusive seconds,
-calls, events/sec, fastpath retired-vs-bailed accounting) regenerates
-DESIGN.md Sec. 2f's Amdahl table from live measurements instead of a
-hand-timed run.
+loop (``warmup``/``measure``, which also retires trivial L1 hits
+inline), L1/vault/NUCA lookup, coherence, the directory, the NoC,
+memory and ECC recovery.  The per-region report (inclusive/exclusive
+seconds, calls, events/sec) regenerates DESIGN.md Sec. 2f's Amdahl
+table from live measurements instead of a hand-timed run.
 
 Off-state cost is exactly zero on the hot path: nothing is wrapped and
 ``_drive``/``System.access`` run byte-for-byte unmodified.  When a
 session enables profiling, :func:`instrument` monkey-patches *instance*
 attributes of one System (``system.access``, the miss paths, the
-coherence helpers, ``memory.access``, the mesh latency methods, the
-shadow filter's ``retire_chunk``) with timed closures; the class
-methods -- and every uninstrumented System -- are untouched.  Wrapping
+coherence helpers, ``memory.access``, the mesh latency methods) with
+timed closures; the class methods -- and every uninstrumented System -- are untouched.  Wrapping
 only ever *reads* simulator state plus the wall clock, so profiled runs
 stay bit-identical (tests/test_obs_inert.py).
 
@@ -68,11 +66,6 @@ class Profiler:
         #: Measured events driven while this profiler was active
         #: (fed by ``run_system``; the events/sec denominators).
         self.driven_events = 0
-        #: Fastpath retired-vs-bailed accounting across observed runs.
-        self.fastpath = {"runs": 0, "retired_events": 0,
-                         "tier1_retired": 0, "tier2_retired": 0,
-                         "slow_events": 0, "streaks": 0, "bails": 0,
-                         "bail_reasons": []}
 
     # -- region entry ---------------------------------------------------
 
@@ -127,28 +120,6 @@ class Profiler:
         """Credit ``n`` measured driven events (events/sec numerator)."""
         self.driven_events += n
 
-    def note_fastpath(self, summary):
-        """Fold one run's shadow-filter summary into the cumulative
-        retired-vs-bailed accounting."""
-        fp = self.fastpath
-        fp["runs"] += 1
-        fp["retired_events"] += summary.get("retired_events", 0)
-        fp["tier1_retired"] += summary.get("tier1_retired", 0)
-        fp["tier2_retired"] += summary.get("tier2_retired", 0)
-        fp["slow_events"] += summary.get("slow_events", 0)
-        fp["streaks"] += summary.get("streaks", 0)
-        # bails are counted live through the on_bail hook installed by
-        # instrument() -- counting summary["bailed"] too would double.
-
-    def note_bail(self, reason=None):
-        """Hook for :meth:`repro.sim.fastpath.ShadowFilter.bail`
-        (installed by :func:`instrument`): count a mid-run bail-out the
-        moment it happens, not just in the end-of-run summary, and keep
-        the diagnosable reason (tier, observed fraction, threshold)."""
-        self.fastpath["bails"] += 1
-        if reason is not None:
-            self.fastpath["bail_reasons"].append(reason)
-
     # -- lifecycle / report --------------------------------------------
 
     def stop(self):
@@ -165,8 +136,7 @@ class Profiler:
     def report(self):
         """The full profile as plain data: per-region inclusive and
         exclusive seconds, call counts, percentage of wall clock,
-        microseconds per driven event, plus the fastpath accounting
-        and the covered fraction (top-level region time over wall
+        microseconds per driven event, plus the covered fraction (top-level region time over wall
         clock -- the >= 95% acceptance gate)."""
         wall = self.wall_s()
         events = self.driven_events
@@ -195,10 +165,6 @@ class Profiler:
         for child in self.root.children.values():
             covered += child.total_s
             walk(child, child.name, 0)
-        fp = dict(self.fastpath)
-        retired = fp["retired_events"]
-        total = retired + fp["slow_events"]
-        fp["retired_fraction"] = retired / total if total else 0.0
         return {
             "wall_s": wall,
             "driven_events": events,
@@ -206,7 +172,6 @@ class Profiler:
             "covered_s": covered,
             "covered_fraction": covered / wall if wall > 0 else 0.0,
             "regions": regions,
-            "fastpath": fp,
         }
 
 
@@ -230,18 +195,6 @@ def render_report(report):
                      % (name, r["inclusive_s"], r["exclusive_s"],
                         r["inclusive_pct"], r["exclusive_pct"],
                         r["calls"]))
-    fp = report["fastpath"]
-    if fp["runs"]:
-        lines.append("# fastpath: %d events retired (%d tier-1, "
-                     "%d tier-2), %d slow (%.1f%% retired), "
-                     "%d streaks, %d bails over %d runs"
-                     % (fp["retired_events"],
-                        fp.get("tier1_retired", 0),
-                        fp.get("tier2_retired", 0), fp["slow_events"],
-                        100.0 * fp["retired_fraction"], fp["streaks"],
-                        fp["bails"], fp["runs"]))
-        for reason in fp.get("bail_reasons", ()):
-            lines.append("#   bail: %r" % (reason,))
     return "\n".join(lines)
 
 
@@ -263,9 +216,11 @@ def instrument(profiler, system):
     paths, ``coherence`` covers upgrades, peer invalidations and MOESI
     downgrades, ``directory`` the sharer-table/duplicate-tag lookups,
     ``noc`` the mesh latency calls, ``memory`` main-memory access,
-    ``ecc`` the fault-recovery paths and ``fastpath`` the shadow
-    filter's ``retire_chunk``.  Only instance attributes are written;
-    an uninstrumented System shares none of them.
+    ``ecc`` the fault-recovery paths.  Trivial L1 hits that the drive
+    loop retires inline never call ``access``, so their time is the
+    ``warmup``/``measure`` regions' exclusive time.  Only instance
+    attributes are written; an uninstrumented System shares none of
+    them.
     """
     _wrap_attr(profiler, system, "access", "access")
     if system.sharer_table is not None:
@@ -285,17 +240,6 @@ def instrument(profiler, system):
         for name in ("_vault_hit_faults", "_directory_faults",
                      "_shared_llc_fault"):
             _wrap_attr(profiler, system, name, "ecc")
-    # The shadow filter is built lazily; force the eligibility decision
-    # now so the kernel's retire_chunk is wrapped before driving (this
-    # is exactly the filter the first _drive would have built).
-    from repro.sim.fastpath import kernel_for
-    filt = kernel_for(system)
-    if filt is not None:
-        _wrap_attr(profiler, filt, "retire_chunk", "fastpath")
-        # The bail hook is zero-arg by contract; close over the filter
-        # so the profiler also captures the diagnosable reason.
-        filt.on_bail = (lambda f=filt:
-                        profiler.note_bail(f.bail_reason))
 
 
 def trace_events(report, pid=1):

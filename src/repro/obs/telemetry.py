@@ -1,13 +1,12 @@
 """Phase-resolved telemetry: a windowed sampler over the stats registry.
 
 End-of-run totals hide how a run *evolves*: cold-cache warm-in, working
--set shifts, a fastpath bail-out, a fault burst.  The
+-set shifts, a fault burst.  The
 :class:`TelemetrySampler` closes that gap by snapshotting the existing
 stats registry every N driven events (``--telemetry N`` /
 ``$REPRO_TELEMETRY``) and recording per-window *deltas*: per-core hit
-rates and exposed latency, NoC hops per event, memory traffic,
-fastpath retirement fraction, fault events, and a per-vault
-occupancy/traffic heatmap series.  A greedy mean-shift change-point
+rates and exposed latency, NoC hops per event, memory traffic, fault
+events, and a per-vault occupancy/traffic heatmap series.  A greedy mean-shift change-point
 pass over the windowed miss rate segments the series into phases.
 
 Sampling happens at core-interleave *round* granularity inside
@@ -135,10 +134,6 @@ class TelemetrySampler:
         self._next_at = self.interval
         self._last = self._snapshot()
         self._last_events = 0
-        sf = self.system.shadow_filter
-        self._last_retired = sf.retired_events if sf is not None else 0
-        self._last_t1 = sf.tier1_retired if sf is not None else 0
-        self._last_t2 = sf.tier2_retired if sf is not None else 0
         self._t0 = clock()
         self._last_t = self._t0
 
@@ -217,10 +212,6 @@ class TelemetrySampler:
         data_misses = tot_data - tot_data_l1
         fault_events = sum(v for k, v in delta.items()
                            if k.startswith("system.faults."))
-        sf = system.shadow_filter
-        retired = sf.retired_events if sf is not None else 0
-        t1 = sf.tier1_retired if sf is not None else 0
-        t2 = sf.tier2_retired if sf is not None else 0
         self.windows.append({
             "index": len(self.windows),
             "events": driven,
@@ -238,30 +229,12 @@ class TelemetrySampler:
             "memory_accesses": (delta.get("system.memory.reads", 0)
                                 + delta.get("system.memory.writes", 0)),
             "fault_events": fault_events,
-            "fastpath_retired_fraction": (
-                (retired - self._last_retired) / wevents
-                if wevents else 0.0),
-            "fastpath_retired_fraction_t1": (
-                (t1 - self._last_t1) / wevents if wevents else 0.0),
-            "fastpath_retired_fraction_t2": (
-                (t2 - self._last_t2) / wevents if wevents else 0.0),
-            "fastpath_bailed": bool(sf.bailed) if sf is not None
-            else False,
-            # Diagnosable bail-outs: the tier that was available, the
-            # observed per-tier fractions over probation, and the
-            # threshold missed -- None while the kernel is running
-            # (or when there is no kernel).
-            "fastpath_bail_reason": (sf.bail_reason
-                                     if sf is not None else None),
             "per_core": per_core,
             "vault_occupancy": system.occupancy_by_bank(),
             "vault_traffic": vault_traffic,
         })
         self._last = cur
         self._last_events = driven
-        self._last_retired = retired
-        self._last_t1 = t1
-        self._last_t2 = t2
         self._last_t = now
 
     def finish(self, driven):
@@ -315,12 +288,6 @@ def export_prometheus(samplers):
         "mean_exposed_latency_cycles":
             "mean exposed data-miss latency of the latest window",
         "noc_hops_per_event": "NoC link traversals per driven event",
-        "fastpath_retired_fraction":
-            "events retired in bulk by the fastpath kernel",
-        "fastpath_retired_fraction_t1":
-            "events retired as trivial L1 hits (tier 1)",
-        "fastpath_retired_fraction_t2":
-            "events retired as local vault/NUCA hits (tier 2)",
         "fault_events": "fault events observed in the latest window",
         "windows_total": "telemetry windows recorded",
         "phases_total": "phases detected on the windowed miss rate",
@@ -353,12 +320,6 @@ def export_prometheus(samplers):
         emit("mean_exposed_latency_cycles", rl,
              w["mean_exposed_latency"])
         emit("noc_hops_per_event", rl, w["noc_hops_per_event"])
-        emit("fastpath_retired_fraction", rl,
-             w["fastpath_retired_fraction"])
-        emit("fastpath_retired_fraction_t1", rl,
-             w["fastpath_retired_fraction_t1"])
-        emit("fastpath_retired_fraction_t2", rl,
-             w["fastpath_retired_fraction_t2"])
         emit("fault_events", rl, w["fault_events"])
         for core, pc in enumerate(w["per_core"]):
             emit("core_miss_rate", rl + (("core", core),),
@@ -411,9 +372,8 @@ def export_chrome_trace(samplers, profile_report=None,
                         engine_spans=None):
     """``chrome://tracing``-compatible JSON (opens in Perfetto).
 
-    Per run: counter (``"ph": "C"``) tracks for miss rate, NoC hops
-    per event and fastpath retirement, plus one ``"ph": "X"`` span per
-    detected phase.  Optionally appends the profiler's synthetic flame
+    Per run: counter (``"ph": "C"``) tracks for miss rate and NoC hops
+    per event, plus one ``"ph": "X"`` span per detected phase.  Optionally appends the profiler's synthetic flame
     chart (:func:`repro.obs.profile.trace_events`) and the engine
     flight recorder's real spans
     (:meth:`repro.obs.recorder.FlightRecorder` spans via
@@ -433,11 +393,6 @@ def export_chrome_trace(samplers, profile_report=None,
             events.append({"ph": "C", "name": "noc_hops_per_event",
                            "pid": pid, "tid": 0, "ts": ts,
                            "args": {"hops": w["noc_hops_per_event"]}})
-            events.append({"ph": "C",
-                           "name": "fastpath_retired_fraction",
-                           "pid": pid, "tid": 0, "ts": ts,
-                           "args": {"retired":
-                                    w["fastpath_retired_fraction"]}})
         for i, phase in enumerate(sampler.phases):
             first = sampler.windows[phase["start"]]
             last = sampler.windows[phase["end"] - 1]

@@ -57,8 +57,8 @@ from repro.obs.profile import clock
 from repro.obs.recorder import FlightRecorder
 from repro.obs.stats import Distribution, Group
 from repro.sim.config import HierarchyConfig, LLC_PRIVATE_VAULT
-from repro.sim.driver import DEFAULT_CHUNK, default_chunk, run_system
-from repro.sim.fastpath import default_enabled
+from repro.sim.driver import (DEFAULT_CHUNK, check_chunk, default_chunk,
+                              run_system)
 from repro.sim.sampling import SamplingPlan
 from repro.workloads.base import WorkloadSpec
 
@@ -66,16 +66,15 @@ from repro.workloads.base import WorkloadSpec
 #: changes: stale cache entries must not satisfy new-schema lookups.
 #: /2: requests carry an optional FaultPlan (keys and summaries of
 #: faulted runs must never alias fault-free ones).
-#: /3: requests record the fast-path setting.  The shadow-filter
-#: kernel is bit-identical to the reference loop, but the key must
-#: say *how* a summary was produced so a cached result can always be
-#: traced back to the exact execution path that made it.
+#: /3: requests record which drive loop produced them.
 #: /4: requests carry an execution mode ("simulate" or "estimate",
 #: repro.analytic.estimator) and summaries record it.  An analytic
 #: estimate is an approximation with a documented error envelope --
 #: it must never replay from a simulate-mode cache entry, nor the
 #: other way around, so the mode is part of the canonical request.
-ENGINE_SCHEMA = "silo-repro-runsummary/4"
+#: /5: that drive-loop setting is gone again: every run takes the one
+#: drive loop, so a key no longer names it.
+ENGINE_SCHEMA = "silo-repro-runsummary/5"
 
 #: Execution modes a RunRequest may carry ("auto" is an engine-level
 #: triage policy, never a request mode: triage resolves each point to
@@ -117,10 +116,6 @@ class RunRequest:
     colocated: bool = False
     track_sharing: bool = False
     chunk: int = DEFAULT_CHUNK
-    #: Shadow-filter batch kernel (repro.sim.fastpath).  Results are
-    #: bit-identical either way -- recorded for provenance, defaulted
-    #: from the ambient setting by the constructors.
-    fastpath: bool = True
     #: Optional fault plan (repro.faults); None means fault-free and
     #: keys differently from any active plan.
     faults: Optional[FaultPlan] = None
@@ -129,34 +124,36 @@ class RunRequest:
     #: analytic approximations can never alias simulated results.
     mode: str = "simulate"
 
+    def __post_init__(self):
+        # A chunk below 1 would never advance the drive loop: reject it
+        # here, where a posted request is rebuilt, so the server answers
+        # 400 instead of running a job that cannot finish.
+        check_chunk(self.chunk)
+
     @classmethod
     def point(cls, config, spec, plan, seed, core_ids=None,
               track_sharing=False, chunk=None, faults=None,
-              fastpath=None, mode="simulate"):
+              mode="simulate"):
         """A homogeneous point: ``spec`` on all cores (or ``core_ids``),
         exactly like :func:`repro.sim.driver.simulate`.  ``faults``
         defaults to the ambient plan installed by
         :func:`repro.faults.use_plan` (None when none is installed);
-        ``chunk`` and ``fastpath`` default to the ambient settings
-        (:func:`repro.sim.driver.use_chunk`,
-        :func:`repro.sim.fastpath.use_fastpath`)."""
+        ``chunk`` defaults to the ambient setting
+        (:func:`repro.sim.driver.use_chunk`)."""
         if core_ids is None:
             core_ids = tuple(range(config.num_cores))
         if faults is None:
             faults = current_plan()
         if chunk is None:
             chunk = default_chunk()
-        if fastpath is None:
-            fastpath = default_enabled()
         return cls(config=config, placements=((spec, tuple(core_ids)),),
                    plan=plan, seed=seed, colocated=False,
                    track_sharing=track_sharing, chunk=chunk,
-                   fastpath=fastpath, faults=faults, mode=mode)
+                   faults=faults, mode=mode)
 
     @classmethod
     def colocation(cls, config, assignments, plan, seed,
-                   chunk=None, faults=None, fastpath=None,
-                   mode="simulate"):
+                   chunk=None, faults=None, mode="simulate"):
         """A heterogeneous point: ``assignments`` is a list of
         ``(spec, core_ids)`` pairs with disjoint core sets, exactly like
         :func:`repro.workloads.colocation.generate_colocation_traces`."""
@@ -166,12 +163,9 @@ class RunRequest:
             faults = current_plan()
         if chunk is None:
             chunk = default_chunk()
-        if fastpath is None:
-            fastpath = default_enabled()
         return cls(config=config, placements=placements, plan=plan,
                    seed=seed, colocated=True, track_sharing=False,
-                   chunk=chunk, fastpath=fastpath, faults=faults,
-                   mode=mode)
+                   chunk=chunk, faults=faults, mode=mode)
 
     def canonical(self):
         """JSON-native dict that fully determines the simulation."""
@@ -185,7 +179,6 @@ class RunRequest:
             "colocated": self.colocated,
             "track_sharing": self.track_sharing,
             "chunk": self.chunk,
-            "fastpath": self.fastpath,
             "faults": (None if self.faults is None
                        else self.faults.canonical()),
             "mode": self.mode,
@@ -231,7 +224,6 @@ class RunRequest:
             colocated=data.get("colocated", False),
             track_sharing=data.get("track_sharing", False),
             chunk=data.get("chunk", DEFAULT_CHUNK),
-            fastpath=data.get("fastpath", True),
             faults=faults,
             mode=data.get("mode", "simulate"))
 
@@ -598,7 +590,6 @@ def execute_request(request):
     core_params = [p if p is not None else idle for p in core_params]
     system = System(config, core_params)
     system.track_sharing = request.track_sharing
-    system.use_fastpath = request.fastpath
     if request.faults is not None and request.faults.active():
         # Inactive plans (all-zero rates, no events) attach nothing,
         # so they are bit-identical to fault-free requests.

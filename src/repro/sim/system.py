@@ -34,7 +34,6 @@ from repro.noc.mesh import Mesh2D
 from repro.obs.stats import Group
 from repro.obs.trace import (EV_COHERENCE, EV_DIRECTORY, EV_FAULT,
                              EV_INVALIDATE, EV_DOWNGRADE, EV_EVICTION)
-from repro.sim import fastpath as _fastpath
 from repro.sim.config import LLC_SHARED, LLC_PRIVATE_VAULT
 
 
@@ -142,12 +141,8 @@ class System:
         # the tracer, the disabled cost is one `is not None` check per
         # instrumented site, so fault-off runs stay bit-identical.
         self.faults = None
-        # Shadow-filter L1-hit fast path (repro.sim.fastpath): on by
-        # default (ambient $REPRO_FASTPATH / use_fastpath override);
-        # the run engine overwrites this from RunRequest.fastpath.
-        # The filter itself is built lazily by the first eligible
-        # _drive -- configs it would disqualify never pay for it.
-        self.use_fastpath = _fastpath.default_enabled()
+        # Always None: the repository benchmark's traced run
+        # (perfbench/simulate.py) still reads this attribute.
         self.shadow_filter = None
 
         # System-level counters
@@ -298,7 +293,12 @@ class System:
     # silolint: hotpath
     def access(self, core, block, is_write, is_ifetch, now=0.0):
         """Process one reference; returns exposed latency in cycles
-        beyond the L1 (an L1 hit returns 0)."""
+        beyond the L1 (an L1 hit returns 0).
+
+        ``repro.sim.driver._drive`` repeats the trivial L1-hit branches
+        (ifetch hit, read hit, write hit on MODIFIED) inline; keep the
+        two in lockstep -- the drive-loop pin (tests/test_engine.py)
+        compares them."""
         self.now = now
         if self.faults is not None:
             # per-event only when fault injection is on (SL007: the
@@ -449,8 +449,6 @@ class System:
         for c, vault in enumerate(self.vaults):
             if c == core or vault.tags[s] != block:
                 continue
-            # Through the method, not raw tag surgery: the fastpath
-            # vault shadow (repro.sim.fastpath) hangs off invalidate().
             vault.invalidate(block)
             if self.missmaps is not None:
                 self.missmaps[c].record_eviction(block)
@@ -828,7 +826,7 @@ class System:
         order with the single-use helpers (``_fill_vault``,
         ``_fill_private_levels``, ``_fill_l1_private``, the mesh/memory
         frontends) inlined.  Keep the two bodies in lockstep -- the
-        fastpath differential pins run both."""
+        drive-loop pin (tests/test_engine.py) runs both."""
         vault = self.vaults[core]
         s = block % vault.num_sets
         if vault.tags[s] == block:

@@ -6,9 +6,9 @@ require seeing a value *cross a call*:
 
 * **SL010 -- determinism taint to a replay observable.**  Every
   headline capability since PR 3 (content-addressed ``RunCache``
-  replay, the fast path's bit-exact batch kernel, splitmix64 fault
-  nesting, observability inertness) rests on one invariant: a run is a
-  pure function of its :class:`~repro.sim.engine.RunRequest`.  This
+  replay, the drive loop's bit-exact inline L1-hit probe, splitmix64
+  fault nesting, observability inertness) rests on one invariant: a run
+  is a pure function of its :class:`~repro.sim.engine.RunRequest`.  This
   pass marks nondeterminism *sources* -- wall clock (``time.*`` and
   the sanctioned ``repro.obs.profile.clock``), unseeded ``random.*``,
   ``os.environ`` / ``os.urandom``, ``id()`` / ``hash()`` -- and
@@ -16,7 +16,7 @@ require seeing a value *cross a call*:
   (interprocedurally, over the call graph of
   :mod:`repro.verify.callgraph`, processed bottom-up in SCC order)
   into *replay-observable sinks*: stats-counter mutations, simulated
-  clock-advance expressions in ``sim.driver`` / ``sim.fastpath``,
+  clock-advance expressions in ``sim.driver``,
   ``RunRequest.canonical()`` / ``key()`` results, ``RunSummary`` /
   ``CoreSummary`` fields, and manifest payloads.  A source->sink path
   not cut by a *sanctioned sanitizer* (a seeded ``random.Random``, the
@@ -106,8 +106,7 @@ _STATS_SINK_DIRS = frozenset(("sim", "caches", "coherence", "noc",
 
 #: Modules whose ``t`` / ``times[...]`` assignments advance the
 #: simulated clock (the bit-identity-critical expressions).
-_CLOCK_ADVANCE_MODULES = frozenset(("repro.sim.driver",
-                                    "repro.sim.fastpath"))
+_CLOCK_ADVANCE_MODULES = frozenset(("repro.sim.driver",))
 
 #: Constructors whose fields are replayed bit-identically from cache.
 _SUMMARY_CTORS = frozenset(("RunSummary", "CoreSummary"))

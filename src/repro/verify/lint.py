@@ -29,8 +29,8 @@ silolint encodes those contracts as ``ast``-level rules:
   float equality is either dead or flaky.
 * **SL007** -- per-event work in a hot-path function: a function
   marked with a ``# silolint: hotpath`` comment (the driver's event
-  loop, the fast-path kernel, ``System.access``) must not allocate
-  containers (displays, comprehensions, ``list()``-family
+  loop with its inline L1-hit probe, ``System.access``) must not
+  allocate containers (displays, comprehensions, ``list()``-family
   constructors) or re-traverse multi-step attribute chains
   (``self.a.b``) inside its loops -- those costs multiply by hundreds
   of millions of events.  Hoist them to locals before the loop, or

@@ -1,9 +1,11 @@
 """Run-engine guarantees: serial, parallel and cache-replayed grids
 produce bit-identical results; RunSummary round-trips losslessly; the
-drive-loop fast path matches the pre-optimization reference loop
-exactly; observation sessions still see what they need.
+drive loop, with its inline L1-hit probe, matches the pre-optimization
+reference loop exactly; the interleave chunk is validated; observation
+sessions still see what they need.
 """
 
+import itertools
 import json
 import os
 import pickle
@@ -11,17 +13,23 @@ import pickle
 import pytest
 
 from repro.core.systems import system_config
+from repro.cores.perf_model import CoreParams
+from repro.faults import FaultPlan
+from repro.faults.injector import FaultInjector
 from repro.obs import session as obs_session
-from repro.sim.driver import _drive, _per_core_state
+from repro.obs.trace import EventTracer
+from repro.sim.driver import _drive, _per_core_state, run_system
 from repro.sim.engine import (RunCache, RunEngine, RunRequest, RunSummary,
                               cache_max_bytes_from_env, code_fingerprint,
                               engine_from_env, parse_size_bytes,
                               resolve_cache_dir, run_grid, use_engine)
 from repro.sim.sampling import SamplingPlan
 from repro.sim.system import System
+from repro.workloads.base import CodeSpec, RegionSpec, WorkloadSpec
 from repro.workloads.generator import generate_traces
 from repro.workloads.scaleout import SCALEOUT_WORKLOADS
 from repro.experiments.performance import fig10_scaleout
+from tests.drive_reference import HOT_SPEC, reference_drive, reference_state
 
 PLAN = SamplingPlan(1500, 800)
 SCALE = 512
@@ -246,74 +254,179 @@ def test_manifest_session_records_cached_runs(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Drive-loop fast path: bit-identical to the reference loop
+# Drive loop: the inline L1-hit probe is bit-identical to the reference
 # ---------------------------------------------------------------------------
 
+#: Scale of the small specs below: their footprints then span many L1
+#: sets.
+HOT_SCALE = 64
 
-def _reference_state(system, traces):
-    """The pre-optimization per-core state (flags decoded per event)."""
-    out = []
-    for tr in traces:
-        p = system.cores[tr.core_id].params
-        out.append((
-            tr.core_id, tr.blocks, tr.flags,
-            tr.instr_per_event * p.base_cpi,
-            1.0 / p.mlp, p.ifetch_stall_factor,
-        ))
-    return out
+#: Half the data references are writes, most to a small region every
+#: core shares: store hits on S/E/O lines run the write upgrade, which
+#: the probe leaves to System.access.  The code footprint overflows the
+#: L1-I, so the probe's ifetch LRU touches decide evictions too.
+WRITE_SPEC = WorkloadSpec(
+    name="write_heavy",
+    code=CodeSpec(size_mb=0.5, alpha=1.0),
+    regions=(
+        RegionSpec("rw", 0.0625, "zipf", "shared", 0.7, alpha=0.8,
+                   write_fraction=0.5),
+        RegionSpec("heap", 0.125, "zipf", "private", 0.3, alpha=1.1,
+                   write_fraction=0.5),
+    ),
+    core=CoreParams(),
+    rw_shared_region="rw",
+)
 
-
-def _reference_drive(system, per_core, starts, ends, times, chunk):
-    """Verbatim copy of the pre-optimization ``_drive`` inner loop."""
-    access = system.access
-    positions = list(starts)
-    remaining = sum(e - s for s, e in zip(starts, ends))
-    while remaining > 0:
-        for idx, (core, blocks, flags, cpi_ev, inv_mlp, iff) in \
-                enumerate(per_core):
-            pos = positions[idx]
-            hi = min(pos + chunk, ends[idx])
-            if pos >= hi:
-                continue
-            t = times[core]
-            for i in range(pos, hi):
-                fl = flags[i]
-                lat = access(core, blocks[i], fl & 1, fl & 2, t)
-                t += cpi_ev
-                if lat:
-                    t += lat * iff if fl & 2 else lat * inv_mlp
-            times[core] = t
-            remaining -= hi - pos
-            positions[idx] = hi
+#: name -> (spec, scale) of the drive-loop pin's workloads.
+PIN_SPECS = {"web_search": (SCALEOUT_WORKLOADS["web_search"], SCALE),
+             "l1_resident": (HOT_SPEC, HOT_SCALE),
+             "write_heavy": (WRITE_SPEC, HOT_SCALE)}
 
 
-@pytest.mark.parametrize("sys_name", ["baseline", "silo"])
-def test_fast_drive_matches_reference_loop(sys_name):
-    config = system_config(sys_name, num_cores=4, scale=SCALE)
-    spec = SCALEOUT_WORKLOADS["web_search"]
-    traces, layout = generate_traces(
-        spec, num_cores=4, events_per_core=PLAN.total_events,
-        scale=SCALE, seed=7)
-    ends = [len(tr) for tr in traces]
+def _pin_traces(spec_name):
+    """Four-core traces of a pin spec."""
+    spec, scale = PIN_SPECS[spec_name]
+    return generate_traces(spec, num_cores=4,
+                           events_per_core=PLAN.total_events,
+                           scale=scale, seed=7)
 
-    fast = System(config, [spec.core] * 4)
-    fast.rw_shared_range = layout.rw_shared_range
-    fast_times = [0.0] * 4
-    _drive(fast, _per_core_state(fast, traces), [0] * 4, ends,
-           fast_times, 200)
 
-    ref = System(config, [spec.core] * 4)
-    ref.rw_shared_range = layout.rw_shared_range
-    ref_times = [0.0] * 4
-    _reference_drive(ref, _reference_state(ref, traces), [0] * 4, ends,
-                     ref_times, 200)
-
+def _assert_same_state(fast, ref, fast_times, ref_times):
     assert fast_times == ref_times           # exact float equality
     assert fast.stats.snapshot() == ref.stats.snapshot()
+    assert fast.block_readers == ref.block_readers
+    assert fast.block_writers == ref.block_writers
+    if ref.tracer is not None:
+        assert fast.tracer.events() == ref.tracer.events()
+        assert fast.tracer.counts == ref.tracer.counts
     for fc, rc in zip(fast.cores, ref.cores):
+        assert fc.data_count == rc.data_count
+        assert fc.ifetch_count == rc.ifetch_count
         assert fc.data_latency == rc.data_latency
         assert fc.ifetch_latency == rc.ifetch_latency
         assert fc.rw_shared_latency == rc.rw_shared_latency
+
+
+def _pin_drive(sys_name, spec_name, chunk, track_sharing=False,
+               faults=None, tracer=False, **overrides):
+    """Drive one system with ``_drive`` and a twin with the reference
+    loop over the same traces, in two phases like ``run_system`` (an
+    unmeasured warm-up, a stats reset, a measured window), and assert
+    they agree bit for bit after each phase.  Returns the number of
+    ``System.access`` calls ``_drive`` made and the events it drove."""
+    spec, scale = PIN_SPECS[spec_name]
+    config = system_config(sys_name, num_cores=4, scale=scale,
+                           **overrides)
+    traces, layout = _pin_traces(spec_name)
+    mid = [tr.prewarm_events + PLAN.warmup_events for tr in traces]
+    ends = [len(tr) for tr in traces]
+    twins = []
+    for _ in range(2):
+        system = System(config, [spec.core] * 4)
+        system.rw_shared_range = layout.rw_shared_range
+        system.track_sharing = track_sharing
+        if faults is not None:
+            system.attach_faults(FaultInjector(faults, 4))
+        if tracer:
+            system.attach_tracer(EventTracer(capacity=1 << 16))
+        twins.append((system, [0.0] * 4))
+    (fast, fast_times), (ref, ref_times) = twins
+    calls = [0]
+    access = fast.access
+
+    def counted(*args):
+        calls[0] += 1
+        return access(*args)
+
+    fast.access = counted
+    fast_state = _per_core_state(fast, traces)
+    ref_state = reference_state(ref, traces)
+    for starts, stops, measuring in (([0] * 4, mid, False),
+                                     (mid, ends, True)):
+        for system in (fast, ref):
+            system.reset_stats()
+            system.measuring = measuring
+        _drive(fast, fast_state, starts, stops, fast_times, chunk)
+        reference_drive(ref, ref_state, starts, stops, ref_times, chunk)
+        _assert_same_state(fast, ref, fast_times, ref_times)
+    return calls[0], sum(ends)
+
+
+def _pin_cases():
+    """Every (system, spec, chunk, track_sharing) of the drive-loop pin.
+    A system's web_search / chunk-200 / no-sharing case, the pin's
+    first case, is named by the system alone."""
+    cases = []
+    for args in itertools.product(["baseline", "silo", "3level_silo"],
+                                  sorted(PIN_SPECS), [1, 7, 200],
+                                  [False, True]):
+        if args[1:] == ("web_search", 200, False):
+            case_id = args[0]
+        else:
+            case_id = "-".join(map(str, args))
+        cases.append(pytest.param(*args, id=case_id))
+    return cases
+
+
+@pytest.mark.parametrize("sys_name,spec_name,chunk,track_sharing",
+                         _pin_cases())
+def test_fast_drive_matches_reference_loop(sys_name, spec_name, chunk,
+                                           track_sharing):
+    calls, events = _pin_drive(sys_name, spec_name, chunk, track_sharing)
+    # the probe retired events inline (and most of an L1-resident trace)
+    assert calls < events
+    if spec_name == "l1_resident":
+        assert calls < events // 2
+
+
+def test_fast_drive_with_active_faults_calls_access_per_event():
+    plan = FaultPlan(seed=3, tag_flip_rate=1e-3)
+    calls, events = _pin_drive("silo", "l1_resident", 200, faults=plan)
+    assert calls == events
+
+
+def test_fast_drive_with_prefetchers_calls_access_per_event():
+    calls, events = _pin_drive("baseline", "l1_resident", 200,
+                               l1_prefetcher=True)
+    assert calls == events
+
+
+def test_fast_drive_under_tracer_matches_reference_loop():
+    # The tracer acts on no L1 hit, so the probe stays on; every traced
+    # event, cycle stamps included, must still match.
+    calls, events = _pin_drive("silo", "write_heavy", 7, tracer=True)
+    assert calls < events
+
+
+# ---------------------------------------------------------------------------
+# Interleave chunk: validation
+# ---------------------------------------------------------------------------
+
+BAD_CHUNKS = (0, -3, True, 2.5, "200")
+
+
+def test_run_request_rejects_bad_chunk():
+    for bad in BAD_CHUNKS:
+        with pytest.raises(ValueError):
+            _point_with(chunk=bad)
+        wire = _point().canonical()
+        wire["chunk"] = bad
+        with pytest.raises(ValueError):
+            RunRequest.from_canonical(wire)
+
+
+def test_run_system_rejects_bad_chunk():
+    config = system_config("baseline", num_cores=4, scale=SCALE)
+    spec = SCALEOUT_WORKLOADS["web_search"]
+    traces, _layout = generate_traces(
+        spec, num_cores=4, events_per_core=PLAN.total_events,
+        scale=SCALE, seed=7)
+    for bad in BAD_CHUNKS:
+        with pytest.raises(ValueError):
+            run_system(System(config, [spec.core] * 4), traces,
+                       PLAN.warmup_events, PLAN.measure_events,
+                       chunk=bad)
 
 
 # ---------------------------------------------------------------------------

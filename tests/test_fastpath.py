@@ -1,61 +1,57 @@
-"""Differential pin suite for the shadow-filter batch kernel
-(repro.sim.fastpath).
+"""Run-level pin suite for the drive loop's fast path: ``_drive``
+retires trivial L1 hits inline instead of calling ``System.access``
+(DESIGN.md section 2f).
 
-The kernel's contract is absolute: running with the fast path on, off,
-bailed-out halfway, or in verify mode must produce *bit-identical*
-results -- performance, per-level counts, the full stats snapshot and
-the latency distributions.  Anything with per-event side effects on
-the L1-hit path (prefetchers, fault injection, tracing, sharing
-classification) must bypass the kernel entirely and still match.
+Every ``simulate`` run here is compared with the same run whose drive
+loop is swapped for the verbatim reference loop, which sends every
+event through ``System.access``: performance, per-level counts, the
+full stats snapshot and the latency distributions must be
+*bit-identical*.  Systems with prefetchers or an active fault plan act
+on every access, hits included, so they must send every event through
+``System.access`` and still match.  The interleave chunk and the
+decoded event lanes the loop reads are checked here too.
 """
 
-import random
+from unittest import mock
 
 import pytest
 
-from repro.caches.sram_cache import SetAssocCache
-from repro.caches.vault_cache import VaultCache
-from repro.coherence.sharer_table import SharerTable
-from repro.coherence.states import EXCLUSIVE, MODIFIED, SHARED
 from repro.core.systems import system_config
-from repro.cores.perf_model import CoreParams
 from repro.faults import FaultPlan
-from repro.obs import session as obs_session
-from repro.sim import fastpath as fp
-from repro.sim.driver import DEFAULT_CHUNK, _decoded_lanes, \
-    _per_core_state, default_chunk, simulate, use_chunk
-from repro.sim.engine import RunRequest, execute_request
+from repro.sim import driver
+from repro.sim.driver import DEFAULT_CHUNK, _per_core_state, \
+    default_chunk, simulate, use_chunk
+from repro.sim.engine import RunRequest
 from repro.sim.sampling import SamplingPlan
 from repro.sim.system import System
-from repro.workloads.base import CodeSpec, RegionSpec, WorkloadSpec
 from repro.workloads.generator import generate_traces
 from repro.workloads.scaleout import SCALEOUT_WORKLOADS
+from tests.drive_reference import HOT_SPEC, reference_run_drive
 
 SCALE = 64
 PLAN = SamplingPlan(4_000, 2_000)
 
-#: An L1-resident instruction + heap footprint: nearly every event is
-#: a safe streak member, so the kernel actually retires work in these
-#: tests (LLC-stressing suites make it bail instead).
-HOT_SPEC = WorkloadSpec(
-    name="fastpath_hot",
-    code=CodeSpec(size_mb=0.125, alpha=1.2),
-    regions=(
-        RegionSpec("heap", 0.125, "zipf", "private", 1.0,
-                   alpha=1.35, write_fraction=0.3),
-    ),
-    core=CoreParams(),
-)
 
-
-def _run(config_name, *, fastpath, spec=HOT_SPEC, plan=PLAN,
-         num_cores=4, track_sharing=False, chunk=None, faults=None,
-         **overrides):
+def _run(config_name, *, reference=False, spec=HOT_SPEC, plan=PLAN,
+         num_cores=4, chunk=None, faults=None, **overrides):
+    """One ``simulate`` run and the number of ``System.access`` calls
+    it made.  ``reference`` swaps the drive loop for the reference
+    loop, so every event is one call."""
     config = system_config(config_name, num_cores=num_cores,
                            scale=SCALE, **overrides)
-    return simulate(config, spec, plan, seed=7,
-                    track_sharing=track_sharing, chunk=chunk,
-                    faults=faults, fastpath=fastpath)
+    calls = [0]
+    access = System.access
+
+    def counted(self, *args):
+        calls[0] += 1
+        return access(self, *args)
+
+    drive = reference_run_drive if reference else driver._drive
+    with mock.patch.object(System, "access", counted), \
+            mock.patch.object(driver, "_drive", drive):
+        result = simulate(config, spec, plan, seed=7, chunk=chunk,
+                          faults=faults)
+    return result, calls[0]
 
 
 def _pin(fast, slow):
@@ -67,184 +63,71 @@ def _pin(fast, slow):
 
 
 # ---------------------------------------------------------------------------
-# the pin: fastpath == reference, bit for bit
+# the pin: fast path == reference loop, bit for bit
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("config_name",
                          ["baseline", "silo", "3level_silo"])
 def test_fastpath_is_bit_identical(config_name):
-    fast = _run(config_name, fastpath=True)
-    slow = _run(config_name, fastpath=False)
+    fast, fast_calls = _run(config_name)
+    slow, events = _run(config_name, reference=True)
     _pin(fast, slow)
-    filt = fast.system.shadow_filter
-    assert filt is not None and filt.retired_events > 0
-    assert slow.system.shadow_filter is None
+    # most of the L1-resident trace was retired inline
+    assert fast_calls < events // 2
 
 
 @pytest.mark.parametrize("config_name", ["baseline", "silo"])
 def test_fastpath_identical_on_llc_stressing_workload(config_name):
     spec = SCALEOUT_WORKLOADS["web_frontend"]
-    fast = _run(config_name, fastpath=True, spec=spec)
-    slow = _run(config_name, fastpath=False, spec=spec)
+    fast, fast_calls = _run(config_name, spec=spec)
+    slow, events = _run(config_name, reference=True, spec=spec)
     _pin(fast, slow)
+    assert fast_calls < events
 
 
-def test_bailout_is_bit_identical():
-    # web_search at this scale is miss-bound, and 3level_silo's L2
-    # disables tier 2 (so the strict tier-1 thresholds apply): the
-    # kernel must notice during probation, detach its hooks, and
-    # change nothing.
-    spec = SCALEOUT_WORKLOADS["web_search"]
-    plan = SamplingPlan(6_000, 3_000)
-    fast = _run("3level_silo", fastpath=True, spec=spec, plan=plan)
-    slow = _run("3level_silo", fastpath=False, spec=spec, plan=plan)
+@pytest.mark.parametrize("chunk", [50, 200, 800])
+def test_fastpath_identical_at_every_chunk(chunk):
+    fast, _ = _run("silo", chunk=chunk)
+    slow, _ = _run("silo", reference=True, chunk=chunk)
     _pin(fast, slow)
-    filt = fast.system.shadow_filter
-    assert filt is not None and filt.bailed
-    assert filt.summary()["bailed"] is True
-    # bail() detached every shadow hook
-    assert all(c.shadow is None for c in fast.system.l1d)
-    assert all(c.shadow is None for c in fast.system.l1i)
-    # the bail-out is diagnosable: which tier, what fraction, which
-    # threshold, and when the decision fell
-    reason = filt.bail_reason
-    assert reason is not None
-    assert reason["tier2"] is None
-    assert reason["stage"] in ("early", "final")
-    assert reason["retired_fraction"] < reason["threshold"]
-    assert reason["at_events"] >= fp.EARLY_PROBATION_EVENTS
-    assert fast.manifest(seed=7)["fastpath"]["bail_reason"] == reason
-
-
-def test_hot_workload_survives_probation():
-    plan = SamplingPlan(8_000, 4_000)  # 48k events > both probations
-    fast = _run("silo", fastpath=True, plan=plan)
-    filt = fast.system.shadow_filter
-    assert not filt.bailed
-    assert filt.retired_events > 0.95 * filt.total_events
 
 
 # ---------------------------------------------------------------------------
-# disqualification: per-event side-effect features bypass the kernel
+# per-access features send every event through System.access
 # ---------------------------------------------------------------------------
 
 
 def test_prefetchers_disable_the_kernel():
-    fast = _run("baseline", fastpath=True, l1_prefetcher=True)
-    slow = _run("baseline", fastpath=False, l1_prefetcher=True)
+    fast, fast_calls = _run("baseline", l1_prefetcher=True)
+    slow, slow_calls = _run("baseline", reference=True,
+                            l1_prefetcher=True)
     assert fast.system.prefetchers is not None
-    assert fast.system.shadow_filter is None
-    _pin(fast, slow)
-
-
-def test_sharing_classification_disables_the_kernel():
-    fast = _run("silo", fastpath=True, track_sharing=True)
-    slow = _run("silo", fastpath=False, track_sharing=True)
-    assert fast.system.shadow_filter is None
+    assert fast_calls == slow_calls
     _pin(fast, slow)
 
 
 def test_active_faults_disable_the_kernel():
     plan = FaultPlan(seed=3, tag_flip_rate=1e-3)
-    fast = _run("silo", fastpath=True, faults=plan)
-    slow = _run("silo", fastpath=False, faults=plan)
+    fast, fast_calls = _run("silo", faults=plan)
+    slow, events = _run("silo", reference=True, faults=plan)
     assert fast.system.faults is not None
-    assert fast.system.shadow_filter is None
+    assert fast_calls == events
     _pin(fast, slow)
 
 
 def test_inactive_faults_keep_the_kernel():
-    fast = _run("silo", fastpath=True, faults=FaultPlan())
+    # An inactive plan attaches no injector, so hits still retire inline.
+    fast, fast_calls = _run("silo", faults=FaultPlan())
+    slow, events = _run("silo", reference=True, faults=FaultPlan())
     assert fast.system.faults is None
-    assert fast.system.shadow_filter is not None
-
-
-def test_tracer_disables_the_kernel():
-    with obs_session.observe(trace_capacity=64):
-        fast = _run("silo", fastpath=True)
-    with obs_session.observe(trace_capacity=64):
-        slow = _run("silo", fastpath=False)
-    assert fast.system.tracer is not None
-    assert fast.system.shadow_filter is None
+    assert fast_calls < events // 2
     _pin(fast, slow)
-
-
-# ---------------------------------------------------------------------------
-# verify mode: the shadow filter is cross-checked against the L1s
-# ---------------------------------------------------------------------------
-
-
-def test_verify_mode_passes_on_clean_run(monkeypatch):
-    monkeypatch.setenv("REPRO_FASTPATH", "verify")
-    fast = _run("silo", fastpath=True)
-    filt = fast.system.shadow_filter
-    assert filt.verify_mode
-    assert filt.retired_events > 0
-    slow = _run("silo", fastpath=False)
-    _pin(fast, slow)
-
-
-def test_verify_mode_catches_poisoned_filter():
-    fast = _run("silo", fastpath=True)
-    filt = fast.system.shadow_filter
-    safe_map = filt._lanes[0][0]
-    # a key no block can produce: pretend something stale survived
-    safe_map[(1 << 40) << 2] = {}
-    with pytest.raises(fp.ShadowDivergence):
-        filt.check(0)
-
-
-def test_verify_mode_catches_missing_key():
-    fast = _run("silo", fastpath=True)
-    filt = fast.system.shadow_filter
-    safe_map = filt._lanes[0][0]
-    present = [k for k in safe_map if k & 3 == 0]
-    del safe_map[present[0]]
-    with pytest.raises(fp.ShadowDivergence):
-        filt.check(0)
-
-
-def test_clear_wipes_only_that_views_kinds():
-    fast = _run("silo", fastpath=True)
-    system = fast.system
-    safe_map = system.shadow_filter._lanes[0][0]
-    assert any(k & 3 == 2 for k in safe_map)  # ifetch keys present
-    system.l1d[0].clear()
-    assert not any(k & 3 != 2 for k in safe_map)
-    assert any(k & 3 == 2 for k in safe_map)
-    system.l1i[0].clear()
-    assert not safe_map
 
 
 # ---------------------------------------------------------------------------
 # configuration plumbing
 # ---------------------------------------------------------------------------
-
-
-def test_env_modes(monkeypatch):
-    monkeypatch.delenv("REPRO_FASTPATH", raising=False)
-    assert fp.mode_from_env() == "on"
-    monkeypatch.setenv("REPRO_FASTPATH", "off")
-    assert fp.mode_from_env() == "off"
-    assert not fp.default_enabled()
-    monkeypatch.setenv("REPRO_FASTPATH", "verify")
-    assert fp.mode_from_env() == "verify"
-    assert fp.default_enabled()
-    monkeypatch.setenv("REPRO_FASTPATH", "sideways")
-    with pytest.raises(ValueError):
-        fp.mode_from_env()
-
-
-def test_use_fastpath_override(monkeypatch):
-    monkeypatch.delenv("REPRO_FASTPATH", raising=False)
-    assert fp.default_enabled()
-    with fp.use_fastpath(False):
-        assert not fp.default_enabled()
-        with fp.use_fastpath(True):
-            assert fp.default_enabled()
-        assert not fp.default_enabled()
-    assert fp.default_enabled()
 
 
 def test_use_chunk_override(monkeypatch):
@@ -260,13 +143,14 @@ def test_use_chunk_override(monkeypatch):
         default_chunk()
 
 
-def test_manifest_records_kernel_activity():
-    fast = _run("silo", fastpath=True)
-    data = fast.manifest(seed=7)
-    assert data["fastpath"]["retired_events"] > 0
-    assert data["fastpath"]["bailed"] is False
-    slow = _run("silo", fastpath=False)
-    assert "fastpath" not in slow.manifest(seed=7)
+def test_run_request_defaults_from_ambient(monkeypatch):
+    monkeypatch.delenv("REPRO_CHUNK", raising=False)
+    config = system_config("silo", num_cores=4, scale=SCALE)
+    req = RunRequest.point(config, HOT_SPEC, PLAN, seed=7)
+    assert req.chunk == DEFAULT_CHUNK
+    with use_chunk(77):
+        req = RunRequest.point(config, HOT_SPEC, PLAN, seed=7)
+    assert req.chunk == 77
 
 
 # ---------------------------------------------------------------------------
@@ -276,33 +160,17 @@ def test_manifest_records_kernel_activity():
 
 def test_decoded_lanes_are_reused_across_systems():
     config = system_config("silo", num_cores=4, scale=SCALE)
-    traces, layout = generate_traces(
+    traces, _layout = generate_traces(
         HOT_SPEC, num_cores=4, events_per_core=PLAN.total_events,
         scale=SCALE, seed=7)
-    sys_a = System(config, [HOT_SPEC.core] * 4)
-    sys_a.rw_shared_range = layout.rw_shared_range
-    lanes_a = _per_core_state(sys_a, traces)
-    sys_b = System(config, [HOT_SPEC.core] * 4)
-    sys_b.rw_shared_range = layout.rw_shared_range
-    lanes_b = _per_core_state(sys_b, traces)
+    lanes_a = _per_core_state(System(config, [HOT_SPEC.core] * 4),
+                              traces)
+    lanes_b = _per_core_state(System(config, [HOT_SPEC.core] * 4),
+                              traces)
     for a, b in zip(lanes_a, lanes_b):
         assert a[2] is b[2]                   # the EventLanes object
-        assert a[2].keys is b[2].keys         # and its decoded lanes
-        assert a[2].if_prefix is b[2].if_prefix
-
-
-def test_tier2_lanes_are_memoized_per_token():
-    traces, _ = generate_traces(
-        HOT_SPEC, num_cores=1, events_per_core=PLAN.total_events,
-        scale=SCALE, seed=7)
-    lanes = _decoded_lanes(traces[0], HOT_SPEC.core)
-    a = lanes.tier2_lanes(("vault", 9), None, None, 0, 9)
-    b = lanes.tier2_lanes(("vault", 9), None, None, 0, 9)
-    assert a is b
-    c = lanes.tier2_lanes(("vault", 13), None, None, 0, 13)
-    assert c is not a
-    # the stall lane is the reference's per-event multiply, bit for bit
-    assert a[1] == [9 * m for m in lanes.lat_mul]
+        assert a[2].writes is b[2].writes     # and its decoded lanes
+        assert a[2].lat_mul is b[2].lat_mul
 
 
 # ---------------------------------------------------------------------------
@@ -310,26 +178,19 @@ def test_tier2_lanes_are_memoized_per_token():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("chunk", [50, 200, 800])
-def test_fastpath_identical_at_every_chunk(chunk):
-    fast = _run("silo", fastpath=True, chunk=chunk)
-    slow = _run("silo", fastpath=False, chunk=chunk)
-    _pin(fast, slow)
-
-
 def test_single_core_results_are_chunk_invariant():
     # With one core the interleave grain cannot change event order, so
     # results must be exactly identical across chunk sizes -- with the
-    # kernel on or off.
+    # fast path or the reference loop driving.
     runs = {}
     for chunk in (50, 200, 800):
-        for fastpath in (True, False):
-            r = _run("silo", fastpath=fastpath, num_cores=1,
-                     chunk=chunk)
-            runs[(chunk, fastpath)] = (r.performance(),
-                                       r.stats_snapshot())
-    reference = runs[(50, True)]
-    assert all(v == reference for v in runs.values())
+        for reference in (False, True):
+            r, _ = _run("silo", reference=reference, num_cores=1,
+                        chunk=chunk)
+            runs[(chunk, reference)] = (r.performance(),
+                                        r.stats_snapshot())
+    first = runs[(50, False)]
+    assert all(v == first for v in runs.values())
 
 
 def test_multi_core_chunk_drift_is_bounded():
@@ -337,129 +198,5 @@ def test_multi_core_chunk_drift_is_bounded():
     # perturbs contention; the measured metric must stay close.
     perf = {}
     for chunk in (50, 800):
-        perf[chunk] = _run("silo", fastpath=True,
-                           chunk=chunk).performance()
+        perf[chunk] = _run("silo", chunk=chunk)[0].performance()
     assert perf[800] == pytest.approx(perf[50], rel=0.10)
-
-
-# ---------------------------------------------------------------------------
-# run-engine integration
-# ---------------------------------------------------------------------------
-
-
-def test_run_request_records_fastpath():
-    config = system_config("silo", num_cores=4, scale=SCALE)
-    on = RunRequest.point(config, HOT_SPEC, PLAN, seed=7,
-                          fastpath=True)
-    off = RunRequest.point(config, HOT_SPEC, PLAN, seed=7,
-                           fastpath=False)
-    assert on.canonical()["fastpath"] is True
-    assert off.canonical()["fastpath"] is False
-    assert on.key("f") != off.key("f")
-
-
-def test_run_request_defaults_from_ambient():
-    config = system_config("silo", num_cores=4, scale=SCALE)
-    assert RunRequest.point(config, HOT_SPEC, PLAN, seed=7).fastpath
-    with fp.use_fastpath(False):
-        req = RunRequest.point(config, HOT_SPEC, PLAN, seed=7)
-    assert not req.fastpath
-    with use_chunk(77):
-        req = RunRequest.point(config, HOT_SPEC, PLAN, seed=7)
-    assert req.chunk == 77
-
-
-def test_execute_request_honors_fastpath():
-    config = system_config("silo", num_cores=4, scale=SCALE)
-    fast = execute_request(RunRequest.point(config, HOT_SPEC, PLAN,
-                                            seed=7, fastpath=True))
-    slow = execute_request(RunRequest.point(config, HOT_SPEC, PLAN,
-                                            seed=7, fastpath=False))
-    assert fast.system.shadow_filter is not None
-    assert slow.system.shadow_filter is None
-    _pin(fast, slow)
-
-
-# ---------------------------------------------------------------------------
-# fused fill hooks: a live shadow always equals a fresh adoption
-# ---------------------------------------------------------------------------
-#
-# The miss-path insert hooks are fused (drop + note in one fill call);
-# these drive randomized mutation sequences through the real cache
-# APIs and cross-check the incrementally maintained safe map against
-# one rebuilt by adopting the cache's actual contents from scratch.
-
-_STATES = (SHARED, EXCLUSIVE, MODIFIED)
-
-
-@pytest.mark.parametrize("ifetch", [False, True])
-def test_shadow_view_fill_matches_fresh_adoption(ifetch):
-    rng = random.Random(11 + ifetch)
-    cache = SetAssocCache(16 * 1024, ways=4)
-    live = {}
-    cache.shadow = fp.ShadowView(cache, live, ifetch)
-    for _ in range(600):
-        block = rng.randrange(256)
-        roll = rng.random()
-        if roll < 0.55:
-            cache.insert(block, rng.choice(_STATES))
-        elif roll < 0.75:
-            cache.insert_cold(block, rng.choice(_STATES))
-        elif roll < 0.90:
-            cache.invalidate(block)
-        elif roll < 0.99:
-            if cache.contains(block):
-                cache.update(block, rng.choice(_STATES))
-        else:
-            cache.clear()
-    adopted = {}
-    fp.ShadowView(cache, adopted, ifetch)
-    assert live == adopted
-
-
-def test_vault_shadow_fill_matches_fresh_adoption():
-    rng = random.Random(12)
-    vault = VaultCache(64 * 64)  # 64 direct-mapped sets
-    live = {}
-    vault.shadow = fp.VaultShadow(vault, live)
-    for _ in range(600):
-        block = rng.randrange(256)
-        roll = rng.random()
-        if roll < 0.60:
-            vault.insert(block, rng.choice(_STATES))
-        elif roll < 0.85:
-            vault.invalidate(block)
-        elif roll < 0.99:
-            if vault.contains(block):
-                vault.update(block, rng.choice(_STATES))
-        else:
-            vault.clear()
-    adopted = {}
-    fp.VaultShadow(vault, adopted)
-    assert live == adopted
-
-
-def test_bank_shadow_fill_matches_fresh_adoption():
-    # The sharer table stays fixed while the bank churns: fill-time
-    # re-derivation must then agree with adoption-time re-derivation
-    # key for key (sharing changes mid-run are TableShadow's job).
-    rng = random.Random(13)
-    table = SharerTable(4)
-    for block in range(0, 256, 3):
-        table.add_sharer(block, rng.randrange(4),
-                         exclusive=rng.random() < 0.5)
-    bank = SetAssocCache(8 * 1024, ways=4, index_stride=4)
-    live = {}
-    bank.shadow = fp.BankShadow(bank, table, live, num_banks=4, index=0)
-    for _ in range(600):
-        block = rng.randrange(0, 256, 4)  # this bank's home blocks
-        roll = rng.random()
-        if roll < 0.70:
-            bank.insert(block, rng.random() < 0.5)
-        elif roll < 0.99:
-            bank.invalidate(block)
-        else:
-            bank.clear()
-    adopted = {}
-    fp.BankShadow(bank, table, adopted, num_banks=4, index=0)
-    assert live == adopted

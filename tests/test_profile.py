@@ -118,20 +118,6 @@ def test_report_covers_most_of_the_wall_clock():
     assert report["events_per_sec"] > 0
 
 
-def test_fastpath_accounting_matches_summary():
-    result, profiler = profiled_run()
-    fp = profiler.report()["fastpath"]
-    sf = result.system.shadow_filter
-    assert fp["runs"] == 1
-    if sf is not None:
-        assert fp["retired_events"] == sf.retired_events
-        assert fp["bails"] == (1 if sf.bailed else 0)
-        total = fp["retired_events"] + fp["slow_events"]
-        if total:
-            assert fp["retired_fraction"] == pytest.approx(
-                fp["retired_events"] / total)
-
-
 def test_report_is_json_native():
     _result, profiler = profiled_run()
     json.dumps(profiler.report())
@@ -147,7 +133,6 @@ def test_render_report_table():
     assert text.startswith("# self-profile:")
     assert "incl_s" in text and "excl%" in text
     assert "measure" in text
-    assert "# fastpath:" in text  # one run observed
 
 
 def test_trace_events_flame_chart_layout():

@@ -406,6 +406,14 @@ def test_unknown_route_and_bad_json():
         with pytest.raises(ServerError) as exc:
             client._request("POST", "/runs", body={"request": 5})
         assert exc.value.status == 400
+        # a chunk below 1 would never finish: refused, not queued
+        hang = _point().canonical()
+        hang["chunk"] = 0
+        with pytest.raises(ServerError) as exc:
+            client._request("POST", "/runs", body={"request": hang})
+        assert exc.value.status == 400
+        assert "chunk" in str(exc.value)
+        assert server.engine.requests == 0
         # malformed JSON body straight over the socket
         sock = socket_mod.create_connection((server.host, server.port),
                                             timeout=10)
