@@ -120,10 +120,9 @@ def main(argv=None):
                              "optional k/m/g suffix (default: "
                              "$REPRO_CACHE_MAX_BYTES or unbounded)")
     parser.add_argument("--server", default=None, metavar="URL",
-                        help="resolve every grid point through a "
-                             "repro.serve job server instead of a "
-                             "local engine (e.g. "
-                             "http://127.0.0.1:8421)")
+                        help="simulate every grid point on a "
+                             "repro.serve job server instead of "
+                             "locally (e.g. http://127.0.0.1:8421)")
     parser.add_argument("--priority", default="batch",
                         choices=("interactive", "batch"),
                         help="request class when submitting through "
@@ -211,15 +210,22 @@ def main(argv=None):
     else:
         cache_max_bytes = sim_engine.cache_max_bytes_from_env()
     if args.server is not None:
-        # Remote resolution: the server owns the engine (and its
-        # cache/jobs/mode); live-observation flags need a local System.
+        # Remote simulation: the server owns the workers and the run
+        # cache; live-observation flags need a local System.
         if args.trace or args.stats or args.profile or telemetry_every:
             parser.error("--server resolves runs remotely; --trace/"
                          "--stats/--telemetry/--profile need local "
                          "simulation")
-        from repro.serve.client import ClientEngine, ServerClient
-        engine = ClientEngine(ServerClient(args.server),
-                              priority=args.priority)
+        for flag, value in (("--jobs", args.jobs),
+                            ("--cache-dir", args.cache_dir),
+                            ("--cache-max-bytes", args.cache_max_bytes)):
+            if value is not None:
+                parser.error("%s does not apply to --server (the "
+                             "server owns its workers and cache)" % flag)
+        from repro.serve.client import HttpTransport
+        engine = sim_engine.RunEngine(
+            cache=None, mode=args.mode,
+            transport=HttpTransport(args.server, args.priority))
     else:
         engine = sim_engine.RunEngine(
             jobs=args.jobs,
@@ -251,6 +257,8 @@ def main(argv=None):
         if session.profiler is not None:
             session.profiler.stop()
     elapsed = time.time() - start
+    if engine.transport is not None:
+        engine.transport.stop()
     profile_report = (session.profiler.report()
                       if session.profiler is not None else None)
     telemetry_summaries = [s.summary() for s in session.telemetry]

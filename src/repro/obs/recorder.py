@@ -12,8 +12,8 @@ always cover the whole run.
 The recorder is serialized into the manifest envelope
 (``engine.flight_recorder``) and each span is streamed through
 :meth:`repro.obs.session.ObservationSession.emit` as an
-``engine_span`` event -- the progress-streaming seam a future job
-server subscribes to.
+``engine_span`` event -- the progress-streaming seam the job server
+forwards to its ``GET /events`` subscribers.
 """
 
 from collections import deque
@@ -42,12 +42,6 @@ class FlightRecorder:
         self.batch_wall_s = 0.0
         self.in_flight = 0
         self.workers = set()
-        #: Optional ``fn(span)`` called synchronously for every span as
-        #: it is recorded -- the job server's streaming tap.  Unlike the
-        #: ObservationSession listener seam this also fires when no
-        #: session is installed, and it sees pool/transport spans the
-        #: instant the parent stamps them.
-        self.on_record = None
 
     # -- recording ------------------------------------------------------
 
@@ -55,8 +49,10 @@ class FlightRecorder:
                started_s, outcome="ok"):
         """Append one span.
 
-        ``mode`` is ``"simulate"`` or ``"cache-replay"``; ``worker``
-        identifies the executor (``"local"`` or ``"pid:<n>"``);
+        ``mode`` is ``"simulate"``, ``"estimate"`` or
+        ``"cache-replay"``; ``worker`` identifies the executor
+        (``"local"``, ``"pid:<n>"``, a socket worker's name or
+        ``"http:<dedup>"``);
         ``started_s`` is seconds since :attr:`epoch`.  Returns the span
         dict (also streamed by the engine through the session).
         """
@@ -77,8 +73,6 @@ class FlightRecorder:
         self.busy_s += exec_s
         self.queue_wait_s += queue_wait_s
         self.workers.add(worker)
-        if self.on_record is not None:
-            self.on_record(span)
         return span
 
     def start_batch(self, n):

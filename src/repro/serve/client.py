@@ -9,19 +9,19 @@ Three layers:
   wire format (trusted in-repo server; see ``repro.serve.proto``) so
   a round-trip returns the same ``RunSummary`` object a local engine
   would have;
-* :class:`ClientEngine` -- a drop-in for
-  :class:`repro.sim.engine.RunEngine` that resolves every point over
-  HTTP.  Installed with :func:`repro.sim.engine.use_engine`, the whole
-  experiment pipeline (``run_grid`` and every fig/table function) runs
-  unchanged against a remote server -- this is what the experiment
-  CLI's ``--server URL`` flag does;
+* :class:`HttpTransport` -- an executor transport for
+  :class:`repro.sim.engine.RunEngine` that resolves every simulated
+  point on a server.  The experiment CLI's ``--server URL`` installs
+  it, so the whole pipeline (``run_grid`` and every fig/table
+  function) runs unchanged against a remote server, with the engine's
+  own dedup, mode policy and observation session on the client side;
 * a command line: ``python -m repro.serve.client
-  submit|watch|grid|health``.
+  submit|watch|health``.
 
 The client is deliberately synchronous: it is the *submitting* side,
-usually inside scripts or the blocking experiment pipeline.  Grid
-submissions still overlap in flight via a small thread pool, which is
-all the concurrency a submitter needs.
+usually inside scripts or the blocking experiment pipeline.  A batch's
+distinct points still overlap in flight via the transport's small
+thread pool, which is all the concurrency a submitter needs.
 """
 
 import argparse
@@ -31,6 +31,7 @@ import json
 import pickle
 import sys
 
+from repro.obs.profile import clock
 from repro.serve import proto
 
 
@@ -145,66 +146,49 @@ class ServerClient:
             conn.close()
 
 
-class ClientEngine:
-    """RunEngine-shaped adapter that resolves points over HTTP.
+class HttpTransport:
+    """Executor transport that posts each point to a job server.
 
-    Duplicates within a batch are submitted once (the server would
-    dedup them anyway; folding them locally saves the round-trips) and
-    distinct points are posted concurrently so the server can batch
-    them into one engine dispatch.
+    ``submit`` runs :meth:`ServerClient.submit` on a thread pool of
+    ``max_connections``, so a batch's distinct points are in flight
+    together and the server can batch them into one engine dispatch.
+    A span's worker is ``http:<X-Silo-Dedup>`` -- how the server
+    resolved the point (``none``, ``inflight``, ``memo``, ``cache``)
+    -- and its ``exec_s`` is the round trip.
     """
 
-    def __init__(self, client, priority="batch", max_connections=8):
-        self.client = client
+    def __init__(self, url, priority="batch", max_connections=8):
+        self.client = ServerClient(url)
         self.priority = priority
         self.max_connections = max(1, max_connections)
-        self.requests = 0
-        self.unique_points = 0
-        self.dedups = {"none": 0, "inflight": 0, "memo": 0,
-                       "cache": 0}
+        self._pool = None
 
-    def run(self, requests):
-        """Resolve a batch remotely; summaries align with requests."""
-        requests = list(requests)
-        self.requests += len(requests)
-        order = []
-        by_canon = {}
-        canons = []
-        for req in requests:
-            canon = json.dumps(req.canonical(), sort_keys=True)
-            canons.append(canon)
-            if canon not in by_canon:
-                by_canon[canon] = req
-                order.append(canon)
-        self.unique_points += len(order)
+    def start(self):
+        if self._pool is None:
+            self._pool = concurrent.futures.ThreadPoolExecutor(
+                self.max_connections, thread_name_prefix="silo-http")
 
-        def post(canon):
-            return self.client.submit(by_canon[canon],
-                                      priority=self.priority)
+    def stop(self):
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
 
-        summaries = {}
-        workers = min(self.max_connections, len(order)) or 1
-        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            for canon, (doc, dedup) in zip(
-                    order, pool.map(post, order)):
-                self.dedups[dedup] = self.dedups.get(dedup, 0) + 1
-                summaries[canon] = doc["summary"]
-        return [summaries[c] for c in canons]
+    def submit(self, request, key):
+        if self._pool is None:
+            raise RuntimeError("transport not started")
+        return self._pool.submit(self._post, request)
 
-    def snapshot(self):
-        """Engine-snapshot stand-in recorded in manifests/--json."""
-        snap = {
-            "mode": "client",
-            "server": self.client.url,
-            "requests": self.requests,
-            "unique_points": self.unique_points,
-            "dedup": dict(self.dedups),
-        }
-        try:
-            snap["server_health"] = self.client.health()
-        except (OSError, ServerError):
-            snap["server_health"] = None
-        return snap
+    def _post(self, request):
+        t0 = clock()
+        doc, dedup = self.client.submit(request, priority=self.priority)
+        return doc["summary"], {"worker": "http:" + dedup,
+                                "exec_s": clock() - t0}
+
+    def capacity(self):
+        return self.max_connections
+
+    def describe(self):
+        return "http:%s:%d" % (self.client.host, self.client.port)
 
 
 # ---------------------------------------------------------------------------
@@ -246,30 +230,6 @@ def _cmd_health(args):
     return 0
 
 
-def _cmd_grid(args):
-    from repro.experiments import EXPERIMENTS
-    from repro.experiments.common import render_table
-    from repro.sim import engine as sim_engine
-    from repro.sim.sampling import parse_plan
-
-    func = EXPERIMENTS[args.experiment]
-    kwargs = {"scale": args.scale, "seed": args.seed}
-    if args.sampling:
-        kwargs["plan"] = parse_plan(args.sampling)
-    engine = ClientEngine(ServerClient(args.server),
-                          priority=args.priority)
-    with sim_engine.use_engine(engine):
-        rows = func(**kwargs)
-    if args.json:
-        print(json.dumps({"experiment": args.experiment, "rows": rows,
-                          "engine": engine.snapshot()},
-                         indent=2, default=str))
-    else:
-        print(render_table(rows, title="%s via %s"
-                           % (args.experiment, args.server)))
-    return 0
-
-
 def main(argv=None):
     """CLI entry point: ``python -m repro.serve.client``."""
     parser = argparse.ArgumentParser(
@@ -296,17 +256,6 @@ def main(argv=None):
 
     p = sub.add_parser("health", help="GET /healthz")
     p.set_defaults(func=_cmd_health)
-
-    p = sub.add_parser("grid",
-                       help="run an experiment grid via the server")
-    p.add_argument("experiment")
-    p.add_argument("--sampling", default=None)
-    p.add_argument("--scale", type=int, default=64)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--priority", choices=proto.PRIORITIES,
-                   default="batch")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_grid)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -13,7 +13,7 @@ workers and the client all speak from one module:
 * **length-prefixed pickle frames** for the socket-worker transport
   (4-byte big-endian length, then a pickled dict).  Pickle only ever
   crosses between processes this repository itself started (workers,
-  spool agents, the repo's own client): the HTTP surface *accepts*
+  the repo's own client): the HTTP surface *accepts*
   only JSON, so an untrusted submitter can never reach ``pickle.loads``
   -- it may only *request* a pickled response for itself
   (``format: "pickle"``), which is the fast path the in-repo client
@@ -98,13 +98,21 @@ def _parse_target(target):
     return path, query
 
 
+async def _readline(reader):
+    try:
+        return await reader.readline()
+    except ValueError:
+        # asyncio's StreamReader limit (64 KiB by default) overran.
+        raise ProtocolError("request line or header too long") from None
+
+
 async def read_request(reader):
     """Parse one HTTP/1.1 request from an asyncio stream.
 
     Returns None on a clean EOF (client closed between requests);
     raises :class:`ProtocolError` on malformed input.
     """
-    line = await reader.readline()
+    line = await _readline(reader)
     if not line:
         return None
     try:
@@ -115,7 +123,7 @@ async def read_request(reader):
         raise ProtocolError("unsupported HTTP version %r" % version)
     headers = {}
     while True:
-        raw = await reader.readline()
+        raw = await _readline(reader)
         if raw in (b"\r\n", b"\n"):
             break
         if not raw:

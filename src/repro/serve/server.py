@@ -17,11 +17,10 @@ is good at:
 * **bounded backpressure** -- past ``max_queue_depth`` queued jobs new
   work is refused with ``429`` + ``Retry-After`` instead of growing an
   unbounded queue;
-* **streaming** -- flight-recorder spans (via the
-  :class:`~repro.obs.recorder.FlightRecorder` ``on_record`` tap),
-  per-run events (via :meth:`ObservationSession.add_listener`) and job
-  lifecycle transitions are broadcast to ``GET /events`` subscribers
-  as Server-Sent Events.
+* **streaming** -- flight-recorder spans and per-run events (both
+  via :meth:`ObservationSession.add_listener`) and job lifecycle
+  transitions are broadcast to ``GET /events`` subscribers as
+  Server-Sent Events.
 
 Endpoints: ``POST /runs`` (submit; body per
 :func:`repro.serve.proto.parse_run_payload`), ``GET /runs/<key>``
@@ -123,7 +122,7 @@ class JobServer:
         g.formula("dedup_ratio", self.dedup_ratio,
                   desc="fraction of submissions that did not need a "
                        "new job")
-        g.formula("capacity", self._capacity,
+        g.formula("capacity", self.engine.capacity,
                   desc="advisory parallelism of the engine transport")
         return g
 
@@ -138,21 +137,14 @@ class JobServer:
         return (self.deduped_inflight + self.memo_hits) \
             / self.submitted
 
-    def _capacity(self):
-        transport = self.engine.transport
-        if transport is not None:
-            return transport.capacity()
-        return self.engine.jobs
-
     # -- lifecycle -------------------------------------------------------
 
     async def start(self):
-        """Bind, install streaming taps, start the dispatcher."""
+        """Bind, install the streaming tap, start the dispatcher."""
         self._loop = asyncio.get_running_loop()
         self._running = True
-        # Streaming taps: recorder spans (fires on the engine thread,
-        # even without a session) + session run events.
-        self.engine.recorder.on_record = self._tap_span
+        # Streaming tap: the engine emits spans and run events through
+        # the current session, from the engine thread.
         self._session_cm = observe()
         session = self._session_cm.__enter__()
         session.add_listener(self._tap_session)
@@ -178,7 +170,6 @@ class JobServer:
         if self._session_cm is not None:
             self._session_cm.__exit__(None, None, None)
             self._session_cm = None
-        self.engine.recorder.on_record = None
         for job in list(self._inflight.values()):
             if not job.future.done():
                 job.future.set_exception(
@@ -192,19 +183,12 @@ class JobServer:
     def url(self):
         return "http://%s:%d" % (self.host, self.port)
 
-    # -- streaming taps (called on the engine thread) --------------------
-
-    def _tap_span(self, span):
-        self._post_event("engine_span", dict(span))
+    # -- streaming tap (called on the engine thread) ---------------------
 
     def _tap_session(self, kind, payload):
-        if kind != "engine_span":    # spans come via the recorder tap
-            self._post_event(kind, dict(payload))
-
-    def _post_event(self, kind, payload):
         if self._loop is not None and self._subscribers:
             self._loop.call_soon_threadsafe(self._publish, kind,
-                                            payload)
+                                            dict(payload))
 
     def _publish(self, kind, payload):
         for queue in list(self._subscribers):
@@ -367,7 +351,7 @@ class JobServer:
             "ok": True,
             "queue_depth": self.queue_depth(),
             "inflight": len(self._inflight),
-            "capacity": self._capacity(),
+            "capacity": self.engine.capacity(),
             "transport": (self.engine.transport.describe()
                           if self.engine.transport is not None
                           else "local"),

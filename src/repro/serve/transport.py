@@ -1,28 +1,17 @@
-"""Pluggable executor transports for :class:`repro.sim.engine.RunEngine`.
+"""Socket-worker executor transport and the ``--transport`` spec.
 
-PR 3's only fan-out was a per-batch ``ProcessPoolExecutor`` welded into
-the engine -- which measured 0.848x on the 1-CPU CI host, because the
-executor and the transport were one thing.  This module splits them: an
-:class:`ExecutorTransport` is *where simulations run*, the engine only
-decides *what* runs.  Three transports ship:
-
-* :class:`LocalPoolTransport` -- the classic local process pool,
-  byte-for-byte the old behaviour when the engine builds one per batch;
-* :class:`SocketWorkerTransport` -- long-lived worker processes
-  (``python -m repro.serve.worker --connect``), potentially on other
-  hosts, speaking length-prefixed pickled frames over TCP with
-  idle heartbeats and work-stealing requeue when a worker dies
-  mid-job;
-* :class:`JobFileTransport` -- a spool directory on shared storage for
-  batch farms: jobs are claimed by ``rename(2)`` (atomic on POSIX, so
-  any number of spool agents race safely) and results land as files.
-
-All transports share one contract: :meth:`ExecutorTransport.submit`
-takes ``(request, key)`` and returns a
-:class:`concurrent.futures.Future` resolving to ``(summary, meta)``
-with ``meta = {"worker": str, "exec_s": float}`` -- exactly what
-``RunEngine._run_pool`` needs to reconstruct flight-recorder spans on
-the parent's clock.  Futures are the bridge to both worlds: the
+A transport is *where simulations run*; :class:`repro.sim.engine
+.RunEngine` only decides *what* runs (its ``transport`` attribute
+documents the contract: ``submit(request, key)`` returns a
+:class:`concurrent.futures.Future` of ``(summary, meta)`` with ``meta =
+{"worker": str, "exec_s": float}``).  Three exist: the engine's own
+:class:`~repro.sim.engine.LocalPoolTransport`,
+:class:`SocketWorkerTransport` here -- long-lived worker processes
+(``python -m repro.serve.worker --connect``), potentially on other
+hosts, speaking length-prefixed pickled frames over TCP with idle
+heartbeats and work-stealing requeue when a worker dies mid-job --
+and :class:`repro.serve.client.HttpTransport`, which posts each point
+to a job server.  Futures are the bridge to both worlds: the
 synchronous engine blocks on ``.result()``, the asyncio job server
 wraps them with ``asyncio.wrap_future``.
 
@@ -34,95 +23,19 @@ bit-identical to the serial path no matter which transport carried
 them (the dedup/cache key already covers the code fingerprint).
 """
 
-import os
-import pickle
 import socket
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 
 from repro.serve.proto import ProtocolError, recv_frame, send_frame
-from repro.sim import engine as _engine
+from repro.sim.engine import LocalPoolTransport
 
 
 class TransportError(Exception):
     """A job could not be executed by the transport (worker died past
     the retry budget, remote raised, transport stopped)."""
-
-
-class ExecutorTransport:
-    """Where the engine's simulated points actually execute.
-
-    Lifecycle: ``start()`` once, any number of ``submit()`` calls from
-    any thread, ``stop()`` once (pending futures fail with
-    :class:`TransportError`).  ``capacity()`` is advisory parallelism
-    -- the job server uses it to size dispatch batches -- and
-    ``describe()`` is the human-readable form recorded in engine
-    snapshots and manifests.
-    """
-
-    def start(self):
-        raise NotImplementedError
-
-    def stop(self):
-        raise NotImplementedError
-
-    def submit(self, request, key):
-        """Schedule one run; returns a Future of ``(summary, meta)``."""
-        raise NotImplementedError
-
-    def capacity(self):
-        raise NotImplementedError
-
-    def describe(self):
-        raise NotImplementedError
-
-
-# ---------------------------------------------------------------------------
-# local process pool
-# ---------------------------------------------------------------------------
-
-
-def _local_pool_entry(payload):
-    """Top-level (picklable) pool entry: run the engine's worker and
-    normalize its meta to the transport contract."""
-    summary, meta = _engine._pool_worker(payload)
-    return summary, {"worker": "pid:%d" % meta["pid"],
-                     "exec_s": meta["exec_s"]}
-
-
-class LocalPoolTransport(ExecutorTransport):
-    """The classic ``ProcessPoolExecutor`` fan-out as a transport."""
-
-    def __init__(self, jobs=2):
-        self.jobs = max(1, int(jobs))
-        self._pool = None
-
-    def start(self):
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-
-    def stop(self):
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def submit(self, request, key):
-        if self._pool is None:
-            raise TransportError("transport not started")
-        return self._pool.submit(_local_pool_entry, (request, key))
-
-    def capacity(self):
-        return self.jobs
-
-    def describe(self):
-        return "local-pool:%d" % self.jobs
-
-
-# ---------------------------------------------------------------------------
-# socket workers
-# ---------------------------------------------------------------------------
 
 
 class _Job:
@@ -135,7 +48,7 @@ class _Job:
         self.attempts = 0
 
 
-class SocketWorkerTransport(ExecutorTransport):
+class SocketWorkerTransport:
     """Fan out to long-lived worker processes over TCP.
 
     The transport listens; workers dial in (``python -m
@@ -372,134 +285,12 @@ class SocketWorkerTransport(ExecutorTransport):
                 pass
 
 
-# ---------------------------------------------------------------------------
-# job-file spool
-# ---------------------------------------------------------------------------
-
-
-class JobFileTransport(ExecutorTransport):
-    """Spool-directory transport for batch farms on shared storage.
-
-    Layout under ``spool_dir``: ``pending/`` holds one pickled
-    ``(request, key)`` per job, ``claimed/`` is where an agent moves a
-    job while executing it (the ``rename(2)`` is the atomic claim --
-    losers of the race get ``FileNotFoundError`` and move on), and
-    ``done/`` receives pickled ``(summary, meta)`` results (or
-    ``.error`` text files).  A poller thread resolves futures as
-    results land.  Agents are ``python -m repro.serve.worker --spool
-    DIR``; any number may watch the same spool from any host that
-    mounts it.
-    """
-
-    def __init__(self, spool_dir, poll_s=0.05, slots=1):
-        self.spool_dir = spool_dir
-        self.poll_s = poll_s
-        self.slots = max(1, int(slots))
-        self.pending_dir = os.path.join(spool_dir, "pending")
-        self.claimed_dir = os.path.join(spool_dir, "claimed")
-        self.done_dir = os.path.join(spool_dir, "done")
-        self._running = False
-        self._poller = None
-        self._lock = threading.Lock()
-        self._waiting = {}     # job id -> _Job
-        self._seq = 0
-
-    def start(self):
-        if self._running:
-            return
-        for d in (self.pending_dir, self.claimed_dir, self.done_dir):
-            os.makedirs(d, exist_ok=True)
-        self._running = True
-        self._poller = threading.Thread(
-            target=self._poll_loop, name="silo-serve-spool",
-            daemon=True)
-        self._poller.start()
-
-    def stop(self):
-        if not self._running:
-            return
-        self._running = False
-        self._poller.join(timeout=2.0)
-        with self._lock:
-            pending = list(self._waiting.values())
-            self._waiting.clear()
-        for job in pending:
-            if not job.future.done():
-                job.future.set_exception(
-                    TransportError("transport stopped"))
-
-    def submit(self, request, key):
-        if not self._running:
-            raise TransportError("transport not started")
-        job = _Job(request, key)
-        with self._lock:
-            self._seq += 1
-            job_id = "%06d-%s" % (self._seq, key[:16])
-            self._waiting[job_id] = job
-        tmp = os.path.join(self.pending_dir, ".%s.tmp" % job_id)
-        with open(tmp, "wb") as fh:
-            pickle.dump((request, key),
-                        fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, os.path.join(self.pending_dir,
-                                     job_id + ".job"))
-        return job.future
-
-    def capacity(self):
-        return self.slots
-
-    def describe(self):
-        return "jobfile:%s slots=%d" % (self.spool_dir, self.slots)
-
-    def _poll_loop(self):
-        while self._running:
-            resolved = self._drain_done()
-            if not resolved:
-                time.sleep(self.poll_s)
-
-    def _drain_done(self):
-        resolved = 0
-        try:
-            names = sorted(os.listdir(self.done_dir))
-        except OSError:
-            return 0
-        for name in names:
-            if name.startswith("."):
-                continue
-            job_id, dot, kind = name.rpartition(".")
-            if kind not in ("summary", "error"):
-                continue
-            with self._lock:
-                job = self._waiting.pop(job_id, None)
-            path = os.path.join(self.done_dir, name)
-            if job is None:
-                continue
-            try:
-                if kind == "summary":
-                    with open(path, "rb") as fh:
-                        summary, meta = pickle.load(fh)
-                    job.future.set_result((summary, meta))
-                else:
-                    with open(path, "r", encoding="utf-8") as fh:
-                        job.future.set_exception(
-                            TransportError(fh.read()))
-            except (OSError, pickle.UnpicklingError, EOFError) as e:
-                job.future.set_exception(
-                    TransportError("unreadable result %s: %s"
-                                   % (name, e)))
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            resolved += 1
-        return resolved
-
-
 def transport_from_spec(spec):
-    """Build a transport from a CLI/env spec string.
+    """Build a transport from a CLI spec string.
 
     Forms: ``local[:N]`` (process pool of N), ``socket[:HOST][:PORT]``
-    (listen for workers; port 0 = ephemeral), ``jobfile:DIR[:SLOTS]``
-    (spool directory).  Returns None for ``""``/``"none"``.
+    (listen for workers; port 0 = ephemeral).  Returns None for
+    ``""``/``"none"``.
     """
     if not spec or spec == "none":
         return None
@@ -510,11 +301,4 @@ def transport_from_spec(spec):
         host, _, port = rest.partition(":")
         return SocketWorkerTransport(host=host or "127.0.0.1",
                                      port=int(port) if port else 0)
-    if kind == "jobfile":
-        directory, _, slots = rest.partition(":")
-        if not directory:
-            raise ValueError("jobfile transport needs a directory "
-                             "(jobfile:DIR[:SLOTS])")
-        return JobFileTransport(directory,
-                                slots=int(slots) if slots else 1)
     raise ValueError("unknown transport spec %r" % spec)

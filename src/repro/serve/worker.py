@@ -1,4 +1,4 @@
-"""Simulation workers: socket dial-in and job-file spool agents.
+"""Socket simulation worker.
 
 ``python -m repro.serve.worker --connect HOST:PORT`` runs a long-lived
 socket worker: it dials the :class:`~repro.serve.transport
@@ -10,19 +10,13 @@ matter where the worker runs.  If the connection drops the worker
 reconnects with exponential backoff (``--no-reconnect`` to exit
 instead, which is how tests simulate worker death).
 
-``python -m repro.serve.worker --spool DIR`` runs a spool agent for
-:class:`~repro.serve.transport.JobFileTransport`: scan ``pending/``,
-claim a job by renaming it into ``claimed/`` (atomic -- agents race
-safely), execute, land the result in ``done/``.
-
-Both modes are synchronous by design: a worker *is* the blocking
-executor, there is no event loop here to starve (silolint SL009 only
-polices ``async def`` bodies).
+The worker is synchronous by design: it *is* the blocking executor,
+there is no event loop here to starve (silolint SL009 only polices
+``async def`` bodies).
 """
 
 import argparse
 import os
-import pickle
 import socket
 import sys
 import time
@@ -36,11 +30,6 @@ from repro.sim.engine import _execute_to_summary
 def default_worker_name():
     """Default worker identity: ``hostname/pid:N``."""
     return "%s/pid:%d" % (socket.gethostname(), os.getpid())
-
-
-# ---------------------------------------------------------------------------
-# socket worker
-# ---------------------------------------------------------------------------
 
 
 def serve_connection(sock, name, max_jobs=0, log=None):
@@ -108,78 +97,6 @@ def run_socket_worker(host, port, name=None, reconnect=True,
 
 
 # ---------------------------------------------------------------------------
-# spool agent
-# ---------------------------------------------------------------------------
-
-
-def spool_step(spool_dir, name=None):
-    """Claim and execute at most one pending job; returns True if one
-    was executed (the agent's poll loop backs off when False)."""
-    name = name or default_worker_name()
-    pending = os.path.join(spool_dir, "pending")
-    claimed = os.path.join(spool_dir, "claimed")
-    done = os.path.join(spool_dir, "done")
-    try:
-        names = sorted(os.listdir(pending))
-    except OSError:
-        return False
-    for fname in names:
-        if not fname.endswith(".job"):
-            continue
-        claim_path = os.path.join(claimed, fname)
-        try:
-            os.replace(os.path.join(pending, fname), claim_path)
-        except OSError:
-            continue       # another agent won the rename race
-        job_id = fname[:-len(".job")]
-        try:
-            with open(claim_path, "rb") as fh:
-                request, key = pickle.load(fh)
-            t0 = clock()
-            summary = _execute_to_summary(request, key)
-            payload = (summary, {"worker": "spool:%s" % name,
-                                 "exec_s": clock() - t0})
-            _land(done, job_id + ".summary",
-                  pickle.dumps(payload,
-                               protocol=pickle.HIGHEST_PROTOCOL))
-        except Exception:
-            _land(done, job_id + ".error",
-                  traceback.format_exc().encode("utf-8"))
-        finally:
-            try:
-                os.unlink(claim_path)
-            except OSError:
-                pass
-        return True
-    return False
-
-
-def _land(done_dir, name, payload):
-    """Write a result atomically (tmp + rename) so the poller never
-    reads a half-written file."""
-    tmp = os.path.join(done_dir, "." + name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, os.path.join(done_dir, name))
-
-
-def run_spool_agent(spool_dir, name=None, poll_s=0.05, max_jobs=0,
-                    log=None):
-    """Poll a job-file spool forever (or until ``max_jobs``), claiming
-    and executing one job per :func:`spool_step`."""
-    executed = 0
-    while True:
-        if spool_step(spool_dir, name=name):
-            executed += 1
-            if log is not None:
-                log("spool job done (%d total)" % executed)
-            if max_jobs and executed >= max_jobs:
-                return executed
-        else:
-            time.sleep(poll_s)
-
-
-# ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
@@ -188,12 +105,9 @@ def main(argv=None):
     """CLI entry point: ``python -m repro.serve.worker``."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve.worker",
-        description="Long-lived simulation worker (socket or spool).")
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--connect", metavar="HOST:PORT",
-                      help="dial a SocketWorkerTransport listener")
-    mode.add_argument("--spool", metavar="DIR",
-                      help="watch a JobFileTransport spool directory")
+        description="Long-lived socket simulation worker.")
+    parser.add_argument("--connect", metavar="HOST:PORT", required=True,
+                        help="dial a SocketWorkerTransport listener")
     parser.add_argument("--name", default=None,
                         help="worker name (default host/pid)")
     parser.add_argument("--no-reconnect", action="store_true",
@@ -208,16 +122,12 @@ def main(argv=None):
     log = None if args.quiet else (
         lambda msg: print("[worker] %s" % msg, file=sys.stderr,
                           flush=True))
-    if args.connect:
-        host, _, port = args.connect.rpartition(":")
-        if not host or not port.isdigit():
-            parser.error("--connect needs HOST:PORT")
-        run_socket_worker(host, int(port), name=args.name,
-                          reconnect=not args.no_reconnect,
-                          max_jobs=args.max_jobs, log=log)
-    else:
-        run_spool_agent(args.spool, name=args.name,
-                        max_jobs=args.max_jobs, log=log)
+    host, _, port = args.connect.rpartition(":")
+    if not host or not port.isdigit():
+        parser.error("--connect needs HOST:PORT")
+    run_socket_worker(host, int(port), name=args.name,
+                      reconnect=not args.no_reconnect,
+                      max_jobs=args.max_jobs, log=log)
     return 0
 
 

@@ -8,9 +8,10 @@ engine exploits exactly that:
 * a :class:`RunRequest` is the canonical, hashable description of one
   point (it also covers heterogeneous colocation placements, so the
   SPEC mixes and the isolation study key the same way);
-* :class:`RunEngine` fans a batch of requests out over a
-  ``ProcessPoolExecutor`` (``--jobs N`` / ``$REPRO_JOBS``; ``jobs=1``
-  is a plain in-process loop), deduplicating identical points first;
+* :class:`RunEngine` fans a batch of requests out through an executor
+  transport -- a local process pool (``--jobs N`` / ``$REPRO_JOBS``;
+  ``jobs=1`` is a plain in-process loop), socket workers or a job
+  server over HTTP -- deduplicating identical points first;
 * a :class:`RunCache` memoizes finished points on disk, keyed by a
   content hash of the request *and* a fingerprint of the simulator's
   own source (git sha + per-file digests), so results survive across
@@ -627,12 +628,14 @@ def _execute_to_summary(request, request_key):
 
 def _pool_worker(payload):
     """Top-level (picklable) ProcessPoolExecutor entry point; returns
-    ``(summary, meta)`` where ``meta`` carries the worker pid and its
-    execution wall clock for the parent's flight recorder."""
+    ``(summary, meta)`` in the transport contract, ``meta`` naming the
+    worker pid and its execution wall clock for the parent's flight
+    recorder."""
     request, request_key = payload
     t0 = clock()
     summary = _execute_to_summary(request, request_key)
-    return summary, {"pid": os.getpid(), "exec_s": clock() - t0}
+    return summary, {"worker": "pid:%d" % os.getpid(),
+                     "exec_s": clock() - t0}
 
 
 def _stamp_done(done_at, key, _fut):
@@ -640,6 +643,38 @@ def _stamp_done(done_at, key, _fut):
     *parent's* clock (worker timestamps are not comparable across
     processes; the worker only reports its execution duration)."""
     done_at[key] = clock()
+
+
+class LocalPoolTransport:
+    """A local ``ProcessPoolExecutor`` of ``jobs`` workers as an
+    executor transport (see :attr:`RunEngine.transport`)."""
+
+    def __init__(self, jobs=2):
+        self.jobs = max(1, int(jobs))
+        self._pool = None
+
+    def start(self):
+        if self._pool is None:
+            # Imported here: loading multiprocessing costs milliseconds
+            # of set-up that a run without a pool should not pay.
+            from concurrent.futures import ProcessPoolExecutor
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+
+    def stop(self):
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def submit(self, request, key):
+        if self._pool is None:
+            raise RuntimeError("transport not started")
+        return self._pool.submit(_pool_worker, (request, key))
+
+    def capacity(self):
+        return self.jobs
+
+    def describe(self):
+        return "local-pool:%d" % self.jobs
 
 
 # ---------------------------------------------------------------------------
@@ -823,11 +858,15 @@ class RunEngine:
             else jobs_from_env()
         self.cache = cache
         self.mode = mode
-        #: Pluggable executor transport (repro.serve.transport).  None
-        #: means the classic behaviour: in-process when ``jobs<=1``, a
-        #: per-batch local ProcessPoolExecutor otherwise.  With a
-        #: transport installed every simulated point fans out through
-        #: it (socket workers on other hosts, a job-file spool, ...).
+        #: Executor transport: where simulated points run.  None means
+        #: in-process when ``jobs<=1`` and a per-batch
+        #: :class:`LocalPoolTransport` otherwise.  An installed one
+        #: (a long-lived local pool, socket workers, a job server over
+        #: HTTP) takes every simulated point and is started and stopped
+        #: by its owner.  Contract: ``start()``, ``stop()``,
+        #: ``capacity()`` (advisory parallelism), ``describe()``, and
+        #: ``submit(request, key)`` returning a Future of ``(summary,
+        #: meta)`` with ``meta = {"worker": str, "exec_s": float}``.
         self.transport = transport
         self.fingerprint = code_fingerprint()
         self.requests = 0
@@ -876,7 +915,7 @@ class RunEngine:
         g.formula("in_flight", lambda: self.recorder.in_flight,
                   desc="requests dispatched in the open batch")
         g.formula("worker_utilization",
-                  lambda: self.recorder.utilization(self.jobs),
+                  lambda: self.recorder.utilization(self.capacity()),
                   desc="busy seconds over worker-count x batch wall")
         g.formula("cache_pruned_entries",
                   lambda: (self.cache.pruned_entries
@@ -888,6 +927,13 @@ class RunEngine:
         if self.exec_wall_s <= 0:
             return 0.0
         return self.driven_events / self.exec_wall_s
+
+    def capacity(self):
+        """Worker count points fan out to: the transport's capacity,
+        else ``jobs``."""
+        if self.transport is not None:
+            return self.transport.capacity()
+        return self.jobs
 
     def cache_hit_ratio(self):
         """Warm-cache hit ratio across this engine's lifetime."""
@@ -904,7 +950,7 @@ class RunEngine:
                                    if self.cache is not None else None)
         snap["transport"] = (self.transport.describe()
                              if self.transport is not None else "local")
-        snap["flight_recorder"] = self.recorder.summary(self.jobs)
+        snap["flight_recorder"] = self.recorder.summary(self.capacity())
         return snap
 
     @staticmethod
@@ -1061,13 +1107,12 @@ class RunEngine:
         """Fan a batch out through the executor transport.
 
         Without an installed transport a per-batch local process pool
-        is built and torn down here (the pre-transport behaviour,
-        byte-for-byte); an installed transport is long-lived and owned
-        by whoever installed it (the job server, a test)."""
+        is built and torn down here; an installed transport is
+        long-lived and owned by whoever installed it (the job server,
+        the CLI's ``--server``, a test)."""
         transport = self.transport
         owned = transport is None
         if owned:
-            from repro.serve.transport import LocalPoolTransport
             transport = LocalPoolTransport(
                 jobs=min(self.jobs, len(payloads)))
         transport.start()

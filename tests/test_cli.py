@@ -150,3 +150,15 @@ def test_cli_rejects_fault_flags_for_static_experiments():
 def test_cli_rejects_stalls_for_resilience():
     with pytest.raises(SystemExit):
         main(["resilience", "--fault-stalls", "0.1"])
+
+
+@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--cache-dir", "x"],
+                                  ["--cache-max-bytes", "1m"]],
+                         ids=lambda flag: flag[0])
+def test_cli_server_rejects_local_engine_flags(flag, capsys):
+    # the server owns its workers and cache: refuse, don't ignore
+    with pytest.raises(SystemExit) as exc:
+        main(["fig3", "--server", "http://127.0.0.1:1"] + flag)
+    assert exc.value.code == 2
+    assert "%s does not apply to --server" % flag[0] \
+        in capsys.readouterr().err

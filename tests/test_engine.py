@@ -9,9 +9,12 @@ import itertools
 import json
 import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.core.systems import system_config
 from repro.cores.perf_model import CoreParams
 from repro.faults import FaultPlan
@@ -524,3 +527,22 @@ def test_cache_max_bytes_env_flows_through_engine_from_env(
     monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "junk")
     with pytest.raises(ValueError):
         cache_max_bytes_from_env()
+
+
+def test_setup_imports_no_serving_or_process_pool():
+    # What a serial experiment pays for at start-up: building an engine
+    # must not load the job server, an HTTP client or multiprocessing.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        repro.__file__)))
+    program = (
+        "import sys\n"
+        "import repro.experiments\n"
+        "from repro.sim.engine import RunEngine\n"
+        "RunEngine(jobs=1, cache=None)\n"
+        "mods = ('repro.serve', 'http.client',\n"
+        "        'concurrent.futures.process', 'multiprocessing')\n"
+        "print(sorted(m for m in mods if m in sys.modules))\n")
+    out = subprocess.run(
+        [sys.executable, "-c", program], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"

@@ -5,14 +5,16 @@ The contracts the serving layer must keep:
 * N concurrent identical submissions execute exactly one simulation
   (in-flight dedup + response memo), and every caller gets the same
   summary;
-* results served through any transport (socket workers, job-file
-  spool) are bit-identical to the serial engine -- fig3 rows
-  row-for-row;
+* results served through any transport (socket workers, HTTP) are
+  bit-identical to the serial engine -- fig3 rows row-for-row, and
+  ``--server`` against a real server process posts each distinct
+  point once and records it like a local run;
 * a worker dying mid-job requeues the job (work stealing) and the
   batch still completes; deterministic remote exceptions do not
   retry;
 * backpressure: past the configured queue depth the server answers
-  429 with Retry-After instead of queueing without bound;
+  429 with Retry-After instead of queueing without bound; an oversized
+  request head gets 400, not a dropped connection;
 * the wire layer round-trips RunRequests (canonical JSON) and
   summaries (pickle and JSON forms) losslessly.
 """
@@ -20,23 +22,29 @@ The contracts the serving layer must keep:
 import asyncio
 import concurrent.futures
 import json
+import os
+import select
 import socket as socket_mod
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.core.systems import system_config
+from repro.experiments.cli import main as experiments_main
 from repro.experiments.sharing import fig3_breakdown
+from repro.obs.session import observe
 from repro.serve import proto
-from repro.serve.client import ClientEngine, ServerClient, ServerError
+from repro.serve.client import HttpTransport, ServerClient, ServerError
 from repro.serve.server import JobServer
-from repro.serve.transport import (JobFileTransport, LocalPoolTransport,
-                                   SocketWorkerTransport,
+from repro.serve.transport import (SocketWorkerTransport,
                                    TransportError, transport_from_spec)
-from repro.serve.worker import run_socket_worker, run_spool_agent
-from repro.sim.engine import (RunEngine, RunRequest, code_fingerprint,
-                              use_engine)
+from repro.serve.worker import run_socket_worker
+from repro.sim.engine import (LocalPoolTransport, RunEngine, RunRequest,
+                              code_fingerprint, use_engine)
 from repro.sim.sampling import SamplingPlan
 from repro.workloads.scaleout import SCALEOUT_WORKLOADS
 
@@ -130,10 +138,6 @@ def test_transport_from_spec():
     assert isinstance(local, LocalPoolTransport) and local.jobs == 3
     sock = transport_from_spec("socket:127.0.0.1:0")
     assert isinstance(sock, SocketWorkerTransport)
-    spool = transport_from_spec("jobfile:/tmp/spool:2")
-    assert isinstance(spool, JobFileTransport) and spool.slots == 2
-    with pytest.raises(ValueError):
-        transport_from_spec("jobfile")
     with pytest.raises(ValueError):
         transport_from_spec("carrier-pigeon:9")
 
@@ -182,28 +186,55 @@ def _fig3(engine):
                               workloads=list(FIG3_WORKLOADS))
 
 
+def _socket_transport(n_workers):
+    """A started SocketWorkerTransport with ``n_workers`` in-process
+    worker threads connected."""
+    transport = SocketWorkerTransport()
+    transport.start()
+    for i in range(n_workers):
+        threading.Thread(
+            target=run_socket_worker,
+            args=(transport.host, transport.port),
+            kwargs={"name": "w%d" % i, "reconnect": False},
+            daemon=True).start()
+    assert transport.wait_for_workers(n_workers)
+    return transport
+
+
 def test_fig3_socket_workers_bit_identical_to_serial():
     serial_rows = _fig3(RunEngine(jobs=1))
 
-    transport = SocketWorkerTransport()
-    transport.start()
-    workers = [threading.Thread(
-        target=run_socket_worker,
-        args=(transport.host, transport.port),
-        kwargs={"name": "w%d" % i, "reconnect": False},
-        daemon=True) for i in range(2)]
-    for w in workers:
-        w.start()
+    transport = _socket_transport(2)
     try:
-        assert transport.wait_for_workers(2)
         engine = RunEngine(jobs=1, transport=transport)
         with ServerThread(engine) as server:
-            remote = ClientEngine(ServerClient(server.url))
-            remote_rows = _fig3(remote)
+            http = HttpTransport(server.url)
+            remote = RunEngine(jobs=1, cache=None, transport=http)
+            try:
+                remote_rows = _fig3(remote)
+            finally:
+                http.stop()
         assert remote_rows == serial_rows   # row-for-row, no tolerance
         assert engine.executed == len(FIG3_WORKLOADS)
         assert transport.completed == len(FIG3_WORKLOADS)
         assert "socket:" in engine.snapshot()["transport"]
+        assert remote.snapshot()["transport"].startswith("http:")
+    finally:
+        transport.stop()
+
+
+def test_worker_utilization_counts_transport_capacity():
+    # Two socket workers behind a jobs=1 engine: busy seconds are
+    # divided by the transport's two workers, not by jobs.
+    transport = _socket_transport(2)
+    try:
+        engine = RunEngine(jobs=1, transport=transport)
+        engine.run([_point(seed=s) for s in range(1, 5)])
+        assert engine.capacity() == 2
+        snap = engine.snapshot()
+        assert 0.0 < snap["worker_utilization"] <= 1.0
+        assert snap["flight_recorder"]["worker_utilization"] \
+            == snap["worker_utilization"]
     finally:
         transport.stop()
 
@@ -270,34 +301,6 @@ def test_worker_death_past_retry_budget_fails_future():
         with pytest.raises(TransportError):
             fut.result(timeout=30)
     finally:
-        transport.stop()
-
-
-# ---------------------------------------------------------------------------
-# job-file transport
-# ---------------------------------------------------------------------------
-
-
-def test_jobfile_transport_matches_serial(tmp_path):
-    serial = RunEngine(jobs=1).run([_point()])[0]
-    transport = JobFileTransport(str(tmp_path / "spool"), slots=1)
-    transport.start()
-    agent = threading.Thread(
-        target=run_spool_agent,
-        args=(str(tmp_path / "spool"),),
-        kwargs={"name": "agent0", "max_jobs": 1}, daemon=True)
-    agent.start()
-    try:
-        engine = RunEngine(jobs=1, transport=transport)
-        summary = engine.run([_point()])[0]
-        assert _strip_wall(summary.to_dict()) \
-            == _strip_wall(serial.to_dict())
-        assert engine.executed == 1
-        span_workers = {s["worker"]
-                        for s in engine.recorder.spans()}
-        assert "spool:agent0" in span_workers
-    finally:
-        agent.join(10)
         transport.stop()
 
 
@@ -426,6 +429,20 @@ def test_unknown_route_and_bad_json():
         sock.close()
 
 
+def test_oversized_request_head_gets_400():
+    engine = RunEngine(jobs=1)
+    with ServerThread(engine) as server:
+        # 70 KB overruns asyncio's 64 KiB line limit.
+        sock = socket_mod.create_connection((server.host, server.port),
+                                            timeout=10)
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nX-Big: %s\r\n\r\n"
+                     % (b"a" * 70000))
+        reply = sock.recv(65536)
+        sock.close()
+        assert reply.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
+        assert ServerClient(server.url).health()["ok"]
+
+
 def test_get_run_falls_back_to_disk_cache(tmp_path):
     from repro.sim.engine import RunCache
     req = _point()
@@ -439,3 +456,80 @@ def test_get_run_falls_back_to_disk_cache(tmp_path):
         doc = client.status(key, fmt="pickle")
         assert doc["status"] == "complete"
         assert doc["summary"].request_key == key
+
+
+# ---------------------------------------------------------------------------
+# --server against a real server process
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def server_url():
+    """URL of ``python -m repro.serve --port 0 --no-cache`` running in
+    its own process (a server in this process would share the
+    module-global observation session with the client)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        repro.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.serve", "--port", "0",
+         "--no-cache"],
+        stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 60)
+        line = proc.stdout.readline() if ready else ""
+        assert line.startswith("READY "), line
+        yield line.split()[1]
+    finally:
+        proc.terminate()
+        proc.wait(10)
+        proc.stdout.close()
+
+
+def _submitted(client):
+    for line in client.metrics().splitlines():
+        if line.startswith("silo_serve_submitted "):
+            return int(line.split()[1])
+    raise AssertionError("no silo_serve_submitted metric")
+
+
+def test_http_transport_against_server_process(server_url):
+    a, b = _point(seed=1), _point(seed=2)
+    serial = RunEngine(jobs=1).run([a, b])
+    http = HttpTransport(server_url)
+    try:
+        with observe(collect_manifests=True) as session:
+            engine = RunEngine(cache=None, transport=http)
+            got = engine.run([a, b, a])
+        # the in-batch duplicate is folded client-side: one POST each
+        assert _submitted(http.client) == 2
+        assert len(session.runs) == 2
+        workers = {s["worker"] for s in engine.recorder.spans()}
+        assert workers and all(w.startswith("http:") for w in workers)
+        assert [_strip_wall(s.to_dict()) for s in got] \
+            == [_strip_wall(s.to_dict())
+                for s in (serial[0], serial[1], serial[0])]
+
+        # estimate mode resolves estimator-capable points locally
+        est = RunEngine(cache=None, mode="estimate", transport=http)
+        est.run([_point(seed=3)])
+        assert est.estimated == 1
+        assert _submitted(http.client) == 2
+    finally:
+        http.stop()
+
+
+def test_cli_server_flag_writes_manifest(server_url, tmp_path, capsys):
+    argv = ["fig3", "--server", server_url, "--scale", "512",
+            "--sampling", "1500:800", "--json", "--manifest",
+            str(tmp_path)]
+    assert experiments_main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    engine = doc["engine"]
+    assert engine["transport"].startswith("http:")
+    with open(tmp_path / "fig3-manifest.json") as f:
+        manifest = json.load(f)
+    assert len(manifest["runs"]) == engine["unique_points"] > 0
+    spans = manifest["engine"]["flight_recorder"]["spans"]
+    assert len(spans) == engine["unique_points"]
+    assert all(s["worker"].startswith("http:") for s in spans)
