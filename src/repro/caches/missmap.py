@@ -10,7 +10,10 @@ guaranteed hit *as long as the segment is tracked*.  When the MissMap
 itself must evict a segment entry, the corresponding blocks' residency
 knowledge is lost; to stay conservative (never predict "miss" for a
 resident block -- that would break correctness of the skip), untracked
-segments are treated as "unknown" and the probe is performed.
+segments are treated as "unknown" and the probe is performed, and a
+segment that is tracked again gets back the presence bits of its
+still-resident blocks (hardware rebuilds them from the vault's tags),
+so a re-created entry never reads a resident block as absent.
 
 The paper's Fig. 12 evaluates the *ideal* predictor; this class lets
 the reproduction also measure a realistic one.
@@ -29,6 +32,8 @@ class MissMap:
         self.max_segments = segments
         self.blocks_per_segment = blocks_per_segment
         self._map = {}  # segment -> presence bitmask
+        # Evicted segment -> nonzero bits of its still-resident blocks.
+        self._lost = {}
         self.known_misses = 0
         self.unknown = 0
         self.evicted_segments = 0
@@ -60,9 +65,12 @@ class MissMap:
         seg = self._segment(block)
         mask = self._map.pop(seg, None)
         if mask is None:
-            mask = 0
+            mask = self._lost.pop(seg, 0)
             if len(self._map) >= self.max_segments:
-                self._map.pop(next(iter(self._map)))
+                lru = next(iter(self._map))
+                lost = self._map.pop(lru)
+                if lost:
+                    self._lost[lru] = lost
                 self.evicted_segments += 1
         self._map[seg] = mask | self._bit(block)
 
@@ -71,10 +79,14 @@ class MissMap:
         when its mask empties: an all-zero tracked segment still
         provides useful known-miss predictions."""
         seg = self._segment(block)
-        mask = self._map.get(seg)
-        if mask is None:
-            return
-        self._map[seg] = mask & ~self._bit(block)
+        if seg in self._map:
+            self._map[seg] &= ~self._bit(block)
+        elif seg in self._lost:
+            lost = self._lost[seg] & ~self._bit(block)
+            if lost:
+                self._lost[seg] = lost
+            else:
+                del self._lost[seg]
 
     def tracked_segments(self):
         """Number of segments with a live presence bit-vector."""

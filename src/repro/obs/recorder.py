@@ -51,8 +51,7 @@ class FlightRecorder:
 
         ``mode`` is ``"simulate"``, ``"estimate"`` or
         ``"cache-replay"``; ``worker`` identifies the executor
-        (``"local"``, ``"pid:<n>"``, a socket worker's name or
-        ``"http:<dedup>"``);
+        (``"local"``, ``"pid:<n>"`` or ``"http:<dedup>"``);
         ``started_s`` is seconds since :attr:`epoch`.  Returns the span
         dict (also streamed by the engine through the session).
         """

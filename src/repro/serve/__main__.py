@@ -2,12 +2,11 @@
 
 Examples::
 
-    # serve with the local process pool, 2 workers
-    python -m repro.serve --transport local:2
+    # serve with the engine in-process, on 8421
+    python -m repro.serve
 
-    # listen for socket workers on 9500, serve HTTP on 8421
-    python -m repro.serve --transport socket:127.0.0.1:9500
-    python -m repro.serve.worker --connect 127.0.0.1:9500   # N times
+    # serve with a long-lived local process pool of 2 workers
+    python -m repro.serve --transport local:2
 """
 
 import argparse
@@ -15,8 +14,32 @@ import asyncio
 import sys
 
 from repro.serve.server import DEFAULT_PORT, JobServer, run_server
-from repro.serve.transport import transport_from_spec
 from repro.sim import engine as sim_engine
+
+
+def transport_from_spec(spec):
+    """``--transport`` type: ``""``/``none`` (the engine runs points
+    in-process) -> None; ``local`` or ``local:N`` with N >= 1 -> a
+    :class:`~repro.sim.engine.LocalPoolTransport` of 2 or N workers.
+    Anything else is a usage error."""
+    if spec in ("", "none"):
+        return None
+    kind, sep, width = spec.partition(":")
+    if kind == "local" and not sep:
+        return sim_engine.LocalPoolTransport(jobs=2)
+    if kind == "local" and width.isdigit() and int(width) >= 1:
+        return sim_engine.LocalPoolTransport(jobs=int(width))
+    raise argparse.ArgumentTypeError(
+        "expected none, local or local:N with N >= 1, got %r" % spec)
+
+
+def at_least_one(text):
+    """argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "expected an integer >= 1, got %r" % text)
+    return value
 
 
 def build_engine(args):
@@ -32,9 +55,8 @@ def build_engine(args):
                  else sim_engine.cache_max_bytes_from_env())
     cache = (sim_engine.RunCache(cache_dir, max_bytes=max_bytes)
              if cache_dir else None)
-    return sim_engine.RunEngine(
-        jobs=1, cache=cache, mode=args.mode,
-        transport=transport_from_spec(args.transport))
+    return sim_engine.RunEngine(jobs=1, cache=cache, mode=args.mode,
+                                transport=args.transport)
 
 
 def main(argv=None):
@@ -45,10 +67,10 @@ def main(argv=None):
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=DEFAULT_PORT)
     parser.add_argument("--transport", default="",
-                        metavar="SPEC",
-                        help="executor transport: local[:N] or "
-                             "socket[:HOST][:PORT] (default: "
-                             "in-process)")
+                        type=transport_from_spec, metavar="SPEC",
+                        help="executor transport: none (simulate "
+                             "in-process; the default), local (a "
+                             "2-worker process pool) or local:N")
     parser.add_argument("--mode",
                         choices=sorted(sim_engine.ENGINE_MODES),
                         default="simulate")
@@ -59,7 +81,8 @@ def main(argv=None):
                              "suffixes; default: "
                              "$REPRO_CACHE_MAX_BYTES)")
     parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--max-queue-depth", type=int, default=256)
+    parser.add_argument("--max-queue-depth", type=at_least_one,
+                        default=256)
     parser.add_argument("--retry-after", type=float, default=1.0,
                         metavar="S")
     parser.add_argument("--max-batch", type=int, default=64)

@@ -1,40 +1,35 @@
-"""Wire formats of the job server: HTTP/1.1, SSE, frames, codecs.
+"""Wire formats of the job server: HTTP/1.1, SSE and run codecs.
 
-Three small protocols live here so the server, the transports, the
-workers and the client all speak from one module:
+Three small protocols live here so the server and the client speak
+from one module:
 
 * a **minimal HTTP/1.1 layer** over asyncio streams -- request-line +
   headers + Content-Length body parsing, keep-alive, and response
   rendering.  No routing framework, no chunked encoding, no TLS: the
-  server fronts trusted simulation traffic on a LAN, and everything it
-  needs fits in ~100 lines of stdlib;
+  server fronts simulation traffic on a LAN, and everything it needs
+  fits in ~100 lines of stdlib;
 * **Server-Sent Events** rendering for the progress streams
   (``event:``/``data:`` lines per the WhatWG EventSource format);
-* **length-prefixed pickle frames** for the socket-worker transport
-  (4-byte big-endian length, then a pickled dict).  Pickle only ever
-  crosses between processes this repository itself started (workers,
-  the repo's own client): the HTTP surface *accepts*
-  only JSON, so an untrusted submitter can never reach ``pickle.loads``
-  -- it may only *request* a pickled response for itself
-  (``format: "pickle"``), which is the fast path the in-repo client
-  uses;
 * **run codecs**: the JSON shapes of a submitted run
   (:func:`parse_run_payload` -> :class:`repro.sim.engine.RunRequest`
   via ``from_canonical``) and of a finished summary
   (:func:`summary_from_wire`, dispatching estimate-mode summaries back
   to :class:`repro.analytic.estimator.EstimateSummary`).
+
+Trust boundary: the server *accepts* only JSON and never unpickles
+anything it reads from the network.  A submitter may only *request* a
+pickled response for itself (``format: "pickle"``), which is the fast
+path the in-repo client uses.
 """
 
 import json
-import pickle
-import struct
 from dataclasses import dataclass, field
 
 from repro.sim.engine import RunRequest, RunSummary
 
-#: Hard ceiling on HTTP bodies and pickle frames (a fig-scale
-#: RunSummary is ~100 KB; 64 MB leaves room for huge colocation grids
-#: while bounding a malicious or corrupt length prefix).
+#: Hard ceiling on HTTP bodies (a fig-scale RunSummary is ~100 KB;
+#: 64 MB leaves room for huge colocation grids while bounding a
+#: malicious or corrupt Content-Length).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: Request priority classes, highest first (the server drains
@@ -56,7 +51,7 @@ _REASONS = {
 
 
 class ProtocolError(Exception):
-    """Malformed HTTP or frame input (the connection is dropped)."""
+    """Malformed HTTP or run input (the server answers 400)."""
 
 
 @dataclass
@@ -200,53 +195,6 @@ def sse_event(kind, payload):
     """One SSE frame: ``event: <kind>`` + JSON ``data:`` line."""
     data = json.dumps(payload, sort_keys=True, default=str)
     return ("event: %s\ndata: %s\n\n" % (kind, data)).encode("utf-8")
-
-
-# ---------------------------------------------------------------------------
-# length-prefixed pickle frames (socket-worker protocol)
-# ---------------------------------------------------------------------------
-
-_LEN = struct.Struct("!I")
-
-
-def send_frame(sock, obj):
-    """Pickle ``obj`` and send it length-prefixed over ``sock``."""
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(payload) > MAX_BODY_BYTES:
-        raise ProtocolError("frame of %d bytes exceeds limit"
-                            % len(payload))
-    sock.sendall(_LEN.pack(len(payload)) + payload)
-
-
-def recv_frame(sock):
-    """Receive one frame; returns the unpickled object, or None on a
-    clean EOF at a frame boundary."""
-    header = _recv_exactly(sock, _LEN.size)
-    if header is None:
-        return None
-    (length,) = _LEN.unpack(header)
-    if length > MAX_BODY_BYTES:
-        raise ProtocolError("frame of %d bytes exceeds limit" % length)
-    payload = _recv_exactly(sock, length)
-    if payload is None:
-        raise ProtocolError("EOF inside frame")
-    try:
-        return pickle.loads(payload)
-    except (pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError, IndexError) as e:
-        raise ProtocolError("undecodable frame: %s" % e) from None
-
-
-def _recv_exactly(sock, n):
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            return None if remaining == n and not chunks else b""
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,9 @@ is good at:
 
 Endpoints: ``POST /runs`` (submit; body per
 :func:`repro.serve.proto.parse_run_payload`), ``GET /runs/<key>``
-(status / result), ``GET /events[?key=...]`` (SSE), ``GET /healthz``,
-``GET /metrics`` (Prometheus text).
+(status / result; 400 unless ``<key>`` passes
+:meth:`RunRequest.is_key`), ``GET /events[?key=...]`` (SSE), ``GET
+/healthz``, ``GET /metrics`` (Prometheus text).
 
 Threading model: the asyncio loop never simulates.  All engine work
 runs on a single dedicated thread (``_engine_pool``), which serializes
@@ -45,6 +46,7 @@ from repro.obs.stats import Group
 from repro.obs.telemetry import export_group_prometheus
 from repro.serve import proto
 from repro.serve.proto import ProtocolError
+from repro.sim.engine import RunRequest
 
 DEFAULT_PORT = 8421
 #: Dropped oldest-first beyond this many memoized responses.
@@ -426,6 +428,12 @@ class JobServer:
 
     async def _get_run(self, request, writer):
         key = request.path[len("/runs/"):]
+        if not RunRequest.is_key(key):
+            # Checked before the key names a memo entry or a cache
+            # path: "../x" must never reach RunCache.get's open().
+            writer.write(proto.error_response(
+                400, "malformed run key %r" % key[:80]))
+            return True
         fmt = request.query.get("format", "json")
         if fmt not in proto.FORMATS:
             writer.write(proto.error_response(

@@ -10,8 +10,8 @@ engine exploits exactly that:
   SPEC mixes and the isolation study key the same way);
 * :class:`RunEngine` fans a batch of requests out through an executor
   transport -- a local process pool (``--jobs N`` / ``$REPRO_JOBS``;
-  ``jobs=1`` is a plain in-process loop), socket workers or a job
-  server over HTTP -- deduplicating identical points first;
+  ``jobs=1`` is a plain in-process loop) or a job server over HTTP --
+  deduplicating identical points first;
 * a :class:`RunCache` memoizes finished points on disk, keyed by a
   content hash of the request *and* a fingerprint of the simulator's
   own source (git sha + per-file digests), so results survive across
@@ -44,6 +44,7 @@ import hashlib
 import json
 import os
 import pickle
+import re
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Tuple
@@ -234,6 +235,12 @@ class RunRequest:
                            "request": self.canonical()},
                           sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+    @staticmethod
+    def is_key(text):
+        """Whether ``text`` has the shape :meth:`key` produces (64
+        lowercase hex digits), so it is safe to use as a cache path."""
+        return re.fullmatch("[0-9a-f]{64}", text) is not None
 
 
 def fingerprint_files():
@@ -861,9 +868,9 @@ class RunEngine:
         #: Executor transport: where simulated points run.  None means
         #: in-process when ``jobs<=1`` and a per-batch
         #: :class:`LocalPoolTransport` otherwise.  An installed one
-        #: (a long-lived local pool, socket workers, a job server over
-        #: HTTP) takes every simulated point and is started and stopped
-        #: by its owner.  Contract: ``start()``, ``stop()``,
+        #: (a long-lived local pool, a job server over HTTP) takes
+        #: every simulated point and is started and stopped by its
+        #: owner.  Contract: ``start()``, ``stop()``,
         #: ``capacity()`` (advisory parallelism), ``describe()``, and
         #: ``submit(request, key)`` returning a Future of ``(summary,
         #: meta)`` with ``meta = {"worker": str, "exec_s": float}``.

@@ -32,6 +32,21 @@ def test_missmap_is_conservative_on_untracked_segments():
     assert not mm.predicts_miss(0)   # unknown now, not "miss"
 
 
+def test_missmap_retracked_segment_keeps_resident_blocks():
+    """A segment evicted from the MissMap and then tracked again must
+    not read its still-resident blocks as absent."""
+    mm = MissMap(segments=2)
+    mm.record_fill(64)        # segment 1
+    mm.record_fill(0)         # segment 0
+    mm.record_fill(128)       # segment 2 -> evicts segment 1
+    mm.record_fill(65)        # segment 1 again -> evicts segment 0
+    assert not mm.predicts_miss(64)  # still resident
+    assert mm.predicts_miss(66)      # never filled: known absent
+    mm.record_eviction(0)     # leaves the vault while untracked
+    mm.record_fill(1)         # segment 0 again
+    assert mm.predicts_miss(0)
+
+
 def test_missmap_segment_bits_independent():
     mm = MissMap(segments=8)
     mm.record_fill(0)

@@ -5,24 +5,26 @@ The contracts the serving layer must keep:
 * N concurrent identical submissions execute exactly one simulation
   (in-flight dedup + response memo), and every caller gets the same
   summary;
-* results served through any transport (socket workers, HTTP) are
+* results served through any transport (the local pool, HTTP) are
   bit-identical to the serial engine -- fig3 rows row-for-row, and
   ``--server`` against a real server process posts each distinct
   point once and records it like a local run;
-* a worker dying mid-job requeues the job (work stealing) and the
-  batch still completes; deterministic remote exceptions do not
-  retry;
 * backpressure: past the configured queue depth the server answers
   429 with Retry-After instead of queueing without bound; an oversized
   request head gets 400, not a dropped connection;
+* hostile input fails locally: a run key that is not a sha256 digest
+  gets 400 before it can name a cache path, and bad ``python -m
+  repro.serve`` settings are usage errors;
 * the wire layer round-trips RunRequests (canonical JSON) and
   summaries (pickle and JSON forms) losslessly.
 """
 
 import asyncio
 import concurrent.futures
+import dataclasses
 import json
 import os
+import pickle
 import select
 import socket as socket_mod
 import subprocess
@@ -37,20 +39,18 @@ from repro.core.systems import system_config
 from repro.experiments.cli import main as experiments_main
 from repro.experiments.sharing import fig3_breakdown
 from repro.obs.session import observe
+from repro.serve import __main__ as serve_cli
 from repro.serve import proto
 from repro.serve.client import HttpTransport, ServerClient, ServerError
 from repro.serve.server import JobServer
-from repro.serve.transport import (SocketWorkerTransport,
-                                   TransportError, transport_from_spec)
-from repro.serve.worker import run_socket_worker
-from repro.sim.engine import (LocalPoolTransport, RunEngine, RunRequest,
-                              code_fingerprint, use_engine)
+from repro.sim.engine import (LocalPoolTransport, RunCache, RunEngine,
+                              RunRequest, use_engine)
 from repro.sim.sampling import SamplingPlan
 from repro.workloads.scaleout import SCALEOUT_WORKLOADS
 
 PLAN = SamplingPlan(1500, 800)
 SCALE = 512
-FIG3_WORKLOADS = ("web_search", "data_serving")
+FIG3_WORKLOADS = tuple(SCALEOUT_WORKLOADS)
 
 #: to_dict fields that measure the host, not the simulation.
 WALL_FIELDS = ("warmup_wall_s", "measure_wall_s")
@@ -132,14 +132,33 @@ def test_parse_run_payload_rejects_malformed():
 
 
 def test_transport_from_spec():
-    assert transport_from_spec("") is None
-    assert transport_from_spec("none") is None
-    local = transport_from_spec("local:3")
-    assert isinstance(local, LocalPoolTransport) and local.jobs == 3
-    sock = transport_from_spec("socket:127.0.0.1:0")
-    assert isinstance(sock, SocketWorkerTransport)
-    with pytest.raises(ValueError):
-        transport_from_spec("carrier-pigeon:9")
+    assert serve_cli.transport_from_spec("") is None
+    assert serve_cli.transport_from_spec("none") is None
+    for spec, jobs in (("local", 2), ("local:1", 1), ("local:3", 3)):
+        local = serve_cli.transport_from_spec(spec)
+        assert isinstance(local, LocalPoolTransport) and local.jobs == jobs
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--transport", "local:x"),
+    ("--transport", "local:"),
+    ("--transport", "local:0"),
+    ("--transport", "local:-3"),
+    ("--transport", "bogus"),
+    ("--transport", "socket:127.0.0.1:0"),
+    ("--max-queue-depth", "0"),
+    ("--max-queue-depth", "-1"),
+    ("--max-queue-depth", "many"),
+])
+def test_serve_cli_refuses_bad_settings(flag, value, capsys, monkeypatch):
+    async def serve(_server, ready=None):
+        raise AssertionError("bad settings reached the server")
+
+    monkeypatch.setattr(serve_cli, "run_server", serve)
+    with pytest.raises(SystemExit) as exc:
+        serve_cli.main([flag, value, "--port", "0", "--no-cache"])
+    assert exc.value.code == 2
+    assert "usage: python -m repro.serve" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +195,7 @@ def test_concurrent_identical_posts_execute_once():
 
 
 # ---------------------------------------------------------------------------
-# socket-worker transport: fig3 over HTTP is bit-identical to serial
+# local-pool transport: fig3 over HTTP is bit-identical to serial
 # ---------------------------------------------------------------------------
 
 
@@ -186,27 +205,27 @@ def _fig3(engine):
                               workloads=list(FIG3_WORKLOADS))
 
 
-def _socket_transport(n_workers):
-    """A started SocketWorkerTransport with ``n_workers`` in-process
-    worker threads connected."""
-    transport = SocketWorkerTransport()
-    transport.start()
-    for i in range(n_workers):
-        threading.Thread(
-            target=run_socket_worker,
-            args=(transport.host, transport.port),
-            kwargs={"name": "w%d" % i, "reconnect": False},
-            daemon=True).start()
-    assert transport.wait_for_workers(n_workers)
-    return transport
+def _forked_pool(jobs):
+    """A started LocalPoolTransport whose workers already exist.
+
+    Under the fork start method the pool forks every worker at its
+    first submit, and each child inherits the sockets open at that
+    moment.  With the server and its client in this one process, a
+    fork mid-grid would keep the client's connections open in the
+    children and the server would never see them close."""
+    pool = LocalPoolTransport(jobs)
+    pool.start()
+    warm = dataclasses.replace(_point(), mode="estimate")
+    pool.submit(warm, "warm").result(timeout=60)
+    return pool
 
 
-def test_fig3_socket_workers_bit_identical_to_serial():
+def test_fig3_server_local_pool_bit_identical_to_serial():
     serial_rows = _fig3(RunEngine(jobs=1))
 
-    transport = _socket_transport(2)
+    pool = _forked_pool(2)
     try:
-        engine = RunEngine(jobs=1, transport=transport)
+        engine = RunEngine(jobs=1, transport=pool)
         with ServerThread(engine) as server:
             http = HttpTransport(server.url)
             remote = RunEngine(jobs=1, cache=None, transport=http)
@@ -214,21 +233,22 @@ def test_fig3_socket_workers_bit_identical_to_serial():
                 remote_rows = _fig3(remote)
             finally:
                 http.stop()
+            transport = server.health()["transport"]
         assert remote_rows == serial_rows   # row-for-row, no tolerance
-        assert engine.executed == len(FIG3_WORKLOADS)
-        assert transport.completed == len(FIG3_WORKLOADS)
-        assert "socket:" in engine.snapshot()["transport"]
+        assert engine.executed == len(FIG3_WORKLOADS) == 5
+        assert transport == "local-pool:2"
         assert remote.snapshot()["transport"].startswith("http:")
     finally:
-        transport.stop()
+        pool.stop()
 
 
 def test_worker_utilization_counts_transport_capacity():
-    # Two socket workers behind a jobs=1 engine: busy seconds are
+    # A two-process pool behind a jobs=1 engine: busy seconds are
     # divided by the transport's two workers, not by jobs.
-    transport = _socket_transport(2)
+    pool = LocalPoolTransport(2)
+    pool.start()
     try:
-        engine = RunEngine(jobs=1, transport=transport)
+        engine = RunEngine(jobs=1, transport=pool)
         engine.run([_point(seed=s) for s in range(1, 5)])
         assert engine.capacity() == 2
         snap = engine.snapshot()
@@ -236,72 +256,7 @@ def test_worker_utilization_counts_transport_capacity():
         assert snap["flight_recorder"]["worker_utilization"] \
             == snap["worker_utilization"]
     finally:
-        transport.stop()
-
-
-# ---------------------------------------------------------------------------
-# worker failure model
-# ---------------------------------------------------------------------------
-
-
-def _fake_worker_dies_mid_job(transport, got_job):
-    """Connect, say hello, accept one job, die without answering."""
-    sock = socket_mod.create_connection(transport.address, timeout=10)
-    proto.send_frame(sock, {"type": "hello", "worker": "flaky"})
-    frame = proto.recv_frame(sock)
-    assert frame["type"] == "job"
-    got_job.set()
-    sock.close()
-
-
-def test_worker_death_mid_job_requeues_and_completes():
-    serial = RunEngine(jobs=1).run([_point()])[0]
-
-    transport = SocketWorkerTransport()
-    transport.start()
-    try:
-        got_job = threading.Event()
-        flaky = threading.Thread(
-            target=_fake_worker_dies_mid_job,
-            args=(transport, got_job), daemon=True)
-        flaky.start()
-        assert transport.wait_for_workers(1)
-
-        req = _point()
-        fut = transport.submit(req, req.key(code_fingerprint()))
-        assert got_job.wait(10), "flaky worker never got the job"
-
-        # a healthy worker joins and steals the requeued job
-        healthy = threading.Thread(
-            target=run_socket_worker,
-            args=(transport.host, transport.port),
-            kwargs={"name": "healthy", "reconnect": False,
-                    "max_jobs": 1},
-            daemon=True)
-        healthy.start()
-        summary, meta = fut.result(timeout=120)
-        assert meta["worker"].startswith("healthy")
-        assert transport.requeues == 1
-        assert _strip_wall(summary.to_dict()) \
-            == _strip_wall(serial.to_dict())
-    finally:
-        transport.stop()
-
-
-def test_worker_death_past_retry_budget_fails_future():
-    transport = SocketWorkerTransport(max_attempts=1)
-    transport.start()
-    try:
-        got_job = threading.Event()
-        threading.Thread(target=_fake_worker_dies_mid_job,
-                         args=(transport, got_job),
-                         daemon=True).start()
-        assert transport.wait_for_workers(1)
-        fut = transport.submit(_point(), "k")
-        with pytest.raises(TransportError):
-            fut.result(timeout=30)
-    finally:
-        transport.stop()
+        pool.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +349,11 @@ def test_sse_stream_metrics_and_status():
         assert "silo_engine_executed 1" in metrics
 
         with pytest.raises(ServerError) as exc:
-            client.status("no-such-key")
+            client.status("0" * 64)
         assert exc.value.status == 404
+        with pytest.raises(ServerError) as exc:
+            client.status("no-such-key")
+        assert exc.value.status == 400
     assert any(e == "shutdown" for e, _p in events) or True
 
 
@@ -444,7 +402,6 @@ def test_oversized_request_head_gets_400():
 
 
 def test_get_run_falls_back_to_disk_cache(tmp_path):
-    from repro.sim.engine import RunCache
     req = _point()
     cache = RunCache(str(tmp_path))
     engine = RunEngine(jobs=1, cache=cache)
@@ -456,6 +413,36 @@ def test_get_run_falls_back_to_disk_cache(tmp_path):
         doc = client.status(key, fmt="pickle")
         assert doc["status"] == "complete"
         assert doc["summary"].request_key == key
+
+
+class _Planted:
+    """Unpickling this creates ``marker``: proof that a pickle ran."""
+
+    def __init__(self, marker):
+        self.marker = marker
+
+    def __reduce__(self):
+        return os.mkdir, (self.marker,)
+
+
+def test_get_run_refuses_traversal_key(tmp_path):
+    cache_dir = tmp_path / "srv" / "cache"
+    cache_dir.mkdir(parents=True)
+    # RunCache.path_for("../x/evil") is <cache>/../../x/evil.pkl.
+    (tmp_path / "x").mkdir()
+    marker = tmp_path / "unpickled"
+    with open(tmp_path / "x" / "evil.pkl", "wb") as f:
+        pickle.dump(_Planted(str(marker)), f)
+    engine = RunEngine(jobs=1, cache=RunCache(str(cache_dir)))
+    with ServerThread(engine) as server:
+        sock = socket_mod.create_connection((server.host, server.port),
+                                            timeout=10)
+        sock.sendall(b"GET /runs/../x/evil HTTP/1.1\r\n\r\n")
+        reply = sock.recv(65536)
+        sock.close()
+        assert reply.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
+        assert not marker.exists()
+        assert ServerClient(server.url).health()["ok"]
 
 
 # ---------------------------------------------------------------------------
