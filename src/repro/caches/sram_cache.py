@@ -35,7 +35,8 @@ class SetAssocCache:
 
     ``repro.sim.driver._drive`` probes ``_sets``, ``num_sets``,
     ``index_stride`` and ``_reorder`` directly to retire trivial L1
-    hits, repeating :meth:`lookup`'s hit path.
+    hits, repeating :meth:`lookup`'s hit path; ``SharedSystem`` in
+    ``repro.sim.system`` reads a NUCA bank's sets the same way on a miss.
     """
 
     __slots__ = ("size_bytes", "ways", "block_bytes", "num_sets",

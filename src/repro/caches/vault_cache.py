@@ -119,11 +119,6 @@ class VaultCache:
         return ecc.pack_entry(self.tags[set_index],
                               self.states[set_index])
 
-    def encoded_metadata(self, set_index):
-        """The SECDED codeword stored alongside the set's metadata."""
-        from repro.faults import ecc
-        return ecc.encode(self.metadata_word(set_index))
-
     def occupancy(self):
         """Number of valid sets, tracked incrementally -- the windowed
         telemetry heatmap samples this once per vault per window, so it

@@ -109,11 +109,6 @@ class DupTagDirectory:
         return ecc.pack_entry(vault.tags[set_index],
                               vault.states[set_index])
 
-    def encoded_entry(self, set_index, way):
-        """The SECDED codeword stored with one directory entry."""
-        from repro.faults import ecc
-        return ecc.encode(self.entry_word(set_index, way))
-
     def mark_corrupt(self, set_index, way):
         """Record that the physical bits of one directory way were
         corrupted.  ``check_consistent`` fails while any mark is

@@ -17,7 +17,9 @@ class SharerTable:
             raise ValueError("num_cores must be positive")
         self.num_cores = num_cores
         # block -> [sharers_mask, owner]; owner is the core holding the
-        # block in M/E, or NO_OWNER.
+        # block in M/E, or NO_OWNER.  SharedSystem._miss
+        # (repro.sim.system) reads and updates entries in place; an
+        # entry whose mask empties is deleted, as in remove_sharer.
         self._entries = {}
 
     def sharers(self, block):

@@ -32,6 +32,21 @@ def _sampling_arg(spec):
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
+def _int_at_least(low):
+    """argparse type for an integer flag that must be >= ``low``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "expected an integer, got %r" % text) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                "must be >= %d, got %d" % (low, value))
+        return value
+    return parse
+
+
 def main(argv=None):
     """Parse arguments, run the requested experiment, print its table
     (and optional chart/JSON/stats/trace/manifest); returns the process
@@ -48,10 +63,10 @@ def main(argv=None):
                              "'warmup:measure' event pair (default: "
                              "$REPRO_SAMPLING or 'standard')"
                              % "/".join(sorted(PRESETS)))
-    parser.add_argument("--scale", type=int, default=64,
+    parser.add_argument("--scale", type=_int_at_least(1), default=64,
                         help="capacity/footprint scale divisor "
                              "(default 64)")
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seed", type=_int_at_least(0), default=7)
     parser.add_argument("--chart", action="store_true",
                         help="render an ASCII chart after the table "
                              "(where the experiment has one)")

@@ -57,15 +57,13 @@ class Mesh2D:
     def round_trip(self, src, dst):
         """Request + response latency between two tiles, including the
         fixed network-interface overhead."""
-        return self.INJECTION_OVERHEAD + 2 * self.latency(src, dst)
+        h = self._hops[src][dst]
+        self.link_traversals += h
+        return self.INJECTION_OVERHEAD + 2 * (h * self.hop_latency)
 
     def nearest_memory_port(self, node):
         """Tile of the closest memory controller to ``node``."""
         return self._nearest[node]
-
-    def latency_to_memory(self, node):
-        """One-way latency from ``node`` to its nearest memory port."""
-        return self.latency(node, self.nearest_memory_port(node))
 
     def average_hops(self):
         """Mean hop count over all (src, dst) pairs, src != dst included

@@ -200,7 +200,7 @@ def render_report(report):
 
 def _wrap_attr(profiler, obj, attr, region):
     """Patch ``obj.<attr>`` with a timed closure; silently skip seams
-    an object cannot carry (``__slots__`` without the name)."""
+    an object lacks or cannot carry (``__slots__`` without the name)."""
     try:
         setattr(obj, attr, profiler.wrap(region, getattr(obj, attr)))
     except AttributeError:
@@ -212,24 +212,31 @@ def instrument(profiler, system):
 
     Region map (the Sec. 2f Amdahl rows): ``access`` is
     ``System.access`` (its exclusive time = L1 lookup plus per-event
-    bookkeeping), ``nuca``/``vault`` are the shared/private miss
-    paths, ``coherence`` covers upgrades, peer invalidations and MOESI
-    downgrades, ``directory`` the sharer-table/duplicate-tag lookups,
-    ``noc`` the mesh latency calls, ``memory`` main-memory access,
-    ``ecc`` the fault-recovery paths.  Trivial L1 hits that the drive
+    bookkeeping), ``nuca`` is ``SharedSystem._miss`` and ``vault`` is
+    ``VaultSystem._miss`` (the system's class picks one),
+    ``coherence`` covers upgrades, peer invalidations and MOESI
+    downgrades, ``directory`` is ``SharerTable.owner`` or
+    ``DupTagDirectory.holder_states``, ``noc`` the mesh calls
+    (``round_trip``, ``latency``), ``memory`` main-memory access,
+    ``ecc`` the fault-recovery paths.  The hop-table, bank-set,
+    sharer-entry and memory-channel reads that ``_miss`` makes
+    directly count as the miss path's own time.  Trivial L1 hits that the drive
     loop retires inline never call ``access``, so their time is the
     ``warmup``/``measure`` regions' exclusive time.  Only instance
     attributes are written; an uninstrumented System shares none of
     them.
     """
+    from repro.sim.system import SharedSystem
+
     _wrap_attr(profiler, system, "access", "access")
-    if system.sharer_table is not None:
-        _wrap_attr(profiler, system, "_miss_shared", "nuca")
+    if isinstance(system, SharedSystem):
+        _wrap_attr(profiler, system, "_miss", "nuca")
         _wrap_attr(profiler, system.sharer_table, "owner", "directory")
-    if system.directory is not None:
-        _wrap_attr(profiler, system, "_miss_private", "vault")
+    else:
+        _wrap_attr(profiler, system, "_miss", "vault")
         _wrap_attr(profiler, system.directory, "holder_states",
                    "directory")
+    # Each class has only its own organization's helpers of these.
     for name in ("_write_upgrade", "_invalidate_peer_l1s",
                  "_invalidate_peer_vaults", "_downgrade_supplier"):
         _wrap_attr(profiler, system, name, "coherence")

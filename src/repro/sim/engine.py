@@ -129,8 +129,14 @@ class RunRequest:
     def __post_init__(self):
         # A chunk below 1 would never advance the drive loop: reject it
         # here, where a posted request is rebuilt, so the server answers
-        # 400 instead of running a job that cannot finish.
+        # 400 instead of running a job that cannot finish.  The same
+        # goes for a seed the workload generator's numpy RNG refuses.
         check_chunk(self.chunk)
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, int) \
+                or seed < 0:
+            raise ValueError("seed must be an integer >= 0, got %r"
+                             % (seed,))
 
     @classmethod
     def point(cls, config, spec, plan, seed, core_ids=None,
@@ -196,11 +202,18 @@ class RunRequest:
         ``RunRequest.from_canonical(r.canonical()).key(f) == r.key(f)``
         for every fingerprint ``f`` (the round-trip property the serve
         tests pin).  Validation is the dataclasses' own
-        ``__post_init__`` checks; malformed payloads raise
-        ``ValueError``/``TypeError``/``KeyError`` for the server to
-        turn into a 400.
+        ``__post_init__`` checks, plus a refusal of any key
+        :meth:`canonical` does not write (a misspelled field would
+        otherwise be dropped and the request keyed without it);
+        malformed payloads raise ``ValueError``/``TypeError``/
+        ``KeyError`` for the server to turn into a 400.
         """
         from repro.workloads.base import CodeSpec, RegionSpec
+
+        unknown = data.keys() - cls.__dataclass_fields__.keys()
+        if unknown:
+            raise ValueError("unknown run request field(s): %s"
+                             % ", ".join(sorted(map(str, unknown))))
 
         def spec_from(d):
             return WorkloadSpec(

@@ -4,17 +4,24 @@
 reference: it walks the private hierarchy, the LLC (shared NUCA or the
 core's private DRAM vault), the coherence directory and main memory,
 updating cache and coherence state and returning the exposed latency in
-cycles.  Two organizations are implemented:
+cycles.  ``System(config, core_params)`` builds the class of
+``config.llc_kind``; the two organizations are:
 
-* **shared** -- the baseline's non-inclusive MESI with a sharer-table
-  directory and an S-NUCA LLC (optionally backed by a conventional
-  page-based DRAM cache), also used for Vaults-Sh and the 3-level
-  SRAM/eDRAM designs;
-* **private_vault** -- SILO: per-core direct-mapped inclusive DRAM
-  vaults kept coherent by MOESI with the duplicate-tag directory whose
-  metadata lives in the vaults (a directory lookup costs a DRAM access
-  at the block's home node unless the directory-cache optimization is
-  on).
+* :class:`SharedSystem` (``shared``) -- the baseline's non-inclusive
+  MESI with a sharer-table directory and an S-NUCA LLC (optionally
+  backed by a conventional page-based DRAM cache), also used for
+  Vaults-Sh and the 3-level SRAM/eDRAM designs;
+* :class:`VaultSystem` (``private_vault``) -- SILO: per-core
+  direct-mapped inclusive DRAM vaults kept coherent by MOESI with the
+  duplicate-tag directory whose metadata lives in the vaults (a
+  directory lookup costs a DRAM access at the block's home node unless
+  the directory-cache optimization is on).
+
+Each class has one flat miss path, ``_miss``: it reads bank sets, the
+mesh hop table, sharer-table entries and memory channels directly, and
+tests optional features on locals read once at its top (DESIGN.md Sec.
+2f).  Rare work -- ECC recovery, broadcast snoops, the DRAM-cache
+probe, L2 victims -- stays in helpers.
 """
 
 from repro import params as P
@@ -34,11 +41,23 @@ from repro.noc.mesh import Mesh2D
 from repro.obs.stats import Group
 from repro.obs.trace import (EV_COHERENCE, EV_DIRECTORY, EV_FAULT,
                              EV_INVALIDATE, EV_DOWNGRADE, EV_EVICTION)
-from repro.sim.config import LLC_SHARED, LLC_PRIVATE_VAULT
+from repro.sim.config import LLC_SHARED
+
+_NO_OWNER = SharerTable.NO_OWNER
 
 
 class System:
-    """One simulated machine (see module docstring)."""
+    """One simulated machine: ``System(config, core_params)`` returns
+    a :class:`SharedSystem` or a :class:`VaultSystem`.  This base holds
+    what both share (L1s, cores, mesh, memory, stats, observability,
+    :meth:`access`, the prefetch hook); each subclass supplies
+    ``_miss``, ``_write_upgrade`` and ``_drain``."""
+
+    def __new__(cls, config, core_params):
+        if cls is System:
+            cls = (SharedSystem if config.llc_kind == LLC_SHARED
+                   else VaultSystem)
+        return super().__new__(cls)
 
     def __init__(self, config, core_params):
         """``core_params`` is a list of CoreParams, one per core (they
@@ -311,12 +330,7 @@ class System:
                     c = self.cores[core]
                     c.ifetch_count[LEVEL_L1] += 1
                 return 0
-            if self.kind == LLC_SHARED:
-                lat, level = self._miss_shared(core, block, False, False,
-                                               now)
-            else:
-                lat, level = self._miss_private(core, block, False, False,
-                                                now)
+            lat, level = self._miss(core, block, False, False, now)
             l1.insert(block, SHARED)  # code is read-only: no victim care
             if self.measuring:
                 self.cores[core].record_ifetch(level, lat)
@@ -326,6 +340,12 @@ class System:
         st = l1.lookup(block)
         if st is not None:
             if is_write and st != MODIFIED:
+                # A store hit a line in S/E/O: gain write permission.
+                # The store latency is hidden by the store buffer.
+                tracer = self.tracer
+                if tracer is not None:
+                    tracer.emit(EV_COHERENCE, now, core, block,
+                                "upgrade:%d->M" % st)
                 self._write_upgrade(core, block, st)
             if self.measuring:
                 c = self.cores[core]
@@ -334,12 +354,7 @@ class System:
                 self._maybe_prefetch(core, block)
             return 0
 
-        if self.kind == LLC_SHARED:
-            lat, level = self._miss_shared(core, block, is_write, True,
-                                           now)
-        else:
-            lat, level = self._miss_private(core, block, is_write, True,
-                                            now)
+        lat, level = self._miss(core, block, is_write, True, now)
         if self.measuring:
             lo, hi = self.rw_shared_range
             self.cores[core].record_data(level, lat,
@@ -358,10 +373,7 @@ class System:
         measuring = self.measuring
         self.measuring = False
         try:
-            if self.kind == LLC_SHARED:
-                self._miss_shared(core, candidate, False, True, self.now)
-            else:
-                self._miss_private(core, candidate, False, True, self.now)
+            self._miss(core, candidate, False, True, self.now)
         finally:
             self.measuring = measuring
         # Like every other statistic, prefetch fills only count inside
@@ -370,57 +382,267 @@ class System:
         if measuring:
             self.prefetch_fills += 1
 
+    def _apply_vault_event(self, target, action):
+        """Apply a scheduled whole-vault (or shared-bank) offline /
+        online transition from the fault plan."""
+        faults = self.faults
+        if not 0 <= target < self.num_cores:
+            raise ValueError("vault event targets %r; system has %d "
+                             "vaults/banks" % (target, self.num_cores))
+        if action == "offline":
+            if faults.offline[target]:
+                return
+            self._drain(target)
+            faults.set_offline(target, True)
+            faults.offline_events += 1
+        else:
+            if not faults.offline[target]:
+                return
+            self._rejoin(target)
+            faults.set_offline(target, False)
+            faults.online_events += 1
+        if self.tracer is not None:
+            self.tracer.emit(EV_FAULT, self.now, target, -1,
+                             "vault_" + action)
+
+    def _rejoin(self, target):
+        """Prepare an offline vault/bank to come back online (nothing
+        to do for a shared bank: it simply starts filling again)."""
+
     # ------------------------------------------------------------------
-    # write upgrades (store hits on non-M lines)
+    # statistics helpers
     # ------------------------------------------------------------------
+
+    def reset_stats(self):
+        """Zero all measurement state (after warmup).
+
+        Delegates to the stats registry, which owns the complete list
+        of resettable statistics -- including ones the pre-registry
+        code forgot (replica hits, prefetch fills, directory-cache and
+        missmap counters).  Architectural state (cache contents,
+        predictor tables) is never touched."""
+        self.stats.reset()
+
+    def occupancy_by_bank(self):
+        """Per-bank occupancy fractions (resident blocks over capacity)
+        of the LLC level: one entry per NUCA bank (shared) or per vault
+        cache (private) -- the telemetry heatmap series
+        (repro.obs.telemetry)."""
+        banks = self.llc.banks if self.llc is not None else self.vaults
+        return [bank.occupancy() / bank.capacity_blocks
+                for bank in banks]
+
+    def sharing_breakdown(self):
+        """Fig. 3 classification of LLC accesses: (reads,
+        writes_nosharing, writes_rwsharing).  Requires
+        ``track_sharing``."""
+        rw_writes = 0
+        total_writes = 0
+        for block, count in self.llc_writes_by_block.items():
+            total_writes += count
+            writers = self.block_writers.get(block, 0)
+            readers = self.block_readers.get(block, 0)
+            if writers and (readers & ~writers):
+                rw_writes += count
+        return (self.llc_reads, total_writes - rw_writes, rw_writes)
+
+
+class SharedSystem(System):
+    """Shared S-NUCA LLC with a sharer-table directory over the L1s
+    (non-inclusive MESI): Baseline, Baseline+DRAM$, Baseline+VR,
+    Vaults-Sh and the 3-level SRAM/eDRAM designs."""
+
+    def _miss(self, core, block, is_write, is_data, now):
+        """L1 miss: private L2 (if any), a victim replica in the local
+        bank, the home bank (or a peer L1 holding the line dirty), the
+        conventional DRAM cache (if any), memory.  Returns (latency,
+        level)."""
+        faults = self.faults
+        l2s = self.l2
+        llc = self.llc
+        banks = llc.banks
+        nbanks = llc.num_banks
+        mesh = self.mesh
+        if l2s is not None and l2s[core].lookup(block) is not None:
+            lat = self.l2_latency
+            level = LEVEL_L2
+        elif (is_data and self.victim_replication
+              and block % nbanks != core
+              and banks[core].lookup(block) is not None):
+            # Replica hit in the local bank: no mesh traversal.  (A
+            # write drops every replica in the L1 fill below.)
+            self.llc_accesses += 1
+            self.replica_hits += 1
+            lat = mesh.INJECTION_OVERHEAD + llc.bank_latency
+            level = LEVEL_LLC_LOCAL
+        else:
+            bank = block % nbanks
+            bank_offline = faults is not None and faults.offline[bank]
+            lat = mesh.round_trip(core, bank)
+            if bank_offline:
+                # The bank's controller forwards the request off-chip
+                # without touching the (drained) data array.
+                faults.remapped_accesses += 1
+            else:
+                lat += llc.bank_latency
+                self.llc_accesses += 1
+            if self.track_sharing and is_data:
+                if is_write:
+                    self.llc_demand_writes += 1
+                    self.block_writers[block] = (
+                        self.block_writers.get(block, 0) | (1 << core))
+                    self.llc_writes_by_block[block] = (
+                        self.llc_writes_by_block.get(block, 0) + 1)
+                else:
+                    self.llc_reads += 1
+                    self.block_readers[block] = (
+                        self.block_readers.get(block, 0) | (1 << core))
+
+            hops = mesh._hops
+            hop_lat = mesh.hop_latency
+            level = LEVEL_LLC_LOCAL
+            served = False
+            if is_data:
+                # A peer L1 may hold the line dirty (non-inclusive MESI).
+                owner = self.sharer_table.owner(block)
+                if owner != _NO_OWNER and owner != core:
+                    peer = self.l1d[owner]
+                    owner_state = peer.lookup(block, touch=False)
+                    if owner_state is not None:
+                        # Forward from the peer; dirty data is also
+                        # written back to the LLC (MESI downgrade M->S).
+                        h1 = hops[bank][owner]
+                        h2 = hops[owner][core]
+                        mesh.link_traversals += h1 + h2
+                        lat += (h1 * hop_lat + self.l1_latency
+                                + h2 * hop_lat)
+                        self.remote_forwards += 1
+                        if owner_state == MODIFIED:
+                            self._insert_llc(owner, block, dirty=True)
+                        peer.update(block, SHARED)
+                        self.sharer_table._entries[block][1] = _NO_OWNER
+                        level = LEVEL_LLC_REMOTE
+                        served = True
+
+            if not served:
+                st = None
+                if not bank_offline:
+                    home = banks[bank]
+                    entries = home._sets[(block // nbanks)
+                                         % home.num_sets]
+                    st = entries.get(block)
+                    if st is not None and home._reorder:
+                        del entries[block]
+                        entries[block] = st
+                if st is not None and faults is not None:
+                    if self._shared_llc_fault(bank, block, st):
+                        st = None  # uncorrectable: line gone, miss
+                if st is None:
+                    # Off-chip, through the core's nearest memory port.
+                    port = mesh._nearest[core]
+                    h = hops[core][port]
+                    mesh.link_traversals += h
+                    noc = 2 * (h * hop_lat)
+                    queue = None
+                    if self.dram_cache is not None:
+                        queue = self._probe_dram_cache(block)
+                    if queue is not None:
+                        lat += noc + self.dram_cache_latency + queue
+                        level = LEVEL_DRAM_CACHE
+                    else:
+                        mem = self.memory
+                        mem.reads += 1
+                        mlat = mem.latency
+                        if mem.model_queueing:
+                            mlat += mem.controllers[
+                                (block >> 3) % mem.num_channels].access(
+                                    block, now)
+                        lat += noc + mlat
+                        level = LEVEL_MEMORY
+                    self._insert_llc(core, block, dirty=False)
+
+            if l2s is not None:
+                l2victim = l2s[core].insert(block, SHARED)
+                if l2victim is not None:
+                    self._handle_l2_victim(core, l2victim)
+
+        if not is_data:
+            return lat, level  # the ifetch path fills L1-I in access
+        # L1-D fill with MESI state, recorded in the sharer table.
+        sharers = self.sharer_table._entries
+        bit = 1 << core
+        if is_write:
+            self._invalidate_peer_l1s(core, block)
+        entry = sharers.get(block)
+        if is_write or entry is None or not entry[0] & ~bit:
+            # the sole copy: the core becomes the M/E owner
+            state = MODIFIED if is_write else EXCLUSIVE
+            if entry is None:
+                sharers[block] = [bit, core]
+            else:
+                entry[0] |= bit
+                entry[1] = core
+        else:
+            state = SHARED
+            entry[0] |= bit
+        victim = self.l1d[core].insert(block, state)
+        if victim is not None:
+            vb, vst = victim
+            entry = sharers.get(vb)
+            if entry is not None:
+                entry[0] &= ~bit
+                if entry[1] == core:
+                    entry[1] = _NO_OWNER
+                if not entry[0]:
+                    del sharers[vb]
+            if vst == MODIFIED or vst == OWNED:
+                self.l1_writebacks += 1
+                if l2s is not None:
+                    l2s[core].insert(vb, MODIFIED)
+                    # (victim of this insert handled lazily on next use)
+                else:
+                    self._insert_llc(core, vb, dirty=True)
+            elif (self.victim_replication and vb % nbanks != core
+                  and not (faults is not None and faults.offline[core])):
+                # clean victim: keep a low-priority replica in the
+                # local bank (LRU position: replicas earn retention by
+                # being re-referenced, they never displace hot blocks
+                # on arrival)
+                banks[core].insert_cold(vb, False)
+                self.llc_accesses += 1
+        return lat, level
+
+    def _probe_dram_cache(self, block):
+        """LLC miss with a conventional DRAM cache: returns a hit's
+        queueing delay, or None on a miss (perfect miss prediction, so
+        no wasted probe: the page fills from memory in the
+        background)."""
+        self.dram_cache_accesses += 1
+        if self.dram_cache.lookup_block(block):
+            ctrl = self.dram_cache_ctrl[(block >> 3) % 8]
+            return ctrl.access(block, self.now)
+        victim = self.dram_cache.fill(block)
+        if victim is not None and victim[1]:
+            self.memory.access(block, self.now, is_write=True)
+        return None
 
     def _write_upgrade(self, core, block, l1_state):
-        """A store hit an L1 line in S/E/O: gain write permission.
-        State changes happen; the store latency itself is hidden by the
-        store buffer (no stall charged)."""
-        if self.tracer is not None:
-            self.tracer.emit(EV_COHERENCE, self.now, core, block,
-                             "upgrade:%d->M" % l1_state)
-        if self.kind == LLC_SHARED:
-            if l1_state != EXCLUSIVE:
-                self._invalidate_peer_l1s(core, block)
-            self.l1d[core].update(block, MODIFIED)
-            self.sharer_table.add_sharer(block, core, exclusive=True)
-        else:
-            if self.faults is not None and self.faults.offline[core]:
-                # Degraded mode (vault offline): no M state without a
-                # vault to track it -- invalidate peers and write
-                # through to memory, keeping the L1 copy Shared.
-                self._invalidate_peer_vaults(core, block)
-                self.memory.access(block, self.now, is_write=True)
-                self.faults.write_throughs += 1
-                return
-            # While any vault is offline, its core may hold Shared
-            # copies the directory cannot see, so even a silent E->M
-            # upgrade must sweep peers.
-            if l1_state != EXCLUSIVE or (
-                    self.faults is not None and self.faults.has_offline):
-                self._invalidate_peer_vaults(core, block)
-            self.l1d[core].update(block, MODIFIED)
-            vault = self.vaults[core]
-            if vault.contains(block):
-                vault.update(block, MODIFIED)
-            if self.l2 is not None and self.l2[core].contains(block):
-                self.l2[core].update(block, MODIFIED)
-
-    def _invalidate_replicas(self, block):
-        """Victim replication: drop every replica of a written block
-        (the home-bank copy is the authoritative one)."""
-        home = self.llc.bank_of(block)
-        for b, bank in enumerate(self.llc.banks):
-            if b != home:
-                bank.invalidate(block)
+        """A store hit an L1 line in S/E: invalidate peer copies and
+        take the line to M."""
+        if l1_state != EXCLUSIVE:
+            self._invalidate_peer_l1s(core, block)
+        self.l1d[core].update(block, MODIFIED)
+        self.sharer_table.add_sharer(block, core, exclusive=True)
 
     def _invalidate_peer_l1s(self, core, block):
-        """Shared org: invalidate every other core's L1 copy.  Under
-        victim replication, stale bank replicas die with them."""
+        """Invalidate every other core's L1 copy.  Under victim
+        replication, stale bank replicas die with them (the home-bank
+        copy is the authoritative one)."""
         if self.victim_replication:
-            self._invalidate_replicas(block)
+            home = block % self.llc.num_banks
+            for b, bank in enumerate(self.llc.banks):
+                if b != home:
+                    bank.invalidate(block)
         table = self.sharer_table
         mask = table.sharers(block) & ~(1 << core)
         if not mask:
@@ -441,152 +663,14 @@ class System:
                     self.tracer.emit(EV_INVALIDATE, self.now, s, block,
                                      "peer_l1")
 
-    def _invalidate_peer_vaults(self, core, block):
-        """SILO: invalidate the block in every other core's vault (and
-        its L1/L2 by inclusion).  Dirty remote copies would be supplied
-        to the writer, not written back, under MOESI."""
-        s = block % self.vaults[0].num_sets
-        for c, vault in enumerate(self.vaults):
-            if c == core or vault.tags[s] != block:
-                continue
-            vault.invalidate(block)
-            if self.missmaps is not None:
-                self.missmaps[c].record_eviction(block)
-            self.l1d[c].invalidate(block)
-            self.l1i[c].invalidate(block)
-            if self.l2 is not None:
-                self.l2[c].invalidate(block)
-            self.invalidations += 1
-            if self.tracer is not None:
-                self.tracer.emit(EV_INVALIDATE, self.now, c, block,
-                                 "peer_vault")
-        if self.faults is not None and self.faults.has_offline:
-            # Cores with an offline vault hold directory-invisible
-            # Shared copies; a write must invalidate those too.
-            self._invalidate_offline_l1s(core, block)
-
-    # ------------------------------------------------------------------
-    # shared-LLC (baseline / Vaults-Sh / 3-level SRAM & eDRAM) path
-    # ------------------------------------------------------------------
-
-    def _miss_shared(self, core, block, is_write, is_data, now):
-        """L1 miss in a shared-LLC system.  Returns (latency, level)."""
-        # Private L2 (3-level hierarchies)
-        if self.l2 is not None:
-            l2 = self.l2[core]
-            st = l2.lookup(block)
-            if st is not None:
-                lat = self.l2_latency
-                self._fill_l1_shared(core, block, is_write, is_data,
-                                     from_state=st)
-                return lat, LEVEL_L2
-
-        if self.victim_replication and is_data:
-            home_bank = self.llc.bank_of(block)
-            if home_bank != core:
-                local = self.llc.banks[core]
-                if local.lookup(block) is not None:
-                    # replica hit in the local bank: no mesh traversal
-                    self.llc_accesses += 1
-                    self.replica_hits += 1
-                    lat = (self.mesh.INJECTION_OVERHEAD
-                           + self.llc.bank_latency)
-                    self._fill_l1_shared(core, block, is_write, True,
-                                         from_state=None)
-                    if is_write:
-                        self._invalidate_replicas(block)
-                    return lat, LEVEL_LLC_LOCAL
-
-        bank = self.llc.bank_of(block)
-        bank_offline = (self.faults is not None
-                        and self.faults.offline[bank])
-        lat = self.mesh.round_trip(core, bank)
-        if bank_offline:
-            # The bank's controller forwards the request off-chip
-            # without touching the (drained) data array.
-            self.faults.remapped_accesses += 1
-        else:
-            lat += self.llc.bank_latency
-            self.llc_accesses += 1
-        if self.track_sharing and is_data:
-            if is_write:
-                self.llc_demand_writes += 1
-                self.block_writers[block] = (
-                    self.block_writers.get(block, 0) | (1 << core))
-                self.llc_writes_by_block[block] = (
-                    self.llc_writes_by_block.get(block, 0) + 1)
-            else:
-                self.llc_reads += 1
-                self.block_readers[block] = (
-                    self.block_readers.get(block, 0) | (1 << core))
-
-        level = LEVEL_LLC_LOCAL
-        served = False
-        if is_data:
-            # A peer L1 may hold the line dirty (non-inclusive MESI).
-            owner = self.sharer_table.owner(block)
-            if owner != SharerTable.NO_OWNER and owner != core:
-                owner_state = self.l1d[owner].lookup(block, touch=False)
-                if owner_state is not None:
-                    # Forward from the peer; dirty data is also written
-                    # back to the LLC (MESI downgrade M->S).
-                    lat += (self.mesh.latency(bank, owner)
-                            + self.l1_latency
-                            + self.mesh.latency(owner, core))
-                    self.remote_forwards += 1
-                    if owner_state == MODIFIED:
-                        self._insert_llc(owner, block, dirty=True)
-                    self.l1d[owner].update(block, SHARED)
-                    self.sharer_table.clear_owner(block)
-                    level = LEVEL_LLC_REMOTE
-                    served = True
-
-        if not served:
-            st = None if bank_offline else self.llc.lookup(block)
-            if st is not None and self.faults is not None:
-                if self._shared_llc_fault(bank, block, st):
-                    st = None  # uncorrectable: line gone, miss instead
-            if st is not None:
-                served = True
-            else:
-                lat2, level = self._off_chip_shared(core, block, is_write,
-                                                    now)
-                lat += lat2
-                self._insert_llc(core, block, dirty=False)
-
-        if self.l2 is not None:
-            l2victim = self.l2[core].insert(block, SHARED)
-            if l2victim is not None:
-                self._handle_l2_victim(core, l2victim)
-        self._fill_l1_shared(core, block, is_write, is_data,
-                             from_state=None)
-        return lat, level
-
-    def _off_chip_shared(self, core, block, is_write, now):
-        """LLC miss: conventional DRAM cache (if any), then memory."""
-        port = self.mesh.nearest_memory_port(core)
-        noc = 2 * self.mesh.latency(core, port)
-        if self.dram_cache is not None:
-            self.dram_cache_accesses += 1
-            if self.dram_cache.lookup_block(block):
-                ctrl = self.dram_cache_ctrl[(block >> 3) % 8]
-                queue = ctrl.access(block, self.now)
-                return (noc + self.dram_cache_latency + queue,
-                        LEVEL_DRAM_CACHE)
-            # Perfect miss prediction: no wasted DRAM$ probe.  Fill the
-            # page from memory in the background.
-            victim = self.dram_cache.fill(block)
-            if victim is not None and victim[1]:
-                self.memory.access(block, self.now, is_write=True)
-        return (noc + self.memory.access(block, now), LEVEL_MEMORY)
-
     def _insert_llc(self, core, block, dirty):
-        """Allocate a block in the shared LLC; handles dirty victims."""
-        if (self.faults is not None
-                and self.faults.offline[self.llc.bank_of(block)]):
+        """Allocate a block in its home bank; handles dirty victims."""
+        faults = self.faults
+        bank_id = block % self.llc.num_banks
+        if faults is not None and faults.offline[bank_id]:
             # Home bank offline: nothing to allocate into; dirty data
             # goes straight to memory instead.
-            self.faults.remapped_accesses += 1
+            faults.remapped_accesses += 1
             if dirty:
                 self.memory.access(block, self.now, is_write=True)
             return
@@ -596,12 +680,13 @@ class System:
                 self.block_writers.get(block, 0) | (1 << core))
             self.llc_writes_by_block[block] = (
                 self.llc_writes_by_block.get(block, 0) + 1)
-        existing = self.llc.lookup(block, touch=False)
-        if existing is not None:
+        bank = self.llc.banks[bank_id]
+        entries = bank._sets[(block // bank.index_stride) % bank.num_sets]
+        if block in entries:
             if dirty:
-                self.llc.update(block, True)
+                entries[block] = True
             return
-        victim = self.llc.insert(block, dirty)
+        victim = bank.insert(block, dirty)
         if victim is not None and victim[1]:
             self.llc_writebacks += 1
             vb = victim[0]
@@ -629,322 +714,263 @@ class System:
         if is_dirty(vst):
             self._insert_llc(core, vb, dirty=True)
 
-    def _fill_l1_shared(self, core, block, is_write, is_data, from_state):
-        """Fill the L1 after a shared-org miss, with MESI state."""
-        if not is_data:
-            return  # the ifetch path fills L1-I at the call site
-        table = self.sharer_table
-        if is_write:
-            self._invalidate_peer_l1s(core, block)
-            state = MODIFIED
-            table.add_sharer(block, core, exclusive=True)
-        else:
-            others = table.sharers(block) & ~(1 << core)
-            state = EXCLUSIVE if others == 0 else SHARED
-            table.add_sharer(block, core, exclusive=others == 0)
-        victim = self.l1d[core].insert(block, state)
-        if victim is not None:
-            vb, vst = victim
-            table.remove_sharer(vb, core)
-            if is_dirty(vst):
-                self.l1_writebacks += 1
-                if self.l2 is not None:
-                    self.l2[core].insert(vb, MODIFIED)
-                    # (victim of this insert handled lazily on next use)
-                else:
-                    self._insert_llc(core, vb, dirty=True)
-            elif (self.victim_replication
-                  and self.llc.bank_of(vb) != core
-                  and not (self.faults is not None
-                           and self.faults.offline[core])):
-                # clean victim: keep a low-priority replica in the
-                # local bank (LRU position: replicas earn retention by
-                # being re-referenced, they never displace hot blocks
-                # on arrival)
-                self.llc.banks[core].insert_cold(vb, False)
-                self.llc_accesses += 1
-
-    # ------------------------------------------------------------------
-    # SILO (private vault) path
-    # ------------------------------------------------------------------
-
-    def _miss_private(self, core, block, is_write, is_data, now):
-        """L1 miss in SILO.  Returns (latency, level)."""
+    def _shared_llc_fault(self, bank, block, dirty):
+        """Data-array fault draw on a shared-LLC bank hit.  Returns
+        True when the line was lost to an uncorrectable error (the
+        caller falls through to the off-chip path and refills clean).
+        """
         faults = self.faults
-        if faults is None and self.l2 is None and self.tracer is None:
-            # The shape every headline run takes (no fault injector, no
-            # L2 level, no event tracer): a flattened replica of the
-            # path below with the per-feature branches removed and the
-            # single-use helpers inlined.  Misses are where suite time
-            # goes (DESIGN.md Sec. 2f), and the call fan-out here was
-            # the largest single cost on miss-bound workloads.  Every
-            # operation runs in the original order, so results are
-            # bit-identical; the differential pin suite holds both
-            # paths together.
-            return self._miss_private_plain(core, block, is_write,
-                                            is_data, now)
-        if self.l2 is not None:
-            l2 = self.l2[core]
-            st = l2.lookup(block)
-            if st is not None:
-                if is_write and st != MODIFIED:
-                    if faults is not None and faults.offline[core]:
-                        # degraded mode: stores write through, the
-                        # on-chip copies stay Shared (no vault to
-                        # anchor an M line)
-                        self._invalidate_peer_vaults(core, block)
-                        self.memory.access(block, self.now,
-                                           is_write=True)
-                        faults.write_throughs += 1
-                    else:
-                        # treat as an upgrade through the normal
-                        # machinery (sweep peers on E->M too while any
-                        # vault is offline: see _write_upgrade)
-                        if st != EXCLUSIVE or (faults is not None
-                                               and faults.has_offline):
-                            self._invalidate_peer_vaults(core, block)
-                        l2.update(block, MODIFIED)
-                        vault = self.vaults[core]
-                        if vault.contains(block):
-                            vault.update(block, MODIFIED)
-                        st = MODIFIED
-                self._fill_l1_private(core, block, is_write, is_data, st)
-                return self.l2_latency, LEVEL_L2
-
-        offline = faults is not None and faults.offline[core]
-        vault = self.vaults[core]
-        if not offline:
-            vst = vault.lookup(block)
-            if vst is not None:
-                # Local vault hit: one TAD access resolves tag + data.
-                lat = self.llc_latency
-                self.llc_accesses += 1
-                if faults is not None:
-                    vst, fault_lat = self._vault_hit_faults(core, block,
-                                                            vst)
-                    lat += fault_lat
-                if is_write and vst != MODIFIED:
-                    if vst != EXCLUSIVE or (faults is not None
-                                            and faults.has_offline):
-                        self._invalidate_peer_vaults(core, block)
-                    vault.update(block, MODIFIED)
-                    vst = MODIFIED
-                self._fill_private_levels(core, block, is_write, is_data,
-                                          vst)
-                return lat, LEVEL_LLC_LOCAL
-
-        # Local vault miss (or the vault is offline and is bypassed).
-        if offline:
-            faults.remapped_accesses += 1
-            probe_skipped = True
-        elif self.local_mp == "ideal":
-            probe_skipped = True
-        elif self.missmaps is not None:
-            probe_skipped = self.missmaps[core].predicts_miss(block)
-        else:
-            probe_skipped = False
-        lat = 0 if probe_skipped else self.llc_latency
-        if not probe_skipped:
-            self.llc_accesses += 1  # the probe that discovered the miss
-        home = block % self.num_cores
-        lat += self.mesh.latency(core, home)
-        self.directory_lookups += 1
+        ok = faults.data_fault(bank, block)
+        if ok is not False:
+            return False
+        if dirty:
+            faults.data_loss_events += 1
+        faults.refetches += 1
+        self.llc.invalidate(block)
         if self.tracer is not None:
-            self.tracer.emit(EV_DIRECTORY, self.now, home, block,
-                             "write" if is_write else "read")
-        home_offline = faults is not None and faults.offline[home]
-        if home_offline:
-            # The home vault physically stores this block's directory
-            # set; with it offline, the home node falls back to
-            # broadcast-snooping every online vault's tag array.
-            lat += self._broadcast_snoop(home)
-        elif self.dir_cache == "ideal":
-            pass  # metadata always in SRAM, zero cost
-        elif self.sram_dir_cache is not None:
-            dir_set = block % self.vaults[0].num_sets
-            if not self.sram_dir_cache.lookup(home, dir_set):
-                lat += self.dir_latency
-                self.llc_accesses += 1
-        else:
-            lat += self.dir_latency  # directory metadata is in DRAM
-            self.llc_accesses += 1
-        if faults is not None and not home_offline:
-            lat += self._directory_faults(home, block)
+            self.tracer.emit(
+                EV_FAULT, self.now, bank, block,
+                "data_uncorrectable:%s" % (
+                    "data_loss" if dirty else "refetch"))
+        return True
 
-        holders = self.directory.holder_states(block)
-        new_state = MODIFIED if is_write else EXCLUSIVE
-        if holders:
-            if is_write:
-                self._invalidate_peer_vaults(core, block)
-                # data supplied by the (former) owner before invalidation
-                supplier = holders[0][0]
-                lat += (self.mesh.latency(home, supplier)
-                        + self.llc_latency
-                        + self.mesh.latency(supplier, core))
-                self.llc_accesses += 1
-                self.remote_forwards += 1
-                level = LEVEL_LLC_REMOTE
-            else:
-                supplier, sup_state = max(
-                    holders, key=lambda cs: cs[1])  # prefer M > O > E > S
-                lat += (self.mesh.latency(home, supplier)
-                        + self.llc_latency
-                        + self.mesh.latency(supplier, core))
-                self.llc_accesses += 1
-                self.remote_forwards += 1
-                self._downgrade_supplier(supplier, block, sup_state)
-                new_state = SHARED
-                level = LEVEL_LLC_REMOTE
-        else:
-            port = self.mesh.nearest_memory_port(home)
-            lat += (self.mesh.latency(home, port)
-                    + self.memory.access(block, now)
-                    + self.mesh.latency(port, core))
-            level = LEVEL_MEMORY
-            if is_write and faults is not None and faults.has_offline:
-                # no holders, so _invalidate_peer_vaults did not run;
-                # directory-invisible offline copies still need killing
-                self._invalidate_offline_l1s(core, block)
-
-        if offline:
-            # No vault to fill: the line lives in L1/L2 only, kept
-            # Shared; stores write through so memory stays current.
-            self._fill_private_levels(core, block, is_write, is_data,
-                                      SHARED)
-            if is_write:
-                self.memory.access(block, self.now, is_write=True)
-                faults.write_throughs += 1
-            return lat, level
-        self._fill_vault(core, block, new_state)
-        self._fill_private_levels(core, block, is_write, is_data,
-                                  new_state)
-        return lat, level
-
-    def _miss_private_plain(self, core, block, is_write, is_data, now):
-        """Flattened ``_miss_private`` for the common shape (no fault
-        injector, no L2, no tracer): identical operations in identical
-        order with the single-use helpers (``_fill_vault``,
-        ``_fill_private_levels``, ``_fill_l1_private``, the mesh/memory
-        frontends) inlined.  Keep the two bodies in lockstep -- the
-        drive-loop pin (tests/test_engine.py) runs both."""
-        vault = self.vaults[core]
-        s = block % vault.num_sets
-        if vault.tags[s] == block:
-            # Local vault hit: one TAD access resolves tag + data.
-            vst = vault.states[s]
-            self.llc_accesses += 1
-            if is_write and vst != MODIFIED:
-                if vst != EXCLUSIVE:
-                    self._invalidate_peer_vaults(core, block)
-                vault.update(block, MODIFIED)
-                vst = MODIFIED
-            if is_data:
-                victim = self.l1d[core].insert(
-                    block, MODIFIED if is_write else vst)
-                if victim is not None:
-                    vb, vstate = victim
-                    if is_dirty(vstate):
-                        self.l1_writebacks += 1
-                        if vault.tags[vb % vault.num_sets] == vb:
-                            self.llc_accesses += 1
-            return self.llc_latency, LEVEL_LLC_LOCAL
-
-        # Local vault miss.
-        if self.local_mp == "ideal":
-            probe_skipped = True
-        elif self.missmaps is not None:
-            probe_skipped = self.missmaps[core].predicts_miss(block)
-        else:
-            probe_skipped = False
-        if probe_skipped:
-            lat = 0
-        else:
-            lat = self.llc_latency
-            self.llc_accesses += 1  # the probe that discovered the miss
-        mesh = self.mesh
-        hops_tbl = mesh._hops
-        hop_lat = mesh.hop_latency
-        home = block % self.num_cores
-        h = hops_tbl[core][home]
-        mesh.link_traversals += h
-        lat += h * hop_lat
-        self.directory_lookups += 1
-        if self.dir_cache == "ideal":
-            pass  # metadata always in SRAM, zero cost
-        elif self.sram_dir_cache is not None:
-            dir_set = block % self.vaults[0].num_sets
-            if not self.sram_dir_cache.lookup(home, dir_set):
-                lat += self.dir_latency
-                self.llc_accesses += 1
-        else:
-            lat += self.dir_latency  # directory metadata is in DRAM
-            self.llc_accesses += 1
-
-        holders = self.directory.holder_states(block)
-        new_state = MODIFIED if is_write else EXCLUSIVE
-        if holders:
-            if is_write:
-                self._invalidate_peer_vaults(core, block)
-                # data supplied by the (former) owner before invalidation
-                supplier = holders[0][0]
-                lat += (mesh.latency(home, supplier)
-                        + self.llc_latency
-                        + mesh.latency(supplier, core))
-                self.llc_accesses += 1
-                self.remote_forwards += 1
-                level = LEVEL_LLC_REMOTE
-            else:
-                supplier, sup_state = max(
-                    holders, key=lambda cs: cs[1])  # prefer M > O > E > S
-                lat += (mesh.latency(home, supplier)
-                        + self.llc_latency
-                        + mesh.latency(supplier, core))
-                self.llc_accesses += 1
-                self.remote_forwards += 1
-                self._downgrade_supplier(supplier, block, sup_state)
-                new_state = SHARED
-                level = LEVEL_LLC_REMOTE
-        else:
-            port = mesh._nearest[home]
-            h2 = hops_tbl[home][port]
-            h3 = hops_tbl[port][core]
-            mesh.link_traversals += h2 + h3
-            mem = self.memory
-            mem.reads += 1
-            mlat = mem.latency
-            if mem.model_queueing:
-                mlat += mem.controllers[
-                    (block >> 3) % mem.num_channels].access(block, now)
-            lat += h2 * hop_lat + mlat + h3 * hop_lat
-            level = LEVEL_MEMORY
-
-        # _fill_vault, inlined (tracer/missmap branches preserved).
-        victim = vault.insert(block, new_state)
-        self.llc_accesses += 1  # the fill write
-        if self.missmaps is not None:
-            mm = self.missmaps[core]
-            mm.record_fill(block)
-            if victim is not None:
-                mm.record_eviction(victim[0])
-        if victim is not None:
-            vb, vst2 = victim
-            self.vault_evictions += 1
-            l1st = self.l1d[core].invalidate(vb)
-            self.l1i[core].invalidate(vb)
-            if (l1st is not None and is_dirty(l1st)) or is_dirty(vst2):
+    def _drain(self, bank_id):
+        """Take a shared-LLC bank offline: flush dirty lines to memory
+        and clear it.  L1 coherence is unaffected (the sharer table is
+        SRAM at the tiles, not in the bank)."""
+        faults = self.faults
+        bank = self.llc.banks[bank_id]
+        for vb, dirty in list(bank.blocks()):
+            if dirty:
                 self.memory.access(vb, self.now, is_write=True)
-        # _fill_private_levels -> _fill_l1_private, inlined (no L2).
+                faults.drained_dirty += 1
+        bank.clear()
+
+
+class VaultSystem(System):
+    """SILO: a private direct-mapped DRAM vault per core, inclusive of
+    its L1s (and L2s), kept coherent by MOESI through the duplicate-tag
+    directory."""
+
+    def _miss(self, core, block, is_write, is_data, now):
+        """L1 miss: private L2 (if any), the local vault, then the home
+        node's directory, which forwards from a peer vault or fetches
+        from memory.  Returns (latency, level)."""
+        faults = self.faults
+        l2s = self.l2
+        vault = self.vaults[core]
+        vsets = vault.num_sets
+        s = block % vsets
+        offline = faults is not None and faults.offline[core]
+        state = None
+        if l2s is not None:
+            state = l2s[core].lookup(block)
+        if state is not None:
+            # Private L2 hit (3-level hierarchies).
+            if is_write and state != MODIFIED:
+                state = self._write_upgrade(core, block, state)
+            lat = self.l2_latency
+            level = LEVEL_L2
+        elif not offline and vault.tags[s] == block:
+            # Local vault hit: one TAD access resolves tag + data.
+            state = vault.states[s]
+            lat = self.llc_latency
+            self.llc_accesses += 1
+            if faults is not None:
+                state, fault_lat = self._vault_hit_faults(core, block,
+                                                          state)
+                lat += fault_lat
+            if is_write and state != MODIFIED:
+                state = self._write_upgrade(core, block, state)
+            level = LEVEL_LLC_LOCAL
+        else:
+            # Local vault miss (or the vault is offline and bypassed).
+            missmaps = self.missmaps
+            tracer = self.tracer
+            if offline:
+                faults.remapped_accesses += 1
+                lat = 0
+            elif self.local_mp == "ideal":
+                lat = 0
+            elif (missmaps is not None
+                  and missmaps[core].predicts_miss(block)):
+                lat = 0
+            else:
+                lat = self.llc_latency
+                self.llc_accesses += 1  # the probe that found the miss
+            mesh = self.mesh
+            hops = mesh._hops
+            hop_lat = mesh.hop_latency
+            home = block % self.num_cores
+            h = hops[core][home]
+            mesh.link_traversals += h
+            lat += h * hop_lat
+            self.directory_lookups += 1
+            if tracer is not None:
+                tracer.emit(EV_DIRECTORY, self.now, home, block,
+                            "write" if is_write else "read")
+            home_offline = faults is not None and faults.offline[home]
+            if home_offline:
+                # The home vault physically stores this block's
+                # directory set; with it offline, the home node falls
+                # back to broadcast-snooping every online vault's tags.
+                lat += self._broadcast_snoop(home)
+            elif self.dir_cache == "ideal":
+                pass  # metadata always in SRAM, zero cost
+            elif self.sram_dir_cache is not None:
+                if not self.sram_dir_cache.lookup(home, s):
+                    lat += self.dir_latency
+                    self.llc_accesses += 1
+            else:
+                lat += self.dir_latency  # directory metadata is in DRAM
+                self.llc_accesses += 1
+            if faults is not None and not home_offline:
+                lat += self._directory_faults(home, block)
+
+            holders = self.directory.holder_states(block)
+            state = MODIFIED if is_write else EXCLUSIVE
+            if holders:
+                if is_write:
+                    self._invalidate_peer_vaults(core, block)
+                    # data supplied by the (former) owner before
+                    # invalidation
+                    supplier = holders[0][0]
+                else:
+                    supplier, sup_state = max(
+                        holders, key=lambda cs: cs[1])  # M > O > E > S
+                lat += (mesh.latency(home, supplier)
+                        + self.llc_latency
+                        + mesh.latency(supplier, core))
+                self.llc_accesses += 1
+                self.remote_forwards += 1
+                if not is_write:
+                    self._downgrade_supplier(supplier, block, sup_state)
+                    state = SHARED
+                level = LEVEL_LLC_REMOTE
+            else:
+                port = mesh._nearest[home]
+                h2 = hops[home][port]
+                h3 = hops[port][core]
+                mesh.link_traversals += h2 + h3
+                mem = self.memory
+                mem.reads += 1
+                mlat = mem.latency
+                if mem.model_queueing:
+                    mlat += mem.controllers[
+                        (block >> 3) % mem.num_channels].access(block,
+                                                                now)
+                lat += h2 * hop_lat + mlat + h3 * hop_lat
+                level = LEVEL_MEMORY
+                if is_write and faults is not None and faults.has_offline:
+                    # no holders, so _invalidate_peer_vaults did not
+                    # run; directory-invisible offline copies still
+                    # need killing
+                    self._invalidate_offline_l1s(core, block)
+
+            if offline:
+                # No vault to fill: the line lives in L1/L2 only, kept
+                # Shared; stores write through (below) so memory stays
+                # current.
+                state = SHARED
+            else:
+                # Fill the vault, evicting the set's resident
+                # (inclusion: the victim leaves L1/L2 too; dirty
+                # victims are written back to memory).
+                victim = vault.insert(block, state)
+                self.llc_accesses += 1  # the fill write
+                if missmaps is not None:
+                    mm = missmaps[core]
+                    mm.record_fill(block)
+                    if victim is not None:
+                        mm.record_eviction(victim[0])
+                if victim is not None:
+                    vb, vst = victim
+                    dirty = vst == MODIFIED or vst == OWNED
+                    self.vault_evictions += 1
+                    if tracer is not None:
+                        tracer.emit(EV_EVICTION, self.now, core, vb,
+                                    "dirty" if dirty else "clean")
+                    l1st = self.l1d[core].invalidate(vb)
+                    self.l1i[core].invalidate(vb)
+                    if l2s is not None:
+                        l2s[core].invalidate(vb)
+                    if dirty or l1st == MODIFIED or l1st == OWNED:
+                        self.memory.access(vb, self.now, is_write=True)
+
+        if l2s is not None and level != LEVEL_L2:
+            l2victim = l2s[core].insert(block, state)
+            if l2victim is not None:
+                self._handle_l2_victim(core, l2victim)
         if is_data:
-            victim = self.l1d[core].insert(
-                block, MODIFIED if is_write else new_state)
+            if offline:
+                state = SHARED  # degraded mode: stores write through
+            elif is_write:
+                state = MODIFIED
+            victim = self.l1d[core].insert(block, state)
             if victim is not None:
-                vb2, vst3 = victim
-                if is_dirty(vst3):
+                vb, vst = victim
+                if vst == MODIFIED or vst == OWNED:
                     self.l1_writebacks += 1
-                    # Inclusive: the dirty data lands in the vault.
-                    if vault.tags[vb2 % vault.num_sets] == vb2:
+                    # Inclusive hierarchy: the dirty data lands in the
+                    # vault (or L2), which already tracks the block as M.
+                    if l2s is None and vault.tags[vb % vsets] == vb:
                         self.llc_accesses += 1
+        if offline and is_write and level != LEVEL_L2:
+            self.memory.access(block, self.now, is_write=True)
+            faults.write_throughs += 1
         return lat, level
+
+    def _write_upgrade(self, core, block, state):
+        """A store hit a line in S/E/O (in the L1, or on an L1 miss in
+        the L2 or vault): invalidate peers and take every level holding
+        it to M.  Returns the new state: MODIFIED, or ``state`` in
+        degraded mode (vault offline), where the store writes through
+        to memory -- no M state without a vault to track it."""
+        faults = self.faults
+        if faults is not None and faults.offline[core]:
+            self._invalidate_peer_vaults(core, block)
+            self.memory.access(block, self.now, is_write=True)
+            faults.write_throughs += 1
+            return state
+        # While any vault is offline, its core may hold Shared copies
+        # the directory cannot see, so even a silent E->M upgrade must
+        # sweep peers.
+        if state != EXCLUSIVE or (faults is not None
+                                  and faults.has_offline):
+            self._invalidate_peer_vaults(core, block)
+        l1 = self.l1d[core]
+        if l1.contains(block):
+            l1.update(block, MODIFIED)
+        vault = self.vaults[core]
+        if vault.contains(block):
+            vault.update(block, MODIFIED)
+        if self.l2 is not None and self.l2[core].contains(block):
+            self.l2[core].update(block, MODIFIED)
+        return MODIFIED
+
+    def _invalidate_peer_vaults(self, core, block):
+        """Invalidate the block in every other core's vault (and its
+        L1/L2 by inclusion).  Dirty remote copies would be supplied to
+        the writer, not written back, under MOESI."""
+        s = block % self.vaults[0].num_sets
+        for c, vault in enumerate(self.vaults):
+            if c == core or vault.tags[s] != block:
+                continue
+            vault.invalidate(block)
+            if self.missmaps is not None:
+                self.missmaps[c].record_eviction(block)
+            self.l1d[c].invalidate(block)
+            self.l1i[c].invalidate(block)
+            if self.l2 is not None:
+                self.l2[c].invalidate(block)
+            self.invalidations += 1
+            if self.tracer is not None:
+                self.tracer.emit(EV_INVALIDATE, self.now, c, block,
+                                 "peer_vault")
+        if self.faults is not None and self.faults.has_offline:
+            # Cores with an offline vault hold directory-invisible
+            # Shared copies; a write must invalidate those too.
+            self._invalidate_offline_l1s(core, block)
 
     def _downgrade_supplier(self, supplier, block, sup_state):
         """MOESI read response: a dirty holder keeps ownership as O, a
@@ -975,65 +1001,17 @@ class System:
             if l2.contains(block):
                 l2.update(block, new)
 
-    def _fill_vault(self, core, block, state):
-        """Fill the core's direct-mapped vault, evicting the set's
-        current resident (inclusion: the victim leaves L1/L2 too; dirty
-        victims are written back to memory)."""
-        vault = self.vaults[core]
-        victim = vault.insert(block, state)
-        self.llc_accesses += 1  # the fill write
-        if self.missmaps is not None:
-            self.missmaps[core].record_fill(block)
-            if victim is not None:
-                self.missmaps[core].record_eviction(victim[0])
-        if victim is None:
-            return
-        vb, vst = victim
-        self.vault_evictions += 1
-        if self.tracer is not None:
-            self.tracer.emit(EV_EVICTION, self.now, core, vb,
-                             "dirty" if is_dirty(vst) else "clean")
+    def _handle_l2_victim(self, core, victim):
+        """L2 eviction: inclusion drops the block from the L1s; dirty
+        L1 data returns to the (inclusive) vault."""
+        vb = victim[0]
         l1st = self.l1d[core].invalidate(vb)
         self.l1i[core].invalidate(vb)
-        if self.l2 is not None:
-            self.l2[core].invalidate(vb)
-        if (l1st is not None and is_dirty(l1st)) or is_dirty(vst):
-            self.memory.access(vb, self.now, is_write=True)
-
-    def _fill_private_levels(self, core, block, is_write, is_data, state):
-        """Fill L2 (if present) and L1 after a vault/remote/memory
-        response in SILO."""
-        if self.faults is not None and self.faults.offline[core]:
-            state = SHARED  # degraded mode: no dirty on-chip state
-        if self.l2 is not None:
-            l2victim = self.l2[core].insert(block, state)
-            if l2victim is not None:
-                vb, vst = l2victim
-                l1st = self.l1d[core].invalidate(vb)
-                self.l1i[core].invalidate(vb)
-                if l1st is not None and is_dirty(l1st):
-                    # dirty data returns to the (inclusive) vault
-                    if self.vaults[core].contains(vb):
-                        self.vaults[core].update(vb, MODIFIED)
-                        self.llc_accesses += 1
-        self._fill_l1_private(core, block, is_write, is_data, state)
-
-    def _fill_l1_private(self, core, block, is_write, is_data, state):
-        if not is_data:
-            return
-        if self.faults is not None and self.faults.offline[core]:
-            l1state = SHARED  # degraded mode: stores write through
-        else:
-            l1state = MODIFIED if is_write else state
-        victim = self.l1d[core].insert(block, l1state)
-        if victim is not None:
-            vb, vst = victim
-            if is_dirty(vst):
-                self.l1_writebacks += 1
-                # Inclusive hierarchy: the dirty data lands in the vault
-                # (or L2), which already tracks the block as M.
-                if self.l2 is None and self.vaults[core].contains(vb):
-                    self.llc_accesses += 1
+        if l1st is not None and is_dirty(l1st):
+            vault = self.vaults[core]
+            if vault.contains(vb):
+                vault.update(vb, MODIFIED)
+                self.llc_accesses += 1
 
     # ------------------------------------------------------------------
     # fault injection and recovery (repro.faults)
@@ -1107,26 +1085,6 @@ class System:
             self.missmaps[core].record_fill(block)
         return new_state, lat
 
-    def _shared_llc_fault(self, bank, block, dirty):
-        """Data-array fault draw on a shared-LLC bank hit.  Returns
-        True when the line was lost to an uncorrectable error (the
-        caller falls through to the off-chip path and refills clean).
-        """
-        faults = self.faults
-        ok = faults.data_fault(bank, block)
-        if ok is not False:
-            return False
-        if dirty:
-            faults.data_loss_events += 1
-        faults.refetches += 1
-        self.llc.invalidate(block)
-        if self.tracer is not None:
-            self.tracer.emit(
-                EV_FAULT, self.now, bank, block,
-                "data_uncorrectable:%s" % (
-                    "data_loss" if dirty else "refetch"))
-        return True
-
     def _directory_faults(self, home, block):
         """Directory-entry fault draw at a home-node lookup; returns
         extra recovery latency.  A corrected flip is scrubbed in place;
@@ -1183,39 +1141,7 @@ class System:
                     self.tracer.emit(EV_INVALIDATE, self.now, c, block,
                                      "offline_l1")
 
-    def _apply_vault_event(self, target, action):
-        """Apply a scheduled whole-vault (or shared-bank) offline /
-        online transition from the fault plan."""
-        faults = self.faults
-        if not 0 <= target < self.num_cores:
-            raise ValueError("vault event targets %r; system has %d "
-                             "vaults/banks" % (target, self.num_cores))
-        if action == "offline":
-            if faults.offline[target]:
-                return
-            if self.kind == LLC_SHARED:
-                self._drain_bank(target)
-            else:
-                self._drain_vault(target)
-            faults.set_offline(target, True)
-            faults.offline_events += 1
-        else:
-            if not faults.offline[target]:
-                return
-            if self.kind != LLC_SHARED:
-                # Drop the core's (clean, write-through) degraded-mode
-                # copies so everything it caches next is vault-tracked.
-                self.l1d[target].clear()
-                self.l1i[target].clear()
-                if self.l2 is not None:
-                    self.l2[target].clear()
-            faults.set_offline(target, False)
-            faults.online_events += 1
-        if self.tracer is not None:
-            self.tracer.emit(EV_FAULT, self.now, target, -1,
-                             "vault_" + action)
-
-    def _drain_vault(self, core):
+    def _drain(self, core):
         """Take a private vault offline: write dirty lines back to
         memory, invalidate everything above it (inclusion) and clear
         the arrays.  The duplicate-tag directory stays consistent
@@ -1237,56 +1163,12 @@ class System:
         vault.clear()
         # Inclusion means nothing survives above an empty vault, but
         # clear explicitly so degraded mode starts from a known state.
+        self._rejoin(core)
+
+    def _rejoin(self, core):
+        """Drop the core's (clean, write-through) degraded-mode copies
+        so everything it caches next is vault-tracked."""
         self.l1d[core].clear()
         self.l1i[core].clear()
         if self.l2 is not None:
             self.l2[core].clear()
-
-    def _drain_bank(self, bank_id):
-        """Take a shared-LLC bank offline: flush dirty lines to memory
-        and clear it.  L1 coherence is unaffected (the sharer table is
-        SRAM at the tiles, not in the bank)."""
-        faults = self.faults
-        bank = self.llc.banks[bank_id]
-        for vb, dirty in list(bank.blocks()):
-            if dirty:
-                self.memory.access(vb, self.now, is_write=True)
-                faults.drained_dirty += 1
-        bank.clear()
-
-    # ------------------------------------------------------------------
-    # statistics helpers
-    # ------------------------------------------------------------------
-
-    def reset_stats(self):
-        """Zero all measurement state (after warmup).
-
-        Delegates to the stats registry, which owns the complete list
-        of resettable statistics -- including ones the pre-registry
-        code forgot (replica hits, prefetch fills, directory-cache and
-        missmap counters).  Architectural state (cache contents,
-        predictor tables) is never touched."""
-        self.stats.reset()
-
-    def occupancy_by_bank(self):
-        """Per-bank occupancy fractions (resident blocks over capacity)
-        of the LLC level: one entry per NUCA bank (shared) or per vault
-        cache (private) -- the telemetry heatmap series
-        (repro.obs.telemetry)."""
-        banks = self.llc.banks if self.llc is not None else self.vaults
-        return [bank.occupancy() / bank.capacity_blocks
-                for bank in banks]
-
-    def sharing_breakdown(self):
-        """Fig. 3 classification of LLC accesses: (reads,
-        writes_nosharing, writes_rwsharing).  Requires
-        ``track_sharing``."""
-        rw_writes = 0
-        total_writes = 0
-        for block, count in self.llc_writes_by_block.items():
-            total_writes += count
-            writers = self.block_writers.get(block, 0)
-            readers = self.block_readers.get(block, 0)
-            if writers and (readers & ~writers):
-                rw_writes += count
-        return (self.llc_reads, total_writes - rw_writes, rw_writes)

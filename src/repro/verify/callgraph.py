@@ -10,8 +10,9 @@ structures it needs:
   fully-qualified name), top-level functions, classes and methods;
 * a **call graph** over qualified function names
   (``module::Class.method`` / ``module::func``), resolved through
-  import maps, ``self.method`` dispatch and -- for plain ``obj.attr()``
-  calls -- bounded method-name candidate sets;
+  import maps, ``self.method`` dispatch through the class hierarchy
+  (:class:`ClassHierarchy`) and -- for plain ``obj.attr()`` calls --
+  bounded method-name candidate sets;
 * **strongly connected components** (iterative Tarjan) in bottom-up
   (reverse topological) order, so interprocedural summaries can be
   computed callees-first with a fixpoint only inside each SCC.
@@ -82,6 +83,8 @@ class ModuleInfo:
         self.imported_modules = set()
         #: class name -> {method name -> qname}.
         self.classes = {}
+        #: class name -> dotted names of its bases ("module.Class").
+        self.class_bases = {}
         #: qname -> FunctionInfo (functions and methods).
         self.functions = {}
         #: module-level names bound to local function defs.
@@ -105,6 +108,13 @@ class ModuleInfo:
                                                   class_name=node.name)
                         methods[item.name] = info.qname
                 self.classes[node.name] = methods
+        # Bases resolve once every class of the module is known.
+        for node in self.tree.body:
+            if isinstance(node, ast.ClassDef):
+                names = (self.dotted_name(b) for b in node.bases)
+                self.class_bases[node.name] = [
+                    "%s.%s" % (self.module, name) if name in self.classes
+                    else self.resolve(name) for name in names if name]
 
     def _add_function(self, node, class_name):
         name = (node.name if class_name is None
@@ -210,6 +220,50 @@ def module_name_for(path, roots):
     return stem
 
 
+class ClassHierarchy:
+    """The analyzed program's classes (``module.Class``) with their
+    methods and bases, for resolving ``self.m()`` calls.  A base from
+    outside the analyzed set ends the walk."""
+
+    def __init__(self):
+        self.methods = {}       # "module.Class" -> {method: qname}
+        self.bases = {}         # "module.Class" -> ["module.Base", ...]
+        self.subclasses = {}    # "module.Class" -> ["module.Sub", ...]
+
+    def add_class(self, cls, bases, methods):
+        self.methods[cls] = methods
+        self.bases[cls] = bases
+        for base in bases:
+            self.subclasses.setdefault(base, []).append(cls)
+
+    def self_call_targets(self, cls, name):
+        """Qnames ``self.<name>()`` in a method of ``cls`` may reach:
+        the nearest definition in ``cls`` or its bases (depth first,
+        left to right), plus every override in classes derived from
+        ``cls``."""
+        out = []
+        seen = set()
+        up = [cls]
+        while up:
+            c = up.pop()
+            if c not in seen:
+                seen.add(c)
+                if name in self.methods.get(c, ()):
+                    out.append(self.methods[c][name])
+                    break
+                up.extend(reversed(self.bases.get(c, ())))
+        seen = {cls}
+        down = list(self.subclasses.get(cls, ()))
+        while down:
+            c = down.pop()
+            if c not in seen:
+                seen.add(c)
+                if name in self.methods[c]:
+                    out.append(self.methods[c][name])
+                down.extend(self.subclasses.get(c, ()))
+        return out
+
+
 class ProgramIndex:
     """Every module under the analyzed roots, cross-indexed."""
 
@@ -218,6 +272,7 @@ class ProgramIndex:
         self.functions = {}      # qname -> FunctionInfo
         self.methods_by_name = {}  # method name -> [qname, ...]
         self.files = {}          # abspath -> ModuleInfo
+        self.hierarchy = ClassHierarchy()
 
     def add_module(self, info):
         self.modules[info.module] = info
@@ -226,6 +281,9 @@ class ProgramIndex:
             self.functions[qname] = fn
             if fn.is_method:
                 self.methods_by_name.setdefault(fn.name, []).append(qname)
+        for name, methods in info.classes.items():
+            self.hierarchy.add_class("%s.%s" % (info.module, name),
+                                     info.class_bases[name], methods)
 
     def function_for_qualified(self, resolved):
         """FunctionInfo for a resolved dotted reference, or None.
@@ -317,12 +375,13 @@ def _callee_qnames(index, minfo, fn, node):
             return [init] if init else []
         return []
     if isinstance(func, ast.Attribute):
-        # self.method() inside a class resolves exactly.
+        # self.method() inside a class resolves through the hierarchy.
         if (isinstance(func.value, ast.Name) and func.value.id == "self"
                 and fn.class_name is not None):
-            methods = minfo.classes.get(fn.class_name, {})
-            if func.attr in methods:
-                return [methods[func.attr]]
+            targets = index.hierarchy.self_call_targets(
+                "%s.%s" % (minfo.module, fn.class_name), func.attr)
+            if targets:
+                return targets
         dotted = minfo.dotted_name(func)
         if dotted is not None:
             target = index.function_for_qualified(minfo.resolve(dotted))

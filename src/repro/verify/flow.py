@@ -115,7 +115,7 @@ _SANITIZER_PRAGMA = "# silolint: sanitizer"
 
 #: Bump to invalidate every cached extraction (IR shape or rule
 #: semantics changed).
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 DEFAULT_BASELINE = os.path.join("tools", "flow-baseline.json")
 DEFAULT_CACHE_FILE = os.path.join(".silolint-cache", "flow.json")
@@ -322,15 +322,16 @@ class _Extractor:
         recv = []
         target = None
         attr = None
+        self_class = None
         if isinstance(func, ast.Attribute):
             attr = func.attr
             if (isinstance(func.value, ast.Name)
                     and func.value.id == "self"
-                    and self.class_name is not None
-                    and func.attr in self.minfo.classes.get(
-                        self.class_name, {})):
-                target = "%s.%s.%s" % (self.minfo.module,
-                                       self.class_name, func.attr)
+                    and self.class_name is not None):
+                # Resolved by the solver, through the class hierarchy
+                # of the whole program.
+                self_class = "%s.%s" % (self.minfo.module,
+                                        self.class_name)
                 recv = [self._local_token("self")]
             elif resolved is not None and "." in (dotted or ""):
                 target = resolved.replace("::", ".")
@@ -342,9 +343,9 @@ class _Extractor:
         self._call_n += 1
         result = "C:%s:%d" % (self.fnq, self._call_n)
         self.ir["calls"].append(
-            {"target": target, "attr": attr, "recv": recv,
-             "args": arg_deps, "kwargs": kwarg_deps, "result": result,
-             "line": node.lineno})
+            {"target": target, "attr": attr, "self_class": self_class,
+             "recv": recv, "args": arg_deps, "kwargs": kwarg_deps,
+             "result": result, "line": node.lineno})
 
         # Replay-observable sinks carried by calls.
         if self.in_stats_scope and attr in ("incr", "record") \
@@ -491,7 +492,9 @@ def _has_sanitizer_pragma(minfo, node):
 
 def extract_module(minfo):
     """The serializable taint IR of one module: one record per
-    function plus one for top-level code."""
+    function plus one for top-level code, which also lists the
+    module's classes with their bases (``self.m()`` calls resolve
+    through them)."""
     path_parts = frozenset(
         os.path.normpath(os.path.abspath(minfo.file))
         .split(os.sep)[:-1])
@@ -507,6 +510,8 @@ def extract_module(minfo):
     top = _Extractor(minfo, "%s::<module>" % minfo.module, [], None,
                      path_parts)
     top.ir["line"] = 1
+    top.ir["classes"] = {name: minfo.class_bases[name]
+                         for name in minfo.classes}
     for stmt in minfo.tree.body:
         if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
@@ -530,14 +535,23 @@ class _Solver:
         self.modules = {ir["module"] for ir in irs}
         self.dotted = {}            # "mod.Class.meth"/"mod.fn" -> qname
         self.methods = {}           # method name -> [qname, ...]
+        class_methods = {}          # "mod.Class" -> {meth: qname}
         for ir in irs:
             symbol = ir["symbol"]
             if symbol == "<module>":
                 continue
             self.dotted["%s.%s" % (ir["module"], symbol)] = ir["qname"]
             if "." in symbol:
-                self.methods.setdefault(
-                    symbol.rsplit(".", 1)[-1], []).append(ir["qname"])
+                cls, meth = symbol.rsplit(".", 1)
+                self.methods.setdefault(meth, []).append(ir["qname"])
+                class_methods.setdefault(
+                    "%s.%s" % (ir["module"], cls), {})[meth] = ir["qname"]
+        self.hierarchy = _cg.ClassHierarchy()
+        for ir in irs:
+            for name, bases in ir.get("classes", {}).items():
+                cls = "%s.%s" % (ir["module"], name)
+                self.hierarchy.add_class(cls, bases,
+                                         class_methods.get(cls, {}))
         self.adj = {}
         self.sources = {}           # token -> descriptor
         self.pred = {}
@@ -563,6 +577,9 @@ class _Solver:
             self.adj.setdefault(src, set()).add(dst)
 
     def _resolve_call_targets(self, call):
+        if call["self_class"] is not None:
+            return self.hierarchy.self_call_targets(call["self_class"],
+                                                    call["attr"])
         target = call["target"]
         if target is not None:
             qname = self.dotted.get(target)

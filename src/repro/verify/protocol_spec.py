@@ -1,8 +1,9 @@
 """Declarative transition table of SILO's vault coherence protocol.
 
-The simulator implements the protocol operationally, scattered across
-``System._miss_private`` / ``_write_upgrade`` / ``_invalidate_peer_vaults``
-/ ``_downgrade_supplier`` / ``_fill_vault`` and the helpers in
+The simulator implements the protocol operationally, in
+``VaultSystem._miss`` (which also fills the vault) / ``_write_upgrade``
+/ ``_invalidate_peer_vaults`` / ``_downgrade_supplier`` of
+:mod:`repro.sim.system` and the helpers in
 :mod:`repro.coherence.states`.  This module re-states it *declaratively*:
 one :class:`Rule` per (event, requester-vault-state) pair, covering what
 happens to the requester, to every peer vault holding the block, to the

@@ -76,6 +76,20 @@ def test_cli_rejects_bad_sampling_pair():
         main(["fig3", "--sampling", "1000:zero"])
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--scale", "0"), ("--scale", "-4"), ("--scale", "big"),
+    ("--seed", "-1"), ("--seed", "1.5"),
+])
+def test_cli_rejects_bad_scale_and_seed(flag, value, capsys):
+    """A usage error (exit 2), not a ValueError traceback from the
+    config or from numpy's seeding."""
+    with pytest.raises(SystemExit) as exc:
+        main(["fig3", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and flag in err
+
+
 def test_cli_stats_dump(capsys):
     assert main(["fig3", "--scale", "1024", "--sampling", "2000:1000",
                  "--stats"]) == 0

@@ -419,6 +419,36 @@ def test_run_request_rejects_bad_chunk():
             RunRequest.from_canonical(wire)
 
 
+BAD_SEEDS = ("x", 7.0, True, -1, None)
+
+
+def test_run_request_rejects_bad_seed():
+    """A seed numpy would refuse inside the job is refused up front,
+    and ``7.0`` never gets a run key of its own beside ``7``."""
+    for bad in BAD_SEEDS:
+        with pytest.raises(ValueError, match="seed"):
+            _point(seed=bad)
+        wire = _point().canonical()
+        wire["seed"] = bad
+        with pytest.raises(ValueError, match="seed"):
+            RunRequest.from_canonical(wire)
+    assert _point(seed=0).seed == 0
+
+
+def test_run_request_rejects_unknown_fields():
+    wire = _point().canonical()
+    wire["tracksharing"] = True
+    wire["zeta"] = 1
+    with pytest.raises(ValueError) as exc:
+        RunRequest.from_canonical(wire)
+    assert "tracksharing" in str(exc.value) and "zeta" in str(exc.value)
+    # the optional fields may still be omitted
+    for name in ("colocated", "track_sharing", "chunk", "faults", "mode"):
+        del wire[name]
+    del wire["tracksharing"], wire["zeta"]
+    assert RunRequest.from_canonical(wire).key() == _point().key()
+
+
 def test_run_system_rejects_bad_chunk():
     config = system_config("baseline", num_cores=4, scale=SCALE)
     spec = SCALEOUT_WORKLOADS["web_search"]

@@ -374,6 +374,15 @@ def test_unknown_route_and_bad_json():
             client._request("POST", "/runs", body={"request": hang})
         assert exc.value.status == 400
         assert "chunk" in str(exc.value)
+        # a seed numpy would refuse, and a misspelled field that would
+        # otherwise be dropped from the key, are refused too
+        bad_seed = dict(_point().canonical(), seed="x")
+        typo = dict(_point().canonical(), tracksharing=True)
+        for body, word in ((bad_seed, "seed"), (typo, "tracksharing")):
+            with pytest.raises(ServerError) as exc:
+                client._request("POST", "/runs", body={"request": body})
+            assert exc.value.status == 400
+            assert word in str(exc.value)
         assert server.engine.requests == 0
         # malformed JSON body straight over the socket
         sock = socket_mod.create_connection((server.host, server.port),

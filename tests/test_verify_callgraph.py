@@ -98,6 +98,36 @@ def test_call_graph_self_method_dispatch(tmp_path):
     assert graph["mod::C.a"] == {"mod::C.b"}
 
 
+def test_call_graph_self_dispatch_through_hierarchy(tmp_path):
+    # An unrelated class shares both method names, so a match on the
+    # name alone would wire in Other's methods as well.
+    _write(tmp_path, "base.py",
+           "class Base:\n"
+           "    def run(self):\n"
+           "        return self.step()\n"
+           "    def helper(self):\n"
+           "        return 0\n"
+           "class Other:\n"
+           "    def step(self):\n"
+           "        return 1\n"
+           "    def helper(self):\n"
+           "        return 1\n")
+    _write(tmp_path, "mod.py",
+           "from base import Base\n"
+           "class A(Base):\n"
+           "    def step(self):\n"
+           "        return self.helper()\n"
+           "class B(Base):\n"
+           "    def step(self):\n"
+           "        return 2\n"
+           "    def helper(self):\n"
+           "        return 2\n")
+    graph = build_call_graph(index_paths([str(tmp_path)]))
+    # base -> every subclass override; subclass -> inherited helper
+    assert graph["base::Base.run"] == {"mod::A.step", "mod::B.step"}
+    assert graph["mod::A.step"] == {"base::Base.helper"}
+
+
 def test_call_graph_method_candidates_are_bounded(tmp_path):
     # Seven classes define .step(): above MAX_METHOD_CANDIDATES, the
     # call stays unresolved rather than fanning out to all of them.

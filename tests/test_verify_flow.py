@@ -161,6 +161,40 @@ def test_sl010_taint_through_two_hops_and_locals(tmp_path):
     assert f["source"]["symbol"] == "knob"
 
 
+def test_sl010_self_call_reaches_subclass_override(tmp_path):
+    # A base-class method dispatches to a method only its subclass
+    # defines (the System.access -> _miss shape): the wall-clock read
+    # the override returns must still reach the base's stats sink.
+    _write(tmp_path, "sim/mod.py",
+           "import time\n"
+           "class Base:\n"
+           "    def tick(self):\n"
+           "        self.stall_count += self.delay()\n"
+           "class Sub(Base):\n"
+           "    def delay(self):\n"
+           "        return time.time()\n")
+    report = _analyze(tmp_path)
+    (f,) = report.findings
+    assert f["symbol"] == "Base.tick"
+    assert f["source"]["kind"] == "wallclock"
+    assert f["source"]["symbol"] == "Sub.delay"
+
+
+def test_sl010_self_call_reaches_inherited_helper(tmp_path):
+    _write(tmp_path, "sim/mod.py",
+           "import time\n"
+           "class Base:\n"
+           "    def delay(self):\n"
+           "        return time.time()\n"
+           "class Sub(Base):\n"
+           "    def tick(self):\n"
+           "        self.stall_count += self.delay()\n")
+    report = _analyze(tmp_path)
+    (f,) = report.findings
+    assert f["symbol"] == "Sub.tick"
+    assert f["source"]["symbol"] == "Base.delay"
+
+
 def test_sl010_clean_interprocedural_flow(tmp_path):
     _write(tmp_path, "util.py",
            "def double(x):\n"
