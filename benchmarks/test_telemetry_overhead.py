@@ -5,16 +5,19 @@ Three timed variants of the same run (16 cores, scale 64, seed 7):
 1. **off** -- no observation at all (the baseline every figure pays),
 2. **telemetry** -- windowed sampler at a CI-realistic interval
    (5000 events),
-3. **profile** -- the hierarchical self-profiler, which wraps every
-   subsystem seam and therefore pays real per-call overhead (recorded
-   honestly, never gated).
+3. **profile** -- the ``SIGPROF`` layer sampler behind ``--profile``,
+   which wraps nothing and times its own signal handler.
 
 All variants must stay bit-identical to the baseline -- observation
 only reads simulator state.  The telemetry gate is deliberately loose
 (median slowdown under 50%): the sampler runs once per interleave
 round so its honest cost is ~10-20% at this window density, but
-shared CI runners jitter hard on sub-second phases.  Everything lands
-in ``benchmarks/results/BENCH_telemetry.json``.
+shared CI runners jitter hard on sub-second phases.  The profile
+variant is gated on the cost it measures itself: its handler's time
+(``sampler_s``) at most 5% of the profiled wall clock in every rep.
+Its slowdown is recorded but not gated, since on shared runners it is
+below the run-to-run noise.  Everything lands in
+``benchmarks/results/BENCH_telemetry.json``.
 """
 
 from statistics import median
@@ -45,19 +48,22 @@ def _run_telemetry():
         return _run_off()
 
 
-def _run_profile():
-    with observe(profile=True):
-        return _run_off()
-
-
 def _fingerprint(result):
     return (result.performance(), result.level_counts(),
             result.stats_snapshot(), result.latency_percentiles())
 
 
 def test_telemetry_overhead(bench_extra, write_bench):
+    profiles = []
+
+    def run_profile():
+        with observe(profile=True) as session:
+            result = _run_off()
+        profiles.append(session.profiler.report())
+        return result
+
     variants = {"off": _run_off, "telemetry": _run_telemetry,
-                "profile": _run_profile}
+                "profile": run_profile}
     eps = {name: [] for name in variants}
     results = {}
     for _ in range(REPS):            # interleaved: same machine state
@@ -85,6 +91,8 @@ def test_telemetry_overhead(bench_extra, write_bench):
             for name in variants
         },
         "telemetry_windows": len(results["telemetry"].telemetry.windows),
+        "profile_sampler_fraction": round(
+            max(p["sampler_s"] / p["wall_s"] for p in profiles), 5),
     }
     write_bench("BENCH_telemetry.json", record)
     bench_extra({"telemetry_overhead": record})
@@ -98,3 +106,5 @@ def test_telemetry_overhead(bench_extra, write_bench):
     # the sampler ticks once per interleave round; the loose bound
     # absorbs shared-runner jitter on top of its ~10-20% honest cost
     assert record["variants"]["telemetry"]["slowdown"] <= 1.5
+    assert all(p["samples"] > 0 for p in profiles)
+    assert record["profile_sampler_fraction"] <= 0.05

@@ -18,7 +18,7 @@ from repro.experiments import EXPERIMENTS
 from repro.experiments.common import notice, render_table
 from repro.obs import manifest as obs_manifest
 from repro.obs import session as obs_session
-from repro.obs.telemetry import interval_from_env
+from repro.params import NUM_CORES
 from repro.sim import engine as sim_engine
 from repro.sim.driver import DEFAULT_CHUNK, use_chunk
 from repro.sim.sampling import PRESETS, parse_plan
@@ -89,12 +89,12 @@ def main(argv=None):
                         help="sample windowed telemetry (per-core hit "
                              "rates, NoC hops, vault occupancy, phase "
                              "detection) every N driven events "
-                             "(default: $REPRO_TELEMETRY or off)")
+                             "(default: off)")
     parser.add_argument("--profile", action="store_true",
-                        help="hierarchical wall-clock self-profile of "
-                             "the simulator (drive loop, vault/NUCA, "
-                             "coherence, directory, NoC, memory, ECC "
-                             "regions)")
+                        help="sampled wall-clock self-profile of the "
+                             "simulator by layer (sim.driver, "
+                             "sim.system, caches, coherence, noc, "
+                             "memory, cores, ...)")
     parser.add_argument("--faults", type=float, default=None,
                         metavar="RATE",
                         help="inject bit-flip faults (data/tag/"
@@ -107,7 +107,7 @@ def main(argv=None):
     parser.add_argument("--fault-target", type=int, default=None,
                         metavar="V",
                         help="restrict injected faults to vault/bank V "
-                             "(default: all)")
+                             "in [0, %d) (default: all)" % NUM_CORES)
     parser.add_argument("--fault-stalls", type=float, default=None,
                         metavar="RATE",
                         help="inject transient memory-channel stalls "
@@ -147,15 +147,13 @@ def main(argv=None):
                              "simulates)")
     parser.add_argument("--chunk", type=int, default=None, metavar="N",
                         help="core-interleave grain in events "
-                             "(default: $REPRO_CHUNK or %d)"
-                             % DEFAULT_CHUNK)
+                             "(default: %d)" % DEFAULT_CHUNK)
     args = parser.parse_args(argv)
     if args.trace < 0:
         parser.error("--trace must be positive")
     if args.telemetry is not None and args.telemetry < 0:
         parser.error("--telemetry must be >= 0 (0 = off)")
-    telemetry_every = (args.telemetry if args.telemetry is not None
-                       else interval_from_env())
+    telemetry_every = args.telemetry or 0
     if args.jobs is not None and args.jobs < 1:
         parser.error("--jobs must be >= 1")
     if args.chunk is not None and args.chunk < 1:
@@ -164,6 +162,12 @@ def main(argv=None):
                         ("--fault-stalls", args.fault_stalls)):
         if value is not None and not 0.0 <= value <= 1.0:
             parser.error("%s must be a rate in [0, 1]" % flag)
+    # Every experiment builds NUM_CORES-core systems, with one vault
+    # or LLC bank per core.
+    if args.fault_target is not None \
+            and not 0 <= args.fault_target < NUM_CORES:
+        parser.error("--fault-target must be a vault/bank id in "
+                     "[0, %d), got %d" % (NUM_CORES, args.fault_target))
 
     func = EXPERIMENTS[args.experiment]
     kwargs = {}
@@ -264,13 +268,7 @@ def main(argv=None):
                              telemetry_every=telemetry_every,
                              profile=args.profile) as session:
         with sim_engine.use_engine(engine), plan_ctx, chunk_ctx:
-            if session.profiler is not None:
-                with session.profiler.region("experiment"):
-                    rows = func(**kwargs)
-            else:
-                rows = func(**kwargs)
-        if session.profiler is not None:
-            session.profiler.stop()
+            rows = func(**kwargs)
     elapsed = time.time() - start
     if engine.transport is not None:
         engine.transport.stop()

@@ -22,9 +22,10 @@ Observability v2 adds three phase/time-resolved pieces on top:
   registry (``--telemetry N``): per-core/per-vault time series, phase
   detection on the windowed miss rate, JSONL / Prometheus / Perfetto
   exporters.
-* :mod:`repro.obs.profile` -- a hierarchical wall-clock self-profiler
-  (``--profile``) with per-subsystem regions; also owns :data:`clock`,
-  the sanctioned wall-clock for simulator code (silolint SL008).
+* :mod:`repro.obs.profile` -- a ``SIGPROF`` stack sampler
+  (``--profile``) that splits the simulator's wall clock by layer and
+  wraps nothing; also owns :data:`clock`, the sanctioned wall-clock
+  for simulator code (silolint SL008).
 * :mod:`repro.obs.recorder` -- the run engine's flight recorder:
   per-RunRequest spans and engine gauges.
 
@@ -41,8 +42,7 @@ from repro.obs.trace import (EventTracer, TraceEvent, JsonlSink,
                              EV_DOWNGRADE, EV_EVICTION)
 from repro.obs.manifest import git_sha, write_manifest, MANIFEST_SCHEMA
 from repro.obs.session import observe, current_session
-from repro.obs.profile import (clock, Profiler, render_report,
-                               instrument)
+from repro.obs.profile import clock, Profiler, render_report
 from repro.obs.telemetry import (TelemetrySampler, detect_phases,
                                  export_jsonl, export_prometheus,
                                  export_chrome_trace)
@@ -55,7 +55,7 @@ __all__ = [
     "EV_EVICTION",
     "git_sha", "write_manifest", "MANIFEST_SCHEMA",
     "observe", "current_session",
-    "clock", "Profiler", "render_report", "instrument",
+    "clock", "Profiler", "render_report",
     "TelemetrySampler", "detect_phases",
     "export_jsonl", "export_prometheus", "export_chrome_trace",
     "FlightRecorder",

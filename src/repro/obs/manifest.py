@@ -26,7 +26,9 @@ import subprocess
 #: + detected phases) and experiment envelopes may carry ``profile``
 #: (self-profiler report) and ``telemetry`` sections; the engine
 #: snapshot gains ``flight_recorder`` (per-request spans + gauges).
-MANIFEST_SCHEMA = "silo-repro-manifest/3"
+#: /4: the envelope's ``profile`` section is the sampling profiler's
+#: report (``layers`` and folded ``stacks`` in place of ``regions``).
+MANIFEST_SCHEMA = "silo-repro-manifest/4"
 
 _SHA_CACHE = {}
 _PROTOCOL_CACHE = {}

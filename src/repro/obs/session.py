@@ -5,13 +5,17 @@ below the CLI, so ``--stats/--trace/--manifest/--telemetry/--profile``
 cannot be threaded through their signatures without touching every
 experiment.  Instead the CLI opens an :class:`ObservationSession` (a
 context manager setting a module-level current session);
-``run_system`` consults it to attach a tracer, instrument the profiler
-and build a telemetry sampler before driving, and to deposit a per-run
-manifest record after.
+``run_system`` consults it to attach a tracer and build a telemetry
+sampler before driving, and to deposit a per-run manifest record
+after.  A profiling session runs the ``SIGPROF`` sampler of
+:mod:`repro.obs.profile` from the moment it opens until it closes, so
+the profile covers trace generation, system builds and summaries as
+well as the drive loop.
 
 Sessions are inert by construction: they only *read* simulator state
-(plus attach a tracer, which itself only records), so enabling one
-never changes simulation results.  Sessions are also a streaming seam:
+(plus attach a tracer, which itself only records, and sample the
+interpreter stack), so enabling one never changes simulation
+results.  Sessions are also a streaming seam:
 listeners registered with :meth:`ObservationSession.add_listener`
 receive ``(kind, payload)`` events -- ``"run"`` per finished run and
 ``"engine_span"`` per flight-recorder span -- which is the callback
@@ -81,6 +85,8 @@ class ObservationSession:
         self.last_tracer = result.system.tracer
         if result.telemetry is not None:
             self.telemetry.append(result.telemetry)
+        if self.profiler is not None:
+            self.profiler.driven_events += result.driven_events()
         if self.collect_manifests:
             self.runs.append(result.manifest(seed=seed))
         if self._listeners:
@@ -108,7 +114,9 @@ def current_session():
 @contextmanager
 def observe(trace_capacity=0, collect_manifests=False,
             collect_stats=False, telemetry_every=0, profile=False):
-    """Open an observation session for the duration of the block."""
+    """Open an observation session for the duration of the block (a
+    profiling session samples from entry to exit, on the main
+    thread)."""
     global _current
     session = ObservationSession(trace_capacity, collect_manifests,
                                  collect_stats, telemetry_every,
@@ -116,6 +124,8 @@ def observe(trace_capacity=0, collect_manifests=False,
     prev = _current
     _current = session
     try:
+        if session.profiler is not None:
+            session.profiler.start()
         yield session
     finally:
         if session.profiler is not None:

@@ -1,13 +1,13 @@
 """Phase-resolved telemetry: a windowed sampler over the stats registry.
 
 End-of-run totals hide how a run *evolves*: cold-cache warm-in, working
--set shifts, a fault burst.  The
-:class:`TelemetrySampler` closes that gap by snapshotting the existing
-stats registry every N driven events (``--telemetry N`` /
-``$REPRO_TELEMETRY``) and recording per-window *deltas*: per-core hit
+-set shifts, a fault burst.  The :class:`TelemetrySampler` closes that
+gap by snapshotting the existing stats registry every N driven events
+(``--telemetry N``) and recording per-window *deltas*: per-core hit
 rates and exposed latency, NoC hops per event, memory traffic, fault
-events, and a per-vault occupancy/traffic heatmap series.  A greedy mean-shift change-point
-pass over the windowed miss rate segments the series into phases.
+events, and a per-vault occupancy/traffic heatmap series.  A greedy
+mean-shift change-point pass over the windowed miss rate segments the
+series into phases.
 
 Sampling happens at core-interleave *round* granularity inside
 ``_drive`` (one ``is not None`` check per round when enabled, nothing
@@ -24,7 +24,6 @@ detected phase).
 """
 
 import json
-import os
 
 from repro.obs.profile import clock
 from repro.obs.stats import KIND_COUNTER
@@ -33,22 +32,6 @@ from repro.obs.stats import KIND_COUNTER
 PHASE_ABS_TOL = 0.03
 #: Default miss-rate deviation relative to the running phase mean.
 PHASE_REL_TOL = 0.5
-
-
-def interval_from_env():
-    """Telemetry interval from ``$REPRO_TELEMETRY`` (driven events per
-    window; unset/empty/0 means off)."""
-    raw = os.environ.get("REPRO_TELEMETRY", "").strip()
-    if not raw:
-        return 0
-    try:
-        every = int(raw)
-    except ValueError:
-        raise ValueError("REPRO_TELEMETRY must be an integer, got %r"
-                         % raw) from None
-    if every < 0:
-        raise ValueError("REPRO_TELEMETRY must be >= 0, got %d" % every)
-    return every
 
 
 def counter_values(root):
@@ -373,8 +356,9 @@ def export_chrome_trace(samplers, profile_report=None,
     """``chrome://tracing``-compatible JSON (opens in Perfetto).
 
     Per run: counter (``"ph": "C"``) tracks for miss rate and NoC hops
-    per event, plus one ``"ph": "X"`` span per detected phase.  Optionally appends the profiler's synthetic flame
-    chart (:func:`repro.obs.profile.trace_events`) and the engine
+    per event, plus one ``"ph": "X"`` span per detected phase.
+    Optionally appends the sampled profile's flame chart
+    (:func:`repro.obs.profile.trace_events`) and the engine
     flight recorder's real spans
     (:meth:`repro.obs.recorder.FlightRecorder` spans via
     ``repro.obs.recorder.span_trace_events``).

@@ -22,6 +22,7 @@ pickled response for itself (``format: "pickle"``), which is the fast
 path the in-repo client uses.
 """
 
+import asyncio
 import json
 from dataclasses import dataclass, field
 
@@ -105,7 +106,8 @@ async def read_request(reader):
     """Parse one HTTP/1.1 request from an asyncio stream.
 
     Returns None on a clean EOF (client closed between requests);
-    raises :class:`ProtocolError` on malformed input.
+    raises :class:`ProtocolError` on malformed input, including a body
+    shorter than its ``Content-Length``.
     """
     line = await _readline(reader)
     if not line:
@@ -138,7 +140,11 @@ async def read_request(reader):
             raise ProtocolError("bad Content-Length") from None
         if length < 0 or length > MAX_BODY_BYTES:
             raise ProtocolError("body of %d bytes out of range" % length)
-        body = await reader.readexactly(length)
+        try:
+            body = await reader.readexactly(length)
+        except asyncio.IncompleteReadError as e:
+            raise ProtocolError("body truncated: got %d of %d bytes"
+                                % (len(e.partial), length)) from None
     path, query = _parse_target(target)
     return Request(method=method.upper(), path=path, query=query,
                    headers=headers, body=body)

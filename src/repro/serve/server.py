@@ -224,16 +224,26 @@ class JobServer:
                     job.state = "running"
                     self._publish("job", {"key": job.key,
                                           "state": "running"})
-                requests = [job.request for job in batch]
-                try:
-                    summaries = await self._loop.run_in_executor(
-                        self._engine_pool, self.engine.run, requests)
-                except Exception as e:
-                    for job in batch:
-                        self._resolve(job, error=e)
-                    continue
-                for job, summary in zip(batch, summaries):
-                    self._resolve(job, summary=summary)
+                for job, (summary, error) in zip(
+                        batch, await self._execute(batch)):
+                    self._resolve(job, summary=summary, error=error)
+
+    async def _execute(self, batch):
+        """``(summary, error)`` per job of ``batch``, from one engine
+        run.  When that run fails a batch of several jobs, each job
+        runs again alone, so a bad job fails only itself."""
+        try:
+            summaries = await self._loop.run_in_executor(
+                self._engine_pool, self.engine.run,
+                [job.request for job in batch])
+            return [(summary, None) for summary in summaries]
+        except Exception as e:
+            if len(batch) == 1:
+                return [(None, e)]
+        outcomes = []
+        for job in batch:
+            outcomes.extend(await self._execute([job]))
+        return outcomes
 
     def _resolve(self, job, summary=None, error=None):
         self._inflight.pop(job.key, None)

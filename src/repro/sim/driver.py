@@ -8,8 +8,7 @@ local clock -- base CPI plus its exposed stall cycles -- which also
 timestamps memory-controller bank occupancy.
 """
 
-import os
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
@@ -33,20 +32,9 @@ _chunk_override = None
 
 def default_chunk():
     """Ambient core-interleave chunk: the :func:`use_chunk` override
-    when one is installed, else ``$REPRO_CHUNK``, else
-    ``DEFAULT_CHUNK``."""
+    when one is installed, else ``DEFAULT_CHUNK``."""
     if _chunk_override is not None:
         return _chunk_override
-    raw = os.environ.get("REPRO_CHUNK", "").strip()
-    if raw:
-        try:
-            chunk = int(raw)
-        except ValueError:
-            raise ValueError("REPRO_CHUNK must be an integer, got %r"
-                             % raw) from None
-        if chunk < 1:
-            raise ValueError("REPRO_CHUNK must be >= 1, got %d" % chunk)
-        return chunk
     return DEFAULT_CHUNK
 
 
@@ -400,14 +388,10 @@ def run_system(system, traces, warmup_events, measure_events,
                                 end + measure_events))
         warm_ends.append(end)
     session = _obs_session.current_session()
-    profiler = session.profiler if session is not None else None
     telemetry_every = (session.telemetry_every if session is not None
                        else 0)
     if session is not None:
         session.attach(system)
-    if profiler is not None:
-        from repro.obs.profile import instrument
-        instrument(profiler, system)
     sampler = None
     if telemetry_every > 0:
         # built here (the registry walk is the expensive part) and
@@ -419,20 +403,14 @@ def run_system(system, traces, warmup_events, measure_events,
     per_core = _per_core_state(system, traces)
     system.measuring = False
     t0 = clock()
-    with (profiler.region("warmup") if profiler is not None
-          else nullcontext()):
-        _drive(system, per_core, [0] * len(traces), warm_ends, times,
-               chunk)
+    _drive(system, per_core, [0] * len(traces), warm_ends, times, chunk)
     t1 = clock()
     system.reset_stats()
     system.measuring = True
     if sampler is not None:
         sampler.start()
-    with (profiler.region("measure") if profiler is not None
-          else nullcontext()):
-        _drive(system, per_core, warm_ends,
-               [e + measure_events for e in warm_ends], times, chunk,
-               sampler)
+    _drive(system, per_core, warm_ends,
+           [e + measure_events for e in warm_ends], times, chunk, sampler)
     t2 = clock()
     if sampler is not None:
         sampler.finish(measure_events * len(traces))
@@ -443,8 +421,6 @@ def run_system(system, traces, warmup_events, measure_events,
                        core_ids=[tr.core_id for tr in traces],
                        warmup_wall_s=t1 - t0, measure_wall_s=t2 - t1,
                        warmup_events=warmup_events, telemetry=sampler)
-    if profiler is not None:
-        profiler.add_events(result.driven_events())
     if session is not None:
         session.note_run(result, seed=seed)
     return result
@@ -458,21 +434,17 @@ def simulate(config, spec, plan, core_params=None, seed=0,
     attach nothing (bit-identical to fault-free)."""
     from repro.workloads.generator import generate_traces
 
-    session = _obs_session.current_session()
-    profiler = session.profiler if session is not None else None
-    with (profiler.region("setup") if profiler is not None
-          else nullcontext()):
-        n = config.num_cores
-        if core_params is None:
-            core_params = [spec.core] * n
-        system = System(config, core_params)
-        system.track_sharing = track_sharing
-        if faults is not None and faults.active():
-            from repro.faults.injector import FaultInjector
-            system.attach_faults(FaultInjector(faults, n))
-        traces, layout = generate_traces(
-            spec, num_cores=n, events_per_core=plan.total_events,
-            scale=config.scale, seed=seed)
-        system.rw_shared_range = layout.rw_shared_range
+    n = config.num_cores
+    if core_params is None:
+        core_params = [spec.core] * n
+    system = System(config, core_params)
+    system.track_sharing = track_sharing
+    if faults is not None and faults.active():
+        from repro.faults.injector import FaultInjector
+        system.attach_faults(FaultInjector(faults, n))
+    traces, layout = generate_traces(
+        spec, num_cores=n, events_per_core=plan.total_events,
+        scale=config.scale, seed=seed)
+    system.rw_shared_range = layout.rw_shared_range
     return run_system(system, traces, plan.warmup_events,
                       plan.measure_events, chunk, seed=seed)

@@ -137,6 +137,25 @@ class RunRequest:
                 or seed < 0:
             raise ValueError("seed must be an integer >= 0, got %r"
                              % (seed,))
+        # Core ids index the system's cores; fault targets index the
+        # injector's vaults/banks, one per core.  Out of range, a run
+        # would fail midway or silently inject nothing.
+        n = self.config.num_cores
+        for _spec, core_ids in self.placements:
+            for core in core_ids:
+                if not 0 <= core < n:
+                    raise ValueError("placement core id %r outside a "
+                                     "%d-core system" % (core, n))
+        faults = self.faults
+        if faults is not None:
+            vaults = [ev[1] for ev in faults.vault_events]
+            if faults.target is not None:
+                vaults.append(faults.target)
+            for vault in vaults:
+                if not 0 <= vault < n:
+                    raise ValueError("fault plan names vault/bank %r; a "
+                                     "%d-core system has 0..%d"
+                                     % (vault, n, n - 1))
 
     @classmethod
     def point(cls, config, spec, plan, seed, core_ids=None,

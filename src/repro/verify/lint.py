@@ -49,8 +49,8 @@ silolint encodes those contracts as ``ast``-level rules:
   ``time.perf_counter()``, ``time.monotonic()``, ...) in simulator
   packages (``sim``, ``caches``, ``coherence``, ``noc``) outside
   :mod:`repro.obs`: every self-measurement must read
-  :data:`repro.obs.profile.clock`, so profiler regions, telemetry
-  windows and recorded wall clocks are all on one clock source.
+  :data:`repro.obs.profile.clock`, so the profiler, telemetry windows
+  and recorded wall clocks are all on one clock source.
 * **SL009** -- blocking call inside an ``async def`` in event-loop
   packages (``serve``): ``time.sleep``, synchronous
   ``socket.recv``-family methods, ``subprocess.run``-family calls or a

@@ -156,6 +156,18 @@ def test_cli_rejects_out_of_range_fault_rate():
         main(["fig3", "--faults", "1.5"])
 
 
+@pytest.mark.parametrize("target", ["-1", "16", "99"])
+@pytest.mark.parametrize("experiment", ["fig3", "resilience"])
+def test_cli_rejects_fault_target_outside_the_system(experiment, target,
+                                                     capsys):
+    # every experiment builds 16-core systems: vaults/banks 0..15
+    with pytest.raises(SystemExit) as exc:
+        main([experiment, "--faults", "0.001", "--fault-target", target])
+    assert exc.value.code == 2
+    assert "--fault-target must be a vault/bank id in [0, 16)" \
+        in capsys.readouterr().err
+
+
 def test_cli_rejects_fault_flags_for_static_experiments():
     with pytest.raises(SystemExit):
         main(["table1", "--faults", "0.1"])

@@ -449,6 +449,39 @@ def test_run_request_rejects_unknown_fields():
     assert RunRequest.from_canonical(wire).key() == _point().key()
 
 
+@pytest.mark.parametrize("core", [99, 4, -1])
+def test_run_request_rejects_core_ids_outside_the_system(core):
+    config = system_config("silo", num_cores=4, scale=SCALE)
+    spec = SCALEOUT_WORKLOADS["web_search"]
+    with pytest.raises(ValueError, match="core id"):
+        RunRequest.point(config, spec, PLAN, 7, core_ids=(0, core))
+    wire = RunRequest.point(config, spec, PLAN, 7).canonical()
+    wire["placements"][0]["core_ids"] = [0, core]
+    with pytest.raises(ValueError, match="core id"):
+        RunRequest.from_canonical(wire)
+    assert RunRequest.point(config, spec, PLAN, 7,
+                            core_ids=(0, 3)).placements[0][1] == (0, 3)
+
+
+@pytest.mark.parametrize("plan", [
+    FaultPlan(data_flip_rate=0.01, target=4),
+    FaultPlan(data_flip_rate=0.01, target=99),
+    FaultPlan(vault_events=((10, 99, "offline"),)),
+], ids=["target-4", "target-99", "vault-event-99"])
+def test_run_request_rejects_fault_targets_outside_the_system(plan):
+    """A 4-core system has vaults/banks 0..3: a plan naming another
+    would fail midway (vault events) or inject nothing (target)."""
+    with pytest.raises(ValueError, match="vault/bank"):
+        _point_with(faults=plan)
+    wire = _point().canonical()
+    wire["faults"] = plan.canonical()
+    with pytest.raises(ValueError, match="vault/bank"):
+        RunRequest.from_canonical(wire)
+    inside = FaultPlan(data_flip_rate=0.01, target=3,
+                       vault_events=((10, 3, "offline"),))
+    assert _point_with(faults=inside).faults == inside
+
+
 def test_run_system_rejects_bad_chunk():
     config = system_config("baseline", num_cores=4, scale=SCALE)
     spec = SCALEOUT_WORKLOADS["web_search"]

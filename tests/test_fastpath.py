@@ -130,21 +130,14 @@ def test_inactive_faults_keep_the_kernel():
 # ---------------------------------------------------------------------------
 
 
-def test_use_chunk_override(monkeypatch):
-    monkeypatch.delenv("REPRO_CHUNK", raising=False)
+def test_use_chunk_override():
     assert default_chunk() == DEFAULT_CHUNK
     with use_chunk(64):
         assert default_chunk() == 64
     assert default_chunk() == DEFAULT_CHUNK
-    monkeypatch.setenv("REPRO_CHUNK", "321")
-    assert default_chunk() == 321
-    monkeypatch.setenv("REPRO_CHUNK", "0")
-    with pytest.raises(ValueError):
-        default_chunk()
 
 
-def test_run_request_defaults_from_ambient(monkeypatch):
-    monkeypatch.delenv("REPRO_CHUNK", raising=False)
+def test_run_request_defaults_from_ambient():
     config = system_config("silo", num_cores=4, scale=SCALE)
     req = RunRequest.point(config, HOT_SPEC, PLAN, seed=7)
     assert req.chunk == DEFAULT_CHUNK

@@ -1,11 +1,15 @@
-"""Self-profiler: region-tree arithmetic, instrumentation coverage,
-report rendering and the synthetic flame chart."""
+"""Sampling self-profiler: layer mapping, the SIGPROF handler on a
+synthetic stack, report arithmetic, the flame-chart layout, the timer's
+lifecycle under ``observe`` and real profiled runs."""
 
 import json
+import signal
+import sys
+from collections import Counter
 
 import pytest
 
-from repro.obs.profile import (Profiler, instrument, render_report,
+from repro.obs.profile import (Profiler, layer_of, render_report,
                                trace_events)
 from repro.obs.session import observe
 from repro.sim.config import HierarchyConfig
@@ -16,143 +20,238 @@ from repro.workloads.scaleout import WEB_SEARCH
 PLAN = SamplingPlan(1500, 800)
 
 
-def config(kind="private_vault"):
-    return HierarchyConfig(name="prof", num_cores=4, scale=512,
+def config(kind="private_vault", num_cores=4):
+    return HierarchyConfig(name="prof", num_cores=num_cores, scale=512,
                            llc_kind=kind)
 
 
-def profiled_run(kind="private_vault", seed=3):
-    with observe(profile=True) as session:
-        result = simulate(config(kind), WEB_SEARCH, PLAN, seed=seed)
-    return result, session.profiler
+# -- layer mapping ----------------------------------------------------------
 
 
-# -- region tree ------------------------------------------------------------
+@pytest.mark.parametrize("module, layer", [
+    ("repro.sim.driver", "sim.driver"),
+    ("repro.sim.system", "sim.system"),
+    ("repro.sim", "sim"),
+    ("repro.caches.sram_cache", "caches"),
+    ("repro.coherence.directory", "coherence"),
+    ("repro.noc", "noc"),
+    ("repro", None),
+    ("reproduce.sim.driver", None),
+    ("numpy.core.numeric", None),
+    ("__main__", None),
+    (None, None),
+])
+def test_layer_of(module, layer):
+    assert layer_of(module) == layer
 
 
-def test_region_nesting_and_counts():
+# -- the handler on a synthetic stack ---------------------------------------
+
+
+def _call_through(modules, leaf):
+    """Call ``leaf`` beneath one frame per entry of ``modules``
+    (outermost first), each frame's code running under that
+    ``__name__``."""
+    fn = leaf
+    for module in reversed(modules):
+        scope = {"__name__": module, "inner": fn}
+        exec("def call():\n    return inner()\n", scope)
+        fn = scope["call"]
+    return fn()
+
+
+def _sample_under(profiler, modules):
+    _call_through(modules, lambda: profiler._on_signal(
+        signal.SIGPROF, sys._getframe()))
+
+
+def test_handler_counts_the_layer_chain_outermost_first():
     p = Profiler()
-    with p.region("outer"):
-        with p.region("inner"):
-            pass
-        with p.region("inner"):
-            pass
-    report = p.report()
-    by_path = {r["path"]: r for r in report["regions"]}
-    assert set(by_path) == {"outer", "outer.inner"}
-    assert by_path["outer"]["calls"] == 1
-    assert by_path["outer.inner"]["calls"] == 2
-    assert by_path["outer.inner"]["depth"] == 1
+    # the numpy frame between two driver frames does not break their
+    # run, so the three driver frames collapse into one link
+    _sample_under(p, ["repro.experiments.cli", "repro.sim.driver",
+                      "repro.sim.driver", "numpy.core", "repro.sim.driver",
+                      "repro.caches.sram_cache"])
+    assert p.stacks == Counter({("experiments", "sim.driver",
+                                 "caches"): 1})
+    assert p.outside == 0
+    assert p.sampler_s > 0
 
 
-def test_exclusive_is_inclusive_minus_children():
+def test_handler_keeps_repeats_that_are_not_consecutive():
     p = Profiler()
-    with p.region("a"):
-        with p.region("b"):
-            pass
-    p.stop()
-    by_path = {r["path"]: r for r in p.report()["regions"]}
-    a, b = by_path["a"], by_path["a.b"]
-    assert a["inclusive_s"] >= b["inclusive_s"]
-    assert a["exclusive_s"] == pytest.approx(
-        a["inclusive_s"] - b["inclusive_s"])
-    assert b["exclusive_s"] == pytest.approx(b["inclusive_s"])
+    _sample_under(p, ["repro.sim.system", "repro.caches.sram_cache",
+                      "repro.sim.system"])
+    assert p.stacks == Counter({("sim.system", "caches",
+                                 "sim.system"): 1})
 
 
-def test_wrap_nests_under_open_region():
+def test_handler_counts_a_stack_without_repro_as_outside():
     p = Profiler()
-    fn = p.wrap("leaf", lambda x: x * 2)
-    with p.region("outer"):
-        assert fn(21) == 42
-    paths = {r["path"] for r in p.report()["regions"]}
-    assert "outer.leaf" in paths
+    _sample_under(p, ["numpy.core", "json.decoder"])
+    assert not p.stacks
+    assert p.outside == 1
 
 
-def test_wrap_propagates_exceptions_and_still_accounts():
+# -- report arithmetic ------------------------------------------------------
+
+
+def _filled(stacks, outside=0, wall=2.0, events=100):
     p = Profiler()
+    p.stacks = Counter(stacks)
+    p.outside = outside
+    p.driven_events = events
+    p._t0, p._stop_t = 0.0, wall
+    return p
 
-    def boom():
-        raise RuntimeError("nope")
 
-    fn = p.wrap("bad", boom)
-    with pytest.raises(RuntimeError):
-        fn()
-    by_path = {r["path"]: r for r in p.report()["regions"]}
-    assert by_path["bad"]["calls"] == 1
+def test_report_arithmetic():
+    p = _filled({("sim.driver",): 6,
+                 ("sim.driver", "sim.system"): 2,
+                 ("sim.driver", "sim.system", "caches"): 1}, outside=1)
+    r = p.report()
+    assert r["samples"] == 10
+    assert r["wall_s"] == 2.0
+    assert r["events_per_sec"] == 50.0
+    assert r["covered_fraction"] == pytest.approx(0.9)
+    assert list(r["layers"]) == ["sim.driver", "sim.system", "caches"]
+    driver = r["layers"]["sim.driver"]
+    assert driver["samples"] == 6
+    assert driver["self_s"] == pytest.approx(1.2)
+    assert driver["self_pct"] == pytest.approx(60.0)
+    assert driver["incl_pct"] == pytest.approx(90.0)
+    assert driver["us_per_event"] == pytest.approx(12000.0)
+    assert r["layers"]["sim.system"]["incl_pct"] == pytest.approx(30.0)
+    assert r["layers"]["caches"]["incl_pct"] == pytest.approx(10.0)
+    assert sum(v["self_pct"] for v in r["layers"].values()) \
+        == pytest.approx(100.0 * r["covered_fraction"])
+    assert sum(v["self_s"] for v in r["layers"].values()) \
+        == pytest.approx(r["wall_s"] * r["covered_fraction"])
+    assert r["stacks"] == {"sim.driver": 6, "sim.driver;sim.system": 2,
+                           "sim.driver;sim.system;caches": 1}
+
+
+def test_report_counts_a_layer_once_per_sample_inclusively():
+    r = _filled({("sim.system", "caches", "sim.system"): 4}).report()
+    assert r["layers"]["sim.system"]["incl_pct"] == pytest.approx(100.0)
+    assert r["layers"]["sim.system"]["self_pct"] == pytest.approx(100.0)
+    assert r["layers"]["caches"]["self_pct"] == 0.0
+
+
+def test_empty_report():
+    r = Profiler().report()
+    assert r["samples"] == 0 and r["covered_fraction"] == 0.0
+    assert r["layers"] == {} and r["stacks"] == {}
+    assert render_report(r).startswith("# self-profile:")
+
+
+def test_render_report_table():
+    text = render_report(_filled({("sim.driver",): 3,
+                                  ("sim.driver", "noc"): 1}).report())
+    lines = text.splitlines()
+    assert lines[0].startswith("# self-profile:")
+    assert lines[1].split() == ["layer", "samples", "self_s", "self%",
+                                "incl%", "us/event"]
+    assert lines[3].split()[:2] == ["sim.driver", "3"]
+    assert lines[4].split()[:2] == ["noc", "1"]
+
+
+# -- flame chart ------------------------------------------------------------
+
+
+def test_trace_events_flame_chart_layout():
+    # 10 samples over 1 s: 100 ms per sample
+    report = _filled({("a",): 1, ("a", "b"): 2, ("a", "c"): 3,
+                      ("d",): 4}, wall=1.0).report()
+    events = trace_events(report, pid=7)
+    assert events[0]["ph"] == "M" and events[0]["pid"] == 7
+    spans = {e["name"]: (e["ts"], e["dur"])
+             for e in events if e["ph"] == "X"}
+    assert spans == pytest.approx({"a": (0.0, 6e5), "b": (0.0, 2e5),
+                                   "c": (2e5, 3e5), "d": (6e5, 4e5)})
+    for child in ("b", "c"):
+        ts, dur = spans[child]
+        assert spans["a"][0] <= ts and ts + dur <= sum(spans["a"])
+
+
+# -- lifecycle --------------------------------------------------------------
 
 
 def test_stop_freezes_wall_clock():
     p = Profiler()
+    p.start()
     p.stop()
-    w1 = p.wall_s()
-    p.stop()  # idempotent
-    assert p.wall_s() == w1
+    wall = p.wall_s()
+    p.stop()
+    assert p.wall_s() == wall
+    assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
 
 
-# -- instrumented simulation ------------------------------------------------
+def test_observe_disarms_the_timer_and_restores_the_handler():
+    def previous(_signum, _frame):
+        pass
+
+    saved = signal.signal(signal.SIGPROF, previous)
+    try:
+        with observe(profile=True) as session:
+            assert signal.getsignal(signal.SIGPROF) \
+                == session.profiler._on_signal
+            assert signal.getitimer(signal.ITIMER_PROF)[1] > 0
+        assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGPROF) is previous
+        with pytest.raises(RuntimeError):
+            with observe(profile=True):
+                raise RuntimeError("boom")
+        assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGPROF) is previous
+    finally:
+        signal.signal(signal.SIGPROF, saved)
+
+
+# -- real profiled runs -----------------------------------------------------
+
+@pytest.fixture(scope="module")
+def profiled_run():
+    """``run(kind)``: a 16-core run long enough for a few hundred
+    samples, and its report (one run per kind, shared by the tests)."""
+    runs = {}
+
+    def run(kind="private_vault"):
+        if kind not in runs:
+            with observe(profile=True) as session:
+                result = simulate(config(kind, num_cores=16), WEB_SEARCH,
+                                  SamplingPlan(6000, 6000), seed=3)
+            runs[kind] = result, session.profiler.report()
+        return runs[kind]
+    return run
 
 
 @pytest.mark.parametrize("kind", ["shared", "private_vault"])
-def test_instrumented_run_has_subsystem_regions(kind):
-    result, profiler = profiled_run(kind)
-    report = profiler.report()
-    paths = {r["path"] for r in report["regions"]}
-    assert "setup" in paths
-    assert "warmup" in paths and "measure" in paths
-    miss = "nuca" if kind == "shared" else "vault"
-    assert any(p.endswith(".access") for p in paths)
-    assert any(p.endswith(".%s" % miss) for p in paths), paths
-    assert any(p.endswith(".memory") for p in paths)
-    assert any(p.endswith(".noc") for p in paths)
-    assert any(p.endswith(".directory") for p in paths)
+def test_sampled_run_has_subsystem_layers(profiled_run, kind):
+    result, report = profiled_run(kind)
+    assert report["samples"] > 0
+    assert "sim.driver" in report["layers"]
     assert report["driven_events"] == result.driven_events()
+    assert sum(report["stacks"].values()) \
+        == round(report["samples"] * report["covered_fraction"])
+    assert "sim.driver" in render_report(report)
+    for ev in trace_events(report):
+        assert ev.get("ts", 0) >= 0 and ev.get("dur", 0) >= 0
 
 
-def test_report_covers_most_of_the_wall_clock():
-    _result, profiler = profiled_run()
-    report = profiler.report()
+def test_report_covers_most_of_the_wall_clock(profiled_run):
+    _result, report = profiled_run()
     # acceptance asks >= 95% on a real CLI run; leave slack for CI jitter
-    assert report["covered_fraction"] >= 0.90
-    assert report["covered_fraction"] <= 1.0 + 1e-9
+    assert 0.9 <= report["covered_fraction"] <= 1.0
     assert report["wall_s"] > 0
     assert report["events_per_sec"] > 0
+    # the instrument's own cost, as it measures it
+    assert report["sampler_s"] <= 0.05 * report["wall_s"]
 
 
-def test_report_is_json_native():
-    _result, profiler = profiled_run()
-    json.dumps(profiler.report())
-
-
-# -- rendering --------------------------------------------------------------
-
-
-def test_render_report_table():
-    _result, profiler = profiled_run()
-    report = profiler.report()
-    text = render_report(report)
-    assert text.startswith("# self-profile:")
-    assert "incl_s" in text and "excl%" in text
-    assert "measure" in text
-
-
-def test_trace_events_flame_chart_layout():
-    _result, profiler = profiled_run()
-    report = profiler.report()
-    events = trace_events(report)
-    spans = [e for e in events if e["ph"] == "X"]
-    assert len(spans) == len(report["regions"])
-    for ev in spans:
-        assert ev["dur"] >= 0
-        assert ev["ts"] >= 0
-    # children start no earlier than their parent
-    by_path = {r["path"]: r for r in report["regions"]}
-    starts = {}
-    for ev, r in zip(spans, report["regions"]):
-        starts[r["path"]] = ev["ts"]
-    for path in by_path:
-        parent = path.rpartition(".")[0]
-        if parent:
-            assert starts[path] >= starts[parent] - 1e-6
+def test_report_is_json_native(profiled_run):
+    _result, report = profiled_run()
+    assert json.loads(json.dumps(report)) == report
 
 
 # -- inertness --------------------------------------------------------------
@@ -160,7 +259,8 @@ def test_trace_events_flame_chart_layout():
 
 def test_profiled_run_is_bit_identical():
     plain = simulate(config(), WEB_SEARCH, PLAN, seed=5)
-    profiled, _ = profiled_run(seed=5)
+    with observe(profile=True):
+        profiled = simulate(config(), WEB_SEARCH, PLAN, seed=5)
     assert profiled.performance() == plain.performance()
     assert profiled.level_counts() == plain.level_counts()
     assert (profiled.system.memory.reads, profiled.system.memory.writes) \

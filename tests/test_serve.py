@@ -11,7 +11,9 @@ The contracts the serving layer must keep:
   point once and records it like a local run;
 * backpressure: past the configured queue depth the server answers
   429 with Retry-After instead of queueing without bound; an oversized
-  request head gets 400, not a dropped connection;
+  request head or a truncated body gets 400, not a dropped connection;
+* one job that fails fails only itself, not the jobs dispatched with
+  it, and an SSE client that leaves is dropped;
 * hostile input fails locally: a run key that is not a sha256 digest
   gets 400 before it can name a cache path, and bad ``python -m
   repro.serve`` settings are usage errors;
@@ -38,6 +40,7 @@ import repro
 from repro.core.systems import system_config
 from repro.experiments.cli import main as experiments_main
 from repro.experiments.sharing import fig3_breakdown
+from repro.faults import FaultPlan
 from repro.obs.session import observe
 from repro.serve import __main__ as serve_cli
 from repro.serve import proto
@@ -290,6 +293,53 @@ def test_backpressure_returns_429_at_depth():
     assert engine.executed == 2
 
 
+class _PlantedFailure(RunEngine):
+    """Fails every batch that holds ``bad``, and holds its first batch
+    until ``release`` is set so later submissions queue up."""
+
+    def __init__(self, bad):
+        super().__init__(jobs=1)
+        self.bad = bad
+        self.release = threading.Event()
+        self.batches = []
+
+    def run(self, requests):
+        requests = list(requests)
+        self.batches.append(sorted(r.seed for r in requests))
+        if len(self.batches) == 1:
+            assert self.release.wait(10)
+        if self.bad in requests:
+            raise ValueError("planted failure")
+        return super().run(requests)
+
+
+def test_failing_job_fails_only_itself():
+    bad, good = _point(seed=99), _point(seed=3)
+    engine = _PlantedFailure(bad)
+    with ServerThread(engine) as server:
+        client = ServerClient(server.url)
+        client.submit(_point(seed=1), wait=False)   # occupies the engine
+        with concurrent.futures.ThreadPoolExecutor(2) as pool:
+            bad_reply = pool.submit(client.submit, bad)
+            good_reply = pool.submit(client.submit, good)
+            deadline = time.monotonic() + 10
+            while client.health()["queue_depth"] < 2:
+                assert time.monotonic() < deadline, "twins never queued"
+                time.sleep(0.01)
+            engine.release.set()
+            with pytest.raises(ServerError) as exc:
+                bad_reply.result(30)
+            doc, _dedup = good_reply.result(30)
+        assert exc.value.status == 500
+        assert "planted failure" in str(exc.value)
+        # one batch of both, then each job alone
+        assert engine.batches == [[1], [3, 99], [99], [3]]
+        direct = RunEngine(jobs=1).run([good])[0]
+        assert _strip_wall(doc["summary"].to_dict()) \
+            == _strip_wall(direct.to_dict())
+        assert (server.completed, server.errors) == (2, 1)
+
+
 def test_priority_classes_exist_on_the_wire():
     req = _point()
     body = {"request": req.canonical(), "priority": "interactive",
@@ -384,6 +434,19 @@ def test_unknown_route_and_bad_json():
             assert exc.value.status == 400
             assert word in str(exc.value)
         assert server.engine.requests == 0
+        # core ids and vaults outside the 4-core system are refused too
+        stray_core = _point().canonical()
+        stray_core["placements"][0]["core_ids"] = [0, 99]
+        stray_vault = _point().canonical()
+        stray_vault["faults"] = FaultPlan(
+            vault_events=((10, 99, "offline"),)).canonical()
+        for body, word in ((stray_core, "core id"),
+                           (stray_vault, "vault/bank")):
+            with pytest.raises(ServerError) as exc:
+                client._request("POST", "/runs", body={"request": body})
+            assert exc.value.status == 400
+            assert word in str(exc.value)
+        assert server.engine.requests == 0 and server.submitted == 0
         # malformed JSON body straight over the socket
         sock = socket_mod.create_connection((server.host, server.port),
                                             timeout=10)
@@ -408,6 +471,66 @@ def test_oversized_request_head_gets_400():
         sock.close()
         assert reply.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
         assert ServerClient(server.url).health()["ok"]
+
+
+def _read_to_eof(sock):
+    chunks = []
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+def test_truncated_body_gets_400_and_queues_nothing():
+    engine = RunEngine(jobs=1)
+    body = json.dumps({"request": _point().canonical()}).encode("utf-8")
+    head = (b"POST /runs HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+            % len(body))
+    with ServerThread(engine) as server:
+        client = ServerClient(server.url)
+        # half-close after half the body: the client can still read
+        sock = socket_mod.create_connection((server.host, server.port),
+                                            timeout=10)
+        sock.sendall(head + body[:len(body) // 2])
+        sock.shutdown(socket_mod.SHUT_WR)
+        reply = _read_to_eof(sock)
+        sock.close()
+        assert reply.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
+        assert b"body truncated: got %d of %d bytes" \
+            % (len(body) // 2, len(body)) in reply
+        # full close: nobody to answer, and nothing queued
+        before = client.health()
+        sock = socket_mod.create_connection((server.host, server.port),
+                                            timeout=10)
+        sock.sendall(head + body[:10])
+        sock.close()
+        time.sleep(0.3)
+        assert client.health() == before
+        assert before["submitted"] == 0 and before["inflight"] == 0
+        assert engine.requests == 0
+
+
+def test_sse_subscriber_dropped_after_client_leaves():
+    engine = RunEngine(jobs=1)
+    with ServerThread(engine) as server:
+        sock = socket_mod.create_connection((server.host, server.port),
+                                            timeout=10)
+        sock.sendall(b"GET /events HTTP/1.1\r\n\r\n")
+        seen = b""
+        while b"event: hello" not in seen:
+            chunk = sock.recv(65536)
+            assert chunk, "stream closed before hello"
+            seen += chunk
+        assert len(server._subscribers) == 1
+        sock.close()
+        # the server notices the departure when it next writes: one
+        # job's events are enough
+        ServerClient(server.url).submit(_point())
+        deadline = time.monotonic() + 10
+        while server._subscribers and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not server._subscribers
 
 
 def test_get_run_falls_back_to_disk_cache(tmp_path):

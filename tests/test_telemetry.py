@@ -9,8 +9,7 @@ import pytest
 from repro.obs.session import observe
 from repro.obs.telemetry import (counter_values, detect_phases,
                                  export_chrome_trace, export_jsonl,
-                                 export_prometheus, interval_from_env,
-                                 TelemetrySampler)
+                                 export_prometheus, TelemetrySampler)
 from repro.sim.config import HierarchyConfig
 from repro.sim.driver import run_system, simulate
 from repro.sim.sampling import SamplingPlan
@@ -34,21 +33,6 @@ def sampled_run(kind="private_vault", every=400, seed=3):
 
 
 # -- interval resolution ----------------------------------------------------
-
-
-def test_interval_from_env(monkeypatch):
-    monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-    assert interval_from_env() == 0
-    monkeypatch.setenv("REPRO_TELEMETRY", "5000")
-    assert interval_from_env() == 5000
-    monkeypatch.setenv("REPRO_TELEMETRY", "")
-    assert interval_from_env() == 0
-    monkeypatch.setenv("REPRO_TELEMETRY", "nope")
-    with pytest.raises(ValueError):
-        interval_from_env()
-    monkeypatch.setenv("REPRO_TELEMETRY", "-3")
-    with pytest.raises(ValueError):
-        interval_from_env()
 
 
 def test_sampler_rejects_bad_interval():
@@ -249,11 +233,8 @@ def test_export_chrome_trace_opens_in_perfetto_shape():
 
 def test_export_chrome_trace_includes_profile_and_engine_spans():
     result = sampled_run()
-    report = {"regions": [
-        {"path": "measure", "name": "measure", "depth": 0, "calls": 1,
-         "inclusive_s": 1.0, "exclusive_s": 0.4},
-        {"path": "measure.access", "name": "access", "depth": 1,
-         "calls": 10, "inclusive_s": 0.6, "exclusive_s": 0.6}]}
+    report = {"wall_s": 1.0, "samples": 10,
+              "stacks": {"sim.driver": 4, "sim.driver;sim.system": 6}}
     spans = [{"key": "k" * 64, "mode": "simulate", "worker": "local",
               "queue_wait_s": 0.0, "exec_s": 0.5, "started_s": 0.1,
               "ended_s": 0.6, "outcome": "ok"}]
