@@ -86,6 +86,11 @@ class HierarchyConfig:
             raise ValueError("unknown protocol %r" % (self.protocol,))
         if self.num_cores < 1:
             raise ValueError("need at least one core")
+        # A fractional scale leaves capacities that hold no whole
+        # number of sets; a bool would run at scale 1.
+        if isinstance(self.scale, bool) or not isinstance(self.scale, int):
+            raise ValueError("scale must be an integer, got %r"
+                             % (self.scale,))
         if self.scale < 1:
             raise ValueError("scale must be >= 1")
         if self.local_miss_predictor not in (False, True, "ideal",

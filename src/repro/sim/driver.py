@@ -12,8 +12,6 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
-import numpy as np
-
 from repro.coherence.states import MODIFIED
 from repro.cores.perf_model import (
     NUM_LEVELS, LEVEL_NAMES, LEVEL_L1, LEVEL_LLC_LOCAL, LEVEL_LLC_REMOTE,
@@ -24,6 +22,7 @@ from repro.obs.profile import clock
 from repro.obs.stats import Distribution
 from repro.sim.config import LLC_PRIVATE_VAULT
 from repro.sim.system import System
+from repro.workloads.generator import FLAG_IFETCH, FLAG_WRITE
 
 DEFAULT_CHUNK = 200
 
@@ -51,9 +50,7 @@ def check_chunk(chunk):
 def use_chunk(chunk):
     """Install ``chunk`` as the ambient interleave grain for the block
     (the CLI wraps experiments in this for ``--chunk``)."""
-    chunk = int(chunk)
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
+    check_chunk(chunk)
     global _chunk_override
     prev = _chunk_override
     _chunk_override = chunk
@@ -63,55 +60,18 @@ def use_chunk(chunk):
         _chunk_override = prev
 
 
-class EventLanes:
-    """First-class pre-decoded event lanes of one trace: the write and
-    ifetch flags split out and the stall-time multiplier
-    (ifetch_stall_factor for ifetches, 1/mlp for data) resolved per
-    event.
-
-    The decode is vectorized with numpy and done once per
-    trace+params; warmup and measure phases -- and any later run over
-    the same trace -- reuse it (memoized on the trace by
-    :func:`_decoded_lanes`).  The hot loops index plain Python lists
-    (``tolist()``), which CPython reads faster than numpy scalars.
-    Values are bit-identical to the original per-event ``iff if fl & 2
-    else inv_mlp`` decode: both multiplier operands are the same two
-    Python floats either way.
-    """
-
-    __slots__ = ("blocks", "writes", "ifetches", "lat_mul")
-
-    def __init__(self, trace, params):
-        flags = np.asarray(trace.flags, dtype=np.int64)
-        inv_mlp = 1.0 / params.mlp
-        iff = params.ifetch_stall_factor
-        ifetch_bits = flags & 2
-        self.blocks = trace.blocks
-        self.writes = (flags & 1).tolist()
-        self.ifetches = ifetch_bits.tolist()
-        self.lat_mul = np.where(ifetch_bits != 0, iff, inv_mlp).tolist()
-
-
-def _decoded_lanes(trace, params):
-    """The trace's :class:`EventLanes`, memoized on the trace object
-    (keyed by the CoreParams that shaped them)."""
-    cached = getattr(trace, "cached_lanes", None)
-    if cached is not None and cached[0] == params:
-        return cached[1]
-    lanes = EventLanes(trace, params)
-    trace.cached_lanes = (params, lanes)
-    return lanes
-
-
 def _per_core_state(system, traces):
-    """Per-core hot-loop state: core id, the cycles retired per event
-    and the decoded :class:`EventLanes`, so ``_drive`` does no
-    per-event flag tests or attribute lookups."""
+    """Per-core hot-loop state: core id, the cycles retired per event,
+    the trace's own ``blocks`` and ``flags`` lists, and the two stall
+    multipliers (``ifetch_stall_factor`` for an ifetch, ``1/mlp`` for
+    a data access), so ``_drive`` does no per-event attribute lookups.
+    The trace is read, never copied or written."""
     out = []
     for tr in traces:
         p = system.cores[tr.core_id].params
         out.append((tr.core_id, tr.instr_per_event * p.base_cpi,
-                    _decoded_lanes(tr, p)))
+                    tr.blocks, tr.flags, p.ifetch_stall_factor,
+                    1.0 / p.mlp))
     return out
 
 
@@ -120,6 +80,12 @@ def _drive(system, per_core, starts, ends, times, chunk, sampler=None):
     """Interleave cores in ``chunk``-sized slices from per-core start to
     per-core end positions (positions may differ when prewarm prefixes
     have different lengths).
+
+    Each event's flag word is read from the trace and decoded with the
+    reference loop's bit tests (``FLAG_IFETCH``, ``FLAG_WRITE``; a word
+    may carry both), and a miss's stall is ``lat * iff`` for an ifetch
+    or ``lat * inv_mlp`` for a data access, the same float operations
+    in the same order.
 
     Trivial L1 hits are retired inline instead of through
     ``System.access``: a resident ifetch, a resident data read and a
@@ -150,15 +116,12 @@ def _drive(system, per_core, starts, ends, times, chunk, sampler=None):
     remaining = sum(e - s for s, e in zip(starts, ends))
     total = remaining
     while remaining > 0:
-        for idx, (core, cpi_ev, lanes) in enumerate(per_core):
+        for idx, (core, cpi_ev, blocks, flags, iff, inv_mlp) in \
+                enumerate(per_core):
             pos = positions[idx]
             hi = min(pos + chunk, ends[idx])
             if pos >= hi:
                 continue
-            blocks = lanes.blocks
-            writes = lanes.writes
-            ifetches = lanes.ifetches
-            lat_mul = lanes.lat_mul
             t = times[core]
             dl1 = l1d[core]
             il1 = l1i[core]
@@ -175,7 +138,8 @@ def _drive(system, per_core, starts, ends, times, chunk, sampler=None):
                 ihits = 0
                 for i in range(pos, hi):
                     block = blocks[i]
-                    if ifetches[i]:
+                    fl = flags[i]
+                    if fl & FLAG_IFETCH:
                         entries = isets[block % inum]
                         st = entries.get(block)
                         if st is not None:
@@ -185,32 +149,42 @@ def _drive(system, per_core, starts, ends, times, chunk, sampler=None):
                             ihits += 1
                             t += cpi_ev
                             continue
+                        lat = access(core, block, fl & FLAG_WRITE,
+                                     fl & FLAG_IFETCH, t)
+                        t += cpi_ev
+                        if lat:
+                            t += lat * iff
                     else:
                         entries = dsets[block % dnum]
                         st = entries.get(block)
                         if st is not None and (st == MODIFIED
-                                               or not writes[i]):
+                                               or not fl & FLAG_WRITE):
                             if dreorder:
                                 del entries[block]
                                 entries[block] = st
                             dhits += 1
                             t += cpi_ev
                             continue
-                    lat = access(core, block, writes[i], ifetches[i], t)
-                    t += cpi_ev
-                    if lat:
-                        t += lat * lat_mul[i]
+                        lat = access(core, block, fl & FLAG_WRITE,
+                                     fl & FLAG_IFETCH, t)
+                        t += cpi_ev
+                        if lat:
+                            t += lat * inv_mlp
                 if measuring:
                     counts = cores[core]
                     counts.data_count[LEVEL_L1] += dhits
                     counts.ifetch_count[LEVEL_L1] += ihits
             else:
                 for i in range(pos, hi):
-                    lat = access(core, blocks[i], writes[i], ifetches[i],
-                                 t)
+                    fl = flags[i]
+                    lat = access(core, blocks[i], fl & FLAG_WRITE,
+                                 fl & FLAG_IFETCH, t)
                     t += cpi_ev
                     if lat:
-                        t += lat * lat_mul[i]
+                        if fl & FLAG_IFETCH:
+                            t += lat * iff
+                        else:
+                            t += lat * inv_mlp
             times[core] = t
             remaining -= hi - pos
             positions[idx] = hi

@@ -42,6 +42,7 @@ worker-executed points are recorded from their summaries.
 import functools
 import hashlib
 import json
+import math
 import os
 import pickle
 import re
@@ -137,15 +138,36 @@ class RunRequest:
                 or seed < 0:
             raise ValueError("seed must be an integer >= 0, got %r"
                              % (seed,))
-        # Core ids index the system's cores; fault targets index the
-        # injector's vaults/banks, one per core.  Out of range, a run
-        # would fail midway or silently inject nothing.
+        # Every System builds a square mesh of its cores.
         n = self.config.num_cores
+        if math.isqrt(n) ** 2 != n:
+            raise ValueError("num_cores=%d is not a perfect square; "
+                             "every system is a square mesh" % n)
+        # A request drives at least one core, and one that is not
+        # colocated has exactly one placement (the simulator and the
+        # estimator unpack one).
+        if not self.placements:
+            raise ValueError("a run request needs at least one placement")
+        if not self.colocated and len(self.placements) > 1:
+            raise ValueError("%d placements on a request that is not "
+                             "colocated" % len(self.placements))
+        # Core ids index the system's cores, and each core runs one
+        # trace; fault targets index the injector's vaults/banks, one
+        # per core.  Out of range or named twice, a run would fail
+        # midway, drive a core with two traces or silently inject
+        # nothing.
+        seen = set()
         for _spec, core_ids in self.placements:
+            if not core_ids:
+                raise ValueError("a placement names no core")
             for core in core_ids:
                 if not 0 <= core < n:
                     raise ValueError("placement core id %r outside a "
                                      "%d-core system" % (core, n))
+                if core in seen:
+                    raise ValueError("placement core id %r named twice"
+                                     % (core,))
+                seen.add(core)
         faults = self.faults
         if faults is not None:
             vaults = [ev[1] for ev in faults.vault_events]

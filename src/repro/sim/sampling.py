@@ -23,6 +23,13 @@ class SamplingPlan:
     measure_events: int = 20_000
 
     def __post_init__(self):
+        # Event counts slice the trace: a float fails only inside the
+        # job, and a bool would run as a one-event window.
+        for name in ("warmup_events", "measure_events"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError("%s must be an integer, got %r"
+                                 % (name, value))
         if self.warmup_events < 0 or self.measure_events <= 0:
             raise ValueError("invalid sampling plan")
 

@@ -38,6 +38,10 @@ def _page_spread(idx, base_lo, span):
 # Cache of Zipf inverse-CDF tables keyed by (n_items, alpha rounded).
 _ZIPF_CDF_CACHE: Dict[Tuple[int, float], np.ndarray] = {}
 
+#: ``(key, (traces, layout))`` of the last :func:`generate_traces`
+#: call, or None: a one-entry memo.
+_last_traces = None
+
 
 def _zipf_cdf(n_items, alpha):
     key = (n_items, round(alpha, 4))
@@ -107,6 +111,11 @@ class CoreTrace:
     The first ``prewarm_events`` entries are a cache-warming prefix (one
     full pass over each scan region's slice, cf. the paper's
     checkpoint-based warm starts); the driver never measures them.
+
+    Generated traces are shared and read-only: :func:`generate_traces`
+    hands the same objects to every call with the same arguments, and
+    the run driver reads ``blocks`` and ``flags`` in place.  Copy a
+    trace before changing it.
     """
 
     core_id: int
@@ -270,7 +279,31 @@ def generate_traces(spec, num_cores, events_per_core, scale=64, seed=0,
     (traces, layout):
         ``traces`` is a list of :class:`CoreTrace`, ``layout`` the
         shared :class:`TraceLayout`.
+
+    The result of the last call is memoized.  A figure's grid runs
+    several systems on one workload back to back, so a call with the
+    same arguments as the previous one returns the same ``(traces,
+    layout)`` objects instead of generating them again (the traces are
+    shared and read-only, see :class:`CoreTrace`).  A call with any
+    other argument drops the held set before generating its own, so at
+    most one set is alive at a time.  The memo is per process: each
+    pool worker keeps its own.
     """
+    global _last_traces
+    key = (spec, num_cores, events_per_core, scale, seed, base_block,
+           None if core_ids is None else tuple(core_ids), prewarm)
+    if _last_traces is not None and _last_traces[0] == key:
+        return _last_traces[1]
+    _last_traces = None
+    result = _generate_traces(spec, num_cores, events_per_core, scale,
+                              seed, base_block, core_ids, prewarm)
+    _last_traces = (key, result)
+    return result
+
+
+def _generate_traces(spec, num_cores, events_per_core, scale=64, seed=0,
+                     base_block=0, core_ids=None, prewarm=True):
+    """:func:`generate_traces` without the memo."""
     if events_per_core <= 0:
         raise ValueError("events_per_core must be positive")
     layout = _build_layout(spec, num_cores, scale, base_block)

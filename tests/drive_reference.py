@@ -1,7 +1,10 @@
 """Shared pieces of the two drive-loop pins (the ``_drive`` pin in
 ``tests/test_engine.py`` and the run-level pin of whole ``simulate``
-runs): the verbatim pre-optimization drive loop, which sends every
-event through ``System.access``, and the L1-resident spec on which
+runs in ``tests/test_fastpath.py``): the verbatim pre-optimization
+drive loop, which sends every event through ``System.access`` and
+decodes each trace's flag words per event; a drop-in for ``_drive``
+that runs it on the state ``_per_core_state`` builds (the trace's own
+``blocks`` and ``flags`` lists); and the L1-resident spec on which
 ``_drive`` retires most events inline.
 """
 
@@ -62,14 +65,15 @@ def reference_run_drive(system, per_core, starts, ends, times, chunk,
                         sampler=None):
     """Drop-in for ``repro.sim.driver._drive`` that runs
     :func:`reference_drive`, rebuilding each core's reference state
-    from the ``(core, cpi_ev, EventLanes)`` state ``run_system`` hands
-    it.  It ticks no telemetry sampler."""
+    from the ``(core, cpi_ev, blocks, flags, iff, inv_mlp)`` state
+    ``run_system`` hands it: the trace's own lists, with both stall
+    multipliers recomputed from the core's params.  It ticks no
+    telemetry sampler."""
     if sampler is not None:
         raise ValueError("the reference loop ticks no telemetry sampler")
     state = []
-    for core, cpi_ev, lanes in per_core:
+    for core, cpi_ev, blocks, flags, _iff, _inv_mlp in per_core:
         p = system.cores[core].params
-        flags = [w | f for w, f in zip(lanes.writes, lanes.ifetches)]
-        state.append((core, lanes.blocks, flags, cpi_ev,
+        state.append((core, blocks, flags, cpi_ev,
                       1.0 / p.mlp, p.ifetch_stall_factor))
     reference_drive(system, state, starts, ends, times, chunk)

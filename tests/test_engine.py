@@ -482,6 +482,71 @@ def test_run_request_rejects_fault_targets_outside_the_system(plan):
     assert _point_with(faults=inside).faults == inside
 
 
+def _two_placements(wire, core_ids, colocated):
+    first = wire["placements"][0]
+    wire["placements"] = [dict(first, core_ids=core_ids[0]),
+                          dict(first, core_ids=core_ids[1])]
+    wire["colocated"] = colocated
+
+
+def _three_cores(wire):
+    wire["config"]["num_cores"] = 3
+    wire["placements"][0]["core_ids"] = [0, 1, 2]
+
+
+#: Edits to a canonical 4-core request that would otherwise be queued
+#: and then fail inside the job or run as nonsense, and a word of the
+#: error the request must raise instead.
+HOSTILE_EDITS = {
+    "warmup-float": (lambda w: w["plan"].update(warmup_events=1.5),
+                     "warmup_events"),
+    "measure-bool": (lambda w: w["plan"].update(measure_events=True),
+                     "measure_events"),
+    "scale-float": (lambda w: w["config"].update(scale=2.5), "scale"),
+    "scale-bool": (lambda w: w["config"].update(scale=True), "scale"),
+    "three-cores": (_three_cores, "perfect square"),
+    "core-twice": (lambda w: w["placements"][0].update(
+        core_ids=[0, 0, 1]), "named twice"),
+    "no-core": (lambda w: w["placements"][0].update(core_ids=[]),
+                "no core"),
+    "no-placement": (lambda w: w.update(placements=[]), "placement"),
+    "two-placements": (lambda w: _two_placements(w, ([0, 1], [2, 3]),
+                                                 False), "colocated"),
+    "colocated-core-twice": (lambda w: _two_placements(
+        w, ([0, 1], [1, 2]), True), "named twice"),
+}
+
+
+def hostile_wire(case, mode="simulate"):
+    """The canonical dict of a 4-core point under one
+    :data:`HOSTILE_EDITS` case, and the word its error must carry."""
+    edit, word = HOSTILE_EDITS[case]
+    wire = _point().canonical()
+    wire["mode"] = mode
+    edit(wire)
+    return wire, word
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_EDITS))
+def test_run_request_rejects_hostile_wire_input(case):
+    for mode in ("simulate", "estimate"):
+        wire, word = hostile_wire(case, mode)
+        with pytest.raises(ValueError, match=word):
+            RunRequest.from_canonical(wire)
+
+
+def test_run_request_accepts_square_meshes_and_disjoint_placements():
+    spec = SCALEOUT_WORKLOADS["web_search"]
+    for cores in (1, 4, 9, 16):
+        config = system_config("silo", num_cores=cores, scale=SCALE)
+        assert RunRequest.point(config, spec, PLAN, 7).placements[0][1] \
+            == tuple(range(cores))
+    config = system_config("silo", num_cores=4, scale=SCALE)
+    req = RunRequest.colocation(config, [(spec, (0, 1)), (spec, (2,))],
+                                PLAN, 7)
+    assert RunRequest.from_canonical(req.canonical()).key() == req.key()
+
+
 def test_run_system_rejects_bad_chunk():
     config = system_config("baseline", num_cores=4, scale=SCALE)
     spec = SCALEOUT_WORKLOADS["web_search"]

@@ -303,7 +303,7 @@ def test_envelope_defines_auto_trust_region():
         silo_config(num_cores=4, scale=1024), spec, UNIT_PLAN, SEED)
     assert not est.in_trust_region(outside_scale, envelope)
     outside_cores = RunRequest.point(
-        silo_config(num_cores=8, scale=UNIT_SCALE), spec, UNIT_PLAN,
+        silo_config(num_cores=9, scale=UNIT_SCALE), spec, UNIT_PLAN,
         SEED)
     assert not est.in_trust_region(outside_cores, envelope)
     tiny_plan = RunRequest.point(

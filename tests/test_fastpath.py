@@ -8,8 +8,10 @@ event through ``System.access``: performance, per-level counts, the
 full stats snapshot and the latency distributions must be
 *bit-identical*.  Systems with prefetchers or an active fault plan act
 on every access, hits included, so they must send every event through
-``System.access`` and still match.  The interleave chunk and the
-decoded event lanes the loop reads are checked here too.
+``System.access`` and still match.  The interleave chunk is checked
+here too, and so is what the loop reads: each trace's own ``blocks``
+and ``flags`` lists, from one trace set that back-to-back systems on
+the same workload share.
 """
 
 from unittest import mock
@@ -21,9 +23,10 @@ from repro.faults import FaultPlan
 from repro.sim import driver
 from repro.sim.driver import DEFAULT_CHUNK, _per_core_state, \
     default_chunk, simulate, use_chunk
-from repro.sim.engine import RunRequest
+from repro.sim.engine import RunEngine, RunRequest
 from repro.sim.sampling import SamplingPlan
 from repro.sim.system import System
+from repro.workloads import generator
 from repro.workloads.generator import generate_traces
 from repro.workloads.scaleout import SCALEOUT_WORKLOADS
 from tests.drive_reference import HOT_SPEC, reference_run_drive
@@ -137,6 +140,15 @@ def test_use_chunk_override():
     assert default_chunk() == DEFAULT_CHUNK
 
 
+@pytest.mark.parametrize("bad", [2.7, True, "5", 0, -1])
+def test_use_chunk_rejects_what_a_request_would(bad):
+    # int() would install 2.7 as 2, True as 1 and "5" as 5.
+    with pytest.raises(ValueError, match="chunk"):
+        with use_chunk(bad):
+            pass
+    assert default_chunk() == DEFAULT_CHUNK
+
+
 def test_run_request_defaults_from_ambient():
     config = system_config("silo", num_cores=4, scale=SCALE)
     req = RunRequest.point(config, HOT_SPEC, PLAN, seed=7)
@@ -147,23 +159,48 @@ def test_run_request_defaults_from_ambient():
 
 
 # ---------------------------------------------------------------------------
-# decoded-lanes memoization
+# one trace set per workload, read in place
 # ---------------------------------------------------------------------------
 
 
 def test_decoded_lanes_are_reused_across_systems():
+    # Two points on one workload get the same generated trace set, and
+    # the drive loop of each system reads that set's own lists.
     config = system_config("silo", num_cores=4, scale=SCALE)
-    traces, _layout = generate_traces(
-        HOT_SPEC, num_cores=4, events_per_core=PLAN.total_events,
-        scale=SCALE, seed=7)
-    lanes_a = _per_core_state(System(config, [HOT_SPEC.core] * 4),
+    args = dict(num_cores=4, events_per_core=PLAN.total_events,
+                scale=SCALE, seed=7)
+    traces, layout = generate_traces(HOT_SPEC, **args)
+    again, layout_again = generate_traces(HOT_SPEC, **args)
+    assert again is traces and layout_again is layout
+    state_a = _per_core_state(System(config, [HOT_SPEC.core] * 4),
                               traces)
-    lanes_b = _per_core_state(System(config, [HOT_SPEC.core] * 4),
-                              traces)
-    for a, b in zip(lanes_a, lanes_b):
-        assert a[2] is b[2]                   # the EventLanes object
-        assert a[2].writes is b[2].writes     # and its decoded lanes
-        assert a[2].lat_mul is b[2].lat_mul
+    state_b = _per_core_state(System(config, [HOT_SPEC.core] * 4),
+                              again)
+    for tr, a, b in zip(traces, state_a, state_b):
+        assert a[2] is b[2] is tr.blocks
+        assert a[3] is b[3] is tr.flags
+
+
+def test_a_grid_generates_each_workload_once(monkeypatch):
+    # The engine runs a grid's points in order; both systems of one
+    # workload share the trace set the first one generated.
+    monkeypatch.setattr(generator, "_last_traces", None)
+    calls = []
+    real = generator._generate_traces
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(generator, "_generate_traces", counted)
+    requests = [RunRequest.point(system_config(name, num_cores=4,
+                                               scale=SCALE),
+                                 spec, PLAN, seed=7)
+                for spec in (HOT_SPEC, SCALEOUT_WORKLOADS["web_search"])
+                for name in ("baseline", "silo")]
+    RunEngine(jobs=1).run(requests)
+    assert [args[0].name for args in calls] == ["l1_resident",
+                                                "web_search"]
 
 
 # ---------------------------------------------------------------------------

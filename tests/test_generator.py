@@ -1,13 +1,18 @@
-"""Trace generator: determinism, layout, region semantics."""
+"""Trace generator: determinism, the one-entry memo, layout, region
+semantics."""
+
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.cores.perf_model import CoreParams
+from repro.workloads import generator
 from repro.workloads.base import CodeSpec, RegionSpec, WorkloadSpec
-from repro.workloads.generator import (generate_traces, zipf_ranks,
-                                       region_blocks, FLAG_WRITE,
-                                       FLAG_IFETCH, BLOCKS_PER_PAGE)
+from repro.workloads.generator import (generate_traces, _generate_traces,
+                                       zipf_ranks, region_blocks,
+                                       FLAG_WRITE, FLAG_IFETCH,
+                                       BLOCKS_PER_PAGE)
 from repro.workloads.colocation import generate_colocation_traces
 from repro.workloads.scaleout import WEB_SEARCH
 
@@ -29,10 +34,75 @@ def tiny_spec(pattern="zipf", sharing="shared", page_sparse=False,
 
 
 def test_determinism():
+    # Two generations, not one memoized set compared with itself.
     a, _ = generate_traces(tiny_spec(), 2, 500, scale=256, seed=3)
-    b, _ = generate_traces(tiny_spec(), 2, 500, scale=256, seed=3)
+    b, _ = _generate_traces(tiny_spec(), 2, 500, scale=256, seed=3)
+    assert a is not b
     assert a[0].blocks == b[0].blocks
     assert a[0].flags == b[0].flags
+
+
+# ---------------------------------------------------------------------------
+# the one-entry memo
+# ---------------------------------------------------------------------------
+
+#: generate_traces arguments of the memo tests, and one different value
+#: of each.
+MEMO_ARGS = dict(spec=tiny_spec(), num_cores=2, events_per_core=500,
+                 scale=256, seed=3, base_block=0, core_ids=None,
+                 prewarm=True)
+MEMO_CHANGES = {
+    "spec": tiny_spec(pattern="scan"),
+    "num_cores": 1,
+    "events_per_core": 400,
+    "scale": 512,
+    "seed": 4,
+    "base_block": 1000,
+    "core_ids": [1, 0],
+    "prewarm": False,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_CHANGES))
+def test_changing_any_key_argument_regenerates(monkeypatch, name):
+    changed = dict(MEMO_ARGS, **{name: MEMO_CHANGES[name]})
+    first, _ = generate_traces(**MEMO_ARGS)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _generate_traces(*args)
+
+    monkeypatch.setattr(generator, "_generate_traces", counted)
+    second, _ = generate_traces(**changed)
+    assert len(calls) == 1
+    assert second is not first
+    fresh, _ = _generate_traces(**changed)
+    assert second == fresh
+
+
+def test_memoized_result_equals_a_fresh_generation():
+    generate_traces(**MEMO_ARGS)
+    traces, layout = generate_traces(**MEMO_ARGS)
+    fresh, fresh_layout = _generate_traces(**MEMO_ARGS)
+    assert traces is not fresh
+    assert traces == fresh
+    assert layout == fresh_layout
+
+
+def test_the_held_set_is_dropped_before_generating(monkeypatch):
+    traces, layout = generate_traces(**MEMO_ARGS)
+    held = [weakref.ref(traces[0]), weakref.ref(layout)]
+    del traces, layout
+    alive = []
+
+    def spy(*args):
+        alive.append([ref() is not None for ref in held])
+        return _generate_traces(*args)
+
+    monkeypatch.setattr(generator, "_generate_traces", spy)
+    generate_traces(**dict(MEMO_ARGS, seed=MEMO_ARGS["seed"] + 1))
+    assert alive == [[False, False]]
 
 
 def test_different_seeds_differ():

@@ -50,6 +50,7 @@ from repro.sim.engine import (LocalPoolTransport, RunCache, RunEngine,
                               RunRequest, use_engine)
 from repro.sim.sampling import SamplingPlan
 from repro.workloads.scaleout import SCALEOUT_WORKLOADS
+from tests.test_engine import HOSTILE_EDITS, hostile_wire
 
 PLAN = SamplingPlan(1500, 800)
 SCALE = 512
@@ -316,16 +317,26 @@ class _PlantedFailure(RunEngine):
 def test_failing_job_fails_only_itself():
     bad, good = _point(seed=99), _point(seed=3)
     engine = _PlantedFailure(bad)
+    deadline = time.monotonic() + 10
+
+    def wait_until(done, what):
+        while not done():
+            assert time.monotonic() < deadline, what
+            time.sleep(0.01)
+
     with ServerThread(engine) as server:
         client = ServerClient(server.url)
         client.submit(_point(seed=1), wait=False)   # occupies the engine
+        wait_until(lambda: engine.batches, "engine never started")
+        # The rerun goes in arrival order, so the bad job must arrive
+        # first: post it alone and wait until it is queued.
         with concurrent.futures.ThreadPoolExecutor(2) as pool:
             bad_reply = pool.submit(client.submit, bad)
+            wait_until(lambda: client.health()["queue_depth"] == 1,
+                       "bad job never queued")
             good_reply = pool.submit(client.submit, good)
-            deadline = time.monotonic() + 10
-            while client.health()["queue_depth"] < 2:
-                assert time.monotonic() < deadline, "twins never queued"
-                time.sleep(0.01)
+            wait_until(lambda: client.health()["queue_depth"] == 2,
+                       "good job never queued")
             engine.release.set()
             with pytest.raises(ServerError) as exc:
                 bad_reply.result(30)
@@ -457,6 +468,25 @@ def test_unknown_route_and_bad_json():
         reply = sock.recv(65536)
         assert b"400" in reply.split(b"\r\n", 1)[0]
         sock.close()
+
+
+def test_hostile_requests_get_400_and_queue_nothing():
+    # Refused before queueing in either mode, not failed inside the
+    # job (500) or run as nonsense (200).
+    engine = RunEngine(jobs=1)
+    with ServerThread(engine) as server:
+        client = ServerClient(server.url)
+        for case in sorted(HOSTILE_EDITS):
+            for mode in ("simulate", "estimate"):
+                wire, word = hostile_wire(case, mode)
+                with pytest.raises(ServerError) as exc:
+                    client._request("POST", "/runs",
+                                    body={"request": wire})
+                assert exc.value.status == 400, (case, mode)
+                assert word in str(exc.value), (case, mode)
+        health = client.health()
+        assert (health["submitted"], health["queue_depth"],
+                engine.requests) == (0, 0, 0)
 
 
 def test_oversized_request_head_gets_400():
