@@ -35,6 +35,7 @@ envelope also defines the trust region that gates the engine's
 of a shared-vs-SILO decision boundary, fall back to simulation.
 """
 
+import functools
 import json
 import math
 import os
@@ -246,7 +247,10 @@ def _occupancy(classes, t):
     occ = 0.0
     for c in classes:
         if c.kind == "vec":
-            occ += float(np.sum(-np.expm1(-c.rates * t))) * c.copies
+            # == sum(-expm1(-rates * t)): negating a product or a sum
+            # rounds symmetrically, so the sign moves out bit for bit
+            occ += float(-np.add.reduce(np.expm1(c.rates * -t))) \
+                * c.copies
         elif c.kind == "cycle":
             # a scan touches distinct blocks at the stream rate, so it
             # holds rate*t of the cache in any window of length t
@@ -270,8 +274,14 @@ def solve_characteristic_time(classes, capacity, horizon):
         hi *= 2.0
         if hi > 1e18:
             return min(hi, float(horizon))
+    # ``occupancy(lo) < capacity`` holds at every step and
+    # ``occupancy(hi) < capacity`` never does, so once ``mid`` rounds
+    # onto ``lo`` or ``hi`` a step moves neither end, nor does any
+    # later one: stopping there returns the same bits.
     for _ in range(100):
         mid = (lo + hi) / 2.0
+        if mid == lo or mid == hi:
+            break
         if _occupancy(classes, mid) < capacity:
             lo = mid
         else:
@@ -279,15 +289,45 @@ def solve_characteristic_time(classes, capacity, horizon):
     return min((lo + hi) / 2.0, float(horizon))
 
 
-def che_hits(classes, capacity, horizon, ways=None):
+#: Characteristic times already solved, keyed by everything that
+#: determines one (see :func:`characteristic_time`).  Floats only, and
+#: at most :data:`CHE_MEMO_LIMIT` of them (oldest dropped first).
+_CHE_MEMO = {}
+CHE_MEMO_LIMIT = 4096
+
+
+def characteristic_time(classes, capacity, horizon, key=None):
+    """:func:`solve_characteristic_time`, memoized under ``(key,
+    capacity, horizon)`` when ``key`` names every input ``classes``
+    was built from (without one, every call solves)."""
+    if key is None:
+        return solve_characteristic_time(classes, capacity, horizon)
+    key = (key, capacity, horizon)
+    t = _CHE_MEMO.get(key)
+    if t is None:
+        t = solve_characteristic_time(classes, capacity, horizon)
+        if len(_CHE_MEMO) >= CHE_MEMO_LIMIT:
+            del _CHE_MEMO[next(iter(_CHE_MEMO))]
+        _CHE_MEMO[key] = t
+    return t
+
+
+def clear_memo():
+    """Forget every memoized characteristic time and latency path."""
+    _CHE_MEMO.clear()
+    _latency_paths.cache_clear()
+
+
+def che_hits(classes, capacity, horizon, ways=None, key=None):
     """Per-class hit rates of an LRU level (arrays for vec classes,
     scalars otherwise), via Che's approximation.  With ``ways`` given,
     cycle (scan) classes use a per-set overflow model instead of the
     sharp characteristic-time threshold: a scan block survives its
     deterministic reuse gap iff fewer than ``ways`` distinct other
     blocks land in its set meanwhile, which Poisson-splitting the
-    distinct-block count over the sets captures well."""
-    t = solve_characteristic_time(classes, capacity, horizon)
+    distinct-block count over the sets captures well.  ``key`` is
+    :func:`characteristic_time`'s."""
+    t = characteristic_time(classes, capacity, horizon, key)
     hits = []
     for c in classes:
         if c.kind == "vec":
@@ -667,6 +707,12 @@ class _LatencyPaths:
                                   + config.llc_latency)
 
 
+@functools.lru_cache(maxsize=64)
+def _latency_paths(config):
+    """One :class:`_LatencyPaths` per config."""
+    return _LatencyPaths(config)
+
+
 def _level_latencies(paths, config, silo, queue_mem, queue_dram):
     """Per-core expected exposed latency per service level."""
     n = config.num_cores
@@ -718,9 +764,14 @@ def estimate_request(request):
 
     ifetch_cls, data_cls = build_core_classes(spec, n_driven,
                                               config.scale)
+    # What the classes are built from keys their Che solves, so every
+    # system of a grid shares one L1 solve per workload.
+    classes_key = (spec, n_driven, config.scale)
     l1_blocks = config.scaled(config.l1_size_bytes) // P.BLOCK_BYTES
-    h1i = che_hits(ifetch_cls, l1_blocks, horizon, config.l1_ways)
-    h1d = che_hits(data_cls, l1_blocks, horizon, config.l1_ways)
+    h1i = che_hits(ifetch_cls, l1_blocks, horizon, config.l1_ways,
+                   key=("ifetch",) + classes_key)
+    h1d = che_hits(data_cls, l1_blocks, horizon, config.l1_ways,
+                   key=("data",) + classes_key)
 
     # Coherence: peer writes invalidate write-shared lines (MESI in
     # the shared org, vault sweeps under SILO).  A reader's copy is
@@ -748,7 +799,7 @@ def estimate_request(request):
     llc_feed = (filter_classes(ifetch_cls, h1i)
                 + filter_classes(data_cls, h1d_eff))
 
-    paths = _LatencyPaths(config)
+    paths = _latency_paths(config)
     silo = config.llc_kind == LLC_PRIVATE_VAULT
     queue_mem = 0.0
     queue_dram = 0.0
@@ -778,8 +829,10 @@ def estimate_request(request):
         if config.llc_ways <= 1:
             h_llc = direct_mapped_hits(agg, llc_blocks, horizon)
         else:
-            h_llc = che_hits(agg, llc_blocks, horizon,
-                             config.llc_ways)
+            # the L1 geometry and the horizon shape the miss stream
+            h_llc = che_hits(agg, llc_blocks, horizon, config.llc_ways,
+                             key=("llc",) + classes_key
+                             + (l1_blocks, config.l1_ways))
         p_rem = [np.zeros(c.n) if c.kind == "vec" else 0.0
                  for c in llc_feed]
         if dram_pages:

@@ -9,6 +9,7 @@ memory.
 """
 
 from repro.params import BLOCK_BYTES, TRAD_DRAM_CACHE_PAGE_BYTES
+from repro.caches.sram_cache import whole_sets
 
 
 class PageDRAMCache:
@@ -21,15 +22,10 @@ class PageDRAMCache:
 
     def __init__(self, size_bytes, page_bytes=TRAD_DRAM_CACHE_PAGE_BYTES,
                  block_bytes=BLOCK_BYTES):
-        if size_bytes <= 0 or size_bytes % page_bytes != 0:
-            raise ValueError("DRAM cache size must be a positive multiple "
-                             "of the page size")
-        if page_bytes % block_bytes != 0:
-            raise ValueError("page size must be a multiple of block size")
+        self.blocks_per_page = whole_sets(page_bytes, 1, block_bytes)
+        self.num_pages = whole_sets(size_bytes, 1, page_bytes)
         self.size_bytes = size_bytes
         self.page_bytes = page_bytes
-        self.blocks_per_page = page_bytes // block_bytes
-        self.num_pages = size_bytes // page_bytes
         self.tags = [-1] * self.num_pages
         self.dirty = [False] * self.num_pages
 

@@ -7,7 +7,7 @@ plus the bank access latency.
 """
 
 from repro.params import BLOCK_BYTES
-from repro.caches.sram_cache import SetAssocCache
+from repro.caches.sram_cache import SetAssocCache, whole_sets
 
 
 class SharedNUCA:
@@ -20,28 +20,37 @@ class SharedNUCA:
     def __init__(self, size_bytes, ways, num_banks, bank_latency,
                  block_bytes=BLOCK_BYTES, policy="lru", seed=0,
                  rng=None):
+        bank_bytes, ways = self.bank_geometry(size_bytes, ways, num_banks,
+                                              block_bytes)
+        self.size_bytes = size_bytes
+        self.num_banks = num_banks
+        self.bank_latency = bank_latency
+        self.ways = ways
+        # Randomized policies: each bank owns a Random(seed) unless the
+        # caller threads a shared seeded rng through ``rng``; either
+        # way eviction choices are deterministic in access order.
+        self.banks = [SetAssocCache(bank_bytes, ways, block_bytes, policy,
+                                    index_stride=num_banks,
+                                    seed=seed, rng=rng)
+                      for _ in range(num_banks)]
+
+    @staticmethod
+    def bank_geometry(size_bytes, ways, num_banks, block_bytes=BLOCK_BYTES):
+        """``(bytes, ways)`` of each of ``num_banks`` banks; raises
+        ValueError unless every bank holds a whole number of sets."""
         if num_banks <= 0:
             raise ValueError("num_banks must be positive")
         if size_bytes % num_banks != 0:
             raise ValueError("LLC size must divide evenly across banks")
-        self.size_bytes = size_bytes
-        self.num_banks = num_banks
-        self.bank_latency = bank_latency
-        bank_blocks = size_bytes // num_banks // block_bytes
+        bank_bytes = size_bytes // num_banks
+        bank_blocks = bank_bytes // block_bytes
         if bank_blocks < 1:
             raise ValueError("banks would hold no blocks")
         # Tiny (aggressively scaled) banks cannot sustain the nominal
         # associativity; clamp so each bank keeps at least one set.
         ways = min(ways, bank_blocks)
-        self.ways = ways
-        # Randomized policies: each bank owns a Random(seed) unless the
-        # caller threads a shared seeded rng through ``rng``; either
-        # way eviction choices are deterministic in access order.
-        self.banks = [SetAssocCache(size_bytes // num_banks, ways,
-                                    block_bytes, policy,
-                                    index_stride=num_banks,
-                                    seed=seed, rng=rng)
-                      for _ in range(num_banks)]
+        whole_sets(bank_bytes, ways, block_bytes)
+        return bank_bytes, ways
 
     @property
     def capacity_blocks(self):

@@ -9,13 +9,29 @@ from repro.params import BLOCK_BYTES
 from repro.caches.replacement import make_policy
 
 
+def whole_sets(size_bytes, ways, line_bytes=BLOCK_BYTES):
+    """Sets in ``size_bytes`` of ``ways``-way sets of ``line_bytes``
+    lines; raises ValueError unless that is a positive whole number.
+    Every cache class sizes itself with this, and
+    :meth:`repro.sim.config.HierarchyConfig.check_geometry` runs the
+    same checks on a scaled system before anything is built."""
+    if size_bytes <= 0 or ways <= 0:
+        raise ValueError("size and ways must be positive")
+    if size_bytes % (ways * line_bytes):
+        raise ValueError(
+            "capacity %dB does not hold a whole number of %d-way sets "
+            "of %dB lines" % (size_bytes, ways, line_bytes))
+    return size_bytes // (ways * line_bytes)
+
+
 class SetAssocCache:
     """A ``size_bytes`` set-associative cache of 64-byte blocks.
 
     Parameters
     ----------
     size_bytes:
-        Total capacity.  Must be a multiple of ``ways * block_bytes``.
+        Total capacity.  Must be a multiple of ``ways * block_bytes``
+        (see :func:`whole_sets`).
     ways:
         Associativity.
     block_bytes:
@@ -44,17 +60,10 @@ class SetAssocCache:
 
     def __init__(self, size_bytes, ways, block_bytes=BLOCK_BYTES,
                  policy="lru", index_stride=1, seed=0, rng=None):
-        if size_bytes <= 0 or ways <= 0:
-            raise ValueError("size and ways must be positive")
-        blocks = size_bytes // block_bytes
-        if blocks == 0 or blocks % ways != 0:
-            raise ValueError(
-                "capacity %dB does not hold a whole number of %d-way sets"
-                % (size_bytes, ways))
+        self.num_sets = whole_sets(size_bytes, ways, block_bytes)
         self.size_bytes = size_bytes
         self.ways = ways
         self.block_bytes = block_bytes
-        self.num_sets = blocks // ways
         self.index_stride = index_stride
         self.policy = make_policy(policy, seed, rng)
         self._reorder = self.policy.reorder_on_hit

@@ -12,6 +12,7 @@ way for core ``c`` of set ``s`` IS ``(tags[s], states[s])`` of core
 """
 
 from repro.params import BLOCK_BYTES
+from repro.caches.sram_cache import whole_sets
 
 
 class VaultCache:
@@ -21,12 +22,9 @@ class VaultCache:
                  "states", "resident", "holder_map", "holder_bit")
 
     def __init__(self, size_bytes, block_bytes=BLOCK_BYTES):
-        if size_bytes <= 0 or size_bytes % block_bytes != 0:
-            raise ValueError("vault size must be a positive multiple of "
-                             "the block size")
+        self.num_sets = whole_sets(size_bytes, 1, block_bytes)
         self.size_bytes = size_bytes
         self.block_bytes = block_bytes
-        self.num_sets = size_bytes // block_bytes
         self.tags = [-1] * self.num_sets     # -1 == invalid
         self.states = [0] * self.num_sets
         self.resident = 0                    # valid sets (O(1) occupancy)

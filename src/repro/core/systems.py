@@ -163,6 +163,13 @@ SYSTEM_LABELS = {
 }
 
 
+def check_scale(scale, num_cores=P.NUM_CORES):
+    """Raise ValueError unless every evaluated system builds at
+    ``scale`` (see :meth:`HierarchyConfig.check_geometry`)."""
+    for builder in _BUILDERS.values():
+        builder(num_cores=num_cores, scale=scale)
+
+
 def system_config(name, num_cores=P.NUM_CORES, scale=64, **overrides):
     """Build any evaluated system by name."""
     try:

@@ -14,6 +14,7 @@ import contextlib
 import sys
 import time
 
+from repro.core.systems import check_scale
 from repro.experiments import EXPERIMENTS
 from repro.experiments.common import notice, render_table
 from repro.obs import manifest as obs_manifest
@@ -47,6 +48,17 @@ def _int_at_least(low):
     return parse
 
 
+def _scale_arg(text):
+    """argparse type for --scale: an integer at which every evaluated
+    system builds."""
+    value = _int_at_least(1)(text)
+    try:
+        check_scale(value)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    return value
+
+
 def main(argv=None):
     """Parse arguments, run the requested experiment, print its table
     (and optional chart/JSON/stats/trace/manifest); returns the process
@@ -63,7 +75,7 @@ def main(argv=None):
                              "'warmup:measure' event pair (default: "
                              "$REPRO_SAMPLING or 'standard')"
                              % "/".join(sorted(PRESETS)))
-    parser.add_argument("--scale", type=_int_at_least(1), default=64,
+    parser.add_argument("--scale", type=_scale_arg, default=64,
                         help="capacity/footprint scale divisor "
                              "(default 64)")
     parser.add_argument("--seed", type=_int_at_least(0), default=7)

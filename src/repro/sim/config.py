@@ -7,10 +7,13 @@ generator applies to footprints -- preserving every capacity ratio of
 the real machine.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from repro import params as P
+from repro.caches.nuca import SharedNUCA
+from repro.caches.sram_cache import whole_sets
 
 LLC_SHARED = "shared"
 LLC_PRIVATE_VAULT = "private_vault"
@@ -84,8 +87,20 @@ class HierarchyConfig:
             raise ValueError("unknown llc_kind %r" % (self.llc_kind,))
         if self.protocol not in ("moesi", "mesi"):
             raise ValueError("unknown protocol %r" % (self.protocol,))
+        # A float would fail inside the mesh's isqrt; a bool would key
+        # apart from the 1-core run it is.
+        if isinstance(self.num_cores, bool) \
+                or not isinstance(self.num_cores, int):
+            raise ValueError("num_cores must be an integer, got %r"
+                             % (self.num_cores,))
         if self.num_cores < 1:
             raise ValueError("need at least one core")
+        # Every System builds a square mesh of its cores, one LLC bank
+        # or vault per tile.
+        if math.isqrt(self.num_cores) ** 2 != self.num_cores:
+            raise ValueError("num_cores=%d is not a perfect square; "
+                             "every system is a square mesh"
+                             % self.num_cores)
         # A fractional scale leaves capacities that hold no whole
         # number of sets; a bool would run at scale 1.
         if isinstance(self.scale, bool) or not isinstance(self.scale, int):
@@ -107,6 +122,31 @@ class HierarchyConfig:
         if self.victim_replication and self.llc_kind != LLC_SHARED:
             raise ValueError("victim replication applies to shared "
                              "NUCA organizations only")
+        self.check_geometry()
+
+    def check_geometry(self):
+        """Raise ValueError unless every cache of this system, scaled,
+        holds a whole number of sets, banks and pages: the cache
+        classes' own geometry checks, run before anything is built, so
+        a request that names such a system fails where it is made."""
+        def check(level, geometry, size, *args):
+            try:
+                geometry(self.scaled(size), *args)
+            except ValueError as e:
+                raise ValueError("%s of %dB at scale %d: %s"
+                                 % (level, size, self.scale, e)) from None
+
+        check("L1", whole_sets, self.l1_size_bytes, self.l1_ways)
+        if self.l2_size_bytes:
+            check("L2", whole_sets, self.l2_size_bytes, self.l2_ways)
+        if self.llc_kind == LLC_SHARED:
+            check("LLC", SharedNUCA.bank_geometry, self.llc_size_bytes,
+                  self.llc_ways, self.num_cores)
+        else:
+            check("vault", whole_sets, self.llc_size_bytes, 1)
+        if self.dram_cache_bytes:
+            check("DRAM cache", whole_sets, self.dram_cache_bytes, 1,
+                  P.TRAD_DRAM_CACHE_PAGE_BYTES)
 
     def scaled(self, size_bytes):
         """Scale a capacity down, flooring at MIN_CACHE_BLOCKS blocks."""

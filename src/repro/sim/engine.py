@@ -42,10 +42,10 @@ worker-executed points are recorded from their summaries.
 import functools
 import hashlib
 import json
-import math
 import os
 import pickle
 import re
+import threading
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Tuple
@@ -138,11 +138,7 @@ class RunRequest:
                 or seed < 0:
             raise ValueError("seed must be an integer >= 0, got %r"
                              % (seed,))
-        # Every System builds a square mesh of its cores.
         n = self.config.num_cores
-        if math.isqrt(n) ** 2 != n:
-            raise ValueError("num_cores=%d is not a perfect square; "
-                             "every system is a square mesh" % n)
         # A request drives at least one core, and one that is not
         # colocated has exactly one placement (the simulator and the
         # estimator unpack one).
@@ -756,9 +752,13 @@ class RunCache:
     unbounded): after every write the least-recently-used entries are
     evicted, oldest access first, until the total fits.  Access order
     is kept with an explicit ``os.utime`` touch on every hit, so LRU
-    survives filesystems mounted ``noatime``.  Evictions are counted
-    in :attr:`pruned_entries` (surfaced through the engine stats
-    group)."""
+    survives filesystems mounted ``noatime`` and a restart.  A capped
+    cache keeps an in-memory LRU index (path -> size) that one
+    directory scan seeds and that puts, hits and evictions update; it
+    rescans once per ``max_bytes`` written, so entries other processes
+    write still count, and on every explicit ``prune(max_bytes=...)``.
+    Evictions are counted in :attr:`pruned_entries` (surfaced through
+    the engine stats group)."""
 
     def __init__(self, directory, max_bytes=None):
         self.directory = os.path.abspath(os.path.expanduser(directory))
@@ -767,6 +767,14 @@ class RunCache:
                              "for an unbounded cache)")
         self.max_bytes = max_bytes
         self.pruned_entries = 0
+        #: path -> size, least recently used first; None until the
+        #: first scan.  Guarded by ``_lock``: the job server reads the
+        #: cache off its engine thread.
+        self._index = None
+        self._total = 0
+        #: Bytes put since the last scan.
+        self._written = 0
+        self._lock = threading.Lock()
 
     def path_for(self, key):
         return os.path.join(self.directory, key[:2], key + ".pkl")
@@ -776,6 +784,7 @@ class RunCache:
         try:
             with open(path, "rb") as f:
                 summary = pickle.load(f)
+                size = os.fstat(f.fileno()).st_size
         except (OSError, pickle.UnpicklingError, EOFError,
                 AttributeError, ImportError):
             return None
@@ -786,6 +795,9 @@ class RunCache:
             os.utime(path)          # refresh LRU order on hit
         except OSError:
             pass
+        with self._lock:
+            if self._index is not None:
+                self._note(path, size)
         return summary
 
     def put(self, key, summary):
@@ -794,9 +806,16 @@ class RunCache:
         tmp = path + ".tmp.%d" % os.getpid()
         with open(tmp, "wb") as f:
             pickle.dump(summary, f, protocol=pickle.HIGHEST_PROTOCOL)
+            size = f.tell()
         os.replace(tmp, path)
         if self.max_bytes is not None:
-            self.prune()
+            with self._lock:
+                self._written += size
+                if self._index is None or self._written >= self.max_bytes:
+                    self._scan()
+                else:
+                    self._note(path, size)
+                self._evict(self.max_bytes)
         return path
 
     def entries(self):
@@ -831,21 +850,37 @@ class RunCache:
     def prune(self, max_bytes=None):
         """Evict least-recently-used entries until the cache fits in
         ``max_bytes`` (defaulting to the configured cap); returns the
-        number of entries removed."""
+        number of entries removed.  An explicit ``max_bytes`` rescans
+        the directory first."""
         cap = max_bytes if max_bytes is not None else self.max_bytes
         if cap is None:
             return 0
-        entries = self.entries()
-        total = sum(size for _atime, size, _path in entries)
+        with self._lock:
+            if max_bytes is not None or self._index is None:
+                self._scan()
+            return self._evict(cap)
+
+    # -- the LRU index (callers hold ``_lock``) -------------------------
+
+    def _scan(self):
+        self._index = {path: size for _atime, size, path in self.entries()}
+        self._total = sum(self._index.values())
+        self._written = 0
+
+    def _note(self, path, size):
+        """Move ``path`` to the most recently used end."""
+        self._total += size - self._index.pop(path, 0)
+        self._index[path] = size
+
+    def _evict(self, cap):
         removed = 0
-        for _atime, size, path in entries:
-            if total <= cap:
-                break
+        while self._total > cap and self._index:
+            path = next(iter(self._index))
+            self._total -= self._index.pop(path)
             try:
                 os.remove(path)
             except OSError:
-                continue
-            total -= size
+                continue        # deleted behind the index's back
             removed += 1
         self.pruned_entries += removed
         return removed

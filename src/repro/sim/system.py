@@ -24,6 +24,8 @@ tests optional features on locals read once at its top (DESIGN.md Sec.
 probe, L2 victims -- stays in helpers.
 """
 
+import weakref
+
 from repro import params as P
 from repro.caches.sram_cache import SetAssocCache
 from repro.caches.vault_cache import VaultCache
@@ -217,51 +219,56 @@ class System:
         return injector
 
     def _build_stats(self):
-        """Assemble the stats registry over every subsystem."""
+        """Assemble the stats registry over every subsystem.  Its
+        getters and reset hooks reach this machine through a weak
+        proxy: the registry hangs off the machine, so strong references
+        back would make every machine cyclic garbage that outlives its
+        run until a full collection."""
         root = Group("system", "all statistics of one simulated machine")
+        me = weakref.proxy(self)
 
         caches = root.group("caches", "cache hierarchy counters")
-        caches.bind(self, "llc_accesses",
+        caches.bind(me, "llc_accesses",
                     desc="SRAM bank / DRAM vault accesses")
-        caches.bind(self, "dram_cache_accesses",
+        caches.bind(me, "dram_cache_accesses",
                     desc="conventional DRAM cache accesses")
-        caches.bind(self, "l1_writebacks", desc="dirty L1 evictions")
-        caches.bind(self, "llc_writebacks",
+        caches.bind(me, "l1_writebacks", desc="dirty L1 evictions")
+        caches.bind(me, "llc_writebacks",
                     desc="dirty evictions leaving the LLC")
-        caches.bind(self, "vault_evictions",
+        caches.bind(me, "vault_evictions",
                     desc="direct-mapped vault set evictions")
-        caches.bind(self, "replica_hits",
+        caches.bind(me, "replica_hits",
                     desc="victim-replication local-bank hits")
-        caches.bind(self, "prefetch_fills",
+        caches.bind(me, "prefetch_fills",
                     desc="stride prefetches issued to the hierarchy")
         if self.prefetchers is not None:
             pf = caches.group("prefetcher", "stride prefetcher totals")
             pf.callback(
                 "issued",
-                lambda: sum(p.issued for p in self.prefetchers),
+                lambda: sum(p.issued for p in me.prefetchers),
                 desc="prefetch candidates produced")
             pf.callback(
                 "useful",
-                lambda: sum(p.hits_observed for p in self.prefetchers),
+                lambda: sum(p.hits_observed for p in me.prefetchers),
                 desc="observed hits on prefetched strides")
 
             def _reset_prefetch_stats():
-                for p in self.prefetchers:
+                for p in me.prefetchers:
                     p.reset_stats()
             pf.on_reset(_reset_prefetch_stats)
         if self.missmaps is not None:
             mm = caches.group("missmap", "local miss predictor totals")
             mm.callback(
                 "known_misses",
-                lambda: sum(m.known_misses for m in self.missmaps),
+                lambda: sum(m.known_misses for m in me.missmaps),
                 desc="probes skipped on predicted misses")
             mm.callback(
                 "unknown",
-                lambda: sum(m.unknown for m in self.missmaps),
+                lambda: sum(m.unknown for m in me.missmaps),
                 desc="lookups outside tracked segments")
 
             def _reset_missmap_stats():
-                for m in self.missmaps:
+                for m in me.missmaps:
                     m.reset_stats()
             mm.on_reset(_reset_missmap_stats)
         if self.dram_cache_ctrl is not None:
@@ -272,24 +279,24 @@ class System:
                 dcc.on_reset(ctrl.reset)
 
         coh = root.group("coherence", "coherence protocol counters")
-        coh.bind(self, "invalidations",
+        coh.bind(me, "invalidations",
                  desc="peer copies invalidated")
-        coh.bind(self, "directory_lookups",
+        coh.bind(me, "directory_lookups",
                  desc="home-node directory lookups")
-        coh.bind(self, "remote_forwards",
+        coh.bind(me, "remote_forwards",
                  desc="cache-to-cache data forwards")
         if self.sram_dir_cache is not None:
             self.sram_dir_cache.register_stats(
                 coh.group("directory_cache", "SRAM directory cache"))
         sharing = coh.group("sharing", "Fig. 3 access classification")
-        sharing.bind(self, "llc_reads", desc="tracked LLC data reads")
-        sharing.bind(self, "llc_demand_writes",
+        sharing.bind(me, "llc_reads", desc="tracked LLC data reads")
+        sharing.bind(me, "llc_demand_writes",
                      desc="tracked LLC demand writes")
 
         def _reset_sharing():
-            self.block_readers = {}
-            self.block_writers = {}
-            self.llc_writes_by_block = {}
+            me.block_readers = {}
+            me.block_writers = {}
+            me.llc_writes_by_block = {}
         sharing.on_reset(_reset_sharing)
 
         self.mesh.register_stats(root.group("noc", "2D mesh"))
@@ -302,7 +309,7 @@ class System:
         from repro.energy import EnergyModel
         EnergyModel().register_stats(
             root.group("energy", "derived energy model (Table III)"),
-            self)
+            me)
         return root
 
     # ------------------------------------------------------------------

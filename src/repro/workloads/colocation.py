@@ -8,7 +8,7 @@ they contend only for shared hardware (the LLC, the NOC and memory),
 which is exactly the contention the study measures.
 """
 
-from repro.workloads.generator import generate_traces
+from repro.workloads import generator
 
 # Pad between workloads' address spaces so that region boundaries of
 # different workloads never touch (also keeps bank-interleave patterns
@@ -34,22 +34,33 @@ def generate_colocation_traces(assignments, events_per_core, scale=64,
         ``traces`` ordered by core id covering all assigned cores;
         ``layouts`` is a list of (spec_name, TraceLayout) in assignment
         order.
+
+    The whole result is one trace set in the generator's one-entry
+    memo (:func:`repro.workloads.generator.held`), keyed by every
+    argument: consecutive systems on one mix share it, and it drops
+    whatever set was held before.
     """
+    assignments = tuple((spec, tuple(core_ids))
+                        for spec, core_ids in assignments)
     seen = set()
     for _, core_ids in assignments:
         for c in core_ids:
             if c in seen:
                 raise ValueError("core %d assigned to two workloads" % c)
             seen.add(c)
+    key = ("colocation", assignments, events_per_core, scale, seed)
+    return generator.held(key, lambda: _generate(
+        assignments, events_per_core, scale, seed))
 
+
+def _generate(assignments, events_per_core, scale, seed):
     traces_by_core = {}
     layouts = []
     base = 0
     for i, (spec, core_ids) in enumerate(assignments):
-        traces, layout = generate_traces(
-            spec, num_cores=len(core_ids),
-            events_per_core=events_per_core, scale=scale,
-            seed=seed + i, base_block=base, core_ids=list(core_ids))
+        traces, layout = generator._generate_traces(
+            spec, len(core_ids), events_per_core, scale, seed + i, base,
+            list(core_ids))
         layouts.append((spec.name, layout))
         base += layout.total_blocks + _ADDRESS_PAD_BLOCKS
         for t in traces:

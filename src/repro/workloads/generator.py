@@ -38,9 +38,24 @@ def _page_spread(idx, base_lo, span):
 # Cache of Zipf inverse-CDF tables keyed by (n_items, alpha rounded).
 _ZIPF_CDF_CACHE: Dict[Tuple[int, float], np.ndarray] = {}
 
-#: ``(key, (traces, layout))`` of the last :func:`generate_traces`
-#: call, or None: a one-entry memo.
+#: ``(key, result)`` of the last :func:`generate_traces` or
+#: :func:`repro.workloads.colocation.generate_colocation_traces` call,
+#: or None: a one-entry memo shared by both (see :func:`held`).
 _last_traces = None
+
+
+def held(key, generate):
+    """``generate()``'s result, memoized in the one-entry trace memo
+    under ``key`` (which must name every argument the result depends
+    on).  A new key drops the held set before generating, so a process
+    holds at most one trace set."""
+    global _last_traces
+    if _last_traces is not None and _last_traces[0] == key:
+        return _last_traces[1]
+    _last_traces = None
+    result = generate()
+    _last_traces = (key, result)
+    return result
 
 
 def _zipf_cdf(n_items, alpha):
@@ -289,16 +304,11 @@ def generate_traces(spec, num_cores, events_per_core, scale=64, seed=0,
     most one set is alive at a time.  The memo is per process: each
     pool worker keeps its own.
     """
-    global _last_traces
     key = (spec, num_cores, events_per_core, scale, seed, base_block,
            None if core_ids is None else tuple(core_ids), prewarm)
-    if _last_traces is not None and _last_traces[0] == key:
-        return _last_traces[1]
-    _last_traces = None
-    result = _generate_traces(spec, num_cores, events_per_core, scale,
-                              seed, base_block, core_ids, prewarm)
-    _last_traces = (key, result)
-    return result
+    return held(key, lambda: _generate_traces(
+        spec, num_cores, events_per_core, scale, seed, base_block,
+        core_ids, prewarm))
 
 
 def _generate_traces(spec, num_cores, events_per_core, scale=64, seed=0,

@@ -76,6 +76,17 @@ def test_cli_rejects_bad_sampling_pair():
         main(["fig3", "--sampling", "1000:zero"])
 
 
+@pytest.mark.parametrize("scale", ["3", "5", "48", "100"])
+def test_cli_rejects_scales_no_system_builds_at(scale, capsys):
+    """A usage error naming the cache, not a traceback from inside the
+    first simulation."""
+    with pytest.raises(SystemExit) as exc:
+        main(["fig3", "--scale", scale])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "at scale %s" % scale in err
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--scale", "0"), ("--scale", "-4"), ("--scale", "big"),
     ("--seed", "-1"), ("--seed", "1.5"),

@@ -3,6 +3,8 @@
 import pytest
 
 from repro import params as P
+from repro.cores.perf_model import CoreParams
+from repro.sim.system import System
 from repro.sim.config import HierarchyConfig, MIN_CACHE_BLOCKS
 from repro.core.config import TABLE_II, TABLE_III, EVALUATED_SYSTEMS
 from repro.core.systems import (baseline_config, baseline_dram_cache_config,
@@ -10,7 +12,7 @@ from repro.core.systems import (baseline_config, baseline_dram_cache_config,
                                 vaults_sh_config, three_level_sram_config,
                                 three_level_edram_config,
                                 three_level_silo_config, system_config,
-                                SYSTEM_LABELS)
+                                check_scale, SYSTEM_LABELS)
 
 
 def test_baseline_matches_table_ii():
@@ -91,6 +93,31 @@ def test_config_validation():
     with pytest.raises(ValueError):
         # opts are SILO-only
         HierarchyConfig(llc_kind="shared", local_miss_predictor=True)
+
+
+@pytest.mark.parametrize("scale", [1, 64, 128, 256, 512])
+def test_every_system_builds_at_the_supported_scales(scale):
+    check_scale(scale)
+    for name in SYSTEM_LABELS:
+        config = system_config(name, scale=scale)
+        if scale >= 64:     # scale 1 would allocate gigabytes of vaults
+            System(config, [CoreParams()] * config.num_cores)
+
+
+@pytest.mark.parametrize("scale,level", [
+    (3, "L1"), (5, "L1"), (48, "LLC"), (100, "LLC")])
+def test_unbuildable_scales_fail_at_the_config(scale, level):
+    with pytest.raises(ValueError, match="%s of .* at scale %d"
+                       % (level, scale)):
+        baseline_config(scale=scale)
+    with pytest.raises(ValueError):
+        check_scale(scale)
+
+
+@pytest.mark.parametrize("cores", [True, 4.0, "4"])
+def test_num_cores_must_be_an_integer(cores):
+    with pytest.raises(ValueError, match="num_cores"):
+        HierarchyConfig(num_cores=cores)
 
 
 def test_table_ii_encoding():

@@ -11,6 +11,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -504,6 +505,16 @@ HOSTILE_EDITS = {
                      "measure_events"),
     "scale-float": (lambda w: w["config"].update(scale=2.5), "scale"),
     "scale-bool": (lambda w: w["config"].update(scale=True), "scale"),
+    # integer scales that leave a Table II cache no whole number of
+    # sets (3, 5) or banks (48, 100)
+    "scale-3": (lambda w: w["config"].update(scale=3), "scale 3"),
+    "scale-5": (lambda w: w["config"].update(scale=5), "scale 5"),
+    "scale-48": (lambda w: w["config"].update(scale=48), "scale 48"),
+    "scale-100": (lambda w: w["config"].update(scale=100), "scale 100"),
+    "cores-bool": (lambda w: w["config"].update(num_cores=True),
+                   "num_cores"),
+    "cores-float": (lambda w: w["config"].update(num_cores=4.0),
+                    "num_cores"),
     "three-cores": (_three_cores, "perfect square"),
     "core-twice": (lambda w: w["placements"][0].update(
         core_ids=[0, 0, 1]), "named twice"),
@@ -629,6 +640,149 @@ def test_cache_put_prunes_automatically_when_capped(tmp_path):
     assert cache.total_bytes() <= cache.max_bytes
     assert len(cache.entries()) <= 2
     assert cache.pruned_entries >= 3
+
+
+@pytest.fixture(scope="module")
+def estimate():
+    """A cheap real summary: one estimated point."""
+    return RunEngine(jobs=1, mode="estimate").run([_point()])[0]
+
+
+def _capped(tmp_path, summary, entries):
+    """A cache capped at ``entries`` and a half entry's worth of bytes,
+    and its entry size."""
+    probe = RunCache(str(tmp_path / "probe"))
+    size = os.path.getsize(probe.put("0" * 64, summary))
+    return (RunCache(str(tmp_path / "capped"),
+                     max_bytes=entries * size + size // 2), size)
+
+
+def _keys(n, offset=0):
+    return ["%064x" % (offset + i) for i in range(n)]
+
+
+def test_capped_cache_stays_under_its_cap_over_many_puts(tmp_path,
+                                                         estimate):
+    cache, _size = _capped(tmp_path, estimate, 5)
+    for key in _keys(40):
+        cache.put(key, estimate)
+        assert cache.total_bytes() <= cache.max_bytes
+    assert len(cache.entries()) == 5
+    assert cache.pruned_entries == 35
+
+
+def test_a_hit_keeps_an_old_entry_alive_past_younger_ones(tmp_path,
+                                                          estimate):
+    cache, _size = _capped(tmp_path, estimate, 3)
+    k = _keys(4)
+    for key in k[:3]:
+        cache.put(key, estimate)
+    assert cache.get(k[0]) is not None      # the oldest, touched
+    cache.put(k[3], estimate)
+    assert cache.get(k[0]) is not None
+    assert cache.get(k[1]) is None          # the least recently used
+    assert cache.get(k[2]) is not None
+
+
+def test_a_new_cache_on_the_directory_keeps_atime_order(tmp_path,
+                                                        estimate):
+    cache, _size = _capped(tmp_path, estimate, 3)
+    k = _keys(4)
+    for key in k[:3]:
+        cache.put(key, estimate)
+    # k[1] is the oldest access, then k[2], then k[0]
+    now = os.stat(cache.path_for(k[0])).st_atime
+    for key, age in ((k[1], 30.0), (k[2], 20.0), (k[0], 10.0)):
+        os.utime(cache.path_for(key), (now - age, now - age))
+    restarted = RunCache(cache.directory, max_bytes=cache.max_bytes)
+    restarted.put(k[3], estimate)
+    assert restarted.pruned_entries == 1
+    assert not os.path.exists(restarted.path_for(k[1]))
+    assert all(os.path.exists(restarted.path_for(key))
+               for key in (k[0], k[2], k[3]))
+
+
+def test_entries_other_writers_put_count_after_the_next_rescan(
+        tmp_path, estimate):
+    cache, _size = _capped(tmp_path, estimate, 4)
+    cache.put(_keys(1)[0], estimate)                   # seeds the index
+    other = RunCache(cache.directory)                  # another writer
+    for key in _keys(6, offset=100):
+        other.put(key, estimate)
+    assert cache.total_bytes() > cache.max_bytes
+    # At most max_bytes written later, the index has seen them and the
+    # directory fits again.
+    for key in _keys(5, offset=200):
+        cache.put(key, estimate)
+    assert cache.total_bytes() <= cache.max_bytes
+    assert cache.pruned_entries >= 6
+
+
+def test_an_entry_deleted_behind_the_index_is_skipped(tmp_path, estimate):
+    cache, _size = _capped(tmp_path, estimate, 3)
+    k = _keys(4)
+    for key in k[:3]:
+        cache.put(key, estimate)
+    os.remove(cache.path_for(k[0]))         # gone, but still indexed
+    cache.put(k[3], estimate)               # evicting k[0] frees nothing
+    assert cache.pruned_entries == 0
+    assert all(cache.get(key) is not None for key in k[1:])
+    assert cache.get(k[0]) is None
+
+
+def test_capped_puts_scan_the_directory_a_bounded_number_of_times(
+        tmp_path, estimate, monkeypatch):
+    cache, _size = _capped(tmp_path, estimate, 50)
+    scans = []
+    listdir, scandir = os.listdir, os.scandir
+
+    def counted(real):
+        def wrapper(path="."):
+            if os.path.abspath(path) == cache.directory:
+                scans.append(path)
+            return real(path)
+        return wrapper
+
+    monkeypatch.setattr(os, "listdir", counted(listdir))
+    monkeypatch.setattr(os, "scandir", counted(scandir))
+    for key in _keys(200):
+        cache.put(key, estimate)
+    # one seeding scan, then one per max_bytes written (the unindexed
+    # cache scanned once per put)
+    assert 1 <= len(scans) <= 1 + 200 // 50
+    assert cache.total_bytes() <= cache.max_bytes
+    assert cache.pruned_entries == 150
+
+
+def test_concurrent_puts_and_hits_keep_the_index_consistent(tmp_path,
+                                                            estimate):
+    # The job server reads the cache off its engine thread.
+    cache, _size = _capped(tmp_path, estimate, 6)
+    errors = []
+
+    def worker(w):
+        try:
+            for i, key in enumerate(_keys(40, offset=1000 * w)):
+                cache.put(key, estimate)
+                cache.get(_keys(1, offset=1000 * w + i // 2)[0])
+        except Exception as e:      # noqa: BLE001 -- reported below
+            errors.append(e)
+
+    threads = [threading.Thread(target=worker, args=(w,))
+               for w in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert cache._total == sum(cache._index.values())
+    assert cache.total_bytes() <= cache.max_bytes
 
 
 def test_engine_snapshot_surfaces_cache_cap_and_pruning(tmp_path):

@@ -203,6 +203,27 @@ def test_a_grid_generates_each_workload_once(monkeypatch):
                                                 "web_search"]
 
 
+def test_a_colocated_pair_generates_its_mix_once(monkeypatch):
+    # Baseline then SILO on one mix share the colocated trace set.
+    monkeypatch.setattr(generator, "_last_traces", None)
+    calls = []
+    real = generator._generate_traces
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(generator, "_generate_traces", counted)
+    mix = [(HOT_SPEC, (0, 1)), (SCALEOUT_WORKLOADS["web_search"], (2, 3))]
+    requests = [RunRequest.colocation(system_config(name, num_cores=4,
+                                                    scale=SCALE),
+                                      mix, PLAN, seed=7)
+                for name in ("baseline", "silo")]
+    RunEngine(jobs=1).run(requests)
+    assert [args[0].name for args in calls] == ["l1_resident",
+                                                "web_search"]
+
+
 # ---------------------------------------------------------------------------
 # chunk metamorphics
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.cores.perf_model import CoreParams
-from repro.workloads import generator
+from repro.workloads import colocation, generator
 from repro.workloads.base import CodeSpec, RegionSpec, WorkloadSpec
 from repro.workloads.generator import (generate_traces, _generate_traces,
                                        zipf_ranks, region_blocks,
@@ -103,6 +103,79 @@ def test_the_held_set_is_dropped_before_generating(monkeypatch):
     monkeypatch.setattr(generator, "_generate_traces", spy)
     generate_traces(**dict(MEMO_ARGS, seed=MEMO_ARGS["seed"] + 1))
     assert alive == [[False, False]]
+
+
+#: generate_colocation_traces arguments of the memo tests, and one
+#: different value of each.
+COLOCATED = dict(assignments=[(tiny_spec(), [0, 1]),
+                              (tiny_spec(pattern="scan"), [2, 3])],
+                 events_per_core=500, scale=256, seed=3)
+COLOCATED_CHANGES = {
+    "assignments": [(tiny_spec(), [0]), (tiny_spec(pattern="scan"),
+                                         [1, 2, 3])],
+    "events_per_core": 400,
+    "scale": 512,
+    "seed": 4,
+}
+
+
+def _counting(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _generate_traces(*args)
+
+    monkeypatch.setattr(generator, "_generate_traces", counted)
+    return calls
+
+
+def test_a_colocated_set_is_memoized_whole(monkeypatch):
+    first = generate_colocation_traces(**COLOCATED)
+    calls = _counting(monkeypatch)
+    again = generate_colocation_traces(**dict(
+        COLOCATED, assignments=[(spec, tuple(ids))
+                                for spec, ids in COLOCATED["assignments"]]))
+    assert again is first
+    assert calls == []
+    fresh = colocation._generate(
+        tuple((spec, tuple(ids)) for spec, ids in COLOCATED["assignments"]),
+        500, 256, 3)
+    assert fresh[0] is not first[0]
+    assert fresh == first
+
+
+@pytest.mark.parametrize("name", sorted(COLOCATED_CHANGES))
+def test_changing_any_colocation_argument_regenerates(monkeypatch, name):
+    first = generate_colocation_traces(**COLOCATED)
+    calls = _counting(monkeypatch)
+    changed = dict(COLOCATED, **{name: COLOCATED_CHANGES[name]})
+    second = generate_colocation_traces(**changed)
+    assert len(calls) == 2                  # one per workload
+    assert second is not first
+    assert second == colocation._generate(
+        tuple((spec, tuple(ids)) for spec, ids in changed["assignments"]),
+        changed["events_per_core"], changed["scale"], changed["seed"])
+
+
+def test_a_process_holds_one_set_across_both_generators(monkeypatch):
+    # a colocated set is dropped before a homogeneous one is generated,
+    # and the other way round
+    traces, layouts = generate_colocation_traces(**COLOCATED)
+    refs = [weakref.ref(traces[0]), weakref.ref(layouts[0][1])]
+    del traces, layouts
+    alive = []
+
+    def spy(*args):
+        alive.append(any(ref() is not None for ref in refs))
+        return _generate_traces(*args)
+
+    monkeypatch.setattr(generator, "_generate_traces", spy)
+    traces, layout = generate_traces(**MEMO_ARGS)
+    refs = [weakref.ref(traces[0]), weakref.ref(layout)]
+    del traces, layout
+    generate_colocation_traces(**COLOCATED)
+    assert alive == [False, False, False]
 
 
 def test_different_seeds_differ():

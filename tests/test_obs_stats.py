@@ -140,3 +140,47 @@ def test_optimization_structures_register():
     assert "directory_cache" in snap["coherence"]
     hits = snap["coherence"]["directory_cache"]
     assert hits["hits"] + hits["misses"] == s.directory_lookups
+
+
+# ---------------------------------------------------------------------------
+# a machine's registry does not keep the machine alive
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("request_kind", [
+    "baseline", "baseline_dram", "3level_sram", "silo", "silo_co",
+    "vaults_sh", "silo-missmap", "baseline-sharing", "silo-faults",
+    "baseline-prefetcher"])
+def test_a_run_frees_its_machine_by_reference_counting(request_kind):
+    # With strong references from the stats registry back to the
+    # machine, every finished run stayed as cyclic garbage until a
+    # full collection, and whatever ran next paid for collecting it.
+    import gc
+    import weakref
+
+    from repro.core.systems import system_config
+    from repro.faults import FaultPlan
+    from repro.sim.engine import RunRequest, execute_request
+    from repro.sim.sampling import SamplingPlan
+    from repro.workloads.scaleout import SCALEOUT_WORKLOADS
+
+    name, _, feature = request_kind.partition("-")
+    overrides = {"missmap": dict(local_miss_predictor="missmap"),
+                 "prefetcher": dict(l1_prefetcher=True)}.get(feature, {})
+    config = system_config(name, num_cores=4, scale=1024, **overrides)
+    request = RunRequest.point(
+        config, SCALEOUT_WORKLOADS["web_search"], SamplingPlan(300, 200),
+        7, track_sharing=feature == "sharing",
+        faults=(FaultPlan(seed=1, data_flip_rate=0.01)
+                if feature == "faults" else None))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = execute_request(request)
+        result.system.stats.snapshot()      # readable while it lives
+        machine = weakref.ref(result.system)
+        del result
+        assert machine() is None
+    finally:
+        if enabled:
+            gc.enable()
