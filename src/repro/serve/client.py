@@ -2,13 +2,14 @@
 
 Three layers:
 
-* :class:`ServerClient` -- a synchronous stdlib (``http.client``)
-  wrapper over the server's endpoints: submit a
-  :class:`~repro.sim.engine.RunRequest`, poll a key, stream SSE
-  events, scrape health/metrics.  Summaries default to the pickle
-  wire format (trusted in-repo server; see ``repro.serve.proto``) so
-  a round-trip returns the same ``RunSummary`` object a local engine
-  would have;
+* :class:`ServerClient` -- a synchronous wrapper over the server's
+  endpoints: submit a :class:`~repro.sim.engine.RunRequest`, poll a
+  key, stream SSE events, scrape health/metrics.  It keeps idle
+  keep-alive connections for reuse and frames requests and responses
+  with :mod:`repro.serve.proto`, the module the server uses.
+  Summaries default to the pickle wire format (trusted in-repo server;
+  see ``repro.serve.proto``) so a round-trip returns the same
+  ``RunSummary`` object a local engine would have;
 * :class:`HttpTransport` -- an executor transport for
   :class:`repro.sim.engine.RunEngine` that resolves every simulated
   point on a server.  The experiment CLI's ``--server URL`` installs
@@ -26,21 +27,32 @@ thread pool, which is all the concurrency a submitter needs.
 
 import argparse
 import concurrent.futures
-import http.client
 import json
 import pickle
+import socket
 import sys
+import threading
 
 from repro.obs.profile import clock
 from repro.serve import proto
 
 
 class ServerError(Exception):
-    """Non-2xx response from the job server."""
+    """Non-2xx response from the job server; status 502 stands for a
+    response that breaks :mod:`repro.serve.proto`'s framing."""
 
     def __init__(self, status, message):
         super().__init__("HTTP %d: %s" % (status, message))
         self.status = status
+
+
+class _Unanswered(ConnectionError):
+    """The server closed a connection before any byte of a response."""
+
+
+def _bad_response(message):
+    """The error for a response that breaks the framing."""
+    return ServerError(502, "bad response: %s" % (message,))
 
 
 def _parse_url(url):
@@ -50,42 +62,163 @@ def _parse_url(url):
     return host or "127.0.0.1", int(port) if port else 80
 
 
+class _Connection:
+    """One connection to the server, speaking :mod:`repro.serve.proto`'s
+    framing: a request goes out in one ``sendall``; a response is a
+    status line, header lines parsed by :func:`proto.parse_head`, and
+    a ``Content-Length`` body.  Any failure closes it."""
+
+    def __init__(self, host, port, timeout):
+        self.sock = socket.create_connection((host, port), timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.rfile = self.sock.makefile("rb")
+
+    def close(self):
+        self.rfile.close()
+        self.sock.close()
+
+    def exchange(self, message):
+        """Send one rendered request; returns ``(status, headers,
+        body)`` of its response.  Raises :class:`_Unanswered` when the
+        connection ends before the response's first byte,
+        :class:`ConnectionError` when it ends later, and
+        :class:`ServerError` (502) on a malformed response."""
+        try:
+            try:
+                self.sock.sendall(message)
+                first = self.rfile.readline(proto.MAX_LINE_BYTES + 1)
+            except (BrokenPipeError, ConnectionResetError,
+                    ConnectionAbortedError) as e:
+                raise _Unanswered("server closed the connection: %s"
+                                  % e) from None
+            if not first:
+                raise _Unanswered("server closed the connection without "
+                                  "a response")
+            status, headers, length = self.read_head(first)
+            if length is None:
+                raise _bad_response("no Content-Length")
+            body = self.rfile.read(length)
+            if len(body) < length:
+                raise ConnectionError("connection closed mid-body: got "
+                                      "%d of %d bytes" % (len(body), length))
+            return status, headers, body
+        except BaseException:
+            self.close()
+            raise
+
+    def read_head(self, first):
+        """``(status, headers, length)`` of a response whose first line
+        (as read) is ``first``; reads the rest of its head."""
+        status = _status(_whole(first))
+        lines = []
+        while True:
+            line = _whole(self.rfile.readline(proto.MAX_LINE_BYTES + 1))
+            if line in (b"\r\n", b"\n"):
+                break
+            lines.append(line)
+            if len(lines) > proto.MAX_HEADERS:
+                raise _bad_response("too many headers")
+        try:
+            headers, length = proto.parse_head(lines)
+        except proto.ProtocolError as e:
+            raise _bad_response(e) from None
+        return status, headers, length
+
+
+def _whole(line):
+    """``line`` as read from a response head, if it is a whole line."""
+    if line.endswith(b"\n"):
+        return line
+    if len(line) > proto.MAX_LINE_BYTES:
+        raise _bad_response("line too long")
+    raise ConnectionError("connection closed inside the response head")
+
+
+def _status(line):
+    """The status code of an ``HTTP/1.x NNN reason`` status line."""
+    parts = line.split(None, 2)
+    if len(parts) < 2 or not parts[0].startswith(b"HTTP/1.") \
+            or len(parts[1]) != 3 or not parts[1].isdigit():
+        raise _bad_response("malformed status line %r" % line[:80])
+    return int(parts[1])
+
+
 class ServerClient:
-    """Synchronous HTTP client for one job server."""
+    """Synchronous HTTP client for one job server.
+
+    Connections are kept alive and reused: a finished request puts its
+    connection on a lock-guarded stack of idle ones, and the next
+    request takes one from there, so concurrent callers (the
+    :class:`HttpTransport` threads share one client) hold one each.  A
+    response carrying ``Connection: close`` drops its connection.  A
+    reused connection that the server closed before any byte of the
+    response arrived is retried once, on a fresh connection: the
+    request never reached a handler, and ``POST /runs`` is
+    deduplicated by key anyway.  :meth:`close` closes the idle ones.
+    """
 
     def __init__(self, url, timeout=600.0):
         self.url = url.rstrip("/")
         self.host, self.port = _parse_url(url)
         self.timeout = timeout
+        self._idle = []
+        self._lock = threading.Lock()
+
+    def close(self):
+        """Close every idle connection; later requests open new ones."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def _connect(self):
+        return _Connection(self.host, self.port, self.timeout)
+
+    def _exchange(self, message):
+        """``(status, headers, body)`` of one request, on an idle
+        connection if there is one."""
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        response = None
+        if conn is not None:
+            try:
+                response = conn.exchange(message)
+            except _Unanswered:
+                pass                # closed while idle: go again, once
+        if response is None:
+            conn = self._connect()
+            response = conn.exchange(message)
+        if response[1].get("connection", "").lower() == "close":
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append(conn)
+        return response
 
     def _request(self, method, path, body=None):
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
+        if body is not None:
+            body = json.dumps(body).encode("utf-8")
+        status, headers, payload = self._exchange(proto.render_request(
+            method, path, "%s:%d" % (self.host, self.port), body))
+        ctype = headers.get("content-type", "")
+        dedup = headers.get("x-silo-dedup", "none")
+        if status >= 400:
+            try:
+                message = json.loads(payload)["error"]
+            except (ValueError, KeyError, TypeError):
+                message = payload.decode("utf-8", "replace")
+            err = ServerError(status, message)
+            err.retry_after = headers.get("retry-after")
+            raise err
         try:
-            headers = {}
-            if body is not None:
-                body = json.dumps(body).encode("utf-8")
-                headers["Content-Type"] = "application/json"
-            conn.request(method, path, body=body, headers=headers)
-            resp = conn.getresponse()
-            payload = resp.read()
-            ctype = resp.getheader("Content-Type", "")
-            dedup = resp.getheader("X-Silo-Dedup", "none")
-            if resp.status >= 400:
-                try:
-                    message = json.loads(payload)["error"]
-                except (ValueError, KeyError, TypeError):
-                    message = payload.decode("utf-8", "replace")
-                err = ServerError(resp.status, message)
-                err.retry_after = resp.getheader("Retry-After")
-                raise err
             if ctype.startswith(proto.PICKLE_CONTENT_TYPE):
                 return pickle.loads(payload), dedup
             if ctype.startswith("application/json"):
                 return json.loads(payload), dedup
             return payload.decode("utf-8"), dedup
-        finally:
-            conn.close()
+        except (ValueError, EOFError, pickle.UnpicklingError) as e:
+            raise ServerError(502, "undecodable %s body: %s"
+                              % (ctype, e)) from None
 
     # -- endpoints -------------------------------------------------------
 
@@ -123,16 +256,22 @@ class ServerClient:
 
     def watch(self, key=None):
         """Generator of ``(event, payload)`` from the SSE stream;
-        terminates when the server closes the connection."""
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
+        terminates when the server closes the connection.  The stream
+        has a connection of its own, never reused."""
+        conn = self._connect()
         try:
             path = "/events" + ("?key=%s" % key if key else "")
-            conn.request("GET", path)
-            resp = conn.getresponse()
+            conn.sock.sendall(proto.render_request(
+                "GET", path, "%s:%d" % (self.host, self.port)))
+            first = conn.rfile.readline(proto.MAX_LINE_BYTES + 1)
+            if not first:
+                return
+            status, _headers, _length = conn.read_head(first)
+            if status != 200:
+                raise ServerError(status, "GET %s: no event stream" % path)
             event = None
             while True:
-                raw = resp.readline()
+                raw = conn.rfile.readline(proto.MAX_LINE_BYTES + 1)
                 if not raw:
                     return
                 line = raw.decode("utf-8").rstrip("\n")
@@ -172,6 +311,7 @@ class HttpTransport:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
+        self.client.close()
 
     def submit(self, request, key):
         if self._pool is None:

@@ -3,11 +3,13 @@
 Three small protocols live here so the server and the client speak
 from one module:
 
-* a **minimal HTTP/1.1 layer** over asyncio streams -- request-line +
-  headers + Content-Length body parsing, keep-alive, and response
-  rendering.  No routing framework, no chunked encoding, no TLS: the
-  server fronts simulation traffic on a LAN, and everything it needs
-  fits in ~100 lines of stdlib;
+* a **minimal HTTP/1.1 layer** -- request-line + headers +
+  Content-Length body parsing over asyncio streams, keep-alive, and
+  request and response rendering.  One header parser
+  (:func:`parse_head`) reads both directions: requests on the server,
+  responses in :mod:`repro.serve.client`.  No routing framework, no
+  chunked encoding, no TLS: the server fronts simulation traffic on a
+  LAN, and everything it needs fits in ~100 lines of stdlib;
 * **Server-Sent Events** rendering for the progress streams
   (``event:``/``data:`` lines per the WhatWG EventSource format);
 * **run codecs**: the JSON shapes of a submitted run
@@ -32,6 +34,13 @@ from repro.sim.engine import RunRequest, RunSummary
 #: 64 MB leaves room for huge colocation grids while bounding a
 #: malicious or corrupt Content-Length).
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Most header lines one message head may carry.
+MAX_HEADERS = 256
+
+#: Longest start or header line the client reads: asyncio's default
+#: stream limit (64 KiB), which bounds the server's own reads.
+MAX_LINE_BYTES = 64 * 1024
 
 #: Request priority classes, highest first (the server drains
 #: ``interactive`` completely before touching ``batch``).
@@ -118,28 +127,19 @@ async def read_request(reader):
         raise ProtocolError("malformed request line %r" % line) from None
     if not version.startswith("HTTP/1."):
         raise ProtocolError("unsupported HTTP version %r" % version)
-    headers = {}
+    lines = []
     while True:
         raw = await _readline(reader)
         if raw in (b"\r\n", b"\n"):
             break
         if not raw:
             raise ProtocolError("EOF inside headers")
-        try:
-            name, _, value = raw.decode("latin-1").partition(":")
-        except UnicodeDecodeError:
-            raise ProtocolError("undecodable header") from None
-        headers[name.strip().lower()] = value.strip()
-        if len(headers) > 256:
+        lines.append(raw)
+        if len(lines) > MAX_HEADERS:
             raise ProtocolError("too many headers")
+    headers, length = parse_head(lines)
     body = b""
-    if "content-length" in headers:
-        try:
-            length = int(headers["content-length"])
-        except ValueError:
-            raise ProtocolError("bad Content-Length") from None
-        if length < 0 or length > MAX_BODY_BYTES:
-            raise ProtocolError("body of %d bytes out of range" % length)
+    if length:
         try:
             body = await reader.readexactly(length)
         except asyncio.IncompleteReadError as e:
@@ -148,6 +148,44 @@ async def read_request(reader):
     path, query = _parse_target(target)
     return Request(method=method.upper(), path=path, query=query,
                    headers=headers, body=body)
+
+
+def parse_head(lines):
+    """The headers and body length of one HTTP/1.x message head.
+
+    ``lines`` are the head's raw header lines: bytes, after the start
+    line, without the blank line that ends the head.  Returns
+    ``(headers, length)``: names lowercased and values stripped, and
+    ``Content-Length`` as an int in ``[0, MAX_BODY_BYTES]``, or None
+    when the head has none.  Raises :class:`ProtocolError` on a length
+    that is not such an int.  :func:`read_request` parses a request's
+    head with it, and the client a response's.
+    """
+    headers = {}
+    for raw in lines:
+        name, _, value = raw.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = headers.get("content-length")
+    if length is None:
+        return headers, None
+    try:
+        length = int(length)
+    except ValueError:
+        raise ProtocolError("bad Content-Length %r" % length[:40]) from None
+    if length < 0 or length > MAX_BODY_BYTES:
+        raise ProtocolError("body of %d bytes out of range" % length)
+    return headers, length
+
+
+def render_request(method, target, host, body=None):
+    """Render a full HTTP/1.1 request as bytes, head and JSON body
+    together, so one ``sendall`` sends it."""
+    head = "%s %s HTTP/1.1\r\nHost: %s\r\n" % (method, target, host)
+    if body is None:
+        return (head + "\r\n").encode("latin-1")
+    return (head + "Content-Type: application/json\r\n"
+            "Content-Length: %d\r\n\r\n" % len(body)
+            ).encode("latin-1") + body
 
 
 def render_response(status, body=b"", content_type="application/json",

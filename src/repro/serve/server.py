@@ -51,6 +51,8 @@ from repro.sim.engine import RunRequest
 DEFAULT_PORT = 8421
 #: Dropped oldest-first beyond this many memoized responses.
 MEMO_ENTRIES = 1024
+#: Seconds :meth:`JobServer.stop` lets a closing connection flush.
+STOP_GRACE_S = 1.0
 
 
 class _JobState:
@@ -95,6 +97,7 @@ class JobServer:
         self._wake = asyncio.Event()
         self._memo = OrderedDict()   # key -> {"summary", "bodies"}
         self._subscribers = set()    # asyncio.Queue per /events client
+        self._conns = {}             # open connection's writer -> task
         self.submitted = 0
         self.completed = 0
         self.errors = 0
@@ -156,6 +159,12 @@ class JobServer:
         self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
 
     async def stop(self):
+        """Stop serving: fail the jobs still waiting, close every open
+        connection (keep-alive clients' idle ones too) and return once
+        each connection's handler has.  From Python 3.12.1
+        ``Server.wait_closed`` waits for every connection, so one idle
+        client would otherwise hold it open for good; before that, a
+        handler left waiting outlives the event loop."""
         self._running = False
         if self._dispatcher is not None:
             self._wake.set()
@@ -166,20 +175,38 @@ class JobServer:
                 pass
         for queue in list(self._subscribers):
             queue.put_nowait(("shutdown", {}))
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._session_cm is not None:
-            self._session_cm.__exit__(None, None, None)
-            self._session_cm = None
         for job in list(self._inflight.values()):
             if not job.future.done():
                 job.future.set_exception(
                     ConnectionError("server stopped"))
         self._inflight.clear()
+        if self._server is not None:
+            self._server.close()
+            await self._close_connections()
+            await self._server.wait_closed()
+        if self._session_cm is not None:
+            self._session_cm.__exit__(None, None, None)
+            self._session_cm = None
         for q in self._queues.values():
             q.clear()
         self._engine_pool.shutdown(wait=False)
+
+    async def _close_connections(self):
+        """Close every open connection and wait for its handler; a
+        handler not done within :data:`STOP_GRACE_S` (its peer does
+        not take the last bytes, say) is cancelled and its connection
+        aborted."""
+        for writer in list(self._conns):
+            writer.close()
+        if self._conns:
+            await asyncio.wait(list(self._conns.values()),
+                               timeout=STOP_GRACE_S)
+        stuck = list(self._conns.items())
+        for writer, task in stuck:
+            writer.transport.abort()
+            task.cancel()
+        if stuck:
+            await asyncio.wait([task for _writer, task in stuck])
 
     @property
     def url(self):
@@ -305,8 +332,11 @@ class JobServer:
     # -- connection handling ---------------------------------------------
 
     async def _handle_conn(self, reader, writer):
+        self._conns[writer] = asyncio.current_task()
         try:
-            while True:
+            # A connection accepted while the server stops is closed
+            # unread: stop() may already have closed the others.
+            while self._running:
                 try:
                     request = await proto.read_request(reader)
                 except ProtocolError as e:
@@ -328,6 +358,8 @@ class JobServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            finally:
+                self._conns.pop(writer, None)
 
     async def _route(self, request, writer):
         """Dispatch one request; returns False to close the

@@ -14,6 +14,9 @@ The contracts the serving layer must keep:
   request head or a truncated body gets 400, not a dropped connection;
 * one job that fails fails only itself, not the jobs dispatched with
   it, and an SSE client that leaves is dropped;
+* stopping the server closes every connection, keep-alive clients'
+  idle ones included, and leaves no handler behind its event loop;
+  a local pool's workers hold none of the server's sockets;
 * hostile input fails locally: a run key that is not a sha256 digest
   gets 400 before it can name a cache path, and bad ``python -m
   repro.serve`` settings are usage errors;
@@ -23,7 +26,7 @@ The contracts the serving layer must keep:
 
 import asyncio
 import concurrent.futures
-import dataclasses
+import gc
 import json
 import os
 import pickle
@@ -51,6 +54,11 @@ from repro.sim.engine import (LocalPoolTransport, RunCache, RunEngine,
 from repro.sim.sampling import SamplingPlan
 from repro.workloads.scaleout import SCALEOUT_WORKLOADS
 from tests.test_engine import HOSTILE_EDITS, hostile_wire
+
+#: An exception raised where nothing can catch it (a connection
+#: handler finishing after its event loop closed, say) fails the test.
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnraisableExceptionWarning")
 
 PLAN = SamplingPlan(1500, 800)
 SCALE = 512
@@ -198,6 +206,32 @@ def test_concurrent_identical_posts_execute_once():
         assert engine.executed == 1
 
 
+def test_stop_closes_idle_keep_alive_connections(monkeypatch):
+    # A keep-alive client leaves its connection open and idle.  From
+    # Python 3.12.1 Server.wait_closed waits for every connection, so
+    # stop() must close it, and every connection handler must be done
+    # before the event loop closes.
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    engine = RunEngine(jobs=1)
+    thread = ServerThread(engine)
+    server = thread.__enter__()
+    clients = [ServerClient(server.url) for _ in range(3)]
+    for client in clients:
+        assert client.health()["ok"]
+    assert len(server._conns) == 3
+    t0 = time.monotonic()
+    thread.__exit__(None, None, None)
+    assert time.monotonic() - t0 < 2.0
+    assert not server._conns
+    gc.collect()
+    assert unraisable == []
+    # the server closed the idle connection: the client's one retry
+    # finds nothing listening
+    with pytest.raises(ConnectionRefusedError):
+        clients[0].health()
+
+
 # ---------------------------------------------------------------------------
 # local-pool transport: fig3 over HTTP is bit-identical to serial
 # ---------------------------------------------------------------------------
@@ -209,25 +243,11 @@ def _fig3(engine):
                               workloads=list(FIG3_WORKLOADS))
 
 
-def _forked_pool(jobs):
-    """A started LocalPoolTransport whose workers already exist.
-
-    Under the fork start method the pool forks every worker at its
-    first submit, and each child inherits the sockets open at that
-    moment.  With the server and its client in this one process, a
-    fork mid-grid would keep the client's connections open in the
-    children and the server would never see them close."""
-    pool = LocalPoolTransport(jobs)
-    pool.start()
-    warm = dataclasses.replace(_point(), mode="estimate")
-    pool.submit(warm, "warm").result(timeout=60)
-    return pool
-
-
 def test_fig3_server_local_pool_bit_identical_to_serial():
     serial_rows = _fig3(RunEngine(jobs=1))
 
-    pool = _forked_pool(2)
+    pool = LocalPoolTransport(2)
+    pool.start()
     try:
         engine = RunEngine(jobs=1, transport=pool)
         with ServerThread(engine) as server:
@@ -242,6 +262,25 @@ def test_fig3_server_local_pool_bit_identical_to_serial():
         assert engine.executed == len(FIG3_WORKLOADS) == 5
         assert transport == "local-pool:2"
         assert remote.snapshot()["transport"].startswith("http:")
+    finally:
+        pool.stop()
+
+
+def test_pool_workers_do_not_hold_the_server_socket():
+    # A pool started before the server forks its workers in start(),
+    # so none inherits the listening socket: once the server stops,
+    # its port refuses connections instead of accepting them into a
+    # worker that never answers.
+    pool = LocalPoolTransport(2)
+    pool.start()
+    try:
+        with ServerThread(RunEngine(jobs=1, transport=pool)) as server:
+            client = ServerClient(server.url)
+            assert client.run(_point()).seed == 7
+            port = server.port
+        with pytest.raises(ConnectionRefusedError):
+            socket_mod.create_connection(("127.0.0.1", port),
+                                         timeout=2).close()
     finally:
         pool.stop()
 
@@ -415,7 +454,9 @@ def test_sse_stream_metrics_and_status():
         with pytest.raises(ServerError) as exc:
             client.status("no-such-key")
         assert exc.value.status == 400
-    assert any(e == "shutdown" for e, _p in events) or True
+    # stopping the server ends the event stream
+    watcher.join(5)
+    assert not watcher.is_alive()
 
 
 def test_unknown_route_and_bad_json():
