@@ -7,9 +7,10 @@ to be re-sampled), prints the regenerated table, and writes it to
 
 Every benchmark also runs under a metered :class:`repro.sim.engine.
 RunEngine`; per-figure wall clock and engine throughput (driven
-events/sec, cache hits/misses) are collected and written to
+events/sec, cache hits/misses) are collected and merged into
 ``benchmarks/results/BENCH_engine.json`` at the end of the session, so
-CI can archive one machine-readable performance record per run.
+CI can archive one machine-readable performance record per run.  A
+session that runs only some benchmarks replaces only their records.
 """
 
 import json
@@ -22,16 +23,36 @@ from repro.experiments.common import render_table
 from repro.sim import engine as sim_engine
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-BENCH_ENGINE_PATH = os.path.join(RESULTS_DIR, "BENCH_engine.json")
 
 
-def write_bench_json(name, payload):
-    """Write a BENCH_*.json record to ``benchmarks/results/`` (the copy
-    CI uploads)."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(RESULTS_DIR, name), "w") as f:
+def write_bench_json(name, payload, directory=RESULTS_DIR):
+    """Write a BENCH_*.json record to ``directory`` (by default
+    ``benchmarks/results/``, the copy CI uploads)."""
+    os.makedirs(directory, exist_ok=True)
+    with open(os.path.join(directory, name), "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def merge_engine_records(records, directory=RESULTS_DIR):
+    """Merge one session's per-benchmark ``records`` into
+    ``<directory>/BENCH_engine.json`` by test name: a benchmark that
+    ran replaces its record, and the records of those that did not run
+    are written back as they were read (byte-identical, since the file
+    is always written in this one format)."""
+    figures = {}
+    try:
+        with open(os.path.join(directory, "BENCH_engine.json")) as f:
+            figures = json.load(f)["figures"]
+    except (OSError, ValueError, KeyError):
+        pass
+    figures.update(records)
+    write_bench_json("BENCH_engine.json", {
+        "schema": "silo-repro-bench-engine/1",
+        "host_cpu_count": os.cpu_count(),
+        "jobs_env": os.environ.get("REPRO_JOBS") or None,
+        "figures": figures,
+    }, directory)
 
 #: node name -> {"wall_clock_s": ..., "engine": snapshot, ...extras}
 _ENGINE_RECORDS = {}
@@ -66,15 +87,8 @@ def bench_extra(request):
 
 
 def pytest_sessionfinish(session, exitstatus):
-    if not _ENGINE_RECORDS:
-        return
-    payload = {
-        "schema": "silo-repro-bench-engine/1",
-        "host_cpu_count": os.cpu_count(),
-        "jobs_env": os.environ.get("REPRO_JOBS") or None,
-        "figures": _ENGINE_RECORDS,
-    }
-    write_bench_json("BENCH_engine.json", payload)
+    if _ENGINE_RECORDS:
+        merge_engine_records(_ENGINE_RECORDS)
 
 
 @pytest.fixture

@@ -50,7 +50,7 @@ def _run_telemetry():
 
 def _fingerprint(result):
     return (result.performance(), result.level_counts(),
-            result.stats_snapshot(), result.latency_percentiles())
+            result.system.stats.snapshot(), result.latency_percentiles())
 
 
 def test_telemetry_overhead(bench_extra, write_bench):

@@ -10,8 +10,7 @@ memory-subsystem energy.
 Run:  python examples/quickstart.py
 """
 
-from repro import (simulate, system_config, scaleout_workload,
-                   SamplingPlan, EnergyModel)
+from repro import simulate, system_config, scaleout_workload, SamplingPlan
 
 
 def main():
@@ -36,10 +35,8 @@ def main():
               % (name, 100 * local / total, 100 * remote / total,
                  100 * miss / total, result.llc_mpki()))
 
-    model = EnergyModel()
-    base_e = model.breakdown(base.system)
-    silo_e = model.breakdown(silo.system)
-    saving = 1 - silo_e.total_dynamic_nj / base_e.total_dynamic_nj
+    saving = 1 - (silo.energy["total_dynamic_nj"]
+                  / base.energy["total_dynamic_nj"])
     print()
     print("memory-subsystem dynamic energy: SILO saves %.0f%% "
           "(fewer off-chip accesses)" % (100 * saving))

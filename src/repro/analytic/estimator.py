@@ -48,9 +48,10 @@ from repro import params as P
 from repro.cores.perf_model import (
     LEVEL_L1, LEVEL_LLC_LOCAL, LEVEL_LLC_REMOTE, LEVEL_DRAM_CACHE,
     LEVEL_MEMORY, NUM_LEVELS)
+from repro.energy.model import energy_breakdown
 from repro.noc.mesh import Mesh2D
 from repro.sim.config import LLC_SHARED, LLC_PRIVATE_VAULT
-from repro.sim.engine import ENGINE_SCHEMA, CoreSummary, RunSummary
+from repro.sim.summary import ENGINE_SCHEMA, CoreSummary, RunSummary
 from repro.workloads.generator import BLOCKS_PER_PAGE, region_blocks
 
 #: Documented worst-case error bound per observable (the contract the
@@ -1019,7 +1020,7 @@ def estimate_request(request):
             latency_hist=hists,
         ))
 
-    # -- counters and energy (EnergyModel formulas) -------------------
+    # -- counters and energy -------------------------------------------
     total = {lvl: (rates["data"][lvl] + rates["ifetch"][lvl])
              * E * n_driven for lvl in range(NUM_LEVELS)}
     beyond = sum(total[lvl] for lvl in range(1, NUM_LEVELS))
@@ -1061,21 +1062,9 @@ def estimate_request(request):
         "memory_reads": mem_reads,
         "memory_writes": mem_writes,
     }
-    if silo:
-        llc_dyn = llc_accesses * P.VAULT_DYNAMIC_NJ_PER_ACCESS
-        llc_static = config.num_cores * P.VAULT_STATIC_W
-    else:
-        llc_dyn = llc_accesses * P.SRAM_LLC_DYNAMIC_NJ_PER_ACCESS
-        llc_static = config.num_cores * P.SRAM_LLC_STATIC_W_PER_BANK
-    mem_dyn = ((counters["memory_accesses"] + dram_accesses)
-               * P.MEMORY_DYNAMIC_NJ_PER_ACCESS)
-    energy = {
-        "llc_dynamic_nj": llc_dyn,
-        "memory_dynamic_nj": mem_dyn,
-        "total_dynamic_nj": llc_dyn + mem_dyn,
-        "llc_static_w": llc_static,
-        "memory_static_w": P.MEMORY_STATIC_W,
-    }
+    energy = energy_breakdown(config.llc_kind, config.num_cores,
+                              llc_accesses, counters["memory_accesses"],
+                              dram_accesses)
 
     envelope = load_envelope()
     return EstimateSummary(

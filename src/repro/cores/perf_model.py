@@ -17,9 +17,11 @@ first-order interval model:
 * Data misses overlap with each other up to the workload's MLP; low MLP
   (1.2-2 for server workloads) exposes most of each miss.
 
-The model keeps *raw* latency sums per service level so that experiment
-code can re-evaluate performance under scaled latencies (Fig. 2, Fig. 4)
-without re-simulating.
+A :class:`CoreModel` only accumulates: it keeps *raw* latency sums per
+service level, and :class:`repro.sim.summary.CoreSummary` evaluates the
+formula over a snapshot of them, so experiment code can re-evaluate
+performance under scaled latencies (Fig. 2, Fig. 4) without
+re-simulating.
 """
 
 from dataclasses import dataclass
@@ -57,7 +59,8 @@ class CoreParams:
 
 
 class CoreModel:
-    """One core's instruction and stall accounting."""
+    """One core's instruction and stall accounting (the counters;
+    :class:`repro.sim.summary.CoreSummary` evaluates them)."""
 
     __slots__ = ("core_id", "params", "instructions",
                  "data_latency", "data_count",
@@ -99,39 +102,6 @@ class CoreModel:
         self.ifetch_latency[level] += latency
         self.ifetch_count[level] += 1
         self.latency_hist[level].record(latency)
-
-    # -- performance evaluation -------------------------------------------
-
-    def stall_cycles(self, level_scale=None, rw_shared_extra_factor=0.0):
-        """Total stall cycles.
-
-        ``level_scale`` optionally multiplies the recorded latency of
-        each service level (a 6-element sequence), which re-evaluates
-        the run under different LLC/memory latencies.
-        ``rw_shared_extra_factor`` adds that multiple of the RW-shared
-        latency sum on top (e.g. 1.0 doubles RW-shared block latency,
-        3.0 quadruples it -- Fig. 4).
-        """
-        p = self.params
-        data = 0.0
-        ifetch = 0.0
-        if level_scale is None:
-            data = sum(self.data_latency)
-            ifetch = sum(self.ifetch_latency)
-        else:
-            for lvl in range(NUM_LEVELS):
-                data += self.data_latency[lvl] * level_scale[lvl]
-                ifetch += self.ifetch_latency[lvl] * level_scale[lvl]
-        data += self.rw_shared_latency * rw_shared_extra_factor
-        return ifetch * p.ifetch_stall_factor + data / p.mlp
-
-    def cycles(self, level_scale=None, rw_shared_extra_factor=0.0):
-        return (self.instructions * self.params.base_cpi
-                + self.stall_cycles(level_scale, rw_shared_extra_factor))
-
-    def ipc(self, level_scale=None, rw_shared_extra_factor=0.0):
-        cyc = self.cycles(level_scale, rw_shared_extra_factor)
-        return self.instructions / cyc if cyc > 0 else 0.0
 
     def reset(self):
         # In place, not rebound: the stats registry holds references

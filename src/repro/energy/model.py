@@ -1,59 +1,46 @@
 """Hybrid energy model: technology parameters x simulation statistics.
 
 Follows Sec. VI-B: per-access dynamic energies and static powers come
-from the technology study (Table III); access counts and cycle counts
-come from the simulator.  ``Fig. 13`` plots the dynamic energy split
+from the technology study (Table III); access counts come from the
+simulator or, for an analytic estimate, from the estimator.  One
+formula, :func:`energy_breakdown`, turns an organization's three
+access counts (LLC, main memory, conventional DRAM cache) into the
+breakdown every result records; ``Fig. 13`` plots its dynamic split
 between the LLC and main memory, normalized to the baseline.
 """
-
-from dataclasses import dataclass
 
 from repro import params as P
 from repro.sim.config import LLC_SHARED
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """Dynamic energy (nJ) and static power (W) of one run."""
+def energy_breakdown(llc_kind, num_cores, llc_accesses, memory_accesses,
+                     dram_cache_accesses):
+    """Dynamic energy (nJ) and static power (W) of one measurement
+    window: ``llc_dynamic_nj``, ``memory_dynamic_nj``,
+    ``total_dynamic_nj``, ``llc_static_w`` and ``memory_static_w``.
 
-    llc_dynamic_nj: float
-    memory_dynamic_nj: float
-    llc_static_w: float
-    memory_static_w: float
-
-    @property
-    def total_dynamic_nj(self):
-        return self.llc_dynamic_nj + self.memory_dynamic_nj
-
-    def total_energy_nj(self, seconds):
-        """Dynamic + static energy over a run of ``seconds``."""
-        static_w = self.llc_static_w + self.memory_static_w
-        return self.total_dynamic_nj + static_w * seconds * 1e9
-
-    def llc_power_w(self, seconds):
-        """Average LLC power over ``seconds`` (Sec. VII-C notes SILO's
-        stays under 2.5 W)."""
-        if seconds <= 0:
-            raise ValueError("seconds must be positive")
-        return self.llc_static_w + self.llc_dynamic_nj * 1e-9 / seconds
+    A shared LLC is one SRAM bank per core, a SILO LLC one DRAM vault
+    per core.  A conventional DRAM cache is commodity DRAM, so its
+    accesses are charged at main-memory dynamic energy."""
+    if llc_kind == LLC_SHARED:
+        llc_dyn = llc_accesses * P.SRAM_LLC_DYNAMIC_NJ_PER_ACCESS
+        llc_static = num_cores * P.SRAM_LLC_STATIC_W_PER_BANK
+    else:
+        llc_dyn = llc_accesses * P.VAULT_DYNAMIC_NJ_PER_ACCESS
+        llc_static = num_cores * P.VAULT_STATIC_W
+    mem_dyn = ((memory_accesses + dram_cache_accesses)
+               * P.MEMORY_DYNAMIC_NJ_PER_ACCESS)
+    return {
+        "llc_dynamic_nj": llc_dyn,
+        "memory_dynamic_nj": mem_dyn,
+        "total_dynamic_nj": llc_dyn + mem_dyn,
+        "llc_static_w": llc_static,
+        "memory_static_w": P.MEMORY_STATIC_W,
+    }
 
 
 class EnergyModel:
-    """Computes an :class:`EnergyBreakdown` from a finished run."""
-
-    def __init__(self,
-                 sram_dyn_nj=P.SRAM_LLC_DYNAMIC_NJ_PER_ACCESS,
-                 sram_static_w_per_bank=P.SRAM_LLC_STATIC_W_PER_BANK,
-                 vault_dyn_nj=P.VAULT_DYNAMIC_NJ_PER_ACCESS,
-                 vault_static_w=P.VAULT_STATIC_W,
-                 mem_dyn_nj=P.MEMORY_DYNAMIC_NJ_PER_ACCESS,
-                 mem_static_w=P.MEMORY_STATIC_W):
-        self.sram_dyn_nj = sram_dyn_nj
-        self.sram_static_w_per_bank = sram_static_w_per_bank
-        self.vault_dyn_nj = vault_dyn_nj
-        self.vault_static_w = vault_static_w
-        self.mem_dyn_nj = mem_dyn_nj
-        self.mem_static_w = mem_static_w
+    """The energy breakdown of a live system's counters."""
 
     def register_stats(self, group, system):
         """Register derived energy statistics for ``system`` under
@@ -61,35 +48,23 @@ class EnergyModel:
         so they read zero right after a stats reset and track the
         measurement window exactly like :meth:`breakdown` does."""
         group.formula("llc_dynamic_nj",
-                      lambda: self.breakdown(system).llc_dynamic_nj,
+                      lambda: self.breakdown(system)["llc_dynamic_nj"],
                       desc="LLC dynamic energy (nJ)")
         group.formula("memory_dynamic_nj",
-                      lambda: self.breakdown(system).memory_dynamic_nj,
+                      lambda: self.breakdown(system)["memory_dynamic_nj"],
                       desc="memory dynamic energy (nJ)")
         group.formula("total_dynamic_nj",
-                      lambda: self.breakdown(system).total_dynamic_nj,
+                      lambda: self.breakdown(system)["total_dynamic_nj"],
                       desc="total dynamic energy (nJ)")
         group.formula("llc_static_w",
-                      lambda: self.breakdown(system).llc_static_w,
+                      lambda: self.breakdown(system)["llc_static_w"],
                       desc="LLC static power (W)")
         return group
 
     def breakdown(self, system):
-        """Energy of everything the system counted since reset_stats."""
-        if system.kind == LLC_SHARED:
-            llc_dyn = system.llc_accesses * self.sram_dyn_nj
-            llc_static = (system.llc.num_banks
-                          * self.sram_static_w_per_bank)
-        else:
-            llc_dyn = system.llc_accesses * self.vault_dyn_nj
-            llc_static = system.num_cores * self.vault_static_w
-        # A conventional DRAM cache is commodity DRAM: charge its
-        # accesses at main-memory dynamic energy.
-        mem_dyn = (system.memory.accesses
-                   + system.dram_cache_accesses) * self.mem_dyn_nj
-        return EnergyBreakdown(
-            llc_dynamic_nj=llc_dyn,
-            memory_dynamic_nj=mem_dyn,
-            llc_static_w=llc_static,
-            memory_static_w=self.mem_static_w,
-        )
+        """:func:`energy_breakdown` of everything the system counted
+        since reset_stats."""
+        return energy_breakdown(system.kind, system.num_cores,
+                                system.llc_accesses,
+                                system.memory.accesses,
+                                system.dram_cache_accesses)

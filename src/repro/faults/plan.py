@@ -13,6 +13,7 @@ mirroring the ambient run engine in ``repro.sim.engine``.
 """
 
 import contextlib
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -51,17 +52,29 @@ class FaultPlan:
     vault_events: Tuple[Tuple[int, int, str], ...] = field(default=())
 
     def __post_init__(self):
+        # Types first: a posted plan is rebuilt from JSON, and a float
+        # or bool where the injector does integer arithmetic would be
+        # keyed apart from its int form, fail midway, or (a float
+        # target) match no vault and inject nothing.
         for name in ("data_flip_rate", "tag_flip_rate",
                      "directory_flip_rate", "double_bit_fraction",
                      "stall_rate"):
             value = getattr(self, name)
+            if isinstance(value, bool) \
+                    or not isinstance(value, numbers.Real):
+                raise ValueError("%s must be a real number, got %r"
+                                 % (name, value))
             if not 0.0 <= value <= 1.0:
                 raise ValueError("%s must be in [0, 1], got %r"
                                  % (name, value))
+        _require_int("seed", self.seed)
+        _require_int("stall_retries_max", self.stall_retries_max)
         if self.stall_retries_max < 1:
             raise ValueError("stall_retries_max must be >= 1")
-        if self.target is not None and self.target < 0:
-            raise ValueError("target must be a vault/bank id or None")
+        if self.target is not None:
+            _require_int("target", self.target)
+            if self.target < 0:
+                raise ValueError("target must be a vault/bank id or None")
         events = tuple(tuple(ev) for ev in self.vault_events)
         last_tick = 0
         for ev in events:
@@ -69,6 +82,8 @@ class FaultPlan:
                 raise ValueError("vault event must be "
                                  "(tick, vault, action): %r" % (ev,))
             tick, vault, action = ev
+            _require_int("vault event tick", tick)
+            _require_int("vault event vault", vault)
             if tick < 0 or vault < 0:
                 raise ValueError("negative tick/vault in event: %r"
                                  % (ev,))
@@ -107,6 +122,12 @@ class FaultPlan:
             "target": self.target,
             "vault_events": [list(ev) for ev in self.vault_events],
         }
+
+
+def _require_int(name, value):
+    """Raise ValueError unless ``value`` is an int (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
 
 
 _ambient_plan = None

@@ -5,9 +5,11 @@ reproducible after the fact: which code (git sha), which configuration
 (full :class:`HierarchyConfig`), which inputs (seed, scale, sampling
 plan), how the simulator behaved (warmup/measure wall clock,
 events/sec) and what it observed (per-level exposed-latency
-percentiles, optional full stats snapshot).
+percentiles; for a live run also its trace, fault and telemetry
+records).
 
-``RunResult.manifest()`` builds the per-run record;
+``RunSummary.manifest()`` builds the per-run record, and a live run's
+``RunResult.manifest()`` adds what only its live system holds;
 :func:`write_manifest` serializes one (or an experiment-level envelope
 of many) next to the text tables in ``benchmarks/results`` or any
 directory the CLI's ``--manifest DIR`` names.

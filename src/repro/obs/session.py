@@ -79,7 +79,7 @@ class ObservationSession:
             from repro.obs.trace import EventTracer
             system.attach_tracer(EventTracer(self.trace_capacity))
 
-    def note_run(self, result, seed=None):
+    def note_run(self, result):
         """Record one finished run (called by ``run_system``)."""
         self.last_system = result.system
         self.last_tracer = result.system.tracer
@@ -88,7 +88,7 @@ class ObservationSession:
         if self.profiler is not None:
             self.profiler.driven_events += result.driven_events()
         if self.collect_manifests:
-            self.runs.append(result.manifest(seed=seed))
+            self.runs.append(result.manifest())
         if self._listeners:
             self.emit("run", {"events": result.driven_events(),
                               "performance": result.performance()})

@@ -154,7 +154,8 @@ class ServerClient:
     reused connection that the server closed before any byte of the
     response arrived is retried once, on a fresh connection: the
     request never reached a handler, and ``POST /runs`` is
-    deduplicated by key anyway.  :meth:`close` closes the idle ones.
+    deduplicated by key anyway.  :meth:`close` closes the idle ones,
+    as does leaving a ``with ServerClient(url) as client:`` block.
     """
 
     def __init__(self, url, timeout=600.0):
@@ -163,6 +164,12 @@ class ServerClient:
         self.timeout = timeout
         self._idle = []
         self._lock = threading.Lock()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
     def close(self):
         """Close every idle connection; later requests open new ones."""

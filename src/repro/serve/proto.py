@@ -28,7 +28,8 @@ import asyncio
 import json
 from dataclasses import dataclass, field
 
-from repro.sim.engine import RunRequest, RunSummary
+from repro.sim.engine import RunRequest
+from repro.sim.summary import RunSummary
 
 #: Hard ceiling on HTTP bodies (a fig-scale RunSummary is ~100 KB;
 #: 64 MB leaves room for huge colocation grids while bounding a
@@ -283,10 +284,5 @@ def summary_from_wire(data):
     estimate-mode subclass when the record carries one."""
     if data.get("mode") == "estimate":
         from repro.analytic.estimator import EstimateSummary
-        from repro.sim.engine import CoreSummary
-        data = dict(data)
-        data["cores"] = [CoreSummary(**c) for c in data["cores"]]
-        if data.get("sharing") is not None:
-            data["sharing"] = tuple(data["sharing"])
-        return EstimateSummary(**data)
+        return EstimateSummary.from_dict(data)
     return RunSummary.from_dict(data)

@@ -1,5 +1,6 @@
 """Run driver: feeds per-core traces through a System and collects a
-:class:`RunResult`.
+:class:`RunResult` -- the run's :class:`~repro.sim.summary.RunSummary`
+plus the live system.
 
 Cores are interleaved in fixed-size chunks (coherence interactions
 between cores happen at chunk granularity, which is far finer than any
@@ -9,18 +10,12 @@ timestamps memory-controller bank occupancy.
 """
 
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
-from typing import List, Optional
 
 from repro.coherence.states import MODIFIED
-from repro.cores.perf_model import (
-    NUM_LEVELS, LEVEL_NAMES, LEVEL_L1, LEVEL_LLC_LOCAL, LEVEL_LLC_REMOTE,
-    LEVEL_DRAM_CACHE, LEVEL_MEMORY)
-from repro.obs import manifest as _manifest
+from repro.cores.perf_model import LEVEL_L1
 from repro.obs import session as _obs_session
 from repro.obs.profile import clock
-from repro.obs.stats import Distribution
-from repro.sim.config import LLC_PRIVATE_VAULT
+from repro.sim.summary import RunSummary
 from repro.sim.system import System
 from repro.workloads.generator import FLAG_IFETCH, FLAG_WRITE
 
@@ -192,156 +187,39 @@ def _drive(system, per_core, starts, ends, times, chunk, sampler=None):
             sampler.tick(total - remaining)
 
 
-@dataclass
-class RunResult:
-    """Everything measured in one simulation run.
-
-    ``performance`` is the paper's metric: aggregate application
-    instructions per cycle (the sum of per-core IPCs).  The re-scaling
-    helpers re-evaluate performance under modified latencies without
-    re-simulating (used by Fig. 2 and Fig. 4).
+class RunResult(RunSummary):
+    """A finished simulation run: its :class:`RunSummary` (every
+    metric, evaluated there) plus the live ``system`` it ran on and the
+    measure phase's ``telemetry`` sampler, when the session asked for
+    windowed telemetry.  Those two are plain attributes, not dataclass
+    fields, so ``to_dict``, equality, the run cache and the wire never
+    see them; the engine detaches the plain summary with
+    :func:`repro.sim.engine.summarize`.
     """
 
-    system: System
-    measure_events: int
-    core_ids: List[int] = field(default_factory=list)
-    # Self-profiling throughput meter: wall-clock seconds spent driving
-    # each phase (simulator time, not simulated time).
-    warmup_wall_s: float = 0.0
-    measure_wall_s: float = 0.0
-    warmup_events: int = 0
-    #: TelemetrySampler covering the measure phase, when the session
-    #: asked for windowed telemetry (None otherwise).
-    telemetry: Optional[object] = None
+    system = None
+    telemetry = None
 
-    # -- performance -------------------------------------------------------
-
-    def per_core_ipc(self, level_scale=None, rw_shared_extra_factor=0.0):
-        """IPC of each driven core, optionally under re-scaled
-        latencies (see CoreModel.stall_cycles)."""
-        return [self.system.cores[c].ipc(level_scale,
-                                         rw_shared_extra_factor)
-                for c in self.core_ids]
-
-    def performance(self, level_scale=None, rw_shared_extra_factor=0.0):
-        """Aggregate application instructions per cycle: the sum of
-        per-core IPCs (the paper's throughput metric, Sec. VI-C)."""
-        return sum(self.per_core_ipc(level_scale, rw_shared_extra_factor))
-
-    def performance_with_llc_scale(self, factor):
-        """Performance with every LLC access (local and remote) taking
-        ``factor`` times its measured latency (Fig. 2 sweeps)."""
-        scale = [1.0] * NUM_LEVELS
-        scale[LEVEL_LLC_LOCAL] = factor
-        scale[LEVEL_LLC_REMOTE] = factor
-        return self.performance(level_scale=scale)
-
-    def performance_with_rw_multiplier(self, multiplier):
-        """Performance with RW-shared block accesses taking
-        ``multiplier`` times their latency (Fig. 4)."""
-        return self.performance(rw_shared_extra_factor=multiplier - 1.0)
-
-    # -- memory system statistics ------------------------------------------
-
-    def _sum_counts(self, attr):
-        totals = [0] * NUM_LEVELS
-        for c in self.core_ids:
-            counts = getattr(self.system.cores[c], attr)
-            for lvl in range(NUM_LEVELS):
-                totals[lvl] += counts[lvl]
-        return totals
-
-    def level_counts(self):
-        """Accesses satisfied at each level (ifetch + data)."""
-        d = self._sum_counts("data_count")
-        i = self._sum_counts("ifetch_count")
-        return [d[lvl] + i[lvl] for lvl in range(NUM_LEVELS)]
-
-    def instructions(self):
-        """Instructions retired across the driven cores."""
-        return sum(self.system.cores[c].instructions for c in self.core_ids)
-
-    def llc_breakdown(self):
-        """Fig. 11: (local hits, remote hits, off-chip misses) among
-        accesses that reached the LLC level."""
-        counts = self.level_counts()
-        local = counts[LEVEL_LLC_LOCAL]
-        remote = counts[LEVEL_LLC_REMOTE]
-        miss = counts[LEVEL_DRAM_CACHE] + counts[LEVEL_MEMORY]
-        return local, remote, miss
-
-    def llc_mpki(self):
-        """Off-chip misses per kilo-instruction."""
-        instrs = self.instructions()
-        if instrs == 0:
-            return 0.0
-        _, _, miss = self.llc_breakdown()
-        return 1000.0 * miss / instrs
-
-    # -- observability -----------------------------------------------------
-
-    def driven_events(self):
-        """References driven through the system during measurement."""
-        return self.measure_events * len(self.core_ids)
-
-    def events_per_sec(self):
-        """Simulator throughput during the measurement phase."""
-        if self.measure_wall_s <= 0:
-            return 0.0
-        return self.driven_events() / self.measure_wall_s
-
-    def latency_percentiles(self):
-        """Per-level exposed-latency percentiles over the driven cores
-        (merged histograms; levels with no samples are omitted)."""
-        out = {}
-        for lvl, name in enumerate(LEVEL_NAMES):
-            merged = Distribution("latency", desc=name)
-            for c in self.core_ids:
-                merged.merge(self.system.cores[c].latency_hist[lvl])
-            if merged.count:
-                out[name] = merged.value()
-        return out
-
-    def stats_snapshot(self):
-        """The system's full stats registry as nested dicts."""
-        return self.system.stats.snapshot()
-
-    def manifest(self, seed=None, include_stats=False):
-        """Run-provenance record: config, inputs, wall clock,
-        throughput and latency percentiles (see repro.obs.manifest)."""
+    def manifest(self):
+        """Run-provenance record: the summary's manifest plus the live
+        run's tracer, fault-injector and telemetry records."""
+        data = super().manifest()
         sys_ = self.system
-        data = {
-            "schema": _manifest.MANIFEST_SCHEMA,
-            "git_sha": _manifest.git_sha(),
-            "config": asdict(sys_.config),
-            "scale": sys_.config.scale,
-            "seed": seed,
-            "sampling": {"warmup_events": self.warmup_events,
-                         "measure_events": self.measure_events},
-            "wall_clock": {"warmup_s": self.warmup_wall_s,
-                           "measure_s": self.measure_wall_s},
-            "throughput": {"driven_events": self.driven_events(),
-                           "events_per_sec": self.events_per_sec()},
-            "performance": self.performance(),
-            "latency_percentiles": self.latency_percentiles(),
-        }
-        if sys_.config.llc_kind == LLC_PRIVATE_VAULT:
-            data["protocol_provenance"] = _manifest.protocol_provenance()
         if sys_.tracer is not None:
             data["trace"] = sys_.tracer.summary()
         if sys_.faults is not None:
             data["faults"] = sys_.faults.describe()
         if self.telemetry is not None:
             data["telemetry"] = self.telemetry.summary()
-        if include_stats:
-            data["stats"] = self.stats_snapshot()
         return data
 
 
 def run_system(system, traces, warmup_events, measure_events,
                chunk=None, seed=None):
     """Warm up (prewarm prefix + ``warmup_events``), reset statistics,
-    measure ``measure_events`` per core; returns a RunResult.
+    measure ``measure_events`` per core; returns a RunResult, the
+    window snapshotted once after the measure phase, recording
+    ``seed``.
 
     ``chunk`` is the core-interleave grain; None resolves the ambient
     default (:func:`default_chunk`).  Both phases are wall-clock timed
@@ -391,12 +269,13 @@ def run_system(system, traces, warmup_events, measure_events,
     for tr in traces:
         system.cores[tr.core_id].retire(
             int(measure_events * tr.instr_per_event))
-    result = RunResult(system=system, measure_events=measure_events,
-                       core_ids=[tr.core_id for tr in traces],
-                       warmup_wall_s=t1 - t0, measure_wall_s=t2 - t1,
-                       warmup_events=warmup_events, telemetry=sampler)
+    result = RunResult.snapshot(
+        system, [tr.core_id for tr in traces], warmup_events,
+        measure_events, t1 - t0, t2 - t1, seed=seed)
+    result.system = system
+    result.telemetry = sampler
     if session is not None:
-        session.note_run(result, seed=seed)
+        session.note_run(result)
     return result
 
 

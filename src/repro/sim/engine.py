@@ -16,13 +16,11 @@ engine exploits exactly that:
   content hash of the request *and* a fingerprint of the simulator's
   own source (git sha + per-file digests), so results survive across
   figures and sessions but never across code changes;
-* a :class:`RunSummary` is the picklable, JSON-able result of one
-  point -- per-core per-level latency sums and counts, latency
-  histograms, retired instructions, RW-shared splits, system counters,
-  the energy breakdown -- rich enough that every re-evaluation helper
-  of :class:`~repro.sim.driver.RunResult` (``performance`` under level
-  scaling, RW-shared multipliers, ...) re-runs from the summary without
-  re-simulating.
+* each point resolves to a :class:`~repro.sim.summary.RunSummary`,
+  the one result model (:mod:`repro.sim.summary`): a simulated point's
+  is the snapshot ``run_system`` took, detached from the live System
+  by :func:`summarize`, so every metric re-evaluates from it without
+  re-simulating and caches, pools and travels as plain data.
 
 Experiment modules declare their grids and call :func:`run_grid`; the
 CLI installs a configured engine with :func:`use_engine`.  When no
@@ -48,37 +46,22 @@ import re
 import threading
 from contextlib import contextmanager
 from copy import deepcopy
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Optional, Tuple
 
-from repro.cores.perf_model import (
-    CoreParams, NUM_LEVELS, LEVEL_NAMES, LEVEL_LLC_LOCAL,
-    LEVEL_LLC_REMOTE, LEVEL_DRAM_CACHE, LEVEL_MEMORY)
+from repro.cores.perf_model import CoreParams
 from repro.faults.plan import FaultPlan, current_plan
 from repro.obs import manifest as _manifest
 from repro.obs import session as _obs_session
 from repro.obs.profile import clock
 from repro.obs.recorder import FlightRecorder
-from repro.obs.stats import Distribution, Group
-from repro.sim.config import HierarchyConfig, LLC_PRIVATE_VAULT
+from repro.obs.stats import Group
+from repro.sim.config import HierarchyConfig
 from repro.sim.driver import (DEFAULT_CHUNK, check_chunk, default_chunk,
                               run_system)
 from repro.sim.sampling import SamplingPlan
+from repro.sim.summary import ENGINE_SCHEMA, RunSummary
 from repro.workloads.base import WorkloadSpec
-
-#: Bump when RunSummary's shape or the request canonicalization
-#: changes: stale cache entries must not satisfy new-schema lookups.
-#: /2: requests carry an optional FaultPlan (keys and summaries of
-#: faulted runs must never alias fault-free ones).
-#: /3: requests record which drive loop produced them.
-#: /4: requests carry an execution mode ("simulate" or "estimate",
-#: repro.analytic.estimator) and summaries record it.  An analytic
-#: estimate is an approximation with a documented error envelope --
-#: it must never replay from a simulate-mode cache entry, nor the
-#: other way around, so the mode is part of the canonical request.
-#: /5: that drive-loop setting is gone again: every run takes the one
-#: drive loop, so a key no longer names it.
-ENGINE_SCHEMA = "silo-repro-runsummary/5"
 
 #: Execution modes a RunRequest may carry ("auto" is an engine-level
 #: triage policy, never a request mode: triage resolves each point to
@@ -368,294 +351,14 @@ def code_fingerprint():
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CoreSummary:
-    """One driven core's measurement window, detached from the live
-    CoreModel.  The evaluation methods replicate CoreModel's arithmetic
-    operation-for-operation so re-evaluated metrics are bit-identical
-    to the live object's."""
-
-    core_id: int
-    instructions: int
-    base_cpi: float
-    mlp: float
-    ifetch_stall_factor: float
-    data_latency: List[float]
-    data_count: List[int]
-    ifetch_latency: List[float]
-    ifetch_count: List[int]
-    rw_shared_latency: float
-    rw_shared_count: int
-    #: Per service level: {"max_bucket", "buckets", "count", "total",
-    #: "min", "max"} -- a Distribution's full state.
-    latency_hist: List[dict] = field(default_factory=list)
-
-    def stall_cycles(self, level_scale=None, rw_shared_extra_factor=0.0):
-        data = 0.0
-        ifetch = 0.0
-        if level_scale is None:
-            data = sum(self.data_latency)
-            ifetch = sum(self.ifetch_latency)
-        else:
-            for lvl in range(NUM_LEVELS):
-                data += self.data_latency[lvl] * level_scale[lvl]
-                ifetch += self.ifetch_latency[lvl] * level_scale[lvl]
-        data += self.rw_shared_latency * rw_shared_extra_factor
-        return ifetch * self.ifetch_stall_factor + data / self.mlp
-
-    def cycles(self, level_scale=None, rw_shared_extra_factor=0.0):
-        return (self.instructions * self.base_cpi
-                + self.stall_cycles(level_scale, rw_shared_extra_factor))
-
-    def ipc(self, level_scale=None, rw_shared_extra_factor=0.0):
-        cyc = self.cycles(level_scale, rw_shared_extra_factor)
-        return self.instructions / cyc if cyc > 0 else 0.0
-
-
-def _hist_state(dist):
-    return {"max_bucket": dist.max_bucket,
-            "buckets": list(dist.buckets),
-            "count": dist.count, "total": dist.total,
-            "min": dist.min, "max": dist.max}
-
-
-def _hist_restore(state, name="latency", desc=""):
-    dist = Distribution(name, desc=desc, max_bucket=state["max_bucket"])
-    dist.buckets = list(state["buckets"])
-    dist.count = state["count"]
-    dist.total = state["total"]
-    dist.min = state["min"]
-    dist.max = state["max"]
-    return dist
-
-
-@dataclass
-class RunSummary:
-    """Everything an experiment can ask of a finished point, in plain
-    picklable/JSON-able data (no live System attached).
-
-    Mirrors :class:`~repro.sim.driver.RunResult`'s evaluation API;
-    values are bit-identical to the live object's because the same
-    sums feed the same arithmetic.
-    """
-
-    schema: str
-    request_key: str
-    config: dict                  # asdict(HierarchyConfig)
-    seed: Optional[int]
-    core_ids: List[int]
-    warmup_events: int
-    measure_events: int
-    warmup_wall_s: float
-    measure_wall_s: float
-    cores: List[CoreSummary]
-    #: System-level counters of the measurement window.
-    counters: dict
-    #: (reads, writes_nosharing, writes_rwsharing) when the request
-    #: asked for sharing classification, else None.
-    sharing: Optional[Tuple[int, int, int]]
-    #: Default EnergyModel breakdown of the window (Table III units).
-    energy: dict
-    #: How the summary was produced: "simulate" here; the analytic
-    #: backend's EstimateSummary subclass carries "estimate".
-    mode: str = "simulate"
-
-    # -- performance (RunResult mirror) --------------------------------
-
-    def per_core_ipc(self, level_scale=None, rw_shared_extra_factor=0.0):
-        return [c.ipc(level_scale, rw_shared_extra_factor)
-                for c in self.cores]
-
-    def performance(self, level_scale=None, rw_shared_extra_factor=0.0):
-        return sum(self.per_core_ipc(level_scale,
-                                     rw_shared_extra_factor))
-
-    def performance_with_llc_scale(self, factor):
-        scale = [1.0] * NUM_LEVELS
-        scale[LEVEL_LLC_LOCAL] = factor
-        scale[LEVEL_LLC_REMOTE] = factor
-        return self.performance(level_scale=scale)
-
-    def performance_with_rw_multiplier(self, multiplier):
-        return self.performance(rw_shared_extra_factor=multiplier - 1.0)
-
-    def ipc_of(self, core_ids):
-        """Aggregate IPC of a subset of the driven cores (Table VI)."""
-        by_id = {c.core_id: c for c in self.cores}
-        return sum(by_id[c].ipc() for c in core_ids)
-
-    # -- memory system statistics --------------------------------------
-
-    def _sum_counts(self, attr):
-        totals = [0] * NUM_LEVELS
-        for c in self.cores:
-            counts = getattr(c, attr)
-            for lvl in range(NUM_LEVELS):
-                totals[lvl] += counts[lvl]
-        return totals
-
-    def level_counts(self):
-        d = self._sum_counts("data_count")
-        i = self._sum_counts("ifetch_count")
-        return [d[lvl] + i[lvl] for lvl in range(NUM_LEVELS)]
-
-    def instructions(self):
-        return sum(c.instructions for c in self.cores)
-
-    def llc_breakdown(self):
-        counts = self.level_counts()
-        local = counts[LEVEL_LLC_LOCAL]
-        remote = counts[LEVEL_LLC_REMOTE]
-        miss = counts[LEVEL_DRAM_CACHE] + counts[LEVEL_MEMORY]
-        return local, remote, miss
-
-    def llc_mpki(self):
-        instrs = self.instructions()
-        if instrs == 0:
-            return 0.0
-        _, _, miss = self.llc_breakdown()
-        return 1000.0 * miss / instrs
-
-    def max_core_cycles(self):
-        """Slowest driven core's cycle count (the measured window's
-        wall clock in core cycles, Fig. 13)."""
-        return max(c.cycles() for c in self.cores)
-
-    def llc_power_w(self, seconds):
-        """Average LLC power over ``seconds`` (static + dynamic)."""
-        if seconds <= 0:
-            raise ValueError("seconds must be positive")
-        return (self.energy["llc_static_w"]
-                + self.energy["llc_dynamic_nj"] * 1e-9 / seconds)
-
-    # -- observability -------------------------------------------------
-
-    def driven_events(self):
-        return self.measure_events * len(self.core_ids)
-
-    def events_per_sec(self):
-        if self.measure_wall_s <= 0:
-            return 0.0
-        return self.driven_events() / self.measure_wall_s
-
-    def latency_percentiles(self):
-        out = {}
-        for lvl, name in enumerate(LEVEL_NAMES):
-            merged = Distribution("latency", desc=name)
-            for c in self.cores:
-                merged.merge(_hist_restore(c.latency_hist[lvl]))
-            if merged.count:
-                out[name] = merged.value()
-        return out
-
-    def manifest(self):
-        """Provenance record comparable to ``RunResult.manifest()``
-        (without live-System extras like the stats snapshot)."""
-        data = {
-            "schema": _manifest.MANIFEST_SCHEMA,
-            "git_sha": _manifest.git_sha(),
-            "config": dict(self.config),
-            "scale": self.config.get("scale"),
-            "seed": self.seed,
-            "sampling": {"warmup_events": self.warmup_events,
-                         "measure_events": self.measure_events},
-            "wall_clock": {"warmup_s": self.warmup_wall_s,
-                           "measure_s": self.measure_wall_s},
-            "throughput": {"driven_events": self.driven_events(),
-                           "events_per_sec": self.events_per_sec()},
-            "performance": self.performance(),
-            "latency_percentiles": self.latency_percentiles(),
-            "engine": {"request_key": self.request_key,
-                       "mode": self.mode},
-        }
-        if self.config.get("llc_kind") == LLC_PRIVATE_VAULT:
-            data["protocol_provenance"] = _manifest.protocol_provenance()
-        if "faults" in self.counters:
-            data["faults"] = {"counters": dict(self.counters["faults"])}
-        return data
-
-    # -- serialization -------------------------------------------------
-
-    def to_dict(self):
-        """JSON-native dict (``from_dict`` round-trips it exactly)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data):
-        data = dict(data)
-        data["cores"] = [CoreSummary(**c) for c in data["cores"]]
-        if data.get("sharing") is not None:
-            data["sharing"] = tuple(data["sharing"])
-        return cls(**data)
-
-
 def summarize(result, request_key=""):
-    """Build a :class:`RunSummary` from a live RunResult."""
-    from repro.energy.model import EnergyModel
-
-    sys_ = result.system
-    cores = []
-    for c in result.core_ids:
-        core = sys_.cores[c]
-        p = core.params
-        cores.append(CoreSummary(
-            core_id=c,
-            instructions=core.instructions,
-            base_cpi=p.base_cpi,
-            mlp=p.mlp,
-            ifetch_stall_factor=p.ifetch_stall_factor,
-            data_latency=list(core.data_latency),
-            data_count=list(core.data_count),
-            ifetch_latency=list(core.ifetch_latency),
-            ifetch_count=list(core.ifetch_count),
-            rw_shared_latency=core.rw_shared_latency,
-            rw_shared_count=core.rw_shared_count,
-            latency_hist=[_hist_state(h) for h in core.latency_hist],
-        ))
-    counters = {
-        "llc_accesses": sys_.llc_accesses,
-        "dram_cache_accesses": sys_.dram_cache_accesses,
-        "invalidations": sys_.invalidations,
-        "l1_writebacks": sys_.l1_writebacks,
-        "llc_writebacks": sys_.llc_writebacks,
-        "vault_evictions": sys_.vault_evictions,
-        "directory_lookups": sys_.directory_lookups,
-        "remote_forwards": sys_.remote_forwards,
-        "replica_hits": sys_.replica_hits,
-        "prefetch_fills": sys_.prefetch_fills,
-        "link_traversals": sys_.mesh.link_traversals,
-        "memory_accesses": sys_.memory.accesses,
-        "memory_reads": sys_.memory.reads,
-        "memory_writes": sys_.memory.writes,
-    }
-    if sys_.faults is not None:
-        # Present only for faulted runs: fault-free summaries keep
-        # their pre-faults shape byte-for-byte.
-        counters["faults"] = sys_.faults.counters_dict()
-    sharing = sys_.sharing_breakdown() if sys_.track_sharing else None
-    bd = EnergyModel().breakdown(sys_)
-    energy = {
-        "llc_dynamic_nj": bd.llc_dynamic_nj,
-        "memory_dynamic_nj": bd.memory_dynamic_nj,
-        "total_dynamic_nj": bd.total_dynamic_nj,
-        "llc_static_w": bd.llc_static_w,
-        "memory_static_w": bd.memory_static_w,
-    }
-    return RunSummary(
-        schema=ENGINE_SCHEMA,
-        request_key=request_key,
-        config=asdict(sys_.config),
-        seed=None,
-        core_ids=list(result.core_ids),
-        warmup_events=result.warmup_events,
-        measure_events=result.measure_events,
-        warmup_wall_s=result.warmup_wall_s,
-        measure_wall_s=result.measure_wall_s,
-        cores=cores,
-        counters=counters,
-        sharing=sharing,
-        energy=energy,
-    )
+    """The plain, picklable :class:`RunSummary` of a live RunResult,
+    stamped with ``request_key``: the same field values (the snapshot
+    ``run_system`` took), without the live System and telemetry."""
+    summary = RunSummary(**{name: getattr(result, name)
+                            for name in _field_names(RunSummary)})
+    summary.request_key = request_key
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -714,9 +417,7 @@ def _execute_to_summary(request, request_key):
         # request's mode.
         from repro.analytic.estimator import estimate_to_summary
         return estimate_to_summary(request, request_key)
-    summary = summarize(execute_request(request), request_key)
-    summary.seed = request.seed
-    return summary
+    return summarize(execute_request(request), request_key)
 
 
 def _pool_worker(payload):

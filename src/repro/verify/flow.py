@@ -352,6 +352,9 @@ class _Extractor:
                 and arg_deps:
             self._sink("stats", node, ".%s()" % attr,
                        set(arg_deps[0]))
+        if dotted == "cls" and self.class_name in _SUMMARY_CTORS:
+            # a summary classmethod building its own class
+            dotted = self.class_name
         if attr in _SUMMARY_CTORS or (target or "").split(".")[-1] in \
                 _SUMMARY_CTORS or (dotted in _SUMMARY_CTORS):
             ctor = dotted if dotted in _SUMMARY_CTORS \

@@ -1,10 +1,12 @@
-"""Out-of-order core performance model."""
+"""Out-of-order core performance model: ``CoreModel`` accumulates,
+the ``CoreSummary`` of its snapshot evaluates."""
 
 import pytest
 
 from repro.cores.perf_model import (CoreModel, CoreParams, LEVEL_L1,
                                     LEVEL_LLC_LOCAL, LEVEL_LLC_REMOTE,
                                     LEVEL_MEMORY, NUM_LEVELS)
+from repro.sim.summary import CoreSummary
 
 
 def make_core(base_cpi=1.0, mlp=2.0, iff=0.5):
@@ -22,22 +24,23 @@ def test_params_validation():
 def test_cycles_base_only():
     c = make_core(base_cpi=0.8)
     c.retire(1000)
-    assert c.cycles() == pytest.approx(800)
-    assert c.ipc() == pytest.approx(1.25)
+    s = CoreSummary.snapshot(c)
+    assert s.cycles() == pytest.approx(800)
+    assert s.ipc() == pytest.approx(1.25)
 
 
 def test_data_stalls_divided_by_mlp():
     c = make_core(base_cpi=1.0, mlp=2.0)
     c.retire(100)
     c.record_data(LEVEL_MEMORY, 100.0)
-    assert c.cycles() == pytest.approx(100 + 50)
+    assert CoreSummary.snapshot(c).cycles() == pytest.approx(100 + 50)
 
 
 def test_ifetch_stalls_scaled_by_factor():
     c = make_core(base_cpi=1.0, iff=0.5)
     c.retire(100)
     c.record_ifetch(LEVEL_LLC_LOCAL, 40.0)
-    assert c.cycles() == pytest.approx(100 + 20)
+    assert CoreSummary.snapshot(c).cycles() == pytest.approx(100 + 20)
 
 
 def test_level_scaling_reweights_llc_only():
@@ -47,8 +50,9 @@ def test_level_scaling_reweights_llc_only():
     c.record_data(LEVEL_MEMORY, 100.0)
     scale = [1.0] * NUM_LEVELS
     scale[LEVEL_LLC_LOCAL] = 2.0
-    assert c.stall_cycles() == pytest.approx(110)
-    assert c.stall_cycles(level_scale=scale) == pytest.approx(120)
+    s = CoreSummary.snapshot(c)
+    assert s.stall_cycles() == pytest.approx(110)
+    assert s.stall_cycles(level_scale=scale) == pytest.approx(120)
 
 
 def test_rw_shared_extra_factor():
@@ -57,7 +61,8 @@ def test_rw_shared_extra_factor():
     c.record_data(LEVEL_LLC_LOCAL, 10.0, rw_shared=True)
     c.record_data(LEVEL_LLC_LOCAL, 10.0, rw_shared=False)
     # doubling RW-shared latency adds exactly one extra 10-cycle term
-    assert c.stall_cycles(rw_shared_extra_factor=1.0) == pytest.approx(30)
+    s = CoreSummary.snapshot(c)
+    assert s.stall_cycles(rw_shared_extra_factor=1.0) == pytest.approx(30)
     assert c.rw_shared_count == 1
 
 
@@ -71,7 +76,7 @@ def test_counts_tracked_per_level():
 
 
 def test_ipc_zero_when_no_instructions():
-    assert make_core().ipc() == 0.0
+    assert CoreSummary.snapshot(make_core()).ipc() == 0.0
 
 
 def test_reset():

@@ -62,7 +62,7 @@ def test_performance_is_sum_of_ipcs():
     s = tiny_system()
     traces = [make_trace(0, 100), make_trace(1, 100, start=1000)]
     result = run_system(s, traces, 40, 60)
-    expected = s.cores[0].ipc() + s.cores[1].ipc()
+    expected = result.cores[0].ipc() + result.cores[1].ipc()
     assert result.performance() == pytest.approx(expected)
 
 

@@ -97,27 +97,63 @@ def test_run_grid_uses_env_default_engine(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_summary_matches_live_result_exactly():
-    req = _point(track_sharing=True)
-    (summary,) = RunEngine(jobs=1).run([req])
-    from repro.sim.driver import simulate
-    live = simulate(req.config, req.placements[0][0], PLAN, seed=7,
-                    track_sharing=True)
-    assert summary.performance() == live.performance()
-    assert (summary.performance_with_llc_scale(1.5)
-            == live.performance_with_llc_scale(1.5))
-    assert (summary.performance_with_rw_multiplier(3.0)
-            == live.performance_with_rw_multiplier(3.0))
-    assert summary.per_core_ipc() == live.per_core_ipc()
-    assert summary.level_counts() == live.level_counts()
-    assert summary.llc_breakdown() == live.llc_breakdown()
-    assert summary.llc_mpki() == live.llc_mpki()
-    assert summary.instructions() == live.instructions()
-    assert summary.latency_percentiles() == live.latency_percentiles()
-    assert summary.sharing == live.system.sharing_breakdown()
-    assert summary.counters["llc_accesses"] == live.system.llc_accesses
-    assert (summary.counters["memory_accesses"]
-            == live.system.memory.accesses)
+#: Evaluations that must agree between an engine summary and a direct
+#: run, as (name, call) pairs.
+_EVALUATIONS = (
+    ("per_core_ipc", lambda s: s.per_core_ipc()),
+    ("performance", lambda s: s.performance()),
+    ("llc_scale", lambda s: s.performance_with_llc_scale(1.5)),
+    ("rw_multiplier", lambda s: s.performance_with_rw_multiplier(3.0)),
+    ("ipc_of", lambda s: s.ipc_of([1, 3])),
+    ("level_counts", lambda s: s.level_counts()),
+    ("instructions", lambda s: s.instructions()),
+    ("llc_breakdown", lambda s: s.llc_breakdown()),
+    ("llc_mpki", lambda s: s.llc_mpki()),
+    ("max_core_cycles", lambda s: s.max_core_cycles()),
+    ("llc_power_w", lambda s: s.llc_power_w(1.0)),
+    ("latency_percentiles", lambda s: s.latency_percentiles()),
+    ("driven_events", lambda s: s.driven_events()),
+)
+
+
+def _simulated_fields(summary):
+    d = summary.to_dict()
+    for name in ("warmup_wall_s", "measure_wall_s", "request_key"):
+        del d[name]
+    return d
+
+
+def test_engine_summary_matches_a_direct_run():
+    """The engine's summary and ``simulate``'s RunResult are one result
+    model: the same fields (host clocks and the key aside) and the same
+    value from every evaluation, on Baseline and SILO with sharing
+    tracked and on SILO under an active fault plan.  The engine's is a
+    plain RunSummary that pickles without the System."""
+    from repro.faults.plan import FaultPlan
+    from repro.sim.driver import RunResult, simulate
+    spec = SCALEOUT_WORKLOADS["web_search"]
+    faults = FaultPlan(seed=1, data_flip_rate=0.05, tag_flip_rate=0.05,
+                       double_bit_fraction=1.0)
+    points = [
+        RunRequest.point(system_config(name, num_cores=4, scale=SCALE),
+                         spec, PLAN, 7, **kwargs)
+        for name, kwargs in (("baseline", {"track_sharing": True}),
+                             ("silo", {"track_sharing": True}),
+                             ("silo", {"faults": faults}))]
+    for req, summary in zip(points, RunEngine(jobs=1).run(points)):
+        live = simulate(req.config, spec, PLAN, seed=7,
+                        track_sharing=req.track_sharing,
+                        faults=req.faults)
+        assert type(summary) is RunSummary
+        assert isinstance(live, RunResult)
+        assert _simulated_fields(summary) == _simulated_fields(live)
+        for name, evaluate in _EVALUATIONS:
+            assert evaluate(summary) == evaluate(live), name
+        assert summary.seed == live.seed == 7
+        blob = pickle.dumps(summary)
+        assert b"repro.sim.system" not in blob
+        assert pickle.loads(blob) == summary
+    assert summary.counters["faults"]["injected"] > 0
 
 
 def test_summary_pickle_round_trip():
@@ -495,6 +531,17 @@ def _three_cores(wire):
     wire["placements"][0]["core_ids"] = [0, 1, 2]
 
 
+def _faults(**edits):
+    """An edit that gives the request a valid, active fault plan with
+    ``edits`` applied to its canonical fields."""
+    def edit(wire):
+        plan = FaultPlan(data_flip_rate=0.01, target=1,
+                         vault_events=((10, 1, "offline"),)).canonical()
+        plan.update(edits)
+        wire["faults"] = plan
+    return edit
+
+
 #: Edits to a canonical 4-core request that would otherwise be queued
 #: and then fail inside the job or run as nonsense, and a word of the
 #: error the request must raise instead.
@@ -525,6 +572,27 @@ HOSTILE_EDITS = {
                                                  False), "colocated"),
     "colocated-core-twice": (lambda w: _two_placements(
         w, ([0, 1], [1, 2]), True), "named twice"),
+    # fault plans: a float or string seed fails inside the injector, a
+    # float vault fails midway, a float target injects nothing, and a
+    # bool or float that runs keys apart from its int form
+    "fault-seed-float": (_faults(seed=1.5), "seed"),
+    "fault-seed-str": (_faults(seed="1"), "seed"),
+    "fault-seed-bool": (_faults(seed=True), "seed"),
+    "fault-target-float": (_faults(target=1.5), "target"),
+    "fault-target-bool": (_faults(target=True), "target"),
+    "fault-rate-bool": (_faults(data_flip_rate=True), "data_flip_rate"),
+    "fault-rate-str": (_faults(stall_rate="0.1"), "stall_rate"),
+    "fault-retries-float": (_faults(stall_retries_max=2.5),
+                            "stall_retries_max"),
+    "fault-event-vault-float": (_faults(vault_events=[[10, 1.5,
+                                                      "offline"]]),
+                                "vault event vault"),
+    "fault-event-vault-bool": (_faults(vault_events=[[10, True,
+                                                     "offline"]]),
+                               "vault event vault"),
+    "fault-event-tick-float": (_faults(vault_events=[[10.0, 1,
+                                                     "offline"]]),
+                               "vault event tick"),
 }
 
 

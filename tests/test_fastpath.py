@@ -61,7 +61,7 @@ def _pin(fast, slow):
     """All observable results of two runs are bit-identical."""
     assert fast.performance() == slow.performance()
     assert fast.level_counts() == slow.level_counts()
-    assert fast.stats_snapshot() == slow.stats_snapshot()
+    assert fast.system.stats.snapshot() == slow.system.stats.snapshot()
     assert fast.latency_percentiles() == slow.latency_percentiles()
 
 
@@ -239,7 +239,7 @@ def test_single_core_results_are_chunk_invariant():
             r, _ = _run("silo", reference=reference, num_cores=1,
                         chunk=chunk)
             runs[(chunk, reference)] = (r.performance(),
-                                        r.stats_snapshot())
+                                        r.system.stats.snapshot())
     first = runs[(50, False)]
     assert all(v == first for v in runs.values())
 

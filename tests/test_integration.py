@@ -77,9 +77,9 @@ def test_colocated_silo_isolation():
         traces, _ = generate_colocation_traces(
             assignments, events_per_core=PLAN.total_events, scale=SCALE,
             seed=3)
-        run_system(system, traces, PLAN.warmup_events,
-                   PLAN.measure_events)
-        return sum(system.cores[c].ipc() for c in (0, 1))
+        result = run_system(system, traces, PLAN.warmup_events,
+                            PLAN.measure_events)
+        return result.ipc_of((0, 1))
 
     alone = ws_perf(False)
     together = ws_perf(True)
@@ -106,10 +106,10 @@ def test_track_sharing_collects_classification():
 
 def test_energy_accounting_nonzero(ws_pair):
     from repro import EnergyModel
-    base, silo = ws_pair
     m = EnergyModel()
-    assert m.breakdown(base.system).total_dynamic_nj > 0
-    assert m.breakdown(silo.system).total_dynamic_nj > 0
+    for result in ws_pair:
+        assert m.breakdown(result.system)["total_dynamic_nj"] > 0
+        assert m.breakdown(result.system) == result.energy
 
 
 def test_public_api_exports():

@@ -54,7 +54,7 @@ def test_observability_is_inert(kind, seed):
     with observe(trace_capacity=512, collect_manifests=True,
                  collect_stats=True) as session:
         watched = simulate(config(kind), spec, PLAN, seed=seed)
-        watched.stats_snapshot()
+        watched.system.stats.snapshot()
         watched.system.stats.dump()
     assert session.runs, "manifest records collected"
     assert watched.system.tracer is not None
@@ -85,9 +85,9 @@ def test_direct_tracer_attachment_is_inert():
 def test_snapshot_reading_does_not_mutate():
     result = simulate(config("shared"), WEB_SEARCH, PLAN, seed=2)
     before = fingerprint(result)
-    a = result.stats_snapshot()
+    a = result.system.stats.snapshot()
     result.system.stats.dump()
-    b = result.stats_snapshot()
+    b = result.system.stats.snapshot()
     assert a == b
     assert fingerprint(result) == before
 
@@ -106,7 +106,7 @@ def test_telemetry_and_profiler_are_inert(kind):
         watched = simulate(config(kind), spec, PLAN, seed=7)
 
     assert fingerprint(watched) == fingerprint(plain)
-    assert watched.stats_snapshot() == plain.stats_snapshot()
+    assert watched.system.stats.snapshot() == plain.system.stats.snapshot()
     assert (watched.latency_percentiles()
             == plain.latency_percentiles())
     # ...and the observation actually happened
@@ -119,11 +119,11 @@ def test_telemetry_only_grows_the_manifest():
     """With telemetry on, the manifest gains a "telemetry" section but
     every pre-existing key keeps its exact value."""
     plain = simulate(config("private_vault"), WEB_SEARCH, PLAN, seed=4)
-    base = plain.manifest(seed=4)
+    base = plain.manifest()
     with observe(telemetry_every=500):
         watched = simulate(config("private_vault"), WEB_SEARCH, PLAN,
                            seed=4)
-    grown = watched.manifest(seed=4)
+    grown = watched.manifest()
     assert "telemetry" not in base
     assert grown.pop("telemetry")["windows"] > 0
     # host wall-clock (and the throughput derived from it) is the one

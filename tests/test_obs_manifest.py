@@ -1,8 +1,12 @@
 """Run-provenance manifests and observation sessions."""
 
 import json
+import os
 import re
 
+import pytest
+
+from repro.faults import FaultPlan
 from repro.obs.manifest import (git_sha, write_manifest,
                                 MANIFEST_SCHEMA)
 from repro.obs.session import observe, current_session
@@ -13,6 +17,16 @@ from repro.sim.sampling import SamplingPlan
 PLAN = SamplingPlan(1200, 600)
 CFG = HierarchyConfig(name="man", num_cores=4, scale=512,
                       llc_kind="private_vault")
+LIVE_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "live_manifest_golden.json")
+#: Recorded live runs: (LLC organization, fault plan).
+LIVE_CASES = {
+    "silo": ("private_vault", None),
+    "silo_faults": ("private_vault",
+                    FaultPlan(seed=3, data_flip_rate=0.05,
+                              stall_rate=0.01, double_bit_fraction=0.5)),
+    "shared": ("shared", None),
+}
 
 
 def run(seed=4):
@@ -31,7 +45,7 @@ def test_git_sha_none_outside_repo(tmp_path):
 
 def test_run_manifest_fields():
     result = run()
-    m = result.manifest(seed=4)
+    m = result.manifest()
     assert m["schema"] == MANIFEST_SCHEMA
     assert m["config"]["name"] == "man"
     assert m["config"]["llc_kind"] == "private_vault"
@@ -52,13 +66,41 @@ def test_run_manifest_fields():
     assert "trace" not in m  # no tracer attached
 
 
-def test_manifest_with_stats_snapshot():
-    m = run().manifest(include_stats=True)
-    assert m["stats"]["caches"]["llc_accesses"] > 0
+def _deterministic(manifest):
+    """A manifest as JSON data, its commit and wall-clock fields
+    removed."""
+    m = json.loads(json.dumps(manifest))
+    m.pop("git_sha")
+    m.pop("wall_clock")
+    m["throughput"].pop("events_per_sec")
+    for window in m.get("telemetry", {}).get("series", []):
+        window.pop("wall_s")
+        window.pop("window_wall_s")
+    return m
+
+
+@pytest.mark.parametrize("case", sorted(LIVE_CASES))
+def test_live_manifest_keeps_every_recorded_field(case):
+    """A live run's manifest, under a session with a tracer and
+    telemetry, keeps every key and value recorded in
+    tests/live_manifest_golden.json (commit and wall-clock fields
+    aside), written when live runs had a manifest builder of their
+    own; it adds the ``engine`` block every summary's manifest has."""
+    from repro.workloads.scaleout import WEB_SEARCH
+    kind, faults = LIVE_CASES[case]
+    config = HierarchyConfig(name="man", num_cores=4, scale=512,
+                             llc_kind=kind)
+    with observe(trace_capacity=256, telemetry_every=300):
+        result = simulate(config, WEB_SEARCH, PLAN, seed=4,
+                          faults=faults)
+    m = _deterministic(result.manifest())
+    assert m.pop("engine") == {"request_key": "", "mode": "simulate"}
+    with open(LIVE_GOLDEN) as f:
+        assert m == json.load(f)[case]
 
 
 def test_manifest_is_json_serializable(tmp_path):
-    path = write_manifest(run().manifest(seed=1), str(tmp_path), "m")
+    path = write_manifest(run(seed=1).manifest(), str(tmp_path), "m")
     doc = json.loads(open(path).read())
     assert doc["seed"] == 1
 

@@ -182,28 +182,28 @@ def test_concurrent_identical_posts_execute_once():
     engine = RunEngine(jobs=1)
     req = _point()
     with ServerThread(engine) as server:
-        client = ServerClient(server.url)
+        with ServerClient(server.url) as client:
 
-        def submit(_i):
-            doc, dedup = client.submit(req)
-            return doc["summary"], dedup
+            def submit(_i):
+                doc, dedup = client.submit(req)
+                return doc["summary"], dedup
 
-        with concurrent.futures.ThreadPoolExecutor(8) as pool:
-            results = list(pool.map(submit, range(8)))
+            with concurrent.futures.ThreadPoolExecutor(8) as pool:
+                results = list(pool.map(submit, range(8)))
 
-        assert engine.executed == 1
-        summaries = [s.to_dict() for s, _dedup in results]
-        assert all(s == summaries[0] for s in summaries[1:])
-        # 7 of 8 were folded: attached to the in-flight job or served
-        # from the memo, depending on arrival timing -- never a second
-        # simulation.
-        assert server.submitted == 8
-        assert server.deduped_inflight + server.memo_hits == 7
-        assert server.dedup_ratio() == pytest.approx(7 / 8)
-        # the next identical request is a pure memo hit
-        _doc, dedup = client.submit(req)
-        assert dedup == "memo"
-        assert engine.executed == 1
+            assert engine.executed == 1
+            summaries = [s.to_dict() for s, _dedup in results]
+            assert all(s == summaries[0] for s in summaries[1:])
+            # 7 of 8 were folded: attached to the in-flight job or served
+            # from the memo, depending on arrival timing -- never a second
+            # simulation.
+            assert server.submitted == 8
+            assert server.deduped_inflight + server.memo_hits == 7
+            assert server.dedup_ratio() == pytest.approx(7 / 8)
+            # the next identical request is a pure memo hit
+            _doc, dedup = client.submit(req)
+            assert dedup == "memo"
+            assert engine.executed == 1
 
 
 def test_stop_closes_idle_keep_alive_connections(monkeypatch):
@@ -217,19 +217,23 @@ def test_stop_closes_idle_keep_alive_connections(monkeypatch):
     thread = ServerThread(engine)
     server = thread.__enter__()
     clients = [ServerClient(server.url) for _ in range(3)]
-    for client in clients:
-        assert client.health()["ok"]
-    assert len(server._conns) == 3
-    t0 = time.monotonic()
-    thread.__exit__(None, None, None)
-    assert time.monotonic() - t0 < 2.0
-    assert not server._conns
-    gc.collect()
-    assert unraisable == []
-    # the server closed the idle connection: the client's one retry
-    # finds nothing listening
-    with pytest.raises(ConnectionRefusedError):
-        clients[0].health()
+    try:
+        for client in clients:
+            assert client.health()["ok"]
+        assert len(server._conns) == 3
+        t0 = time.monotonic()
+        thread.__exit__(None, None, None)
+        assert time.monotonic() - t0 < 2.0
+        assert not server._conns
+        gc.collect()
+        assert unraisable == []
+        # the server closed the idle connection: the client's one
+        # retry finds nothing listening
+        with pytest.raises(ConnectionRefusedError):
+            clients[0].health()
+    finally:
+        for client in clients:
+            client.close()
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +279,9 @@ def test_pool_workers_do_not_hold_the_server_socket():
     pool.start()
     try:
         with ServerThread(RunEngine(jobs=1, transport=pool)) as server:
-            client = ServerClient(server.url)
-            assert client.run(_point()).seed == 7
-            port = server.port
+            with ServerClient(server.url) as client:
+                assert client.run(_point()).seed == 7
+                port = server.port
         with pytest.raises(ConnectionRefusedError):
             socket_mod.create_connection(("127.0.0.1", port),
                                          timeout=2).close()
@@ -311,25 +315,25 @@ def test_backpressure_returns_429_at_depth():
     engine = RunEngine(jobs=1)
     with ServerThread(engine, max_queue_depth=1,
                       retry_after_s=2.5) as server:
-        client = ServerClient(server.url)
-        client.submit(_point(seed=1), wait=False)
-        # wait for the first job to leave the queue for the engine
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            health = client.health()
-            if health["inflight"] >= 1 and health["queue_depth"] == 0:
-                break
-            time.sleep(0.01)
-        client.submit(_point(seed=2), wait=False)       # fills the queue
-        with pytest.raises(ServerError) as exc:
-            client.submit(_point(seed=3), wait=False)
-        assert exc.value.status == 429
-        assert exc.value.retry_after == "2.5"
-        assert server.rejected == 1
-        # the queued job still completes for a waiting twin
-        doc, dedup = client.submit(_point(seed=2))
-        assert dedup in ("inflight", "memo")
-        assert doc["summary"].seed == 2
+        with ServerClient(server.url) as client:
+            client.submit(_point(seed=1), wait=False)
+            # wait for the first job to leave the queue for the engine
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                health = client.health()
+                if health["inflight"] >= 1 and health["queue_depth"] == 0:
+                    break
+                time.sleep(0.01)
+            client.submit(_point(seed=2), wait=False)       # fills the queue
+            with pytest.raises(ServerError) as exc:
+                client.submit(_point(seed=3), wait=False)
+            assert exc.value.status == 429
+            assert exc.value.retry_after == "2.5"
+            assert server.rejected == 1
+            # the queued job still completes for a waiting twin
+            doc, dedup = client.submit(_point(seed=2))
+            assert dedup in ("inflight", "memo")
+            assert doc["summary"].seed == 2
     assert engine.executed == 2
 
 
@@ -364,30 +368,30 @@ def test_failing_job_fails_only_itself():
             time.sleep(0.01)
 
     with ServerThread(engine) as server:
-        client = ServerClient(server.url)
-        client.submit(_point(seed=1), wait=False)   # occupies the engine
-        wait_until(lambda: engine.batches, "engine never started")
-        # The rerun goes in arrival order, so the bad job must arrive
-        # first: post it alone and wait until it is queued.
-        with concurrent.futures.ThreadPoolExecutor(2) as pool:
-            bad_reply = pool.submit(client.submit, bad)
-            wait_until(lambda: client.health()["queue_depth"] == 1,
-                       "bad job never queued")
-            good_reply = pool.submit(client.submit, good)
-            wait_until(lambda: client.health()["queue_depth"] == 2,
-                       "good job never queued")
-            engine.release.set()
-            with pytest.raises(ServerError) as exc:
-                bad_reply.result(30)
-            doc, _dedup = good_reply.result(30)
-        assert exc.value.status == 500
-        assert "planted failure" in str(exc.value)
-        # one batch of both, then each job alone
-        assert engine.batches == [[1], [3, 99], [99], [3]]
-        direct = RunEngine(jobs=1).run([good])[0]
-        assert _strip_wall(doc["summary"].to_dict()) \
-            == _strip_wall(direct.to_dict())
-        assert (server.completed, server.errors) == (2, 1)
+        with ServerClient(server.url) as client:
+            client.submit(_point(seed=1), wait=False)   # occupies the engine
+            wait_until(lambda: engine.batches, "engine never started")
+            # The rerun goes in arrival order, so the bad job must arrive
+            # first: post it alone and wait until it is queued.
+            with concurrent.futures.ThreadPoolExecutor(2) as pool:
+                bad_reply = pool.submit(client.submit, bad)
+                wait_until(lambda: client.health()["queue_depth"] == 1,
+                           "bad job never queued")
+                good_reply = pool.submit(client.submit, good)
+                wait_until(lambda: client.health()["queue_depth"] == 2,
+                           "good job never queued")
+                engine.release.set()
+                with pytest.raises(ServerError) as exc:
+                    bad_reply.result(30)
+                doc, _dedup = good_reply.result(30)
+            assert exc.value.status == 500
+            assert "planted failure" in str(exc.value)
+            # one batch of both, then each job alone
+            assert engine.batches == [[1], [3, 99], [99], [3]]
+            direct = RunEngine(jobs=1).run([good])[0]
+            assert _strip_wall(doc["summary"].to_dict()) \
+                == _strip_wall(direct.to_dict())
+            assert (server.completed, server.errors) == (2, 1)
 
 
 def test_priority_classes_exist_on_the_wire():
@@ -409,51 +413,51 @@ def test_sse_stream_metrics_and_status():
     engine = RunEngine(jobs=1)
     req = _point()
     with ServerThread(engine) as server:
-        client = ServerClient(server.url)
-        events = []
-        watcher_ready = threading.Event()
+        with ServerClient(server.url) as client:
+            events = []
+            watcher_ready = threading.Event()
 
-        def watch():
-            watcher_ready.set()
-            for event, payload in client.watch():
-                events.append((event, payload))
+            def watch():
+                watcher_ready.set()
+                for event, payload in client.watch():
+                    events.append((event, payload))
 
-        watcher = threading.Thread(target=watch, daemon=True)
-        watcher.start()
-        assert watcher_ready.wait(5)
-        time.sleep(0.2)          # let the SSE subscription register
+            watcher = threading.Thread(target=watch, daemon=True)
+            watcher.start()
+            assert watcher_ready.wait(5)
+            time.sleep(0.2)          # let the SSE subscription register
 
-        doc, _dedup = client.submit(req)
-        key = doc["key"]
-        assert key == req.key(engine.fingerprint)
+            doc, _dedup = client.submit(req)
+            key = doc["key"]
+            assert key == req.key(engine.fingerprint)
 
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                kinds = {e for e, _p in events}
+                if "engine_span" in kinds and any(
+                        e == "job" and p.get("state") == "complete"
+                        for e, p in events):
+                    break
+                time.sleep(0.05)
             kinds = {e for e, _p in events}
-            if "engine_span" in kinds and any(
-                    e == "job" and p.get("state") == "complete"
-                    for e, p in events):
-                break
-            time.sleep(0.05)
-        kinds = {e for e, _p in events}
-        assert "engine_span" in kinds, "no spans streamed: %r" % events
-        span = next(p for e, p in events if e == "engine_span")
-        assert span["key"] == key and span["mode"] == "simulate"
+            assert "engine_span" in kinds, "no spans streamed: %r" % events
+            span = next(p for e, p in events if e == "engine_span")
+            assert span["key"] == key and span["mode"] == "simulate"
 
-        status = client.status(key)
-        assert status["status"] == "complete"
+            status = client.status(key)
+            assert status["status"] == "complete"
 
-        metrics = client.metrics()
-        assert "silo_serve_submitted 1" in metrics
-        assert "silo_serve_dedup_ratio" in metrics
-        assert "silo_engine_executed 1" in metrics
+            metrics = client.metrics()
+            assert "silo_serve_submitted 1" in metrics
+            assert "silo_serve_dedup_ratio" in metrics
+            assert "silo_engine_executed 1" in metrics
 
-        with pytest.raises(ServerError) as exc:
-            client.status("0" * 64)
-        assert exc.value.status == 404
-        with pytest.raises(ServerError) as exc:
-            client.status("no-such-key")
-        assert exc.value.status == 400
+            with pytest.raises(ServerError) as exc:
+                client.status("0" * 64)
+            assert exc.value.status == 404
+            with pytest.raises(ServerError) as exc:
+                client.status("no-such-key")
+            assert exc.value.status == 400
     # stopping the server ends the event stream
     watcher.join(5)
     assert not watcher.is_alive()
@@ -462,53 +466,52 @@ def test_sse_stream_metrics_and_status():
 def test_unknown_route_and_bad_json():
     engine = RunEngine(jobs=1)
     with ServerThread(engine) as server:
-        client = ServerClient(server.url)
-        with pytest.raises(ServerError) as exc:
-            client._request("GET", "/nope")
-        assert exc.value.status == 404
-        with pytest.raises(ServerError) as exc:
-            client._request("POST", "/runs", body={"request": 5})
-        assert exc.value.status == 400
-        # a chunk below 1 would never finish: refused, not queued
-        hang = _point().canonical()
-        hang["chunk"] = 0
-        with pytest.raises(ServerError) as exc:
-            client._request("POST", "/runs", body={"request": hang})
-        assert exc.value.status == 400
-        assert "chunk" in str(exc.value)
-        # a seed numpy would refuse, and a misspelled field that would
-        # otherwise be dropped from the key, are refused too
-        bad_seed = dict(_point().canonical(), seed="x")
-        typo = dict(_point().canonical(), tracksharing=True)
-        for body, word in ((bad_seed, "seed"), (typo, "tracksharing")):
+        with ServerClient(server.url) as client:
             with pytest.raises(ServerError) as exc:
-                client._request("POST", "/runs", body={"request": body})
-            assert exc.value.status == 400
-            assert word in str(exc.value)
-        assert server.engine.requests == 0
-        # core ids and vaults outside the 4-core system are refused too
-        stray_core = _point().canonical()
-        stray_core["placements"][0]["core_ids"] = [0, 99]
-        stray_vault = _point().canonical()
-        stray_vault["faults"] = FaultPlan(
-            vault_events=((10, 99, "offline"),)).canonical()
-        for body, word in ((stray_core, "core id"),
-                           (stray_vault, "vault/bank")):
+                client._request("GET", "/nope")
+            assert exc.value.status == 404
             with pytest.raises(ServerError) as exc:
-                client._request("POST", "/runs", body={"request": body})
+                client._request("POST", "/runs", body={"request": 5})
             assert exc.value.status == 400
-            assert word in str(exc.value)
-        assert server.engine.requests == 0 and server.submitted == 0
-        # malformed JSON body straight over the socket
-        sock = socket_mod.create_connection((server.host, server.port),
-                                            timeout=10)
-        payload = b"not json"
-        sock.sendall(b"POST /runs HTTP/1.1\r\n"
-                     b"Content-Length: %d\r\n\r\n%s"
-                     % (len(payload), payload))
-        reply = sock.recv(65536)
-        assert b"400" in reply.split(b"\r\n", 1)[0]
-        sock.close()
+            # a chunk below 1 would never finish: refused, not queued
+            hang = _point().canonical()
+            hang["chunk"] = 0
+            with pytest.raises(ServerError) as exc:
+                client._request("POST", "/runs", body={"request": hang})
+            assert exc.value.status == 400
+            assert "chunk" in str(exc.value)
+            # a seed numpy would refuse, and a misspelled field that would
+            # otherwise be dropped from the key, are refused too
+            bad_seed = dict(_point().canonical(), seed="x")
+            typo = dict(_point().canonical(), tracksharing=True)
+            for body, word in ((bad_seed, "seed"), (typo, "tracksharing")):
+                with pytest.raises(ServerError) as exc:
+                    client._request("POST", "/runs", body={"request": body})
+                assert exc.value.status == 400
+                assert word in str(exc.value)
+            assert server.engine.requests == 0
+            # core ids and vaults outside the 4-core system are refused too
+            stray_core = _point().canonical()
+            stray_core["placements"][0]["core_ids"] = [0, 99]
+            stray_vault = _point().canonical()
+            stray_vault["faults"] = FaultPlan(
+                vault_events=((10, 99, "offline"),)).canonical()
+            for body, word in ((stray_core, "core id"),
+                               (stray_vault, "vault/bank")):
+                with pytest.raises(ServerError) as exc:
+                    client._request("POST", "/runs", body={"request": body})
+                assert exc.value.status == 400
+                assert word in str(exc.value)
+            assert server.engine.requests == 0 and server.submitted == 0
+            # malformed JSON body straight over the socket
+            with socket_mod.create_connection(
+                    (server.host, server.port), timeout=10) as sock:
+                payload = b"not json"
+                sock.sendall(b"POST /runs HTTP/1.1\r\n"
+                             b"Content-Length: %d\r\n\r\n%s"
+                             % (len(payload), payload))
+                reply = sock.recv(65536)
+            assert b"400" in reply.split(b"\r\n", 1)[0]
 
 
 def test_hostile_requests_get_400_and_queue_nothing():
@@ -516,32 +519,32 @@ def test_hostile_requests_get_400_and_queue_nothing():
     # job (500) or run as nonsense (200).
     engine = RunEngine(jobs=1)
     with ServerThread(engine) as server:
-        client = ServerClient(server.url)
-        for case in sorted(HOSTILE_EDITS):
-            for mode in ("simulate", "estimate"):
-                wire, word = hostile_wire(case, mode)
-                with pytest.raises(ServerError) as exc:
-                    client._request("POST", "/runs",
-                                    body={"request": wire})
-                assert exc.value.status == 400, (case, mode)
-                assert word in str(exc.value), (case, mode)
-        health = client.health()
-        assert (health["submitted"], health["queue_depth"],
-                engine.requests) == (0, 0, 0)
+        with ServerClient(server.url) as client:
+            for case in sorted(HOSTILE_EDITS):
+                for mode in ("simulate", "estimate"):
+                    wire, word = hostile_wire(case, mode)
+                    with pytest.raises(ServerError) as exc:
+                        client._request("POST", "/runs",
+                                        body={"request": wire})
+                    assert exc.value.status == 400, (case, mode)
+                    assert word in str(exc.value), (case, mode)
+            health = client.health()
+            assert (health["submitted"], health["queue_depth"],
+                    engine.requests) == (0, 0, 0)
 
 
 def test_oversized_request_head_gets_400():
     engine = RunEngine(jobs=1)
     with ServerThread(engine) as server:
         # 70 KB overruns asyncio's 64 KiB line limit.
-        sock = socket_mod.create_connection((server.host, server.port),
-                                            timeout=10)
-        sock.sendall(b"GET /healthz HTTP/1.1\r\nX-Big: %s\r\n\r\n"
-                     % (b"a" * 70000))
-        reply = sock.recv(65536)
-        sock.close()
+        with socket_mod.create_connection((server.host, server.port),
+                                          timeout=10) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nX-Big: %s\r\n\r\n"
+                         % (b"a" * 70000))
+            reply = sock.recv(65536)
         assert reply.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
-        assert ServerClient(server.url).health()["ok"]
+        with ServerClient(server.url) as client:
+            assert client.health()["ok"]
 
 
 def _read_to_eof(sock):
@@ -559,45 +562,43 @@ def test_truncated_body_gets_400_and_queues_nothing():
     head = (b"POST /runs HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
             % len(body))
     with ServerThread(engine) as server:
-        client = ServerClient(server.url)
-        # half-close after half the body: the client can still read
-        sock = socket_mod.create_connection((server.host, server.port),
-                                            timeout=10)
-        sock.sendall(head + body[:len(body) // 2])
-        sock.shutdown(socket_mod.SHUT_WR)
-        reply = _read_to_eof(sock)
-        sock.close()
-        assert reply.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
-        assert b"body truncated: got %d of %d bytes" \
-            % (len(body) // 2, len(body)) in reply
-        # full close: nobody to answer, and nothing queued
-        before = client.health()
-        sock = socket_mod.create_connection((server.host, server.port),
-                                            timeout=10)
-        sock.sendall(head + body[:10])
-        sock.close()
-        time.sleep(0.3)
-        assert client.health() == before
-        assert before["submitted"] == 0 and before["inflight"] == 0
-        assert engine.requests == 0
+        with ServerClient(server.url) as client:
+            # half-close after half the body: the client can still read
+            with socket_mod.create_connection(
+                    (server.host, server.port), timeout=10) as sock:
+                sock.sendall(head + body[:len(body) // 2])
+                sock.shutdown(socket_mod.SHUT_WR)
+                reply = _read_to_eof(sock)
+            assert reply.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
+            assert b"body truncated: got %d of %d bytes" \
+                % (len(body) // 2, len(body)) in reply
+            # full close: nobody to answer, and nothing queued
+            before = client.health()
+            with socket_mod.create_connection(
+                    (server.host, server.port), timeout=10) as sock:
+                sock.sendall(head + body[:10])
+            time.sleep(0.3)
+            assert client.health() == before
+            assert before["submitted"] == 0 and before["inflight"] == 0
+            assert engine.requests == 0
 
 
 def test_sse_subscriber_dropped_after_client_leaves():
     engine = RunEngine(jobs=1)
     with ServerThread(engine) as server:
-        sock = socket_mod.create_connection((server.host, server.port),
-                                            timeout=10)
-        sock.sendall(b"GET /events HTTP/1.1\r\n\r\n")
-        seen = b""
-        while b"event: hello" not in seen:
-            chunk = sock.recv(65536)
-            assert chunk, "stream closed before hello"
-            seen += chunk
-        assert len(server._subscribers) == 1
-        sock.close()
+        with socket_mod.create_connection((server.host, server.port),
+                                          timeout=10) as sock:
+            sock.sendall(b"GET /events HTTP/1.1\r\n\r\n")
+            seen = b""
+            while b"event: hello" not in seen:
+                chunk = sock.recv(65536)
+                assert chunk, "stream closed before hello"
+                seen += chunk
+            assert len(server._subscribers) == 1
         # the server notices the departure when it next writes: one
         # job's events are enough
-        ServerClient(server.url).submit(_point())
+        with ServerClient(server.url) as client:
+            client.submit(_point())
         deadline = time.monotonic() + 10
         while server._subscribers and time.monotonic() < deadline:
             time.sleep(0.05)
@@ -612,10 +613,10 @@ def test_get_run_falls_back_to_disk_cache(tmp_path):
     engine.run([req])                   # populates the disk cache
     served = RunEngine(jobs=1, cache=cache)
     with ServerThread(served) as server:
-        client = ServerClient(server.url)
-        doc = client.status(key, fmt="pickle")
-        assert doc["status"] == "complete"
-        assert doc["summary"].request_key == key
+        with ServerClient(server.url) as client:
+            doc = client.status(key, fmt="pickle")
+            assert doc["status"] == "complete"
+            assert doc["summary"].request_key == key
 
 
 class _Planted:
@@ -638,14 +639,14 @@ def test_get_run_refuses_traversal_key(tmp_path):
         pickle.dump(_Planted(str(marker)), f)
     engine = RunEngine(jobs=1, cache=RunCache(str(cache_dir)))
     with ServerThread(engine) as server:
-        sock = socket_mod.create_connection((server.host, server.port),
-                                            timeout=10)
-        sock.sendall(b"GET /runs/../x/evil HTTP/1.1\r\n\r\n")
-        reply = sock.recv(65536)
-        sock.close()
+        with socket_mod.create_connection((server.host, server.port),
+                                          timeout=10) as sock:
+            sock.sendall(b"GET /runs/../x/evil HTTP/1.1\r\n\r\n")
+            reply = sock.recv(65536)
         assert reply.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
         assert not marker.exists()
-        assert ServerClient(server.url).health()["ok"]
+        with ServerClient(server.url) as client:
+            assert client.health()["ok"]
 
 
 # ---------------------------------------------------------------------------

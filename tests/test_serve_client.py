@@ -135,15 +135,15 @@ BROKEN = {
 @pytest.mark.parametrize("case", sorted(BROKEN))
 def test_broken_response_raises_within_the_timeout(case):
     with ScriptedServer(_answer_once_then(BROKEN[case])) as server:
-        client = ServerClient(server.url, timeout=TIMEOUT_S)
-        t0 = time.monotonic()
-        with pytest.raises((ServerError, OSError)) as exc:
-            client.health()
-        assert time.monotonic() - t0 < TIMEOUT_S + SLACK_S
-        if isinstance(exc.value, ServerError):
-            assert exc.value.status == 502, case
-        # a connection that failed is never offered for reuse
-        assert not client._idle
+        with ServerClient(server.url, timeout=TIMEOUT_S) as client:
+            t0 = time.monotonic()
+            with pytest.raises((ServerError, OSError)) as exc:
+                client.health()
+            assert time.monotonic() - t0 < TIMEOUT_S + SLACK_S
+            if isinstance(exc.value, ServerError):
+                assert exc.value.status == 502, case
+            # a connection that failed is never offered for reuse
+            assert not client._idle
 
 
 def test_undecodable_body_raises_and_keeps_the_framed_connection():
@@ -155,12 +155,12 @@ def test_undecodable_body_raises_and_keeps_the_framed_connection():
             pass
 
     with ScriptedServer(script) as server:
-        client = ServerClient(server.url, timeout=TIMEOUT_S)
-        for _ in range(2):
-            with pytest.raises(ServerError) as exc:
-                client.health()
-            assert exc.value.status == 502
-        assert server.connections == 1
+        with ServerClient(server.url, timeout=TIMEOUT_S) as client:
+            for _ in range(2):
+                with pytest.raises(ServerError) as exc:
+                    client.health()
+                assert exc.value.status == 502
+            assert server.connections == 1
 
 
 def test_server_that_never_answers_times_out():
@@ -169,13 +169,13 @@ def test_server_that_never_answers_times_out():
         server.hold()
 
     with ScriptedServer(script) as server:
-        client = ServerClient(server.url, timeout=TIMEOUT_S)
-        t0 = time.monotonic()
-        with pytest.raises(OSError):
-            client.health()
-        elapsed = time.monotonic() - t0
-        assert TIMEOUT_S * 0.9 <= elapsed < TIMEOUT_S + SLACK_S
-        assert server.connections == 1
+        with ServerClient(server.url, timeout=TIMEOUT_S) as client:
+            t0 = time.monotonic()
+            with pytest.raises(OSError):
+                client.health()
+            elapsed = time.monotonic() - t0
+            assert TIMEOUT_S * 0.9 <= elapsed < TIMEOUT_S + SLACK_S
+            assert server.connections == 1
 
 
 def test_server_that_never_answers_a_reused_connection_is_not_retried():
@@ -185,13 +185,13 @@ def test_server_that_never_answers_a_reused_connection_is_not_retried():
         server.hold()
 
     with ScriptedServer(script) as server:
-        client = ServerClient(server.url, timeout=TIMEOUT_S)
-        assert client.health() == {"ok": True}
-        t0 = time.monotonic()
-        with pytest.raises(OSError):
-            client.health()
-        assert time.monotonic() - t0 < TIMEOUT_S + SLACK_S
-        assert server.connections == 1
+        with ServerClient(server.url, timeout=TIMEOUT_S) as client:
+            assert client.health() == {"ok": True}
+            t0 = time.monotonic()
+            with pytest.raises(OSError):
+                client.health()
+            assert time.monotonic() - t0 < TIMEOUT_S + SLACK_S
+            assert server.connections == 1
 
 
 def test_keep_alive_reuses_one_connection():
@@ -200,17 +200,17 @@ def test_keep_alive_reuses_one_connection():
             pass
 
     with ScriptedServer(script) as server:
-        client = ServerClient(server.url, timeout=TIMEOUT_S)
-        for _ in range(5):
-            assert client.health() == {"ok": True}
-        assert (server.connections, len(server.requests)) == (1, 5)
-        # the request arrives exactly as proto renders it
-        body = client._request("POST", "/runs", body={"x": 1})[0]
-        assert body == {"ok": True}
-        assert server.requests[-1] == proto.render_request(
-            "POST", "/runs", "127.0.0.1:%d" % client.port, b'{"x": 1}')
-        client.close()
-        assert not client._idle
+        with ServerClient(server.url, timeout=TIMEOUT_S) as client:
+            for _ in range(5):
+                assert client.health() == {"ok": True}
+            assert (server.connections, len(server.requests)) == (1, 5)
+            # the request arrives exactly as proto renders it
+            body = client._request("POST", "/runs", body={"x": 1})[0]
+            assert body == {"ok": True}
+            assert server.requests[-1] == proto.render_request(
+                "POST", "/runs", "127.0.0.1:%d" % client.port, b'{"x": 1}')
+            client.close()
+            assert not client._idle
 
 
 def test_concurrent_callers_each_hold_their_own_connection():
@@ -232,18 +232,18 @@ def test_concurrent_callers_each_hold_their_own_connection():
     sys.setswitchinterval(1e-6)
     try:
         with ScriptedServer(script) as server:
-            client = ServerClient(server.url, timeout=10)
+            with ServerClient(server.url, timeout=10) as client:
+                def call(k):
+                    for j in range(rounds):
+                        path = "/echo/%d/%d" % (k, j)
+                        reply = client._request("GET", path)[0]
+                        assert reply == {"path": path}
 
-            def call(k):
-                for j in range(rounds):
-                    path = "/echo/%d/%d" % (k, j)
-                    assert client._request("GET", path)[0] == {"path": path}
-
-            with concurrent.futures.ThreadPoolExecutor(callers) as pool:
-                list(pool.map(call, range(callers)))
-            assert 1 <= server.connections <= callers
-            assert len(set(map(id, client._idle))) == len(client._idle) \
-                == server.connections
+                with concurrent.futures.ThreadPoolExecutor(callers) as pool:
+                    list(pool.map(call, range(callers)))
+                assert 1 <= server.connections <= callers
+                assert len(set(map(id, client._idle))) \
+                    == len(client._idle) == server.connections
     finally:
         sys.setswitchinterval(interval)
 
@@ -260,12 +260,12 @@ def test_reused_connection_closed_by_the_server_is_retried_once():
                 pass
 
     with ScriptedServer(script) as server:
-        client = ServerClient(server.url, timeout=TIMEOUT_S)
-        assert client.health() == {"ok": True}
-        time.sleep(0.1)             # let the close reach the client
-        assert client.health() == {"ok": True}
-        assert server.connections == 2
-        assert len(server.requests) == 2
+        with ServerClient(server.url, timeout=TIMEOUT_S) as client:
+            assert client.health() == {"ok": True}
+            time.sleep(0.1)             # let the close reach the client
+            assert client.health() == {"ok": True}
+            assert server.connections == 2
+            assert len(server.requests) == 2
 
 
 def test_the_retry_happens_exactly_once():
@@ -276,12 +276,12 @@ def test_the_retry_happens_exactly_once():
             server.answer(conn, rfile)
 
     with ScriptedServer(script) as server:
-        client = ServerClient(server.url, timeout=TIMEOUT_S)
-        assert client.health() == {"ok": True}
-        time.sleep(0.1)
-        with pytest.raises(ConnectionError):
-            client.health()
-        assert server.connections == 2
+        with ServerClient(server.url, timeout=TIMEOUT_S) as client:
+            assert client.health() == {"ok": True}
+            time.sleep(0.1)
+            with pytest.raises(ConnectionError):
+                client.health()
+            assert server.connections == 2
 
 
 def test_connection_close_response_drops_its_connection():
@@ -295,12 +295,12 @@ def test_connection_close_response_drops_its_connection():
             seen_eof.set()
 
     with ScriptedServer(script) as server:
-        client = ServerClient(server.url, timeout=TIMEOUT_S)
-        assert client.health() == {"ok": True}
-        assert not client._idle
-        assert seen_eof.wait(5)
-        assert client.health() == {"ok": True}
-        assert server.connections == 2
+        with ServerClient(server.url, timeout=TIMEOUT_S) as client:
+            assert client.health() == {"ok": True}
+            assert not client._idle
+            assert seen_eof.wait(5)
+            assert client.health() == {"ok": True}
+            assert server.connections == 2
 
 
 def test_error_status_keeps_the_connection_and_carries_the_message():
@@ -313,14 +313,14 @@ def test_error_status_keeps_the_connection_and_carries_the_message():
             pass
 
     with ScriptedServer(script) as server:
-        client = ServerClient(server.url, timeout=TIMEOUT_S)
-        for _ in range(2):
-            with pytest.raises(ServerError) as exc:
-                client.health()
-            assert exc.value.status == 429
-            assert exc.value.retry_after == "2.5"
-            assert "queued" in str(exc.value)
-        assert server.connections == 1
+        with ServerClient(server.url, timeout=TIMEOUT_S) as client:
+            for _ in range(2):
+                with pytest.raises(ServerError) as exc:
+                    client.health()
+                assert exc.value.status == 429
+                assert exc.value.retry_after == "2.5"
+                assert "queued" in str(exc.value)
+            assert server.connections == 1
 
 
 def test_watch_reads_the_event_stream_to_eof():
@@ -330,17 +330,17 @@ def test_watch_reads_the_event_stream_to_eof():
               + proto.sse_event("job", {"key": "k", "state": "queued"}))
 
     with ScriptedServer(_answer_once_then(stream)) as server:
-        client = ServerClient(server.url, timeout=TIMEOUT_S)
-        assert list(client.watch()) == [
-            ("hello", {"server": "x"}),
-            ("job", {"key": "k", "state": "queued"})]
-        assert not client._idle
+        with ServerClient(server.url, timeout=TIMEOUT_S) as client:
+            assert list(client.watch()) == [
+                ("hello", {"server": "x"}),
+                ("job", {"key": "k", "state": "queued"})]
+            assert not client._idle
 
 
 def test_watch_refuses_a_broken_stream_head():
     with ScriptedServer(_answer_once_then(
             b"HTTP/9 200 OK\r\n\r\n")) as server:
-        client = ServerClient(server.url, timeout=TIMEOUT_S)
-        with pytest.raises(ServerError) as exc:
-            list(client.watch())
-        assert exc.value.status == 502
+        with ServerClient(server.url, timeout=TIMEOUT_S) as client:
+            with pytest.raises(ServerError) as exc:
+                list(client.watch())
+            assert exc.value.status == 502

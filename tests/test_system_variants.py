@@ -7,9 +7,10 @@ the event tracer, the stride prefetcher, ECC fault injection, vault or
 bank offline/online events, the SILO miss predictors, directory caches
 and MESI), on small synthetic 16-core traces and compares a SHA-256 of
 the results with a recorded golden.  Each digest covers
-``stats_snapshot()``, ``level_counts()``, ``repr(performance())`` and
-``latency_percentiles()``, plus ``sharing_breakdown()`` and the traced
-events when those features are on.
+``system.stats.snapshot()``, ``level_counts()``,
+``repr(performance())`` and ``latency_percentiles()``, plus
+``sharing_breakdown()`` and the traced events when those features are
+on.
 
 Sixteen cores, because on the 2x2 mesh of a 4-core system every tile
 is a memory port and off-chip hop counts are always zero.  The traces
@@ -179,7 +180,7 @@ def digest(builder, spec, chunk, feature, overrides):
     result = run_system(system, make_traces(spec), WARMUP, MEASURE,
                         chunk=chunk)
     record = {
-        "stats": result.stats_snapshot(),
+        "stats": result.system.stats.snapshot(),
         "level_counts": result.level_counts(),
         "performance": "%.9g" % result.performance(),
         "latency_percentiles": result.latency_percentiles(),

@@ -230,6 +230,26 @@ def test_sl010_rng_into_manifest_still_flagged(tmp_path):
     assert f["source"]["kind"] == "rng"
 
 
+def test_sl010_summary_classmethod_building_cls_is_a_summary_sink(
+        tmp_path):
+    # RunSummary.snapshot builds ``cls(...)``: that is a RunSummary
+    # constructor too, so its fields stay replay-checked.
+    _write(tmp_path, "sim/mod.py",
+           "import random\n"
+           "class RunSummary:\n"
+           "    @classmethod\n"
+           "    def snapshot(cls):\n"
+           "        return cls(counters=random.random())\n"
+           "class Other:\n"
+           "    @classmethod\n"
+           "    def make(cls):\n"
+           "        return cls(counters=random.random())\n")
+    (f,) = _analyze(tmp_path).findings
+    assert f["sink"] == "summary"
+    assert f["symbol"] == "RunSummary.snapshot"
+    assert "RunSummary(counters=...)" in f["message"]
+
+
 # ---------------------------------------------------------------------------
 # SL011: sanitizer pragma registry
 # ---------------------------------------------------------------------------
