@@ -468,12 +468,9 @@ def _remote_probability(c, h, peers):
 
 
 def envelope_path():
-    """Location of the recorded validation envelope.  Overridable via
-    $REPRO_ESTIMATOR_ENVELOPE (the differential harness points it at a
-    scratch copy while regenerating)."""
-    env = os.environ.get("REPRO_ESTIMATOR_ENVELOPE")
-    if env:
-        return env
+    """Location of the recorded validation envelope, the checked-in
+    ``tools/estimator-envelope.json`` (the differential harness
+    rewrites it in place when regenerating)."""
     root = os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))))
     return os.path.join(root, "tools", "estimator-envelope.json")

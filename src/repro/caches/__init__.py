@@ -1,8 +1,7 @@
-"""Cache substrates: SRAM set-associative caches, the shared S-NUCA LLC,
-direct-mapped TAD DRAM vaults, the conventional page-based DRAM cache,
-and a stride prefetcher."""
+"""Cache substrates: SRAM set-associative LRU caches, the shared S-NUCA
+LLC, direct-mapped TAD DRAM vaults, the conventional page-based DRAM
+cache, and a stride prefetcher."""
 
-from repro.caches.replacement import LRUPolicy, FIFOPolicy, RandomPolicy, make_policy
 from repro.caches.sram_cache import SetAssocCache
 from repro.caches.vault_cache import VaultCache
 from repro.caches.nuca import SharedNUCA
@@ -10,10 +9,6 @@ from repro.caches.dram_cache import PageDRAMCache
 from repro.caches.prefetcher import StridePrefetcher
 
 __all__ = [
-    "LRUPolicy",
-    "FIFOPolicy",
-    "RandomPolicy",
-    "make_policy",
     "SetAssocCache",
     "VaultCache",
     "SharedNUCA",

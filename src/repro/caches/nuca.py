@@ -18,20 +18,15 @@ class SharedNUCA:
     """
 
     def __init__(self, size_bytes, ways, num_banks, bank_latency,
-                 block_bytes=BLOCK_BYTES, policy="lru", seed=0,
-                 rng=None):
+                 block_bytes=BLOCK_BYTES):
         bank_bytes, ways = self.bank_geometry(size_bytes, ways, num_banks,
                                               block_bytes)
         self.size_bytes = size_bytes
         self.num_banks = num_banks
         self.bank_latency = bank_latency
         self.ways = ways
-        # Randomized policies: each bank owns a Random(seed) unless the
-        # caller threads a shared seeded rng through ``rng``; either
-        # way eviction choices are deterministic in access order.
-        self.banks = [SetAssocCache(bank_bytes, ways, block_bytes, policy,
-                                    index_stride=num_banks,
-                                    seed=seed, rng=rng)
+        self.banks = [SetAssocCache(bank_bytes, ways, block_bytes,
+                                    index_stride=num_banks)
                       for _ in range(num_banks)]
 
     @staticmethod

@@ -2,11 +2,11 @@
 
 Stores block numbers (byte address >> 6) with an opaque per-block state
 (coherence state int for L1s, a dirty flag for data-only LLCs).  Sets
-are dicts keyed by block number; LRU order is the dict insertion order.
+are dicts keyed by block number; LRU order is the dict insertion order:
+a touched block moves to the back, and a full set evicts its first key.
 """
 
 from repro.params import BLOCK_BYTES
-from repro.caches.replacement import make_policy
 
 
 def whole_sets(size_bytes, ways, line_bytes=BLOCK_BYTES):
@@ -25,7 +25,7 @@ def whole_sets(size_bytes, ways, line_bytes=BLOCK_BYTES):
 
 
 class SetAssocCache:
-    """A ``size_bytes`` set-associative cache of 64-byte blocks.
+    """A ``size_bytes`` set-associative LRU cache of 64-byte blocks.
 
     Parameters
     ----------
@@ -36,37 +36,27 @@ class SetAssocCache:
         Associativity.
     block_bytes:
         Line size (64 B throughout the paper).
-    policy:
-        Replacement policy name ('lru', 'fifo', 'random').
     index_stride:
         Sets are selected by ``(block // index_stride) % num_sets``.
         Banked caches (NUCA) pass the bank count here so that bank
         selection bits are not reused for set indexing.
-    seed / rng:
-        Randomized policies draw from ``rng`` (an externally seeded
-        ``random.Random``, e.g. the workload generator's) or, when
-        None, from a private ``Random(seed)`` -- never from the
-        module-level stream, so runs stay reproducible from the
-        manifest-recorded seed (silolint SL001).
 
-    ``repro.sim.driver._drive`` probes ``_sets``, ``num_sets``,
-    ``index_stride`` and ``_reorder`` directly to retire trivial L1
-    hits, repeating :meth:`lookup`'s hit path; ``SharedSystem`` in
-    ``repro.sim.system`` reads a NUCA bank's sets the same way on a miss.
+    ``repro.sim.driver._drive`` probes ``_sets``, ``num_sets`` and
+    ``index_stride`` directly to retire trivial L1 hits, repeating
+    :meth:`lookup`'s hit path; ``SharedSystem`` in ``repro.sim.system``
+    reads a NUCA bank's sets the same way on a miss.
     """
 
     __slots__ = ("size_bytes", "ways", "block_bytes", "num_sets",
-                 "index_stride", "policy", "_reorder", "_sets")
+                 "index_stride", "_sets")
 
     def __init__(self, size_bytes, ways, block_bytes=BLOCK_BYTES,
-                 policy="lru", index_stride=1, seed=0, rng=None):
+                 index_stride=1):
         self.num_sets = whole_sets(size_bytes, ways, block_bytes)
         self.size_bytes = size_bytes
         self.ways = ways
         self.block_bytes = block_bytes
         self.index_stride = index_stride
-        self.policy = make_policy(policy, seed, rng)
-        self._reorder = self.policy.reorder_on_hit
         self._sets = [dict() for _ in range(self.num_sets)]
 
     @property
@@ -84,9 +74,7 @@ class SetAssocCache:
         # set_index inlined: this runs once per simulated reference
         entries = self._sets[(block // self.index_stride) % self.num_sets]
         state = entries.get(block)
-        if state is None:
-            return None
-        if touch and self._reorder:
+        if state is not None and touch:
             del entries[block]
             entries[block] = state
         return state
@@ -105,17 +93,17 @@ class SetAssocCache:
         entries[block] = state
 
     def insert(self, block, state):
-        """Insert (or refresh) a block.  Returns the evicted
-        ``(victim_block, victim_state)`` pair or None if no eviction."""
+        """Insert (or refresh) a block at the MRU position.  Returns the
+        evicted ``(victim_block, victim_state)`` pair -- the set's LRU
+        block -- or None if no eviction."""
         entries = self._sets[(block // self.index_stride) % self.num_sets]
         if block in entries:
-            if self._reorder:
-                del entries[block]
+            del entries[block]
             entries[block] = state
             return None
         victim = None
         if len(entries) >= self.ways:
-            vblock = self.policy.victim(entries)
+            vblock = next(iter(entries))
             victim = (vblock, entries.pop(vblock))
         entries[block] = state
         return victim
@@ -130,7 +118,7 @@ class SetAssocCache:
             return None
         victim = None
         if len(entries) >= self.ways:
-            vblock = self.policy.victim(entries)
+            vblock = next(iter(entries))
             victim = (vblock, entries.pop(vblock))
         # rebuild with the new block in front (dict order = LRU order)
         old = list(entries.items())

@@ -22,6 +22,29 @@ LLC_PRIVATE_VAULT = "private_vault"
 #: (64 blocks = 8 sets at 8 ways; below this a scaled L1 degenerates).
 MIN_CACHE_BLOCKS = 64
 
+#: (field, least value) of every integer field: counts, sizes and ways
+#: are positive, latencies are not negative.  A float would fail inside
+#: a job (or build a cache of another shape), and a bool, which equals
+#: 1 or 0, would run as that int under a run key of its own.
+_INT_FIELDS = (
+    ("num_cores", 1), ("scale", 1),
+    ("l1_size_bytes", 1), ("l1_ways", 1), ("l1_latency", 0),
+    ("l2_size_bytes", 1), ("l2_ways", 1), ("l2_latency", 0),
+    ("llc_size_bytes", 1), ("llc_ways", 1), ("llc_latency", 0),
+    ("dram_cache_bytes", 1), ("dram_cache_latency", 0),
+    ("memory_latency", 0), ("hop_latency", 0),
+)
+
+#: Integer fields that may also be None (the level is absent).
+_OPTIONAL_FIELDS = frozenset(("l2_size_bytes", "dram_cache_bytes"))
+
+_BOOL_FIELDS = ("memory_queueing", "l1_prefetcher", "victim_replication")
+
+#: Named implementations each SILO optimization accepts besides
+#: False/True (see the field comments below).
+_OPTIMIZATIONS = {"local_miss_predictor": ("ideal", "missmap"),
+                  "directory_cache": ("ideal", "sram")}
+
 
 @dataclass(frozen=True)
 class HierarchyConfig:
@@ -83,38 +106,41 @@ class HierarchyConfig:
     victim_replication: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError("name must be a string, got %r"
+                             % (self.name,))
         if self.llc_kind not in (LLC_SHARED, LLC_PRIVATE_VAULT):
             raise ValueError("unknown llc_kind %r" % (self.llc_kind,))
         if self.protocol not in ("moesi", "mesi"):
             raise ValueError("unknown protocol %r" % (self.protocol,))
-        # A float would fail inside the mesh's isqrt; a bool would key
-        # apart from the 1-core run it is.
-        if isinstance(self.num_cores, bool) \
-                or not isinstance(self.num_cores, int):
-            raise ValueError("num_cores must be an integer, got %r"
-                             % (self.num_cores,))
-        if self.num_cores < 1:
-            raise ValueError("need at least one core")
+        for field, least in _INT_FIELDS:
+            value = getattr(self, field)
+            if value is None and field in _OPTIONAL_FIELDS:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int) \
+                    or value < least:
+                raise ValueError("%s must be an integer >= %d%s, got %r"
+                                 % (field, least,
+                                    " or None" if field in
+                                    _OPTIONAL_FIELDS else "", value))
+        for field in _BOOL_FIELDS:
+            if not isinstance(getattr(self, field), bool):
+                raise ValueError("%s must be True or False, got %r"
+                                 % (field, getattr(self, field)))
+        # Matched by type as well as value: 1 == True, yet 1 would run
+        # with the optimization off.
+        for field, names in _OPTIMIZATIONS.items():
+            value = getattr(self, field)
+            if not (isinstance(value, bool) or (isinstance(value, str)
+                                                and value in names)):
+                raise ValueError("%s must be False, True/%r or %r, got %r"
+                                 % ((field,) + names + (value,)))
         # Every System builds a square mesh of its cores, one LLC bank
         # or vault per tile.
         if math.isqrt(self.num_cores) ** 2 != self.num_cores:
             raise ValueError("num_cores=%d is not a perfect square; "
                              "every system is a square mesh"
                              % self.num_cores)
-        # A fractional scale leaves capacities that hold no whole
-        # number of sets; a bool would run at scale 1.
-        if isinstance(self.scale, bool) or not isinstance(self.scale, int):
-            raise ValueError("scale must be an integer, got %r"
-                             % (self.scale,))
-        if self.scale < 1:
-            raise ValueError("scale must be >= 1")
-        if self.local_miss_predictor not in (False, True, "ideal",
-                                             "missmap"):
-            raise ValueError("local_miss_predictor must be False, True/"
-                             "'ideal' or 'missmap'")
-        if self.directory_cache not in (False, True, "ideal", "sram"):
-            raise ValueError("directory_cache must be False, True/"
-                             "'ideal' or 'sram'")
         if self.llc_kind == LLC_SHARED and (self.local_miss_predictor
                                             or self.directory_cache):
             raise ValueError("miss predictor / directory cache are SILO "

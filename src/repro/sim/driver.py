@@ -76,25 +76,28 @@ def _drive(system, per_core, starts, ends, times, chunk, sampler=None):
     per-core end positions (positions may differ when prewarm prefixes
     have different lengths).
 
-    Each event's flag word is read from the trace and decoded with the
+    Each event's block and flag word are read together from the
+    chunk's slices of the trace, and the flag word is decoded with the
     reference loop's bit tests (``FLAG_IFETCH``, ``FLAG_WRITE``; a word
-    may carry both), and a miss's stall is ``lat * iff`` for an ifetch
-    or ``lat * inv_mlp`` for a data access, the same float operations
-    in the same order.
+    may carry both); a miss's stall is ``lat * iff`` for an ifetch or
+    ``lat * inv_mlp`` for a data access, the same float operations in
+    the same order.
 
-    Trivial L1 hits are retired inline instead of through
-    ``System.access``: a resident ifetch, a resident data read and a
-    write to a MODIFIED line.  For those, ``access`` only moves the
-    line to the MRU position (when the policy reorders on a hit),
-    counts an L1 hit and returns 0; the probe does the same, adding
-    the hit counts to the core once per chunk (integer counts commute)
-    and advancing the clock by ``cpi_ev`` alone, the same addition a
-    zero latency leaves, so results are bit-identical.  Every other
-    event goes through ``access``.  So does every event of a system
-    with a fault injector or prefetchers, which act on every access,
-    hits included.  ``system.measuring`` is hoisted per drive: it only
-    changes between phases (prefetchers flip it mid-access, but those
-    systems never take the probe).
+    The loop probes the core's L1 set itself.  A trivial hit -- a
+    resident ifetch, a resident data read, a write to a MODIFIED line
+    -- is retired inline: for those, ``System.access`` only moves the
+    line to the MRU position, counts an L1 hit and returns 0; the probe
+    does the same, adding the hit counts to the core once per chunk
+    (integer counts commute) and advancing the clock by ``cpi_ev``
+    alone, the same addition a zero latency leaves, so results are
+    bit-identical.  A miss goes straight to the organization's
+    ``_miss`` (after setting ``system.now``, as ``access`` does), which
+    fills the L1 and records the latency.  Only a store to an S/E/O
+    line, which needs the write upgrade, calls ``access``.  So does
+    every event of a system with a fault injector or prefetchers,
+    which act on every access, hits included.  ``system.measuring`` is
+    hoisted per drive: it only changes between phases (prefetchers
+    flip it mid-access, but those systems never take the probe).
 
     ``sampler`` is an optional
     :class:`repro.obs.telemetry.TelemetrySampler` ticked once per
@@ -102,6 +105,7 @@ def _drive(system, per_core, starts, ends, times, chunk, sampler=None):
     count; disabled telemetry costs one ``is not None`` test per round.
     """
     access = system.access
+    miss = system._miss
     measuring = system.measuring
     probe = system.faults is None and system.prefetchers is None
     l1d = system.l1d
@@ -120,59 +124,57 @@ def _drive(system, per_core, starts, ends, times, chunk, sampler=None):
             t = times[core]
             dl1 = l1d[core]
             il1 = l1i[core]
+            events = zip(blocks[pos:hi], flags[pos:hi])
             # The probe's set index, block % num_sets, is the cache's
             # own only at index stride 1 (which every L1 is built with).
             if probe and dl1.index_stride == 1 and il1.index_stride == 1:
                 dsets = dl1._sets
                 dnum = dl1.num_sets
-                dreorder = dl1._reorder
                 isets = il1._sets
                 inum = il1.num_sets
-                ireorder = il1._reorder
                 dhits = 0
                 ihits = 0
-                for i in range(pos, hi):
-                    block = blocks[i]
-                    fl = flags[i]
+                for block, fl in events:
                     if fl & FLAG_IFETCH:
                         entries = isets[block % inum]
                         st = entries.get(block)
                         if st is not None:
-                            if ireorder:
-                                del entries[block]
-                                entries[block] = st
+                            del entries[block]
+                            entries[block] = st
                             ihits += 1
                             t += cpi_ev
                             continue
-                        lat = access(core, block, fl & FLAG_WRITE,
-                                     fl & FLAG_IFETCH, t)
+                        system.now = t
+                        lat = miss(core, block, False, False, t)
                         t += cpi_ev
                         if lat:
                             t += lat * iff
-                    else:
-                        entries = dsets[block % dnum]
-                        st = entries.get(block)
-                        if st is not None and (st == MODIFIED
-                                               or not fl & FLAG_WRITE):
-                            if dreorder:
-                                del entries[block]
-                                entries[block] = st
-                            dhits += 1
-                            t += cpi_ev
-                            continue
-                        lat = access(core, block, fl & FLAG_WRITE,
-                                     fl & FLAG_IFETCH, t)
+                        continue
+                    entries = dsets[block % dnum]
+                    st = entries.get(block)
+                    if st is None:
+                        system.now = t
+                        lat = miss(core, block, fl & FLAG_WRITE, True, t)
                         t += cpi_ev
                         if lat:
                             t += lat * inv_mlp
+                        continue
+                    if st == MODIFIED or not fl & FLAG_WRITE:
+                        del entries[block]
+                        entries[block] = st
+                        dhits += 1
+                    else:
+                        # a store to an S/E/O line: the write upgrade,
+                        # a hit that returns 0
+                        access(core, block, FLAG_WRITE, 0, t)
+                    t += cpi_ev
                 if measuring:
                     counts = cores[core]
                     counts.data_count[LEVEL_L1] += dhits
                     counts.ifetch_count[LEVEL_L1] += ihits
             else:
-                for i in range(pos, hi):
-                    fl = flags[i]
-                    lat = access(core, blocks[i], fl & FLAG_WRITE,
+                for block, fl in events:
+                    lat = access(core, block, fl & FLAG_WRITE,
                                  fl & FLAG_IFETCH, t)
                     t += cpi_ev
                     if lat:

@@ -319,32 +319,30 @@ class System:
     # silolint: hotpath
     def access(self, core, block, is_write, is_ifetch, now=0.0):
         """Process one reference; returns exposed latency in cycles
-        beyond the L1 (an L1 hit returns 0).
+        beyond the L1 (an L1 hit returns 0).  An L1 miss is the
+        organization's ``_miss``, which fills the L1 and records the
+        core's latency.
 
-        ``repro.sim.driver._drive`` repeats the trivial L1-hit branches
-        (ifetch hit, read hit, write hit on MODIFIED) inline; keep the
-        two in lockstep -- the drive-loop pin (tests/test_engine.py)
-        compares them."""
+        ``repro.sim.driver._drive`` retires the trivial L1 hits (ifetch
+        hit, read hit, write hit on MODIFIED) inline and hands a miss
+        straight to ``_miss``; it calls this method only for a store to
+        an S/E/O line, and for every event of a system with faults or
+        prefetchers.  The drive-loop pin (tests/test_engine.py)
+        compares the two paths."""
         self.now = now
         if self.faults is not None:
             # per-event only when fault injection is on (SL007: the
             # chain is behind the is-not-None guard, faults are rare)
             self.faults.tick(self)  # silolint: disable=SL007
         if is_ifetch:
-            l1 = self.l1i[core]
-            if l1.lookup(block) is not None:
+            if self.l1i[core].lookup(block) is not None:
                 if self.measuring:
                     c = self.cores[core]
                     c.ifetch_count[LEVEL_L1] += 1
                 return 0
-            lat, level = self._miss(core, block, False, False, now)
-            l1.insert(block, SHARED)  # code is read-only: no victim care
-            if self.measuring:
-                self.cores[core].record_ifetch(level, lat)
-            return lat
+            return self._miss(core, block, False, False, now)
 
-        l1 = self.l1d[core]
-        st = l1.lookup(block)
+        st = self.l1d[core].lookup(block)
         if st is not None:
             if is_write and st != MODIFIED:
                 # A store hit a line in S/E/O: gain write permission.
@@ -361,11 +359,7 @@ class System:
                 self._maybe_prefetch(core, block)
             return 0
 
-        lat, level = self._miss(core, block, is_write, True, now)
-        if self.measuring:
-            lo, hi = self.rw_shared_range
-            self.cores[core].record_data(level, lat,
-                                         rw_shared=lo <= block < hi)
+        lat = self._miss(core, block, is_write, True, now)
         if self.prefetchers is not None:
             self._maybe_prefetch(core, block)
         return lat
@@ -462,8 +456,9 @@ class SharedSystem(System):
     def _miss(self, core, block, is_write, is_data, now):
         """L1 miss: private L2 (if any), a victim replica in the local
         bank, the home bank (or a peer L1 holding the line dirty), the
-        conventional DRAM cache (if any), memory.  Returns (latency,
-        level)."""
+        conventional DRAM cache (if any), memory; then the L1 fill and,
+        when measuring, the core's latency record.  Returns the
+        latency."""
         faults = self.faults
         l2s = self.l2
         llc = self.llc
@@ -538,7 +533,7 @@ class SharedSystem(System):
                     entries = home._sets[(block // nbanks)
                                          % home.num_sets]
                     st = entries.get(block)
-                    if st is not None and home._reorder:
+                    if st is not None:
                         del entries[block]
                         entries[block] = st
                 if st is not None and faults is not None:
@@ -574,7 +569,11 @@ class SharedSystem(System):
                     self._handle_l2_victim(core, l2victim)
 
         if not is_data:
-            return lat, level  # the ifetch path fills L1-I in access
+            # code is read-only: no victim care
+            self.l1i[core].insert(block, SHARED)
+            if self.measuring:
+                self.cores[core].record_ifetch(level, lat)
+            return lat
         # L1-D fill with MESI state, recorded in the sharer table.
         sharers = self.sharer_table._entries
         bit = 1 << core
@@ -617,7 +616,11 @@ class SharedSystem(System):
                 # on arrival)
                 banks[core].insert_cold(vb, False)
                 self.llc_accesses += 1
-        return lat, level
+        if self.measuring:
+            lo, hi = self.rw_shared_range
+            self.cores[core].record_data(level, lat,
+                                         rw_shared=lo <= block < hi)
+        return lat
 
     def _probe_dram_cache(self, block):
         """LLC miss with a conventional DRAM cache: returns a hit's
@@ -762,7 +765,8 @@ class VaultSystem(System):
     def _miss(self, core, block, is_write, is_data, now):
         """L1 miss: private L2 (if any), the local vault, then the home
         node's directory, which forwards from a peer vault or fetches
-        from memory.  Returns (latency, level)."""
+        from memory; then the L1 fill and, when measuring, the core's
+        latency record.  Returns the latency."""
         faults = self.faults
         l2s = self.l2
         vault = self.vaults[core]
@@ -922,10 +926,18 @@ class VaultSystem(System):
                     # vault (or L2), which already tracks the block as M.
                     if l2s is None and vault.tags[vb % vsets] == vb:
                         self.llc_accesses += 1
-        if offline and is_write and level != LEVEL_L2:
-            self.memory.access(block, self.now, is_write=True)
-            faults.write_throughs += 1
-        return lat, level
+            if offline and is_write and level != LEVEL_L2:
+                self.memory.access(block, self.now, is_write=True)
+                faults.write_throughs += 1
+            if self.measuring:
+                lo, hi = self.rw_shared_range
+                self.cores[core].record_data(level, lat,
+                                             rw_shared=lo <= block < hi)
+        else:
+            self.l1i[core].insert(block, SHARED)
+            if self.measuring:
+                self.cores[core].record_ifetch(level, lat)
+        return lat
 
     def _write_upgrade(self, core, block, state):
         """A store hit a line in S/E/O (in the L1, or on an L1 miss in

@@ -17,8 +17,9 @@ require seeing a value *cross a call*:
   :mod:`repro.verify.callgraph`, processed bottom-up in SCC order)
   into *replay-observable sinks*: stats-counter mutations, simulated
   clock-advance expressions in ``sim.driver``,
-  ``RunRequest.canonical()`` / ``key()`` results, ``RunSummary`` /
-  ``CoreSummary`` fields, and manifest payloads.  A source->sink path
+  ``RunRequest.canonical()`` / ``key()`` results, the constructor
+  fields of ``RunSummary``, ``CoreSummary`` and their subclasses, and
+  manifest payloads.  A source->sink path
   not cut by a *sanctioned sanitizer* (a seeded ``random.Random``, the
   splitmix64 streams of :mod:`repro.faults.injector`) is a finding.
   Wall clock into *manifest* payloads is exempt by design: manifests
@@ -108,14 +109,16 @@ _STATS_SINK_DIRS = frozenset(("sim", "caches", "coherence", "noc",
 #: simulated clock (the bit-identity-critical expressions).
 _CLOCK_ADVANCE_MODULES = frozenset(("repro.sim.driver",))
 
-#: Constructors whose fields are replayed bit-identically from cache.
-_SUMMARY_CTORS = frozenset(("RunSummary", "CoreSummary"))
+#: Classes whose constructor fields are replayed bit-identically from
+#: cache, with every class of the analyzed program derived from one
+#: (``EstimateSummary``, ``RunResult``); see :func:`_summary_ctors`.
+_SUMMARY_ROOTS = frozenset(("RunSummary", "CoreSummary"))
 
 _SANITIZER_PRAGMA = "# silolint: sanitizer"
 
 #: Bump to invalidate every cached extraction (IR shape or rule
 #: semantics changed).
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 
 DEFAULT_BASELINE = os.path.join("tools", "flow-baseline.json")
 DEFAULT_CACHE_FILE = os.path.join(".silolint-cache", "flow.json")
@@ -340,31 +343,26 @@ class _Extractor:
                 recv = sorted(self.deps(func.value))
         elif resolved is not None:
             target = resolved.replace("::", ".")
+        # The class a constructor call would build, by bare name (a
+        # classmethod's ``cls(...)`` builds its own class); whether it
+        # is a summary is decided over the whole program at solve time.
+        if dotted == "cls" and self.class_name is not None:
+            ctor = self.class_name
+        else:
+            ctor = (target or dotted or attr or "").rsplit(".", 1)[-1]
         self._call_n += 1
         result = "C:%s:%d" % (self.fnq, self._call_n)
         self.ir["calls"].append(
             {"target": target, "attr": attr, "self_class": self_class,
              "recv": recv, "args": arg_deps, "kwargs": kwarg_deps,
-             "result": result, "line": node.lineno})
+             "result": result, "line": node.lineno,
+             "col": node.col_offset, "ctor": ctor})
 
         # Replay-observable sinks carried by calls.
         if self.in_stats_scope and attr in ("incr", "record") \
                 and arg_deps:
             self._sink("stats", node, ".%s()" % attr,
                        set(arg_deps[0]))
-        if dotted == "cls" and self.class_name in _SUMMARY_CTORS:
-            # a summary classmethod building its own class
-            dotted = self.class_name
-        if attr in _SUMMARY_CTORS or (target or "").split(".")[-1] in \
-                _SUMMARY_CTORS or (dotted in _SUMMARY_CTORS):
-            ctor = dotted if dotted in _SUMMARY_CTORS \
-                else (target or attr)
-            for name, ds in kwarg_deps.items():
-                self._sink("summary", node,
-                           "%s(%s=...)" % (ctor, name), set(ds))
-        if self.is_manifest_fn:
-            for kw in node.keywords:
-                pass                # dict(...) manifests unused here
         return {result}
 
     # -- statements ----------------------------------------------------
@@ -691,6 +689,37 @@ class _Solver:
         return list(reversed(chain))
 
 
+def _summary_ctors(hierarchy):
+    """Bare names of the summary classes: :data:`_SUMMARY_ROOTS` and
+    every class of the analyzed program derived from one."""
+    names = set(_SUMMARY_ROOTS)
+    down = [cls for cls in hierarchy.bases
+            if cls.rsplit(".", 1)[-1] in _SUMMARY_ROOTS]
+    seen = set()
+    while down:
+        cls = down.pop()
+        if cls not in seen:
+            seen.add(cls)
+            names.add(cls.rsplit(".", 1)[-1])
+            down.extend(hierarchy.subclasses.get(cls, ()))
+    return names
+
+
+def _summary_sinks(ir, ctors):
+    """The summary sinks of ``ir``: each keyword field of a call that
+    constructs one of the ``ctors`` classes."""
+    sinks = []
+    for call in ir["calls"]:
+        if call["ctor"] in ctors:
+            for name, ds in call["kwargs"].items():
+                if ds:
+                    sinks.append({
+                        "kind": "summary", "line": call["line"],
+                        "col": call["col"], "deps": ds,
+                        "detail": "%s(%s=...)" % (call["ctor"], name)})
+    return sinks
+
+
 def _token_owner(token):
     """Owning function (qname) of a token, best effort."""
     if token.startswith(("L:", "P:", "C:")):
@@ -740,7 +769,8 @@ class FlowReport:
 
     @property
     def ok(self):
-        return not self.findings and not self.errors
+        return (not self.findings and not self.stale_baseline
+                and not self.errors)
 
     def counts(self):
         out = {}
@@ -772,9 +802,12 @@ class FlowReport:
             if f.get("trace"):
                 lines.append("    flow: %s" % " -> ".join(f["trace"]))
         for entry in self.stale_baseline:
-            lines.append("stale baseline entry %s (%s in %s): remove it"
+            lines.append("stale baseline entry %s (%s in %s, %s) matches "
+                         "no finding: if the flow was fixed, remove it; "
+                         "if the analysis lost it, fix the code or the "
+                         "analysis"
                          % (entry["fingerprint"], entry["rule"],
-                            entry["file"]))
+                            entry["file"], entry["symbol"]))
         lines.extend("%s: error: %s" % e for e in self.errors)
         return "\n".join(lines)
 
@@ -916,7 +949,8 @@ def analyze(paths, baseline_path=None, cache_file=None, select=None,
     """Run the full flow analysis; returns a :class:`FlowReport`.
 
     ``baseline_path`` suppresses known findings (entries are matched by
-    drift-stable fingerprint; unmatched entries surface as stale);
+    drift-stable fingerprint; an unmatched entry for an analyzed file
+    and a selected rule is stale, and fails the run);
     ``cache_file`` enables the per-file incremental cache; ``select``
     restricts reported rules.
     """
@@ -932,6 +966,7 @@ def analyze(paths, baseline_path=None, cache_file=None, select=None,
     irs = []
     raw_findings = []               # SL011 + SL012, per file
     suppress = {}                   # abspath -> (file_codes, {line: codes})
+    analyzed = set()                # repo-relative paths of scanned files
     cache_hits = cache_misses = 0
 
     for path in _cg.iter_python_files(paths):
@@ -971,6 +1006,7 @@ def analyze(paths, baseline_path=None, cache_file=None, select=None,
             }
         new_cache["files"][abspath] = entry
         report.files_scanned += 1
+        analyzed.add(_relpath(abspath, repo_root))
         irs.extend(entry["ir"])
         for uf in entry["unit_findings"]:
             raw_findings.append(dict(uf, file=abspath))
@@ -1003,9 +1039,10 @@ def analyze(paths, baseline_path=None, cache_file=None, select=None,
             callgraph[ir["qname"]].update(
                 solver._resolve_call_targets(call))
     sccs = _cg.tarjan_sccs(callgraph)
+    ctors = _summary_ctors(solver.hierarchy)
     seen_findings = set()
     for ir in irs:
-        for sink in ir["sinks"]:
+        for sink in ir["sinks"] + _summary_sinks(ir, ctors):
             for dep in sink["deps"]:
                 dep_n = solver._norm(dep)
                 for src_token in sorted(taint.get(dep_n, ())):
@@ -1073,9 +1110,12 @@ def analyze(paths, baseline_path=None, cache_file=None, select=None,
             report.baselined.append(finding)
         else:
             report.findings.append(finding)
+    # An entry can only match a finding of a file that was analyzed,
+    # under a rule that was selected: only those can be stale.
     report.stale_baseline = [
         entry for fp, entry in sorted(baseline.items())
-        if fp not in matched]
+        if fp not in matched and entry["file"] in analyzed
+        and (chosen is None or entry["rule"] in chosen)]
     report.findings.sort(key=lambda f: f.sort_key)
     report.baselined.sort(key=lambda f: f.sort_key)
 
@@ -1105,7 +1145,8 @@ def main(argv=None):
     [--list-rules]``.
 
     Exit status: 0 clean (baselined findings do not fail), 1
-    non-baselined findings, 2 unreadable input.
+    non-baselined findings or stale baseline entries, 2 unreadable
+    input.
     """
     import argparse
     parser = argparse.ArgumentParser(
@@ -1197,7 +1238,7 @@ def main(argv=None):
                  + report.stats.get("cache_misses", 0)))
     if report.errors:
         return 2
-    return 1 if report.findings else 0
+    return 0 if report.ok else 1
 
 
 if __name__ == "__main__":

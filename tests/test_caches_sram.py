@@ -43,15 +43,6 @@ def test_lru_evicts_least_recent():
     assert victim == (1, 2)
 
 
-def test_fifo_ignores_touches():
-    c = SetAssocCache(2 * 64, 2, policy="fifo")
-    c.insert(0, 1)
-    c.insert(1, 2)
-    c.lookup(0)
-    victim = c.insert(2, 3)
-    assert victim == (0, 1)  # insertion order, despite the touch
-
-
 def test_untouched_lookup_does_not_promote():
     c = SetAssocCache(2 * 64, 2)
     c.insert(0, 1)
@@ -137,10 +128,9 @@ def test_lru_matches_reference_model(blocks):
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=255), min_size=1,
-                max_size=200),
-       st.sampled_from(["lru", "fifo", "random"]))
-def test_occupancy_never_exceeds_capacity(blocks, policy):
-    cache = SetAssocCache(16 * 64, 4, policy=policy)
+                max_size=200))
+def test_occupancy_never_exceeds_capacity(blocks):
+    cache = SetAssocCache(16 * 64, 4)
     for b in blocks:
         if cache.lookup(b) is None:
             cache.insert(b, 0)

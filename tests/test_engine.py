@@ -353,8 +353,11 @@ def _pin_drive(sys_name, spec_name, chunk, track_sharing=False,
     """Drive one system with ``_drive`` and a twin with the reference
     loop over the same traces, in two phases like ``run_system`` (an
     unmeasured warm-up, a stats reset, a measured window), and assert
-    they agree bit for bit after each phase.  Returns the number of
-    ``System.access`` calls ``_drive`` made and the events it drove."""
+    they agree bit for bit after each phase.  Returns the calls
+    ``_drive`` made -- ``access``: to ``System.access``; ``miss``:
+    straight to ``_miss``; ``access_miss``: the ``_miss`` entries made
+    inside an ``access`` call (an L1 miss or a prefetch sent through
+    ``access``) -- and the events it drove."""
     spec, scale = PIN_SPECS[spec_name]
     config = system_config(sys_name, num_cores=4, scale=scale,
                            **overrides)
@@ -372,14 +375,27 @@ def _pin_drive(sys_name, spec_name, chunk, track_sharing=False,
             system.attach_tracer(EventTracer(capacity=1 << 16))
         twins.append((system, [0.0] * 4))
     (fast, fast_times), (ref, ref_times) = twins
-    calls = [0]
+    calls = {"access": 0, "miss": 0, "access_miss": 0}
+    in_access = [False]
     access = fast.access
+    miss = fast._miss
 
-    def counted(*args):
-        calls[0] += 1
-        return access(*args)
+    def counted_access(*args):
+        calls["access"] += 1
+        in_access[0] = True
+        try:
+            return access(*args)
+        finally:
+            in_access[0] = False
 
-    fast.access = counted
+    def counted_miss(*args):
+        calls["access_miss" if in_access[0] else "miss"] += 1
+        return miss(*args)
+
+    # instance attributes: _drive reads both, and access itself
+    # reaches _miss through self._miss
+    fast.access = counted_access
+    fast._miss = counted_miss
     fast_state = _per_core_state(fast, traces)
     ref_state = reference_state(ref, traces)
     for starts, stops, measuring in (([0] * 4, mid, False),
@@ -390,7 +406,16 @@ def _pin_drive(sys_name, spec_name, chunk, track_sharing=False,
         _drive(fast, fast_state, starts, stops, fast_times, chunk)
         reference_drive(ref, ref_state, starts, stops, ref_times, chunk)
         _assert_same_state(fast, ref, fast_times, ref_times)
-    return calls[0], sum(ends)
+    return calls, sum(ends)
+
+
+def _assert_probe_calls(calls, events):
+    """The probe sent every L1 miss straight to ``_miss`` (``access``
+    only saw L1 hits: the stores to S/E/O lines) and retired events
+    inline."""
+    assert calls["access_miss"] == 0
+    assert calls["miss"] > 0
+    assert calls["access"] + calls["miss"] < events
 
 
 def _pin_cases():
@@ -414,29 +439,31 @@ def _pin_cases():
 def test_fast_drive_matches_reference_loop(sys_name, spec_name, chunk,
                                            track_sharing):
     calls, events = _pin_drive(sys_name, spec_name, chunk, track_sharing)
-    # the probe retired events inline (and most of an L1-resident trace)
-    assert calls < events
+    _assert_probe_calls(calls, events)
     if spec_name == "l1_resident":
-        assert calls < events // 2
+        # most of an L1-resident trace is retired inline
+        assert calls["access"] + calls["miss"] < events // 2
 
 
 def test_fast_drive_with_active_faults_calls_access_per_event():
     plan = FaultPlan(seed=3, tag_flip_rate=1e-3)
     calls, events = _pin_drive("silo", "l1_resident", 200, faults=plan)
-    assert calls == events
+    assert calls["access"] == events
+    assert calls["miss"] == 0
 
 
 def test_fast_drive_with_prefetchers_calls_access_per_event():
     calls, events = _pin_drive("baseline", "l1_resident", 200,
                                l1_prefetcher=True)
-    assert calls == events
+    assert calls["access"] == events
+    assert calls["miss"] == 0
 
 
 def test_fast_drive_under_tracer_matches_reference_loop():
     # The tracer acts on no L1 hit, so the probe stays on; every traced
     # event, cycle stamps included, must still match.
     calls, events = _pin_drive("silo", "write_heavy", 7, tracer=True)
-    assert calls < events
+    _assert_probe_calls(calls, events)
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +620,38 @@ HOSTILE_EDITS = {
     "fault-event-tick-float": (_faults(vault_events=[[10.0, 1,
                                                      "offline"]]),
                                "vault event tick"),
+    # hierarchy fields: a value that only compares equal to a valid one
+    # runs as something else under its own key (1 == True runs with
+    # the predictor off, True == 1 builds a 1-way L1, a non-empty
+    # string builds the prefetchers); a float fails inside the job
+    "name-int": (lambda w: w["config"].update(name=3), "name"),
+    "l1-ways-bool": (lambda w: w["config"].update(l1_ways=True),
+                     "l1_ways"),
+    "l1-ways-float": (lambda w: w["config"].update(l1_ways=8.0),
+                      "l1_ways"),
+    "llc-size-float": (lambda w: w["config"].update(
+        llc_size_bytes=8388608.0), "llc_size_bytes"),
+    "l2-size-zero": (lambda w: w["config"].update(l2_size_bytes=0),
+                     "l2_size_bytes"),
+    "dram-cache-negative": (lambda w: w["config"].update(
+        dram_cache_bytes=-4096), "dram_cache_bytes"),
+    "memory-latency-negative": (lambda w: w["config"].update(
+        memory_latency=-5), "memory_latency"),
+    "hop-latency-negative": (lambda w: w["config"].update(
+        hop_latency=-3), "hop_latency"),
+    "llc-latency-str": (lambda w: w["config"].update(llc_latency="5"),
+                        "llc_latency"),
+    "prefetcher-str": (lambda w: w["config"].update(l1_prefetcher="no"),
+                       "l1_prefetcher"),
+    "queueing-int": (lambda w: w["config"].update(memory_queueing=1),
+                     "memory_queueing"),
+    "victim-replication-int": (lambda w: w["config"].update(
+        victim_replication=1), "victim_replication"),
+    "miss-predictor-int": (lambda w: w["config"].update(
+        llc_kind="private_vault", local_miss_predictor=1),
+        "local_miss_predictor"),
+    "directory-cache-zero": (lambda w: w["config"].update(
+        llc_kind="private_vault", directory_cache=0), "directory_cache"),
 }
 
 

@@ -1,5 +1,6 @@
 """Run-level pin suite for the drive loop's fast path: ``_drive``
-retires trivial L1 hits inline instead of calling ``System.access``
+retires trivial L1 hits inline and hands L1 misses straight to the
+organization's ``_miss`` instead of calling ``System.access``
 (DESIGN.md section 2f).
 
 Every ``simulate`` run here is compared with the same run whose drive
@@ -25,7 +26,7 @@ from repro.sim.driver import DEFAULT_CHUNK, _per_core_state, \
     default_chunk, simulate, use_chunk
 from repro.sim.engine import RunEngine, RunRequest
 from repro.sim.sampling import SamplingPlan
-from repro.sim.system import System
+from repro.sim.system import SharedSystem, System, VaultSystem
 from repro.workloads import generator
 from repro.workloads.generator import generate_traces
 from repro.workloads.scaleout import SCALEOUT_WORKLOADS
@@ -37,20 +38,38 @@ PLAN = SamplingPlan(4_000, 2_000)
 
 def _run(config_name, *, reference=False, spec=HOT_SPEC, plan=PLAN,
          num_cores=4, chunk=None, faults=None, **overrides):
-    """One ``simulate`` run and the number of ``System.access`` calls
-    it made.  ``reference`` swaps the drive loop for the reference
-    loop, so every event is one call."""
+    """One ``simulate`` run and the number of events the drive loop
+    did not retire inline: its ``System.access`` calls plus the
+    ``_miss`` calls it made directly (not from inside ``access``).
+    ``reference`` swaps the drive loop for the reference loop, so
+    every event is one call."""
     config = system_config(config_name, num_cores=num_cores,
                            scale=SCALE, **overrides)
     calls = [0]
+    in_access = [False]
     access = System.access
 
     def counted(self, *args):
         calls[0] += 1
-        return access(self, *args)
+        in_access[0] = True
+        try:
+            return access(self, *args)
+        finally:
+            in_access[0] = False
+
+    def counted_miss(miss):
+        def wrapper(self, *args):
+            if not in_access[0]:
+                calls[0] += 1
+            return miss(self, *args)
+        return wrapper
 
     drive = reference_run_drive if reference else driver._drive
     with mock.patch.object(System, "access", counted), \
+            mock.patch.object(SharedSystem, "_miss",
+                              counted_miss(SharedSystem._miss)), \
+            mock.patch.object(VaultSystem, "_miss",
+                              counted_miss(VaultSystem._miss)), \
             mock.patch.object(driver, "_drive", drive):
         result = simulate(config, spec, plan, seed=7, chunk=chunk,
                           faults=faults)

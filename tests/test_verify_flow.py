@@ -250,6 +250,34 @@ def test_sl010_summary_classmethod_building_cls_is_a_summary_sink(
     assert "RunSummary(counters=...)" in f["message"]
 
 
+def test_sl010_summary_subclass_constructor_is_a_summary_sink(tmp_path):
+    # EstimateSummary(RunSummary) is cached and served like any
+    # summary: its constructor fields are sinks too, and so are those of
+    # a class derived from it; an unrelated class's are not.
+    _write(tmp_path, "pkg/summary.py",
+           "class RunSummary:\n"
+           "    pass\n")
+    _write(tmp_path, "pkg/estimator.py",
+           "import os\n"
+           "from pkg.summary import RunSummary\n"
+           "class EstimateSummary(RunSummary):\n"
+           "    pass\n"
+           "class TightSummary(EstimateSummary):\n"
+           "    pass\n"
+           "class Other:\n"
+           "    pass\n"
+           "def estimate():\n"
+           "    return EstimateSummary(error_bound=os.environ['B'])\n"
+           "def tight():\n"
+           "    return TightSummary(error_bound=os.environ['B'])\n"
+           "def other():\n"
+           "    return Other(error_bound=os.environ['B'])\n")
+    findings = _analyze(tmp_path).findings
+    assert sorted(f["symbol"] for f in findings) == ["estimate", "tight"]
+    assert all(f["sink"] == "summary" for f in findings)
+    assert "EstimateSummary(error_bound=...)" in findings[0]["message"]
+
+
 # ---------------------------------------------------------------------------
 # SL011: sanitizer pragma registry
 # ---------------------------------------------------------------------------
@@ -547,6 +575,43 @@ def test_cli_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     for code in FLOW_RULES:
         assert code in out
+
+
+def _stale_baseline(tmp_path):
+    """A baseline whose one entry (an SL010 in ``sim/mod.py``) went
+    stale: the leak it justified is fixed."""
+    _write(tmp_path, "sim/mod.py", _LEAKY)
+    baseline = tmp_path / "baseline.json"
+    write_baseline(str(baseline), _analyze(tmp_path).findings)
+    _write(tmp_path, "sim/mod.py",
+           "class C:\n"
+           "    def tick(self, n):\n"
+           "        self.stall_count += n\n")
+    return str(baseline)
+
+
+def test_cli_stale_in_scope_baseline_entry_fails(tmp_path, capsys,
+                                                 monkeypatch):
+    baseline = _stale_baseline(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["sim", "--baseline", baseline, "--no-cache"]) == 1
+    out = capsys.readouterr().out
+    assert "stale baseline entry" in out and "fix the code" in out
+    assert main(["sim", "--baseline", baseline, "--no-cache",
+                 "--select", "SL010"]) == 1
+
+
+def test_cli_stale_out_of_scope_baseline_entry_passes(tmp_path, capsys,
+                                                      monkeypatch):
+    baseline = _stale_baseline(tmp_path)
+    _write(tmp_path, "other/clean.py", "x = 1\n")
+    monkeypatch.chdir(tmp_path)
+    # the entry's file was not analyzed
+    assert main(["other", "--baseline", baseline, "--no-cache"]) == 0
+    # the entry's rule was not selected
+    assert main(["sim", "--baseline", baseline, "--no-cache",
+                 "--select", "SL012"]) == 0
+    assert "stale" not in capsys.readouterr().out
 
 
 def test_cli_select_restricts_rules(tmp_path, capsys):
