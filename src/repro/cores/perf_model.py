@@ -26,6 +26,7 @@ re-simulating.
 
 from dataclasses import dataclass
 
+from repro.fields import check_fields
 from repro.obs.stats import Distribution
 
 # Service levels an access can be satisfied at.
@@ -51,11 +52,19 @@ class CoreParams:
     ifetch_per_instr: float = 1.0 / 16.0  # one 64B iblock per 16 instrs
     data_refs_per_instr: float = 0.25
 
+    #: An ifetch stall exposes at most the whole miss latency.
+    LIMITS = {"mlp": (1, None), "ifetch_stall_factor": (0, 1),
+              "ifetch_per_instr": (0, None),
+              "data_refs_per_instr": (0, None)}
+
     def __post_init__(self):
+        check_fields(self)
         if self.base_cpi <= 0:
             raise ValueError("base_cpi must be positive")
-        if self.mlp < 1.0:
-            raise ValueError("mlp must be >= 1")
+        # Instructions per event divide by the reference rate.
+        if self.ifetch_per_instr + self.data_refs_per_instr <= 0:
+            raise ValueError("ifetch_per_instr + data_refs_per_instr "
+                             "must be positive")
 
 
 class CoreModel:

@@ -22,7 +22,7 @@ from repro.obs import session as obs_session
 from repro.params import NUM_CORES
 from repro.sim import engine as sim_engine
 from repro.sim.driver import DEFAULT_CHUNK, use_chunk
-from repro.sim.sampling import PRESETS, parse_plan
+from repro.sim.sampling import PRESETS, from_env, parse_plan
 
 
 def _sampling_arg(spec):
@@ -190,6 +190,12 @@ def main(argv=None):
         kwargs = {"scale": args.scale, "seed": args.seed}
         if args.sampling is not None:
             kwargs["plan"] = args.sampling
+        else:
+            # The experiment reads $REPRO_SAMPLING: check it up front.
+            try:
+                from_env()
+            except ValueError as e:
+                parser.error(str(e))
 
     # Fault flags: 'resilience' takes them as explicit sweep kwargs;
     # every other simulating experiment gets an ambient FaultPlan that
@@ -232,14 +238,15 @@ def main(argv=None):
         parser.error("--mode %s is analytic; --trace/--stats/"
                      "--telemetry/--profile need live simulation"
                      % args.mode)
-    if args.cache_max_bytes is not None:
-        try:
-            cache_max_bytes = sim_engine.parse_size_bytes(
-                args.cache_max_bytes)
-        except ValueError as e:
-            parser.error(str(e))
-    else:
-        cache_max_bytes = sim_engine.cache_max_bytes_from_env()
+    try:
+        jobs = (args.jobs if args.jobs is not None
+                else sim_engine.jobs_from_env())
+        cache_max_bytes = (
+            sim_engine.parse_size_bytes(args.cache_max_bytes)
+            if args.cache_max_bytes is not None
+            else sim_engine.cache_max_bytes_from_env())
+    except ValueError as e:
+        parser.error(str(e))
     if args.server is not None:
         # Remote simulation: the server owns the workers and the run
         # cache; live-observation flags need a local System.
@@ -255,11 +262,11 @@ def main(argv=None):
                              "server owns its workers and cache)" % flag)
         from repro.serve.client import HttpTransport
         engine = sim_engine.RunEngine(
-            cache=None, mode=args.mode,
+            jobs=jobs, cache=None, mode=args.mode,
             transport=HttpTransport(args.server, args.priority))
     else:
         engine = sim_engine.RunEngine(
-            jobs=args.jobs,
+            jobs=jobs,
             cache=(sim_engine.RunCache(cache_dir,
                                        max_bytes=cache_max_bytes)
                    if cache_dir else None),

@@ -13,14 +13,26 @@ mirroring the ambient run engine in ``repro.sim.engine``.
 """
 
 import contextlib
-import numbers
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro import params as P
+from repro.fields import check_fields
 
 #: Actions accepted in ``FaultPlan.vault_events`` entries.
 VAULT_ACTIONS = ("offline", "online")
+
+
+class VaultEvent(NamedTuple):
+    """One scheduled whole-vault transition: at global access
+    ``tick``, take vault/bank ``vault`` offline or bring it online."""
+
+    tick: int
+    vault: int
+    action: str
+
+    LIMITS = {"tick": (0, None), "vault": (0, None),
+              "action": VAULT_ACTIONS}
 
 
 @dataclass(frozen=True)
@@ -49,51 +61,22 @@ class FaultPlan:
     stall_rate: float = 0.0
     stall_retries_max: int = P.FAULT_STALL_RETRIES_MAX
     target: Optional[int] = None
-    vault_events: Tuple[Tuple[int, int, str], ...] = field(default=())
+    vault_events: Tuple[VaultEvent, ...] = field(default=())
+
+    #: Rates are probabilities (see repro.fields).
+    LIMITS = {"data_flip_rate": (0, 1), "tag_flip_rate": (0, 1),
+              "directory_flip_rate": (0, 1),
+              "double_bit_fraction": (0, 1), "stall_rate": (0, 1),
+              "stall_retries_max": (1, None), "target": (0, None)}
 
     def __post_init__(self):
-        # Types first: a posted plan is rebuilt from JSON, and a float
-        # or bool where the injector does integer arithmetic would be
-        # keyed apart from its int form, fail midway, or (a float
-        # target) match no vault and inject nothing.
-        for name in ("data_flip_rate", "tag_flip_rate",
-                     "directory_flip_rate", "double_bit_fraction",
-                     "stall_rate"):
-            value = getattr(self, name)
-            if isinstance(value, bool) \
-                    or not isinstance(value, numbers.Real):
-                raise ValueError("%s must be a real number, got %r"
-                                 % (name, value))
-            if not 0.0 <= value <= 1.0:
-                raise ValueError("%s must be in [0, 1], got %r"
-                                 % (name, value))
-        _require_int("seed", self.seed)
-        _require_int("stall_retries_max", self.stall_retries_max)
-        if self.stall_retries_max < 1:
-            raise ValueError("stall_retries_max must be >= 1")
-        if self.target is not None:
-            _require_int("target", self.target)
-            if self.target < 0:
-                raise ValueError("target must be a vault/bank id or None")
-        events = tuple(tuple(ev) for ev in self.vault_events)
-        last_tick = 0
-        for ev in events:
-            if len(ev) != 3:
-                raise ValueError("vault event must be "
-                                 "(tick, vault, action): %r" % (ev,))
-            tick, vault, action = ev
-            _require_int("vault event tick", tick)
-            _require_int("vault event vault", vault)
-            if tick < 0 or vault < 0:
-                raise ValueError("negative tick/vault in event: %r"
-                                 % (ev,))
-            if tick < last_tick:
-                raise ValueError("vault_events must be sorted by tick")
-            if action not in VAULT_ACTIONS:
-                raise ValueError("unknown vault action %r (expected "
-                                 "one of %r)" % (action, VAULT_ACTIONS))
-            last_tick = tick
-        object.__setattr__(self, "vault_events", events)
+        # A posted plan's events arrive as JSON lists.
+        object.__setattr__(self, "vault_events", tuple(
+            VaultEvent(*ev) for ev in self.vault_events))
+        check_fields(self)
+        ticks = [ev.tick for ev in self.vault_events]
+        if ticks != sorted(ticks):
+            raise ValueError("vault_events must be sorted by tick")
 
     def active(self):
         """Whether this plan can inject anything at all.
@@ -122,12 +105,6 @@ class FaultPlan:
             "target": self.target,
             "vault_events": [list(ev) for ev in self.vault_events],
         }
-
-
-def _require_int(name, value):
-    """Raise ValueError unless ``value`` is an int (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError("%s must be an integer, got %r" % (name, value))
 
 
 _ambient_plan = None

@@ -11,6 +11,7 @@ Examples::
 
 import argparse
 import asyncio
+import math
 import sys
 
 from repro.serve.server import DEFAULT_PORT, JobServer, run_server
@@ -85,10 +86,15 @@ def main(argv=None):
                         default=256)
     parser.add_argument("--retry-after", type=float, default=1.0,
                         metavar="S")
-    parser.add_argument("--max-batch", type=int, default=64)
+    parser.add_argument("--max-batch", type=at_least_one, default=64)
     args = parser.parse_args(argv)
-
-    engine = build_engine(args)
+    if not 0 <= args.retry_after < math.inf:
+        parser.error("--retry-after must be a finite number of "
+                     "seconds >= 0")
+    try:
+        engine = build_engine(args)
+    except ValueError as e:     # the --cache-max-bytes or env cap
+        parser.error(str(e))
     transport = engine.transport
     if transport is not None:
         transport.start()

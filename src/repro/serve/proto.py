@@ -266,6 +266,13 @@ def parse_run_payload(body_json):
         request = RunRequest.from_canonical(canonical)
     except (KeyError, TypeError, ValueError) as e:
         raise ProtocolError("invalid run request: %s" % e) from None
+    if request.mode == "estimate":
+        # It would fail inside the job: refused before it is queued.
+        from repro.analytic.estimator import can_estimate
+        if not can_estimate(request):
+            raise ProtocolError("invalid run request: mode 'estimate' "
+                                "cannot resolve it (see can_estimate); "
+                                "post it with mode 'simulate'")
     priority = body_json.get("priority", "batch")
     if priority not in PRIORITIES:
         raise ProtocolError("priority must be one of %s"

@@ -9,11 +9,12 @@ the real machine.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from repro import params as P
 from repro.caches.nuca import SharedNUCA
 from repro.caches.sram_cache import whole_sets
+from repro.fields import check_fields
 
 LLC_SHARED = "shared"
 LLC_PRIVATE_VAULT = "private_vault"
@@ -21,29 +22,6 @@ LLC_PRIVATE_VAULT = "private_vault"
 #: Smallest cache we allow after scaling, to keep set behaviour sane
 #: (64 blocks = 8 sets at 8 ways; below this a scaled L1 degenerates).
 MIN_CACHE_BLOCKS = 64
-
-#: (field, least value) of every integer field: counts, sizes and ways
-#: are positive, latencies are not negative.  A float would fail inside
-#: a job (or build a cache of another shape), and a bool, which equals
-#: 1 or 0, would run as that int under a run key of its own.
-_INT_FIELDS = (
-    ("num_cores", 1), ("scale", 1),
-    ("l1_size_bytes", 1), ("l1_ways", 1), ("l1_latency", 0),
-    ("l2_size_bytes", 1), ("l2_ways", 1), ("l2_latency", 0),
-    ("llc_size_bytes", 1), ("llc_ways", 1), ("llc_latency", 0),
-    ("dram_cache_bytes", 1), ("dram_cache_latency", 0),
-    ("memory_latency", 0), ("hop_latency", 0),
-)
-
-#: Integer fields that may also be None (the level is absent).
-_OPTIONAL_FIELDS = frozenset(("l2_size_bytes", "dram_cache_bytes"))
-
-_BOOL_FIELDS = ("memory_queueing", "l1_prefetcher", "victim_replication")
-
-#: Named implementations each SILO optimization accepts besides
-#: False/True (see the field comments below).
-_OPTIMIZATIONS = {"local_miss_predictor": ("ideal", "missmap"),
-                  "directory_cache": ("ideal", "sram")}
 
 
 @dataclass(frozen=True)
@@ -86,8 +64,8 @@ class HierarchyConfig:
     # "missmap" (per-segment presence bit-vectors in SRAM, [24]) for the
     # miss predictor and "sram" (LRU cache of directory sets at the home
     # node, [25]) for the directory cache.
-    local_miss_predictor: object = False
-    directory_cache: object = False
+    local_miss_predictor: Union[bool, str] = False
+    directory_cache: Union[bool, str] = False
 
     # Coherence protocol for the private organization: "moesi" (the
     # paper's choice, Sec. V-B) or "mesi" (ablation: a dirty block must
@@ -105,36 +83,24 @@ class HierarchyConfig:
     # comparison point for shared organizations.
     victim_replication: bool = False
 
+    #: Bounds and choices (repro.fields): counts, sizes and ways are
+    #: positive and latencies not negative; an optimization is matched
+    #: by type as well as value, as 1 == True would run with it off.
+    LIMITS = {
+        **dict.fromkeys(("num_cores", "scale", "l1_size_bytes", "l1_ways",
+                         "l2_size_bytes", "l2_ways", "llc_size_bytes",
+                         "llc_ways", "dram_cache_bytes"), (1, None)),
+        **dict.fromkeys(("l1_latency", "l2_latency", "llc_latency",
+                         "dram_cache_latency", "memory_latency",
+                         "hop_latency"), (0, None)),
+        "llc_kind": (LLC_SHARED, LLC_PRIVATE_VAULT),
+        "protocol": ("moesi", "mesi"),
+        "local_miss_predictor": (False, True, "ideal", "missmap"),
+        "directory_cache": (False, True, "ideal", "sram"),
+    }
+
     def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise ValueError("name must be a string, got %r"
-                             % (self.name,))
-        if self.llc_kind not in (LLC_SHARED, LLC_PRIVATE_VAULT):
-            raise ValueError("unknown llc_kind %r" % (self.llc_kind,))
-        if self.protocol not in ("moesi", "mesi"):
-            raise ValueError("unknown protocol %r" % (self.protocol,))
-        for field, least in _INT_FIELDS:
-            value = getattr(self, field)
-            if value is None and field in _OPTIONAL_FIELDS:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int) \
-                    or value < least:
-                raise ValueError("%s must be an integer >= %d%s, got %r"
-                                 % (field, least,
-                                    " or None" if field in
-                                    _OPTIONAL_FIELDS else "", value))
-        for field in _BOOL_FIELDS:
-            if not isinstance(getattr(self, field), bool):
-                raise ValueError("%s must be True or False, got %r"
-                                 % (field, getattr(self, field)))
-        # Matched by type as well as value: 1 == True, yet 1 would run
-        # with the optimization off.
-        for field, names in _OPTIMIZATIONS.items():
-            value = getattr(self, field)
-            if not (isinstance(value, bool) or (isinstance(value, str)
-                                                and value in names)):
-                raise ValueError("%s must be False, True/%r or %r, got %r"
-                                 % ((field,) + names + (value,)))
+        check_fields(self)
         # Every System builds a square mesh of its cores, one LLC bank
         # or vault per tile.
         if math.isqrt(self.num_cores) ** 2 != self.num_cores:

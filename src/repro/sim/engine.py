@@ -51,14 +51,14 @@ from typing import Optional, Tuple
 
 from repro.cores.perf_model import CoreParams
 from repro.faults.plan import FaultPlan, current_plan
+from repro.fields import check_fields
 from repro.obs import manifest as _manifest
 from repro.obs import session as _obs_session
 from repro.obs.profile import clock
 from repro.obs.recorder import FlightRecorder
 from repro.obs.stats import Group
 from repro.sim.config import HierarchyConfig
-from repro.sim.driver import (DEFAULT_CHUNK, check_chunk, default_chunk,
-                              run_system)
+from repro.sim.driver import DEFAULT_CHUNK, default_chunk, run_system
 from repro.sim.sampling import SamplingPlan
 from repro.sim.summary import ENGINE_SCHEMA, RunSummary
 from repro.workloads.base import WorkloadSpec
@@ -144,17 +144,14 @@ class RunRequest:
     #: analytic approximations can never alias simulated results.
     mode: str = "simulate"
 
+    #: A chunk below 1 would never advance the drive loop, and the
+    #: workload generator's numpy RNG refuses a negative seed: both are
+    #: refused where a posted request is rebuilt (see repro.fields).
+    LIMITS = {"seed": (0, None), "chunk": (1, None),
+              "mode": REQUEST_MODES}
+
     def __post_init__(self):
-        # A chunk below 1 would never advance the drive loop: reject it
-        # here, where a posted request is rebuilt, so the server answers
-        # 400 instead of running a job that cannot finish.  The same
-        # goes for a seed the workload generator's numpy RNG refuses.
-        check_chunk(self.chunk)
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, int) \
-                or seed < 0:
-            raise ValueError("seed must be an integer >= 0, got %r"
-                             % (seed,))
+        check_fields(self)
         n = self.config.num_cores
         # A request drives at least one core, and one that is not
         # colocated has exactly one placement (the simulator and the
@@ -183,7 +180,7 @@ class RunRequest:
                 seen.add(core)
         faults = self.faults
         if faults is not None:
-            vaults = [ev[1] for ev in faults.vault_events]
+            vaults = [ev.vault for ev in faults.vault_events]
             if faults.target is not None:
                 vaults.append(faults.target)
             for vault in vaults:
@@ -258,7 +255,8 @@ class RunRequest:
         ``RunRequest.from_canonical(r.canonical()).key(f) == r.key(f)``
         for every fingerprint ``f`` (the round-trip property the serve
         tests pin).  Validation is the dataclasses' own
-        ``__post_init__`` checks, plus a refusal of any key
+        ``__post_init__`` checks (each field's annotation, by
+        :mod:`repro.fields`), plus a refusal of any key
         :meth:`canonical` does not write (a misspelled field would
         otherwise be dropped and the request keyed without it);
         malformed payloads raise ``ValueError``/``TypeError``/
@@ -272,19 +270,14 @@ class RunRequest:
                              % ", ".join(sorted(map(str, unknown))))
 
         def spec_from(d):
-            return WorkloadSpec(
-                name=d["name"],
-                code=CodeSpec(**d["code"]),
+            return WorkloadSpec(**dict(
+                d, code=CodeSpec(**d["code"]),
                 regions=tuple(RegionSpec(**r) for r in d["regions"]),
-                core=CoreParams(**d["core"]),
-                rw_shared_region=d.get("rw_shared_region", ""))
+                core=CoreParams(**d["core"])))
 
         faults = None
         if data.get("faults") is not None:
-            fd = dict(data["faults"])
-            fd["vault_events"] = tuple(
-                tuple(ev) for ev in fd.get("vault_events", ()))
-            faults = FaultPlan(**fd)
+            faults = FaultPlan(**data["faults"])
         return cls(
             config=HierarchyConfig(**data["config"]),
             placements=tuple(
@@ -646,7 +639,10 @@ def cache_max_bytes_from_env():
     raw = os.environ.get("REPRO_CACHE_MAX_BYTES", "").strip()
     if not raw:
         return None
-    return parse_size_bytes(raw)
+    try:
+        return parse_size_bytes(raw)
+    except ValueError as e:
+        raise ValueError("REPRO_CACHE_MAX_BYTES: %s" % e) from None
 
 
 def parse_size_bytes(raw):
@@ -837,9 +833,6 @@ class RunEngine:
         """Execute a batch; returns RunSummaries aligned with
         ``requests`` (duplicates share one simulation)."""
         requests = list(requests)
-        for req in requests:
-            if req.mode not in REQUEST_MODES:
-                raise ValueError("unknown request mode %r" % (req.mode,))
         self.requests += len(requests)
         if self.mode != "simulate":
             requests = self._apply_mode_policy(requests)

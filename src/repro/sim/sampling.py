@@ -14,6 +14,8 @@ pick lighter or heavier plans via ``REPRO_SAMPLING``.
 import os
 from dataclasses import dataclass
 
+from repro.fields import check_fields
+
 
 @dataclass(frozen=True)
 class SamplingPlan:
@@ -22,16 +24,10 @@ class SamplingPlan:
     warmup_events: int = 60_000
     measure_events: int = 20_000
 
+    LIMITS = {"warmup_events": (0, None), "measure_events": (1, None)}
+
     def __post_init__(self):
-        # Event counts slice the trace: a float fails only inside the
-        # job, and a bool would run as a one-event window.
-        for name in ("warmup_events", "measure_events"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError("%s must be an integer, got %r"
-                                 % (name, value))
-        if self.warmup_events < 0 or self.measure_events <= 0:
-            raise ValueError("invalid sampling plan")
+        check_fields(self)
 
     @property
     def total_events(self):
@@ -71,4 +67,10 @@ def parse_plan(spec):
 def from_env(default="standard"):
     """Select a sampling plan from $REPRO_SAMPLING (falling back to
     ``default``): a preset name or a ``warmup:measure`` pair."""
-    return parse_plan(os.environ.get("REPRO_SAMPLING", default))
+    raw = os.environ.get("REPRO_SAMPLING")
+    if raw is None:
+        return parse_plan(default)
+    try:
+        return parse_plan(raw)
+    except ValueError as e:
+        raise ValueError("REPRO_SAMPLING: %s" % e) from None

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 from repro.cores.perf_model import CoreParams
+from repro.fields import check_fields
 
 PATTERNS = ("zipf", "scan", "uniform")
 SHARINGS = ("shared", "private", "partitioned")
@@ -25,11 +26,13 @@ class CodeSpec:
     alpha: float = 0.9
     run_blocks: int = 4
 
+    #: A Zipf exponent below 0 would sample like 0 (uniformly).
+    LIMITS = {"alpha": (0, None), "run_blocks": (1, None)}
+
     def __post_init__(self):
+        check_fields(self)
         if self.size_mb <= 0:
             raise ValueError("code size must be positive")
-        if self.run_blocks < 1:
-            raise ValueError("run_blocks must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -77,17 +80,14 @@ class RegionSpec:
     write_fraction: float = 0.0
     page_sparse: bool = False
 
+    LIMITS = {"pattern": PATTERNS, "sharing": SHARINGS,
+              "fraction": (0, 1), "alpha": (0, None),
+              "write_fraction": (0, 1)}
+
     def __post_init__(self):
-        if self.pattern not in PATTERNS:
-            raise ValueError("unknown pattern %r" % (self.pattern,))
-        if self.sharing not in SHARINGS:
-            raise ValueError("unknown sharing %r" % (self.sharing,))
+        check_fields(self)
         if self.size_mb <= 0:
             raise ValueError("region size must be positive")
-        if not 0 <= self.fraction <= 1:
-            raise ValueError("fraction must be in [0, 1]")
-        if not 0 <= self.write_fraction <= 1:
-            raise ValueError("write_fraction must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,7 @@ class WorkloadSpec:
     rw_shared_region: str = ""  # name of the RW-shared region, if any
 
     def __post_init__(self):
+        check_fields(self)
         total = sum(r.fraction for r in self.regions)
         if abs(total - 1.0) > 1e-6:
             raise ValueError("region fractions for %s sum to %.4f, not 1"

@@ -28,6 +28,25 @@ def test_cli_rejects_unknown_sampling():
         main(["fig10", "--sampling", "bogus"])
 
 
+@pytest.mark.parametrize("variable,value", [
+    ("REPRO_SAMPLING", "bogus"),
+    ("REPRO_JOBS", "abc"),
+    ("REPRO_CACHE_MAX_BYTES", "-5"),
+])
+def test_cli_refuses_a_malformed_environment(variable, value, capsys,
+                                             monkeypatch):
+    monkeypatch.setenv(variable, value)
+    with pytest.raises(SystemExit) as exc:
+        main(["fig3", "--scale", "1024", "--no-cache"])
+    assert exc.value.code == 2
+    assert variable in capsys.readouterr().err
+
+
+def test_cli_reads_sampling_variable_only_where_it_is_used(monkeypatch):
+    monkeypatch.setenv("REPRO_SAMPLING", "bogus")
+    assert main(["table1"]) == 0
+
+
 def test_cli_quick_simulation(capsys, monkeypatch):
     monkeypatch.setenv("REPRO_SAMPLING", "quick")
     assert main(["fig3", "--scale", "1024"]) == 0

@@ -5,13 +5,16 @@ reference loop exactly; the interleave chunk is validated; observation
 sessions still see what they need.
 """
 
+import dataclasses
 import itertools
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import threading
+import typing
 
 import pytest
 
@@ -652,7 +655,87 @@ HOSTILE_EDITS = {
         "local_miss_predictor"),
     "directory-cache-zero": (lambda w: w["config"].update(
         llc_kind="private_vault", directory_cache=0), "directory_cache"),
+    # workload and request fields that failed inside the job or ran
+    # under a run key of their own
+    "mode-bogus": (lambda w: w.update(mode="bogus"), "mode"),
+    "core-ids-float": (lambda w: w["placements"][0].update(
+        core_ids=[0.0, 1, 2, 3]), "placements"),
+    "core-ids-bool": (lambda w: w["placements"][0].update(
+        core_ids=[False, 1, 2, 3]), "placements"),
+    "ifetch-stall-negative": (lambda w: _spec(w)["core"].update(
+        ifetch_stall_factor=-1.0), "ifetch_stall_factor"),
+    "reference-rates-zero": (lambda w: _spec(w)["core"].update(
+        ifetch_per_instr=0.0, data_refs_per_instr=0), "data_refs_per_instr"),
+    "region-alpha-negative": (lambda w: _spec(w)["regions"][0].update(
+        alpha=-0.5), "alpha"),
 }
+
+
+def _spec(wire):
+    return wire["placements"][0]["spec"]
+
+
+def _records(cls=RunRequest, path=()):
+    """Each record class of a request, from the annotations down, with
+    the path of its canonical form in the request's canonical dict (a
+    tuple of records is reached through its first)."""
+    yield cls, path
+    for name, tp in typing.get_type_hints(cls).items():
+        sub = path + (name,)
+        inner = [a for a in typing.get_args(tp)
+                 if a not in (type(None), Ellipsis)]
+        if typing.get_origin(tp) is tuple:
+            sub, tp = sub + (0,), inner[0]
+            if typing.get_origin(tp) is tuple:  # (spec, core ids) pairs
+                sub, tp = sub + ("spec",), typing.get_args(tp)[0]
+        elif inner:
+            tp = inner[0]
+        if dataclasses.is_dataclass(tp) or hasattr(tp, "_fields"):
+            yield from _records(tp, sub)
+
+
+_SCALARS = {int, float, bool, str, type(None)}
+
+
+def _wrong_values(tp):
+    """A value of each type the scalar annotation ``tp`` does not take
+    (a bool for a number, a string for a number or bool, an int for a
+    bool, ...), and NaN and infinity for a float."""
+    taken = set(typing.get_args(tp) or (tp,))
+    if float in taken:
+        taken.add(int)
+        yield from (float("nan"), float("inf"))
+    for value in (True, 1, 1.5, "1"):
+        if type(value) not in taken:
+            yield value
+
+
+def _generated_edits():
+    """A :data:`HOSTILE_EDITS` case per wrong value of every scalar
+    field of every request record, named by the record and field its
+    error must name."""
+    cases = {}
+    for cls, path in _records():
+        words = re.sub("(?<=[a-z])(?=[A-Z])", " ", cls.__name__).lower()
+        for index, (name, tp) in enumerate(
+                typing.get_type_hints(cls).items()):
+            if not set(typing.get_args(tp) or (tp,)) <= _SCALARS:
+                continue
+            key = index if hasattr(cls, "_fields") else name
+            for value in _wrong_values(tp):
+                def edit(wire, path=path, key=key, value=value):
+                    if path[:1] == ("faults",):
+                        _faults()(wire)
+                    node = wire
+                    for step in path:
+                        node = node[step]
+                    node[key] = value
+                cases["%s.%s=%r" % (cls.__name__, name, value)] = (
+                    edit, "%s %s" % (words, name))
+    return cases
+
+
+HOSTILE_EDITS.update(_generated_edits())
 
 
 def hostile_wire(case, mode="simulate"):

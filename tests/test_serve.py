@@ -161,6 +161,13 @@ def test_transport_from_spec():
     ("--max-queue-depth", "0"),
     ("--max-queue-depth", "-1"),
     ("--max-queue-depth", "many"),
+    ("--max-batch", "0"),
+    ("--max-batch", "-2"),
+    ("--retry-after", "-1"),
+    ("--retry-after", "nan"),
+    ("--retry-after", "inf"),
+    ("--cache-max-bytes", "-1"),
+    ("--cache-max-bytes", "5x"),
 ])
 def test_serve_cli_refuses_bad_settings(flag, value, capsys, monkeypatch):
     async def serve(_server, ready=None):
@@ -171,6 +178,19 @@ def test_serve_cli_refuses_bad_settings(flag, value, capsys, monkeypatch):
         serve_cli.main([flag, value, "--port", "0", "--no-cache"])
     assert exc.value.code == 2
     assert "usage: python -m repro.serve" in capsys.readouterr().err
+
+
+def test_serve_cli_refuses_a_malformed_cache_cap_variable(capsys,
+                                                          monkeypatch):
+    async def serve(_server, ready=None):
+        raise AssertionError("bad settings reached the server")
+
+    monkeypatch.setattr(serve_cli, "run_server", serve)
+    monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "-5")
+    with pytest.raises(SystemExit) as exc:
+        serve_cli.main(["--port", "0", "--no-cache"])
+    assert exc.value.code == 2
+    assert "REPRO_CACHE_MAX_BYTES" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +548,39 @@ def test_hostile_requests_get_400_and_queue_nothing():
                                         body={"request": wire})
                     assert exc.value.status == 400, (case, mode)
                     assert word in str(exc.value), (case, mode)
+            health = client.health()
+            assert (health["submitted"], health["queue_depth"],
+                    engine.requests) == (0, 0, 0)
+
+
+def test_estimate_mode_refuses_points_the_estimator_cannot_resolve():
+    # Each is a valid point to simulate; in estimate mode it used to be
+    # queued and then fail inside the job (500).
+    spec = SCALEOUT_WORKLOADS["web_search"]
+    config = system_config("baseline", num_cores=4, scale=SCALE)
+    requests = {
+        "colocated": RunRequest.colocation(
+            config, [(spec, (0, 1)), (SCALEOUT_WORKLOADS["data_serving"],
+                                      (2, 3))], PLAN, 7),
+        "faults": RunRequest.point(config, spec, PLAN, 7,
+                                   faults=FaultPlan(data_flip_rate=0.01)),
+        "track_sharing": RunRequest.point(config, spec, PLAN, 7,
+                                          track_sharing=True),
+        "three_level": RunRequest.point(
+            system_config("3level_sram", num_cores=4, scale=SCALE), spec,
+            PLAN, 7)}
+    engine = RunEngine(jobs=1)
+    with ServerThread(engine) as server:
+        with ServerClient(server.url) as client:
+            for case, req in sorted(requests.items()):
+                wire = req.canonical()
+                parsed = proto.parse_run_payload({"request": wire})[0]
+                assert parsed.mode == "simulate", case
+                with pytest.raises(ServerError) as exc:
+                    client._request("POST", "/runs", body={
+                        "request": dict(wire, mode="estimate")})
+                assert exc.value.status == 400, case
+                assert "mode 'estimate'" in str(exc.value), case
             health = client.health()
             assert (health["submitted"], health["queue_depth"],
                     engine.requests) == (0, 0, 0)
