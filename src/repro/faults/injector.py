@@ -47,7 +47,6 @@ _LANE_WAY = 4
 _LANE_RETRIES = 5
 
 
-# silolint: sanitizer -- counter-based stream keyed on the plan seed
 def _mix(z):
     """splitmix64 output function (Steele, Lea & Flood)."""
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _M64

@@ -21,9 +21,9 @@ a profiled session must be opened there.
 
 This module also owns :data:`clock`, the one sanctioned wall-clock
 source for simulator code: silolint SL008 flags raw ``time.time()`` /
-``time.perf_counter()`` / ``time.monotonic()`` calls in ``sim/``,
-``caches/``, ``coherence/`` and ``noc/`` so that every measurement a
-run records flows through the same clock the profiler uses.
+``time.perf_counter()`` / ``time.monotonic()`` calls in every package
+but ``obs/`` and ``experiments/`` so that every measurement a run
+records flows through the same clock the profiler uses.
 """
 
 import signal

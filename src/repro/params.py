@@ -116,81 +116,3 @@ VAULT_DYNAMIC_NJ_PER_ACCESS = 0.40
 
 MEMORY_STATIC_W = 4.0
 MEMORY_DYNAMIC_NJ_PER_ACCESS = 20.0
-
-# ---------------------------------------------------------------------------
-# Unit annotations (consumed by repro.verify.units, rule SL012)
-# ---------------------------------------------------------------------------
-
-#: Dimension of every constant above, as a unit expression
-#: (``cycle``, ``ns``, ``byte``, ``ns/cycle``, ``1`` for pure counts
-#: and ratios).  The flow analyzer propagates these through arithmetic
-#: and flags mixed-unit ``+``/``-``/comparisons; it also re-derives
-#: each definition here against its annotation, so the table cannot
-#: silently drift from the code.
-UNITS = {
-    "CORE_FREQ_GHZ": "cycle/ns",
-    "NS_PER_CYCLE": "ns/cycle",
-    "BLOCK_BYTES": "byte/block",
-    "BLOCK_SHIFT": "1",
-    "KB": "byte", "MB": "byte", "GB": "byte",
-    "NUM_CORES": "1", "ROB_ENTRIES": "1", "ISSUE_WIDTH": "1",
-    "L1_SIZE_BYTES": "byte", "L1_WAYS": "1", "L1_LATENCY": "cycle",
-    "L2_SIZE_BYTES": "byte", "L2_WAYS": "1", "L2_LATENCY": "cycle",
-    "MESH_HOP_LATENCY": "cycle",
-    "BASELINE_LLC_SIZE_BYTES": "byte",
-    "BASELINE_LLC_WAYS": "1",
-    "BASELINE_LLC_BANK_LATENCY": "cycle",
-    "BASELINE_LLC_AVG_ROUND_TRIP": "cycle",
-    "SILO_VAULT_SIZE_BYTES": "byte",
-    "SILO_VAULT_RAW_LATENCY": "cycle",
-    "SILO_SERIALIZATION_LATENCY": "cycle",
-    "SILO_CONTROLLER_LATENCY": "cycle",
-    "SILO_VAULT_TOTAL_LATENCY": "cycle",
-    "SILO_CO_VAULT_SIZE_BYTES": "byte",
-    "SILO_CO_VAULT_RAW_LATENCY": "cycle",
-    "SILO_CO_VAULT_TOTAL_LATENCY": "cycle",
-    "SILO_PAGE_BYTES": "byte",
-    "VAULTS_SH_AVG_ROUND_TRIP": "cycle",
-    "TRAD_DRAM_CACHE_SIZE_BYTES": "byte",
-    "TRAD_DRAM_CACHE_LATENCY_NS": "ns",
-    "TRAD_DRAM_CACHE_LATENCY": "cycle",
-    "TRAD_DRAM_CACHE_PAGE_BYTES": "byte",
-    "MEMORY_LATENCY_NS": "ns",
-    "MEMORY_LATENCY": "cycle",
-    "THREE_LEVEL_SRAM_LLC_BYTES": "byte",
-    "THREE_LEVEL_EDRAM_LLC_BYTES": "byte",
-    "THREE_LEVEL_LLC_BANK_LATENCY": "cycle",
-    "ECC_DATA_BITS": "bit",
-    "ECC_CHECK_BITS": "bit",
-    "ECC_CODEWORD_BITS": "bit",
-    "FAULT_STALL_RETRIES_MAX": "1",
-    "SRAM_LLC_STATIC_W_PER_BANK": "W",
-    "SRAM_LLC_DYNAMIC_NJ_PER_ACCESS": "nj/access",
-    "VAULT_STATIC_W": "W",
-    "VAULT_DYNAMIC_NJ_PER_ACCESS": "nj/access",
-    "MEMORY_STATIC_W": "W",
-    "MEMORY_DYNAMIC_NJ_PER_ACCESS": "nj/access",
-}
-
-#: Unit signatures of the key model functions: positional parameter
-#: units (None = unchecked) and the declared return unit.  Keyed by
-#: fully-qualified dotted name so call sites anywhere in the tree are
-#: checked through their import maps.
-UNIT_FUNCTIONS = {
-    "repro.params.ns_to_cycles": {
-        "params": ["ns"], "returns": "cycle"},
-    "repro.params.cycles_to_ns": {
-        "params": ["cycle"], "returns": "ns"},
-    "repro.dram.timing.bitline_delay_ns": {
-        "params": [], "returns": "ns"},
-    "repro.dram.timing.wordline_delay_ns": {
-        "params": [], "returns": "ns"},
-    "repro.dram.timing.global_wordline_delay_ns": {
-        "params": [], "returns": "ns"},
-    "repro.dram.timing.decoder_delay_ns": {
-        "params": [], "returns": "ns"},
-    "repro.dram.timing.access_time_ns": {
-        "params": [], "returns": "ns"},
-    "repro.dram.timing.commodity_reference_access_ns": {
-        "params": [], "returns": "ns"},
-}

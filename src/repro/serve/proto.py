@@ -50,6 +50,9 @@ PRIORITIES = ("interactive", "batch")
 #: Summary wire formats a submitter may ask for.
 FORMATS = ("json", "pickle")
 
+#: The keys a ``POST /runs`` body may carry.
+PAYLOAD_FIELDS = frozenset(("request", "priority", "wait", "format"))
+
 PICKLE_CONTENT_TYPE = "application/x-silo-pickle"
 
 _REASONS = {
@@ -254,10 +257,17 @@ def parse_run_payload(body_json):
     "interactive"|"batch", "wait": bool, "format": "json"|"pickle"}``.
     Returns ``(RunRequest, priority, wait, fmt)``; raises
     :class:`ProtocolError` with a client-facing message on anything
-    malformed.
+    malformed, including a key outside that shape (a misspelled
+    ``"priorty"`` would otherwise run the job at the default).
     """
     if not isinstance(body_json, dict):
         raise ProtocolError("body must be a JSON object")
+    unknown = body_json.keys() - PAYLOAD_FIELDS
+    if unknown:
+        raise ProtocolError("unknown body field(s): %s; a POST /runs "
+                            "body has %s" % (
+                                ", ".join(sorted(map(str, unknown))),
+                                ", ".join(sorted(PAYLOAD_FIELDS))))
     canonical = body_json.get("request")
     if not isinstance(canonical, dict):
         raise ProtocolError('missing "request" object '

@@ -16,7 +16,6 @@ from repro.cores.perf_model import LEVEL_L1
 from repro.obs import session as _obs_session
 from repro.obs.profile import clock
 from repro.sim.summary import RunSummary
-from repro.sim.system import System
 from repro.workloads.generator import FLAG_IFETCH, FLAG_WRITE
 
 DEFAULT_CHUNK = 200
@@ -281,25 +280,17 @@ def run_system(system, traces, warmup_events, measure_events,
     return result
 
 
-def simulate(config, spec, plan, core_params=None, seed=0,
-             track_sharing=False, chunk=None, faults=None):
-    """Convenience wrapper: build the system, generate traces for a
-    homogeneous workload, run, and return the RunResult.  ``faults``
-    is an optional :class:`repro.faults.FaultPlan`; inactive plans
-    attach nothing (bit-identical to fault-free)."""
-    from repro.workloads.generator import generate_traces
+def simulate(config, spec, plan, seed=0, track_sharing=False, chunk=None,
+             faults=None):
+    """Convenience wrapper: simulate ``spec`` on every core of
+    ``config`` and return the RunResult -- the
+    :meth:`~repro.sim.engine.RunRequest.point` request's
+    :func:`~repro.sim.engine.execute_request`, so ``chunk`` and
+    ``faults`` default to the ambient settings like every other point.
+    ``faults`` is an optional :class:`repro.faults.FaultPlan`; inactive
+    plans attach nothing (bit-identical to fault-free)."""
+    from repro.sim.engine import RunRequest, execute_request
 
-    n = config.num_cores
-    if core_params is None:
-        core_params = [spec.core] * n
-    system = System(config, core_params)
-    system.track_sharing = track_sharing
-    if faults is not None and faults.active():
-        from repro.faults.injector import FaultInjector
-        system.attach_faults(FaultInjector(faults, n))
-    traces, layout = generate_traces(
-        spec, num_cores=n, events_per_core=plan.total_events,
-        scale=config.scale, seed=seed)
-    system.rw_shared_range = layout.rw_shared_range
-    return run_system(system, traces, plan.warmup_events,
-                      plan.measure_events, chunk, seed=seed)
+    return execute_request(RunRequest.point(
+        config, spec, plan, seed, track_sharing=track_sharing,
+        chunk=chunk, faults=faults))

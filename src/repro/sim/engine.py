@@ -257,8 +257,9 @@ class RunRequest:
         tests pin).  Validation is the dataclasses' own
         ``__post_init__`` checks (each field's annotation, by
         :mod:`repro.fields`), plus a refusal of any key
-        :meth:`canonical` does not write (a misspelled field would
-        otherwise be dropped and the request keyed without it);
+        :meth:`canonical` does not write, at the top or in a placement
+        (a misspelled field would otherwise be dropped and the request
+        keyed without it);
         malformed payloads raise ``ValueError``/``TypeError``/
         ``KeyError`` for the server to turn into a 400.
         """
@@ -275,14 +276,20 @@ class RunRequest:
                 regions=tuple(RegionSpec(**r) for r in d["regions"]),
                 core=CoreParams(**d["core"])))
 
+        def placement_from(p):
+            extra = set(p) - {"spec", "core_ids"}
+            if extra:
+                raise ValueError("unknown placement field(s): %s"
+                                 % ", ".join(sorted(map(str, extra))))
+            return spec_from(p["spec"]), tuple(p["core_ids"])
+
         faults = None
         if data.get("faults") is not None:
             faults = FaultPlan(**data["faults"])
         return cls(
             config=HierarchyConfig(**data["config"]),
-            placements=tuple(
-                (spec_from(p["spec"]), tuple(p["core_ids"]))
-                for p in data["placements"]),
+            placements=tuple(placement_from(p)
+                             for p in data["placements"]),
             plan=SamplingPlan(**data["plan"]),
             seed=data["seed"],
             colocated=data.get("colocated", False),

@@ -12,18 +12,15 @@ into the ``verify-static`` CI job:
   x per-core vault/L1 state x in-flight request) configuration is
   checked against the protocol invariants; violations come with a
   minimal counterexample trace.
-* :mod:`repro.verify.lint` -- "silolint", an ``ast``-based lint pass
-  with simulator-specific rules (unseeded randomness, unregistered
-  stat counters, hard-coded timing/size constants, set-iteration
-  nondeterminism, float equality in timing code).
-* :mod:`repro.verify.flow` -- "silolint v2", the whole-program pass:
-  interprocedural determinism-taint tracking from nondeterminism
-  sources (wall clock, unseeded RNG, environment, ``id()``) into
-  replay-observable sinks (rules SL010/SL011), and unit-consistency
-  checking over the declarative ``repro.params.UNITS`` table (SL012),
-  built on the call graph / SCC machinery of
-  :mod:`repro.verify.callgraph` and the unit algebra of
-  :mod:`repro.verify.units`.
+* :mod:`repro.verify.lint` -- "silolint", an ``ast``-based, per-file
+  lint pass with simulator-specific rules SL001-SL010 (unseeded
+  randomness, unregistered stat counters, hard-coded timing/size
+  constants, set-iteration nondeterminism, float equality in timing
+  code, module-level mutable state, per-event work in hot paths, raw
+  wall-clock reads, blocking calls in the async server, and
+  environment reads outside the reviewed ``ENV_READERS``).
+  ``tools/seeded_bugs.py`` records which planted defects each rule
+  catches that the test suite misses.
 
 Dynamic testing (``tests/test_coherence_invariants.py``) only checks
 the states a workload happens to reach; the model checker covers the
@@ -36,13 +33,10 @@ from repro.verify.model_check import (ModelChecker, CheckResult,
                                       Violation, check_protocol,
                                       check_concrete_system)
 from repro.verify.lint import LintReport, lint_paths, RULES
-from repro.verify.flow import (FlowReport, FLOW_RULES,
-                               SANCTIONED_SANITIZERS, analyze)
 
 __all__ = [
     "build_table", "EVENTS", "INVARIANTS",
     "ModelChecker", "CheckResult", "Violation", "check_protocol",
     "check_concrete_system",
     "LintReport", "lint_paths", "RULES",
-    "FlowReport", "FLOW_RULES", "SANCTIONED_SANITIZERS", "analyze",
 ]

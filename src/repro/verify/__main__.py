@@ -3,15 +3,12 @@
 Usage::
 
     python -m repro.verify lint src/repro [--json]
-    python -m repro.verify flow src/repro [--json] [--sarif out.sarif]
     python -m repro.verify check --cores 2 [--protocol moesi] [--json]
     python -m repro.verify check --cores 3 --abstract-only
 
-``lint`` runs silolint (see :mod:`repro.verify.lint`); ``flow`` runs
-the whole-program determinism-taint and unit-consistency analysis
-(see :mod:`repro.verify.flow`); ``check`` runs the exhaustive protocol
-model checker (and, unless ``--abstract-only``, the
-concrete-simulator companion check) and prints the reachable-state
+``lint`` runs silolint (see :mod:`repro.verify.lint`); ``check`` runs
+the exhaustive protocol model checker (and, unless ``--abstract-only``,
+the concrete-simulator companion check) and prints the reachable-state
 count or the minimal counterexample.  All exit non-zero on failure,
 which is what the ``verify-static`` CI job keys off.
 """
@@ -59,12 +56,6 @@ def main(argv=None):
     lint_p.add_argument("--select", default=None, metavar="CODES")
     lint_p.add_argument("--list-rules", action="store_true")
 
-    # ``flow`` owns a rich option set; delegate argv parsing wholesale.
-    sub.add_parser(
-        "flow", add_help=False,
-        help="whole-program determinism-taint + unit-consistency "
-             "analysis (SL010-SL012); see `flow --help`")
-
     check_p = sub.add_parser(
         "check", help="exhaustively enumerate the coherence protocol")
     check_p.add_argument("--cores", type=int, default=2,
@@ -76,11 +67,6 @@ def main(argv=None):
                          help="skip the concrete-simulator companion "
                               "check")
 
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv[:1] == ["flow"]:
-        from repro.verify import flow as flow_mod
-        return flow_mod.main(argv[1:])
     args = parser.parse_args(argv)
     if args.command == "lint":
         lint_argv = list(args.paths)

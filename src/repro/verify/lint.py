@@ -46,11 +46,13 @@ silolint encodes those contracts as ``ast``-level rules:
   literal tables (``PRESETS = {"quick": ...}``) are immutable by
   convention and stay exempt.
 * **SL008** -- raw wall-clock call (``time.time()``,
-  ``time.perf_counter()``, ``time.monotonic()``, ...) in simulator
-  packages (``sim``, ``caches``, ``coherence``, ``noc``) outside
-  :mod:`repro.obs`: every self-measurement must read
-  :data:`repro.obs.profile.clock`, so the profiler, telemetry windows
-  and recorded wall clocks are all on one clock source.
+  ``time.perf_counter()``, ``time.monotonic()``, ...) in any package
+  but :mod:`repro.obs` (which owns the sanctioned clock) and
+  :mod:`repro.experiments` (the CLI stamps manifests): every
+  self-measurement must read :data:`repro.obs.profile.clock`, so the
+  profiler, telemetry windows and recorded wall clocks are all on one
+  clock source, and a clock read defaulted into a model (a memory
+  access's ``now``) is flagged where it is written.
 * **SL009** -- blocking call inside an ``async def`` in event-loop
   packages (``serve``): ``time.sleep``, synchronous
   ``socket.recv``-family methods, ``subprocess.run``-family calls or a
@@ -59,6 +61,13 @@ silolint encodes those contracts as ``ast``-level rules:
   (``await reader.readline()`` is the asyncio stream API), and nested
   plain ``def`` bodies pop back out of async context (they may run in
   an executor thread).
+* **SL010** -- environment read (``os.environ``, ``os.getenv``, or a
+  name imported from :mod:`os` for either) outside the functions of
+  :data:`ENV_READERS`: a run is a pure function of its request, so a
+  variable may only choose how runs are executed (sampling preset,
+  cache directory and cap, worker count), in one reviewed function
+  each.  A new reader is added to the registry in review, never with
+  a pragma.
 
 A finding on a given line is silenced with a trailing
 ``# silolint: disable=SL001`` (comma-separate several codes, or
@@ -67,12 +76,9 @@ A finding on a given line is silenced with a trailing
 module docstring's vicinity) -- suppressions are expected to carry a
 justification comment.  Suppressions do not vanish: the report counts
 them per rule (``--json`` exposes ``suppressed``), so a tree quietly
-accumulating opt-outs is visible.  SL002 additionally resolves one
-step interprocedurally: a helper module whose in-program callers all
-have stats-registry linkage inherits that linkage (see
-:func:`_resolve_sl002_interproc`), so pure helper modules need no
-suppression.  Output is ``file:line:col: CODE message`` or, with
-``--json``, a machine-readable report (see :meth:`LintReport.as_dict`).
+accumulating opt-outs is visible.  Every rule is per file.  Output is
+``file:line:col: CODE message`` or, with ``--json``, a
+machine-readable report (see :meth:`LintReport.as_dict`).
 """
 
 import ast
@@ -95,9 +101,10 @@ RULES = {
     "SL007": "per-event allocation or attribute chain in a "
              "hotpath-marked function",
     "SL008": "raw wall-clock call bypassing repro.obs.profile.clock "
-             "in simulator code",
+             "outside repro.obs and repro.experiments",
     "SL009": "blocking call inside an async def (starves the job "
              "server's event loop)",
+    "SL010": "environment read outside the ENV_READERS registry",
 }
 
 #: Packages whose code paths decide timing (SL004/SL005 scope).
@@ -107,13 +114,27 @@ PARAMS_DIRS = frozenset(("sim", "caches", "noc", "memory"))
 #: Packages the run engine fans out across processes (SL006 scope):
 #: module-level mutable state there diverges per worker.
 FANOUT_DIRS = frozenset(("sim", "caches"))
-#: Packages whose wall-clock reads must go through
-#: repro.obs.profile.clock (SL008 scope; repro.obs itself is exempt).
-WALLCLOCK_DIRS = frozenset(("sim", "caches", "coherence", "noc"))
+#: Packages that may read the wall clock directly (outside SL008's
+#: scope): repro.obs owns the sanctioned clock, and the experiments CLI
+#: times and stamps its manifests.
+WALLCLOCK_EXEMPT_DIRS = frozenset(("obs", "experiments"))
 #: Packages hosting asyncio event loops (SL009 scope): a synchronous
 #: sleep/socket/subprocess/file call in an ``async def`` there stalls
 #: every connection the loop is serving.
 ASYNC_DIRS = frozenset(("serve",))
+
+#: The code-reviewed readers of the process environment (SL010), by
+#: qualified name: each parses one family of ``$REPRO_*`` variables that
+#: choose how runs execute, never what they compute.
+ENV_READERS = frozenset((
+    "repro.sim.sampling.from_env",
+    "repro.sim.engine.resolve_cache_dir",
+    "repro.sim.engine.cache_max_bytes_from_env",
+    "repro.sim.engine.jobs_from_env",
+))
+
+#: ``os`` attributes that read the environment (SL010).
+_ENV_ATTRS = frozenset(("environ", "environb", "getenv", "getenvb"))
 
 #: Method names whose synchronous call blocks (sockets, file objects);
 #: awaited calls (``await reader.readline()``) are exempt -- those are
@@ -221,12 +242,14 @@ def _file_suppressions(lines):
 
 class _ModuleFacts:
     """Module-level context the rules need: which names came from the
-    ``random`` module, and whether the module is linked to the stats
-    registry."""
+    ``random``, ``time`` and ``os`` modules, and whether the module is
+    linked to the stats registry."""
 
     def __init__(self, tree, path_parts):
         self.random_names = {}   # local name -> original random.* name
         self.time_names = {}     # local name -> original time.* name
+        self.os_names = {"os"}   # local names bound to the os module
+        self.env_names = {}      # local name -> os.environ/getenv/...
         self.has_registry = "obs" in path_parts
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
@@ -238,10 +261,17 @@ class _ModuleFacts:
                     for alias in node.names:
                         self.time_names[alias.asname or alias.name] \
                             = alias.name
+                elif node.module == "os":
+                    for alias in node.names:
+                        if alias.name in _ENV_ATTRS:
+                            self.env_names[alias.asname or alias.name] \
+                                = alias.name
                 elif node.module and node.module.startswith("repro.obs"):
                     self.has_registry = True
             elif isinstance(node, ast.Import):
                 for alias in node.names:
+                    if alias.name == "os" and alias.asname:
+                        self.os_names.add(alias.asname)
                     if alias.name.startswith("repro.obs"):
                         self.has_registry = True
             elif isinstance(node, (ast.FunctionDef,
@@ -253,17 +283,17 @@ class _ModuleFacts:
 class _FileLinter(ast.NodeVisitor):
     """Collects violations for one parsed source file."""
 
-    def __init__(self, path, tree, path_parts, lines=()):
+    def __init__(self, path, tree, path_parts, lines=(), module=""):
         self.path = path
         self.lines = lines
         self.facts = _ModuleFacts(tree, path_parts)
+        # Qualified name of the innermost class/function (SL010).
+        self._scope = [module]
         self.in_timing = bool(TIMING_DIRS & path_parts)
         self.in_params_scope = (bool(PARAMS_DIRS & path_parts)
                                 and os.path.basename(path) != "params.py")
         self.in_fanout_scope = bool(FANOUT_DIRS & path_parts)
-        # repro.obs owns the sanctioned clock; it is exempt from SL008.
-        self.in_wallclock_scope = (bool(WALLCLOCK_DIRS & path_parts)
-                                   and "obs" not in path_parts)
+        self.in_wallclock_scope = not WALLCLOCK_EXEMPT_DIRS & path_parts
         self.in_async_scope = bool(ASYNC_DIRS & path_parts)
         # Innermost function kind: True inside an ``async def`` body
         # (a nested plain ``def`` pops back out -- it may legitimately
@@ -477,12 +507,40 @@ class _FileLinter(ast.NodeVisitor):
             self._check_hotpath(node)
         self._async_stack.append(isinstance(node,
                                             ast.AsyncFunctionDef))
+        self._scope.append("%s.%s" % (self._scope[-1], node.name))
         try:
             self.generic_visit(node)
         finally:
             self._async_stack.pop()
+            self._scope.pop()
 
     visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_ClassDef(self, node):
+        self._scope.append("%s.%s" % (self._scope[-1], node.name))
+        self.generic_visit(node)
+        self._scope.pop()
+
+    # -- SL010 ---------------------------------------------------------
+
+    def _check_env_read(self, node, desc):
+        if self._scope[-1] not in ENV_READERS:
+            self._flag(node, "SL010",
+                       "environment read %s in %s, outside the "
+                       "ENV_READERS registry (a run must be a pure "
+                       "function of its request)" % (desc, self._scope[-1]))
+
+    def visit_Attribute(self, node):
+        if (node.attr in _ENV_ATTRS and isinstance(node.value, ast.Name)
+                and node.value.id in self.facts.os_names):
+            self._check_env_read(node, "os.%s" % node.attr)
+        self.generic_visit(node)
+
+    def visit_Name(self, node):
+        origin = self.facts.env_names.get(node.id)
+        if origin is not None and isinstance(node.ctx, ast.Load):
+            self._check_env_read(node, "os.%s (imported as %s)"
+                                 % (origin, node.id))
 
     # -- SL007 ---------------------------------------------------------
 
@@ -613,9 +671,6 @@ class LintReport:
         #: rule -> count of findings silenced by disable/disable-file
         #: pragmas (suppressions must not vanish from reports).
         self.suppressed_counts = {}
-        #: SL002 findings resolved by the one-step interprocedural
-        #: caller check rather than by a pragma.
-        self.interproc_resolved = 0
 
     @property
     def ok(self):
@@ -635,13 +690,13 @@ class LintReport:
     def as_dict(self):
         """JSON-ready report (the ``--json`` output schema).
 
-        Version 2 adds the rule inventory (``rules``), per-rule
-        suppression counts (``suppressed``), and the number of SL002
-        findings the interprocedural caller check resolved
-        (``interproc_resolved``).
+        Version 2 added the rule inventory (``rules``) and per-rule
+        suppression counts (``suppressed``); version 3 drops the count
+        of SL002 findings resolved through callers, now that every rule
+        is per file.
         """
         return {
-            "version": 2,
+            "version": 3,
             "files_scanned": self.files_scanned,
             "counts": self.counts(),
             "rules": dict(RULES),
@@ -653,7 +708,6 @@ class LintReport:
                 "total": self.suppressed_total(),
                 "counts": dict(sorted(self.suppressed_counts.items())),
             },
-            "interproc_resolved": self.interproc_resolved,
             "errors": [{"file": p, "message": m}
                        for p, m in self.errors],
         }
@@ -663,6 +717,18 @@ class LintReport:
         lines = ["%s:%d:%d: %s %s" % v for v in self.violations]
         lines.extend("%s: error: %s" % e for e in self.errors)
         return "\n".join(lines)
+
+
+def _module_name(parts):
+    """Dotted module name of the file at path ``parts``, anchored at
+    its innermost ``repro`` directory (just the file's stem when there
+    is none)."""
+    parts = parts[:-1] + [os.path.splitext(parts[-1])[0]]
+    anchors = [i for i, part in enumerate(parts[:-1]) if part == "repro"]
+    parts = parts[anchors[-1]:] if anchors else parts[-1:]
+    if len(parts) > 1 and parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(parts)
 
 
 def lint_file(path, report):
@@ -675,10 +741,10 @@ def lint_file(path, report):
         report.errors.append((path, str(e)))
         return
     report.files_scanned += 1
-    parts = frozenset(os.path.normpath(os.path.abspath(path))
-                      .split(os.sep)[:-1])
+    parts = os.path.normpath(os.path.abspath(path)).split(os.sep)
     lines = source.splitlines()
-    linter = _FileLinter(path, tree, parts, lines)
+    linter = _FileLinter(path, tree, frozenset(parts[:-1]), lines,
+                         _module_name(parts))
     linter.visit(tree)
     if not linter.violations:
         return
@@ -691,52 +757,6 @@ def lint_file(path, report):
                 report.suppressed_counts.get(v.rule, 0) + 1)
             continue
         report.violations.append(v)
-
-
-def _resolve_sl002_interproc(report, paths):
-    """Resolve SL002 one step interprocedurally.
-
-    A helper module with no stats-registry linkage of its own is fine
-    when every in-program caller of its functions has that linkage:
-    the counters it mutates belong to objects the registered modules
-    own and snapshot.  Built on the call graph of
-    :mod:`repro.verify.callgraph`; only runs when SL002 findings
-    survived the per-file pass, so clean trees pay nothing.
-    """
-    if not any(v.rule == "SL002" for v in report.violations):
-        return
-    from repro.verify import callgraph as _cg
-    index = _cg.index_paths(list(paths))
-    graph = _cg.build_call_graph(index)
-    registered = {}
-    for minfo in index.modules.values():
-        parts = frozenset(os.path.normpath(os.path.abspath(minfo.file))
-                          .split(os.sep)[:-1])
-        registered[minfo.module] = _ModuleFacts(minfo.tree,
-                                                parts).has_registry
-    caller_mods = {}             # callee module -> {caller modules}
-    for caller, callees in graph.items():
-        cmod = caller.split("::", 1)[0]
-        for callee in callees:
-            caller_mods.setdefault(callee.split("::", 1)[0],
-                                   set()).add(cmod)
-    resolved_files = set()
-    for abspath, minfo in index.files.items():
-        if registered.get(minfo.module):
-            continue
-        callers = caller_mods.get(minfo.module, set()) - {minfo.module}
-        if callers and all(registered.get(m, False) for m in callers):
-            resolved_files.add(abspath)
-    if not resolved_files:
-        return
-    kept = []
-    for v in report.violations:
-        if (v.rule == "SL002"
-                and os.path.abspath(v.file) in resolved_files):
-            report.interproc_resolved += 1
-        else:
-            kept.append(v)
-    report.violations = kept
 
 
 def lint_paths(paths, select=None):
@@ -757,7 +777,6 @@ def lint_paths(paths, select=None):
             lint_file(path, report)
         else:
             report.errors.append((path, "no such file or directory"))
-    _resolve_sl002_interproc(report, paths)
     report.violations.sort(key=lambda v: (v.file, v.line, v.col,
                                           v.rule))
     if select is not None:
@@ -807,12 +826,9 @@ def main(argv=None):
         rendered = report.render()
         if rendered:
             print(rendered)
-        print("silolint: %d file(s), %d violation(s), %d suppressed%s%s"
+        print("silolint: %d file(s), %d violation(s), %d suppressed%s"
               % (report.files_scanned, len(report.violations),
                  report.suppressed_total(),
-                 ", %d resolved interprocedurally"
-                 % report.interproc_resolved
-                 if report.interproc_resolved else "",
                  ", %d error(s)" % len(report.errors)
                  if report.errors else ""))
     if report.errors:

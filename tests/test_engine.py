@@ -25,6 +25,7 @@ from repro.faults import FaultPlan
 from repro.faults.injector import FaultInjector
 from repro.obs import session as obs_session
 from repro.obs.trace import EventTracer
+from repro.serve import proto
 from repro.sim.driver import _drive, _per_core_state, run_system
 from repro.sim.engine import (RunCache, RunEngine, RunRequest, RunSummary,
                               cache_max_bytes_from_env, code_fingerprint,
@@ -574,7 +575,8 @@ def _faults(**edits):
 
 #: Edits to a canonical 4-core request that would otherwise be queued
 #: and then fail inside the job or run as nonsense, and a word of the
-#: error the request must raise instead.
+#: error the request must raise instead.  An edit that returns a dict
+#: adds those fields to the ``POST /runs`` body around the request.
 HOSTILE_EDITS = {
     "warmup-float": (lambda w: w["plan"].update(warmup_events=1.5),
                      "warmup_events"),
@@ -668,6 +670,13 @@ HOSTILE_EDITS = {
         ifetch_per_instr=0.0, data_refs_per_instr=0), "data_refs_per_instr"),
     "region-alpha-negative": (lambda w: _spec(w)["regions"][0].update(
         alpha=-0.5), "alpha"),
+    # misspelled keys outside the records used to be dropped: the body
+    # ran as batch/json, the placement keyed as if the key were absent
+    "body-misspelled-keys": (lambda w: {"priorty": "interactive",
+                                        "fromat": "pickle"},
+                             "fromat, priorty"),
+    "placement-misspelled-key": (lambda w: w["placements"][0].update(
+        coreids=[0, 1, 2, 3]), "coreids"),
 }
 
 
@@ -738,22 +747,26 @@ def _generated_edits():
 HOSTILE_EDITS.update(_generated_edits())
 
 
-def hostile_wire(case, mode="simulate"):
-    """The canonical dict of a 4-core point under one
+def hostile_body(case, mode="simulate"):
+    """The ``POST /runs`` body of a 4-core point under one
     :data:`HOSTILE_EDITS` case, and the word its error must carry."""
     edit, word = HOSTILE_EDITS[case]
     wire = _point().canonical()
     wire["mode"] = mode
-    edit(wire)
-    return wire, word
+    body = {"request": wire}
+    body.update(edit(wire) or {})
+    return body, word
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE_EDITS))
 def test_run_request_rejects_hostile_wire_input(case):
     for mode in ("simulate", "estimate"):
-        wire, word = hostile_wire(case, mode)
-        with pytest.raises(ValueError, match=word):
-            RunRequest.from_canonical(wire)
+        body, word = hostile_body(case, mode)
+        with pytest.raises(proto.ProtocolError, match=word):
+            proto.parse_run_payload(body)
+        if len(body) == 1:      # the edit is inside the request
+            with pytest.raises(ValueError, match=word):
+                RunRequest.from_canonical(body["request"])
 
 
 def test_run_request_accepts_square_meshes_and_disjoint_placements():

@@ -53,7 +53,7 @@ from repro.sim.engine import (LocalPoolTransport, RunCache, RunEngine,
                               RunRequest, use_engine)
 from repro.sim.sampling import SamplingPlan
 from repro.workloads.scaleout import SCALEOUT_WORKLOADS
-from tests.test_engine import HOSTILE_EDITS, hostile_wire
+from tests.test_engine import HOSTILE_EDITS, hostile_body
 
 #: An exception raised where nothing can catch it (a connection
 #: handler finishing after its event loop closed, say) fails the test.
@@ -542,10 +542,9 @@ def test_hostile_requests_get_400_and_queue_nothing():
         with ServerClient(server.url) as client:
             for case in sorted(HOSTILE_EDITS):
                 for mode in ("simulate", "estimate"):
-                    wire, word = hostile_wire(case, mode)
+                    body, word = hostile_body(case, mode)
                     with pytest.raises(ServerError) as exc:
-                        client._request("POST", "/runs",
-                                        body={"request": wire})
+                        client._request("POST", "/runs", body=body)
                     assert exc.value.status == 400, (case, mode)
                     assert word in str(exc.value), (case, mode)
             health = client.health()

@@ -1,10 +1,14 @@
 """silolint rule fixtures: each rule fires on its positive example,
 stays quiet on the compliant variant, and honors line suppressions.
 
-Plus: the JSON report schema, CLI exit codes, and the acceptance gate
-that the repository's own ``src/repro`` tree lints clean.
+Plus: every seeded defect of ``tools/seeded_bugs.py`` that a rule
+claims, planted in a copy of its one file, trips that rule; the JSON
+report schema, CLI exit codes, and the acceptance gate that the
+repository's own ``src/repro`` tree lints clean.
 """
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,10 +16,21 @@ import sys
 
 import pytest
 
-from repro.verify.lint import RULES, lint_paths, main
+from repro.verify.lint import ENV_READERS, RULES, lint_paths, main
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_REPRO = os.path.join(REPO, "src", "repro")
+
+
+def _load_campaign():
+    spec = importlib.util.spec_from_file_location(
+        "seeded_bugs", os.path.join(REPO, "tools", "seeded_bugs.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CAMPAIGN = _load_campaign()
 
 
 def _lint_source(tmp_path, source, subdir=None, name="fixture.py"):
@@ -327,13 +342,14 @@ def test_json_report_schema(tmp_path):
     (tmp_path / "a.py").write_text("import random\nrandom.seed()\n")
     report = lint_paths([str(tmp_path)])
     data = report.as_dict()
-    assert data["version"] == 2
+    assert data["version"] == 3
     assert data["files_scanned"] == 1
     assert data["counts"] == {"SL001": 1}
     assert data["errors"] == []
     assert data["rules"] == RULES
     assert data["suppressed"] == {"total": 0, "counts": {}}
-    assert data["interproc_resolved"] == 0
+    assert set(data) == {"version", "files_scanned", "counts", "rules",
+                         "violations", "suppressed", "errors"}
     (v,) = data["violations"]
     assert set(v) == {"file", "line", "col", "rule", "message"}
     assert v["rule"] == "SL001"
@@ -427,31 +443,17 @@ def test_cli_list_rules(capsys):
 
 def test_rule_catalogue_is_complete():
     assert sorted(RULES) == ["SL001", "SL002", "SL003", "SL004", "SL005",
-                             "SL006", "SL007", "SL008", "SL009"]
+                             "SL006", "SL007", "SL008", "SL009", "SL010"]
 
 
 # ---------------------------------------------------------------------------
-# SL002 one-step interprocedural resolution via the call graph
+# SL002 is per file: a helper's counter is flagged whoever calls it
 # ---------------------------------------------------------------------------
 
 _SL002_HELPER = (
     "class Tally:\n"
     "    def bump(self):\n"
     "        self.hits += 1\n")
-
-
-def test_sl002_resolves_helper_called_from_registered_module(tmp_path):
-    (tmp_path / "helper.py").write_text(_SL002_HELPER)
-    (tmp_path / "owner.py").write_text(
-        "from helper import Tally\n"
-        "def register_stats(group):\n"
-        "    pass\n"
-        "def run(t):\n"
-        "    t.bump()\n")
-    report = lint_paths([str(tmp_path)])
-    assert report.ok
-    assert report.interproc_resolved == 1
-    assert report.as_dict()["interproc_resolved"] == 1
 
 
 def test_sl002_stays_when_caller_lacks_registry(tmp_path):
@@ -462,7 +464,6 @@ def test_sl002_stays_when_caller_lacks_registry(tmp_path):
         "    t.bump()\n")
     report = lint_paths([str(tmp_path)])
     assert _codes(report) == ["SL002"]
-    assert report.interproc_resolved == 0
 
 
 def test_sl002_stays_with_no_callers_at_all(tmp_path):
@@ -592,6 +593,18 @@ def test_sl008_flags_from_import_alias(tmp_path):
     assert "monotonic" in report.violations[0].message
 
 
+def test_sl008_flags_clock_default_in_memory(tmp_path):
+    # every package but repro.obs and repro.experiments is in scope:
+    # a model that defaults its time to the wall clock is flagged
+    report = _lint_source(tmp_path, (
+        "import time\n"
+        "def access(block, now=None):\n"
+        "    if now is None:\n"
+        "        now = time.perf_counter()\n"
+        "    return now\n"), subdir="repro/memory")
+    assert _codes(report) == ["SL008"]
+
+
 def test_sl008_quiet_outside_simulator_scope(tmp_path):
     # experiments/ may read wall clock freely (CLI elapsed time)
     report = _lint_source(tmp_path, (
@@ -702,6 +715,117 @@ def test_sl009_suppression(tmp_path):
         "    time.sleep(0.1)  # silolint: disable=SL009\n"),
         subdir="serve")
     assert report.ok, report.render()
+
+
+# ---------------------------------------------------------------------------
+# SL010: environment reads outside the ENV_READERS registry
+# ---------------------------------------------------------------------------
+
+
+def test_sl010_flags_read_outside_registry(tmp_path):
+    report = _lint_source(tmp_path, (
+        "import os\n"
+        "LATENCY = int(os.environ.get('REPRO_LATENCY', '100'))\n"
+        "def salt():\n"
+        "    return os.getenv('REPRO_SALT', '')\n"
+        "class Memory:\n"
+        "    def extra(self):\n"
+        "        return os.environ['REPRO_EXTRA']\n"),
+        subdir="repro/memory", name="main_memory.py")
+    assert _codes(report) == ["SL010"] * 3
+    messages = [v.message for v in report.violations]
+    assert "repro.memory.main_memory" in messages[0]
+    assert "repro.memory.main_memory.salt" in messages[1]
+    assert "repro.memory.main_memory.Memory.extra" in messages[2]
+
+
+def test_sl010_quiet_in_registered_reader(tmp_path):
+    report = _lint_source(tmp_path, (
+        "import os\n"
+        "def from_env(default='standard'):\n"
+        "    return os.environ.get('REPRO_SAMPLING', default)\n"),
+        subdir="repro/sim", name="sampling.py")
+    assert report.ok, report.render()
+
+
+def test_sl010_registry_is_per_function(tmp_path):
+    # the registered module's other functions are not readers
+    report = _lint_source(tmp_path, (
+        "import os\n"
+        "def parse_plan(spec):\n"
+        "    return os.environ.get('REPRO_SAMPLING', spec)\n"),
+        subdir="repro/sim", name="sampling.py")
+    assert _codes(report) == ["SL010"]
+
+
+def test_sl010_flags_from_import_alias(tmp_path):
+    report = _lint_source(tmp_path, (
+        "from os import getenv as env, environ\n"
+        "import os as _os\n"
+        "def chunk():\n"
+        "    return int(env('REPRO_CHUNK', '200'))\n"
+        "def salt():\n"
+        "    return environ.get('REPRO_SALT') or _os.environ['X']\n"),
+        subdir="repro/sim")
+    assert _codes(report) == ["SL010"] * 3
+    assert "os.getenv (imported as env)" in report.violations[0].message
+
+
+def test_sl010_quiet_on_strings_and_comments(tmp_path):
+    report = _lint_source(tmp_path, (
+        "import os\n"
+        "# os.environ is read in repro.sim.engine only\n"
+        "HELP = 'set os.environ[\"REPRO_JOBS\"] or call os.getenv'\n"
+        "def where():\n"
+        "    return os.path.join('a', 'b')\n"), subdir="repro/sim")
+    assert report.ok, report.render()
+
+
+def test_env_readers_name_real_functions():
+    for qualified in sorted(ENV_READERS):
+        module, func = qualified.rsplit(".", 1)
+        assert callable(getattr(importlib.import_module(module), func))
+
+
+# ---------------------------------------------------------------------------
+# The seeded-bug campaign: each defect a rule claims trips that rule
+# ---------------------------------------------------------------------------
+
+
+def test_every_seeded_defect_applies_once():
+    for defect in CAMPAIGN.DEFECTS:
+        with open(os.path.join(REPO, defect.path), encoding="utf-8") as f:
+            CAMPAIGN.apply_edits(f.read(), defect.edits, defect.id)
+
+
+def test_campaign_gives_every_rule_two_defects():
+    claimed = [d.rule for d in CAMPAIGN.DEFECTS if d.rule is not None]
+    assert set(claimed) <= set(RULES)
+    for code in RULES:
+        assert claimed.count(code) >= 2, code
+    ids = [d.id for d in CAMPAIGN.DEFECTS]
+    assert len(ids) == len(set(ids))
+
+
+def _plant_one_file(tmp_path, defect, planted=True):
+    with open(os.path.join(REPO, defect.path), encoding="utf-8") as f:
+        text = f.read()
+    if planted:
+        text = CAMPAIGN.apply_edits(text, defect.edits, defect.id)
+    path = tmp_path.joinpath(*defect.path.split("/"))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    return lint_paths([str(path)])
+
+
+@pytest.mark.parametrize(
+    "defect", [d for d in CAMPAIGN.DEFECTS if d.rule is not None],
+    ids=lambda d: d.id)
+def test_seeded_defect_trips_its_rule(tmp_path, defect):
+    clean = _plant_one_file(tmp_path / "clean", defect, planted=False)
+    assert clean.ok, clean.render()
+    report = _plant_one_file(tmp_path / "planted", defect)
+    assert defect.rule in _codes(report), (defect.what, report.render())
 
 
 # ---------------------------------------------------------------------------
