@@ -719,16 +719,20 @@ class LintReport:
         return "\n".join(lines)
 
 
-def _module_name(parts):
-    """Dotted module name of the file at path ``parts``, anchored at
-    its innermost ``repro`` directory (just the file's stem when there
-    is none)."""
-    parts = parts[:-1] + [os.path.splitext(parts[-1])[0]]
-    anchors = [i for i, part in enumerate(parts[:-1]) if part == "repro"]
-    parts = parts[anchors[-1]:] if anchors else parts[-1:]
-    if len(parts) > 1 and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts)
+def _locate(path):
+    """The dotted module name of the file at ``path`` and the package
+    directories that scope its rules, both anchored at its innermost
+    ``repro`` directory, so no directory above a checkout (an
+    ``~/experiments/`` or ``obs/`` holding it) changes a rule's scope.
+    Outside any ``repro`` tree: the file's stem, and every directory."""
+    parts = os.path.normpath(os.path.abspath(path)).split(os.sep)
+    dirs, stem = parts[:-1], os.path.splitext(parts[-1])[0]
+    anchors = [i for i, part in enumerate(dirs) if part == "repro"]
+    if not anchors:
+        return stem, frozenset(dirs)
+    package = dirs[anchors[-1]:]
+    module = package if stem == "__init__" else package + [stem]
+    return ".".join(module), frozenset(package[1:])
 
 
 def lint_file(path, report):
@@ -741,10 +745,9 @@ def lint_file(path, report):
         report.errors.append((path, str(e)))
         return
     report.files_scanned += 1
-    parts = os.path.normpath(os.path.abspath(path)).split(os.sep)
     lines = source.splitlines()
-    linter = _FileLinter(path, tree, frozenset(parts[:-1]), lines,
-                         _module_name(parts))
+    module, path_parts = _locate(path)
+    linter = _FileLinter(path, tree, path_parts, lines, module)
     linter.visit(tree)
     if not linter.violations:
         return

@@ -625,6 +625,23 @@ def test_sl008_quiet_in_obs_package(tmp_path):
     assert report.ok, report.render()
 
 
+def test_scope_ignores_directories_above_the_repro_package(tmp_path):
+    # a checkout kept under ~/experiments/ (or obs/, sim/) is scoped by
+    # the packages below its innermost ``repro`` directory only
+    source = (
+        "import time\n"
+        "def stamp(pending):\n"
+        "    for block in set(pending):\n"
+        "        yield block\n"
+        "    return time.time()\n")
+    report = _lint_source(tmp_path / "a", source,
+                          subdir="experiments/obs/silo/src/repro/sim")
+    assert _codes(report) == ["SL004", "SL008"]
+    report = _lint_source(tmp_path / "b", source,
+                          subdir="sim/silo/src/repro/experiments")
+    assert report.ok, report.render()
+
+
 def test_sl008_quiet_on_sanctioned_clock(tmp_path):
     report = _lint_source(tmp_path, (
         "from repro.obs.profile import clock\n"

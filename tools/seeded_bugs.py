@@ -24,8 +24,7 @@ whether each checker catches it:
 
 Usage::
 
-    python tools/seeded_bugs.py [--checkout DIR] [--only W1,E2]
-                                [--json FILE]
+    python tools/seeded_bugs.py [--checkout DIR]
 
 A full run takes about 45 minutes on a 2-vCPU host (tier-1
 dominates), so it is run by hand to refresh the table, not in CI;
@@ -35,7 +34,6 @@ in seconds.
 """
 
 import argparse
-import json
 import os
 import re
 import shutil
@@ -433,33 +431,18 @@ def main(argv=None):
     parser.add_argument("--checkout", default=os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))),
         help="checkout to copy (default: this one)")
-    parser.add_argument("--only", default=None, metavar="IDS",
-                        help="comma-separated defect ids to run")
-    parser.add_argument("--json", default=None, metavar="FILE",
-                        help="also write the raw results here")
     args = parser.parse_args(argv)
-    defects = DEFECTS
-    if args.only:
-        wanted = set(args.only.split(","))
-        unknown = wanted - {d.id for d in DEFECTS}
-        if unknown:
-            parser.error("unknown defect id(s): %s"
-                         % ",".join(sorted(unknown)))
-        defects = [d for d in DEFECTS if d.id in wanted]
-    for d in defects:
+    for d in DEFECTS:
         with open(os.path.join(args.checkout, d.path),
                   encoding="utf-8") as f:
             apply_edits(f.read(), d.edits, "%s %s" % (d.id, d.path))
     results = []
-    for d in defects:
+    for d in DEFECTS:
         results.append(run_defect(args.checkout, d))
         r = results[-1]
         print("%s tier-1=%r lint=%r flow=%r"
               % (d.id, r["tier1"], r["lint"], r["flow"]),
               file=sys.stderr, flush=True)
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump(results, f, indent=1)
     print(render(results))
     return 0
 
