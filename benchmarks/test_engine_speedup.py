@@ -6,11 +6,12 @@ Three timed phases over the same grid:
 2. parallel fan-out (``jobs=4``),
 3. warm-cache replay (``jobs=1``, same cache).
 
-All three must produce bit-identical rows.  The warm replay must finish
-in under 10% of the cold serial time.  The parallel phase must be at
+The warm replay must finish in under 10% of the cold serial time.  The parallel phase must be at
 least 2x faster than serial when the host actually has >= 4 cores (on
 smaller hosts the honest timing is still recorded in
 BENCH_engine.json, together with the host core count).
+``tests/test_oracle.py`` checks that the three give bit-identical
+results.
 """
 
 import os
@@ -24,25 +25,23 @@ from repro.sim.sampling import PRESETS
 def _timed(engine):
     start = time.perf_counter()
     with sim_engine.use_engine(engine):
-        rows = fig10_scaleout(plan=PRESETS["standard"])
-    return rows, time.perf_counter() - start
+        fig10_scaleout(plan=PRESETS["standard"])
+    return time.perf_counter() - start
 
 
 def test_engine_speedup(tmp_path, bench_extra):
     cache = sim_engine.RunCache(str(tmp_path))
 
     cold = sim_engine.RunEngine(jobs=1, cache=cache)
-    serial_rows, serial_s = _timed(cold)
+    serial_s = _timed(cold)
     assert cold.executed == cold.unique_points > 0
 
     par_engine = sim_engine.RunEngine(jobs=4)
-    par_rows, par_s = _timed(par_engine)
-    assert par_rows == serial_rows      # bit-identical, no tolerance
+    par_s = _timed(par_engine)
     assert par_engine.executed == par_engine.unique_points
 
     warm = sim_engine.RunEngine(jobs=1, cache=cache)
-    warm_rows, warm_s = _timed(warm)
-    assert warm_rows == serial_rows     # cache replay is bit-identical
+    warm_s = _timed(warm)
     assert warm.executed == 0
     assert warm.cache_hits == warm.unique_points
 

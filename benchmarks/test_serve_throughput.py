@@ -17,21 +17,19 @@ so CI archives one machine-readable serving-performance record per
 run.
 """
 
-import asyncio
 import concurrent.futures
 import http.client
 import json
 import os
 import statistics
-import threading
 import time
 
 from repro.core.systems import system_config
 from repro.serve.client import ServerClient
-from repro.serve.server import JobServer
 from repro.sim.engine import RunCache, RunEngine, RunRequest
 from repro.sim.sampling import SamplingPlan
 from repro.workloads.scaleout import SCALEOUT_WORKLOADS
+from tests.test_serve import ServerThread
 
 PLAN = SamplingPlan(1500, 800)
 SCALE = 512
@@ -45,40 +43,6 @@ def _point(seed=7):
     return RunRequest.point(
         system_config("baseline", num_cores=4, scale=SCALE),
         SCALEOUT_WORKLOADS["web_search"], PLAN, seed)
-
-
-class ServerThread:
-    """Run a JobServer on its own event-loop thread so synchronous
-    clients can talk to it from the benchmark."""
-
-    def __init__(self, engine, **kwargs):
-        self.engine = engine
-        self.kwargs = kwargs
-        self.server = None
-
-    def __enter__(self):
-        started = threading.Event()
-
-        def run():
-            self.loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(self.loop)
-            self.server = JobServer(self.engine, port=0, **self.kwargs)
-            self.loop.run_until_complete(self.server.start())
-            started.set()
-            self.loop.run_forever()
-
-        self.thread = threading.Thread(target=run, daemon=True)
-        self.thread.start()
-        assert started.wait(10), "server failed to start"
-        return self.server
-
-    def __exit__(self, *exc):
-        asyncio.run_coroutine_threadsafe(
-            self.server.stop(), self.loop).result(10)
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self.thread.join(10)
-        self.loop.close()
-        return False
 
 
 def _persistent_post_rtts(server, request, n):

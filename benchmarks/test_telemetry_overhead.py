@@ -8,8 +8,8 @@ Three timed variants of the same run (16 cores, scale 64, seed 7):
 3. **profile** -- the ``SIGPROF`` layer sampler behind ``--profile``,
    which wraps nothing and times its own signal handler.
 
-All variants must stay bit-identical to the baseline -- observation
-only reads simulator state.  The telemetry gate is deliberately loose
+``tests/test_oracle.py`` checks that observation leaves every result
+bit-identical.  The telemetry gate is deliberately loose
 (median slowdown under 50%): the sampler runs once per interleave
 round so its honest cost is ~10-20% at this window density, but
 shared CI runners jitter hard on sub-second phases.  The profile
@@ -48,11 +48,6 @@ def _run_telemetry():
         return _run_off()
 
 
-def _fingerprint(result):
-    return (result.performance(), result.level_counts(),
-            result.system.stats.snapshot(), result.latency_percentiles())
-
-
 def test_telemetry_overhead(bench_extra, write_bench):
     profiles = []
 
@@ -71,10 +66,6 @@ def test_telemetry_overhead(bench_extra, write_bench):
             result = fn()
             eps[name].append(result.events_per_sec())
             results[name] = result
-
-    baseline = _fingerprint(results["off"])
-    for name in ("telemetry", "profile"):
-        assert _fingerprint(results[name]) == baseline
 
     medians = {name: median(vals) for name, vals in eps.items()}
     record = {

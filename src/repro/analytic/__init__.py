@@ -7,15 +7,10 @@ from repro.analytic.estimator import (
     DOCUMENTED_BOUNDS, EstimateSummary, can_estimate, error_bounds,
     estimate_request, estimate_to_summary, in_trust_region,
     load_envelope, triage)
-from repro.analytic.search import (
-    Candidate, Objective, SearchResult, candidate_designs,
-    search_designs)
 
 __all__ = [
     "che_hit_rate", "zipf_weights", "lru_hit_rate_irm",
     "DOCUMENTED_BOUNDS", "EstimateSummary", "can_estimate",
     "error_bounds", "estimate_request", "estimate_to_summary",
     "in_trust_region", "load_envelope", "triage",
-    "Candidate", "Objective", "SearchResult", "candidate_designs",
-    "search_designs",
 ]

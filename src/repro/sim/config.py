@@ -140,6 +140,24 @@ class HierarchyConfig:
             check("DRAM cache", whole_sets, self.dram_cache_bytes, 1,
                   P.TRAD_DRAM_CACHE_PAGE_BYTES)
 
+    def cache_lines(self):
+        """Lines and pages this system holds once built, scaled: both
+        L1s and any L2 of every core, the LLC (a vault per core), the
+        DRAM cache's pages, and the mesh's hop table (an entry per
+        pair of tiles)."""
+        cores = self.num_cores
+        per_core = 2 * self.scaled(self.l1_size_bytes)
+        if self.l2_size_bytes:
+            per_core += self.scaled(self.l2_size_bytes)
+        llc = self.scaled(self.llc_size_bytes)
+        if self.llc_kind == LLC_PRIVATE_VAULT:
+            per_core, llc = per_core + llc, 0
+        lines = (cores * per_core + llc) // P.BLOCK_BYTES
+        if self.dram_cache_bytes:
+            lines += (self.scaled(self.dram_cache_bytes)
+                      // P.TRAD_DRAM_CACHE_PAGE_BYTES)
+        return lines + cores * cores
+
     def scaled(self, size_bytes):
         """Scale a capacity down, flooring at MIN_CACHE_BLOCKS blocks."""
         scaled = size_bytes // self.scale

@@ -259,7 +259,9 @@ class RunRequest:
         :mod:`repro.fields`), plus a refusal of any key
         :meth:`canonical` does not write, at the top or in a placement
         (a misspelled field would otherwise be dropped and the request
-        keyed without it);
+        keyed without it), and of a request that costs more than
+        :func:`request_budget` in any measure (it would run out of
+        memory or time inside the job);
         malformed payloads raise ``ValueError``/``TypeError``/
         ``KeyError`` for the server to turn into a 400.
         """
@@ -286,7 +288,7 @@ class RunRequest:
         faults = None
         if data.get("faults") is not None:
             faults = FaultPlan(**data["faults"])
-        return cls(
+        request = cls(
             config=HierarchyConfig(**data["config"]),
             placements=tuple(placement_from(p)
                              for p in data["placements"]),
@@ -297,6 +299,31 @@ class RunRequest:
             chunk=data.get("chunk", DEFAULT_CHUNK),
             faults=faults,
             mode=data.get("mode", "simulate"))
+        budget = request_budget()
+        for measure, cost in request.cost().items():
+            if cost > budget[measure]:
+                raise ValueError(
+                    "a run request of %d %s; the largest legitimate "
+                    "point has %d" % (cost, measure, budget[measure]))
+        return request
+
+    def cost(self):
+        """What resolving this request builds, in three measures: its
+        machine's cache lines/pages (see
+        :meth:`HierarchyConfig.cache_lines`), its trace events (every
+        driven core's warm-up and measured events) and its workload
+        blocks (the address space the generator lays out for each
+        placement)."""
+        from repro.workloads.generator import _build_layout
+        scale = self.config.scale
+        return {
+            "cache lines/pages": self.config.cache_lines(),
+            "trace events": self.plan.total_events * sum(
+                len(ids) for _spec, ids in self.placements),
+            "workload blocks": sum(
+                _build_layout(spec, len(ids), scale).total_blocks
+                for spec, ids in self.placements),
+        }
 
     def key(self, fingerprint=""):
         """Content-address of this point under a code fingerprint."""
@@ -310,6 +337,33 @@ class RunRequest:
         """Whether ``text`` has the shape :meth:`key` produces (64
         lowercase hex digits), so it is safe to use as a cache path."""
         return re.fullmatch("[0-9a-f]{64}", text) is not None
+
+
+@functools.lru_cache(maxsize=1)
+def request_budget():
+    """The largest legitimate point's :meth:`RunRequest.cost`: each
+    measure's maximum over every system builder on the Table II
+    machine (16 cores) at scale 1, the sampling presets, and every
+    workload an experiment runs (scale-out, enterprise and SPEC) on
+    all 16 cores.  A posted request costing more in any measure is
+    refused (:meth:`RunRequest.from_canonical`); local runs are not
+    bounded."""
+    from repro.core.systems import SYSTEM_LABELS, system_config
+    from repro.params import NUM_CORES
+    from repro.sim.sampling import PRESETS
+    from repro.workloads import (ENTERPRISE_WORKLOADS, SCALEOUT_WORKLOADS,
+                                 SPEC_APPS)
+
+    plan = max(PRESETS.values(), key=lambda p: p.total_events)
+    costs = [RunRequest.point(system_config(name, num_cores=NUM_CORES,
+                                            scale=1),
+                              spec, plan, 0).cost()
+             for name in SYSTEM_LABELS
+             for spec in (*SCALEOUT_WORKLOADS.values(),
+                          *ENTERPRISE_WORKLOADS.values(),
+                          *SPEC_APPS.values())]
+    return {measure: max(cost[measure] for cost in costs)
+            for measure in costs[0]}
 
 
 def fingerprint_files():

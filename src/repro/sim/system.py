@@ -1054,7 +1054,7 @@ class VaultSystem(System):
         if tag_ok is False or data_ok is False:
             kind = "tag" if tag_ok is False else "data"
             return self._vault_uncorrectable(core, block, vst, kind)
-        return vst, 0.0
+        return vst, 0
 
     def _vault_uncorrectable(self, core, block, vst, kind):
         """Recover a resident vault line from a detected-uncorrectable
@@ -1112,14 +1112,14 @@ class VaultSystem(System):
         verdict = self.faults.directory_fault(self.directory, home,
                                               block)
         if verdict is None:
-            return 0.0
+            return 0
         if self.tracer is not None:
             self.tracer.emit(EV_FAULT, self.now, home, block,
                              "directory_" + verdict)
         if verdict == "rebuilt":
             self.llc_accesses += 1  # re-reading the mirrored vault tags
-            return float(self.dir_latency)
-        return 0.0
+            return self.dir_latency
+        return 0
 
     def _broadcast_snoop(self, home):
         """Directory fallback when the home vault is offline: the home

@@ -13,12 +13,12 @@ into the ``verify-static`` CI job:
   checked against the protocol invariants; violations come with a
   minimal counterexample trace.
 * :mod:`repro.verify.lint` -- "silolint", an ``ast``-based, per-file
-  lint pass with simulator-specific rules SL001-SL010 (unseeded
-  randomness, unregistered stat counters, hard-coded timing/size
-  constants, set-iteration nondeterminism, float equality in timing
-  code, module-level mutable state, per-event work in hot paths, raw
-  wall-clock reads, blocking calls in the async server, and
-  environment reads outside the reviewed ``ENV_READERS``).
+  lint pass with simulator-specific rules SL002-SL010 (unregistered
+  stat counters, hard-coded timing/size constants, set-iteration
+  nondeterminism, float equality in timing code, module-level mutable
+  state, per-event work in hot paths, raw wall-clock reads, blocking
+  calls in the async server, and environment reads outside the
+  reviewed ``ENV_READERS``).
   ``tools/seeded_bugs.py`` records which planted defects each rule
   catches that the test suite misses.
 

@@ -5,10 +5,6 @@ results that silently stop being reproducible, counters that escape the
 stats registry, magic timing numbers that drift away from Table II.
 silolint encodes those contracts as ``ast``-level rules:
 
-* **SL001** -- unseeded randomness: module-level ``random.*`` calls or
-  ``random.Random()`` with no seed.  Every random stream must be
-  derived from an explicit seed, or run manifests (PR 1) stop being
-  reproducible.
 * **SL002** -- a counter-looking attribute (``self.hits += 1``, ...)
   mutated in a module with no stats-registry linkage: the module
   neither defines ``register_stats``/``_build_stats`` nor imports
@@ -70,7 +66,7 @@ silolint encodes those contracts as ``ast``-level rules:
   a pragma.
 
 A finding on a given line is silenced with a trailing
-``# silolint: disable=SL001`` (comma-separate several codes, or
+``# silolint: disable=SL008`` (comma-separate several codes, or
 ``disable=all``); a whole file opts out of one rule with a
 ``# silolint: disable-file=SL003`` pragma on any line (typically the
 module docstring's vicinity) -- suppressions are expected to carry a
@@ -90,8 +86,6 @@ from collections import namedtuple
 
 #: Rule registry: code -> one-line description.
 RULES = {
-    "SL001": "unseeded randomness (module-level random.* call or "
-             "random.Random() without a seed)",
     "SL002": "stat counter mutated as a bare int in a module with no "
              "stats-registry linkage (repro.obs)",
     "SL003": "hard-coded latency/size constant bypassing repro.params",
@@ -174,13 +168,6 @@ _HOTPATH_RE = re.compile(r"#\s*silolint:\s*hotpath\b")
 _ALLOC_CONSTRUCTORS = frozenset(("list", "dict", "tuple", "set",
                                  "frozenset"))
 
-_RANDOM_MODULE_FNS = frozenset((
-    "random", "randrange", "randint", "choice", "choices", "shuffle",
-    "sample", "uniform", "gauss", "normalvariate", "lognormvariate",
-    "expovariate", "betavariate", "gammavariate", "paretovariate",
-    "triangular", "vonmisesvariate", "weibullvariate", "seed",
-    "getrandbits", "randbytes"))
-
 _COUNTER_SUFFIXES = ("_count", "_hits", "_misses", "_accesses",
                      "_writebacks", "_evictions", "_fills", "_lookups",
                      "_forwards", "_traversals", "_conflicts",
@@ -242,22 +229,17 @@ def _file_suppressions(lines):
 
 class _ModuleFacts:
     """Module-level context the rules need: which names came from the
-    ``random``, ``time`` and ``os`` modules, and whether the module is
-    linked to the stats registry."""
+    ``time`` and ``os`` modules, and whether the module is linked to
+    the stats registry."""
 
     def __init__(self, tree, path_parts):
-        self.random_names = {}   # local name -> original random.* name
         self.time_names = {}     # local name -> original time.* name
         self.os_names = {"os"}   # local names bound to the os module
         self.env_names = {}      # local name -> os.environ/getenv/...
         self.has_registry = "obs" in path_parts
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
-                if node.module == "random":
-                    for alias in node.names:
-                        self.random_names[alias.asname or alias.name] \
-                            = alias.name
-                elif node.module == "time":
+                if node.module == "time":
                     for alias in node.names:
                         self.time_names[alias.asname or alias.name] \
                             = alias.name
@@ -311,34 +293,10 @@ class _FileLinter(ast.NodeVisitor):
         self.violations.append(Violation(
             self.path, node.lineno, node.col_offset, rule, message))
 
-    # -- SL001 ---------------------------------------------------------
+    # -- calls ---------------------------------------------------------
 
     def visit_Call(self, node):
         func = node.func
-        if (isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "random"):
-            if func.attr == "Random":
-                if not node.args and not node.keywords:
-                    self._flag(node, "SL001",
-                               "random.Random() without an explicit "
-                               "seed breaks run reproducibility")
-            elif func.attr in _RANDOM_MODULE_FNS:
-                self._flag(node, "SL001",
-                           "module-level random.%s() draws from the "
-                           "shared unseeded stream" % func.attr)
-        elif isinstance(func, ast.Name):
-            origin = self.facts.random_names.get(func.id)
-            if origin == "Random":
-                if not node.args and not node.keywords:
-                    self._flag(node, "SL001",
-                               "Random() without an explicit seed "
-                               "breaks run reproducibility")
-            elif origin in _RANDOM_MODULE_FNS:
-                self._flag(node, "SL001",
-                           "module-level random.%s() (imported as %s) "
-                           "draws from the shared unseeded stream"
-                           % (origin, func.id))
         if self.in_params_scope:
             for kw in node.keywords:
                 if (kw.arg and _is_size_latency_name(kw.arg)

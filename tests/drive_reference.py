@@ -1,11 +1,11 @@
-"""Shared pieces of the two drive-loop pins (the ``_drive`` pin in
-``tests/test_engine.py`` and the run-level pin of whole ``simulate``
-runs in ``tests/test_fastpath.py``): the verbatim pre-optimization
-drive loop, which sends every event through ``System.access`` and
-decodes each trace's flag words per event; a drop-in for ``_drive``
-that runs it on the state ``_per_core_state`` builds (the trace's own
-``blocks`` and ``flags`` lists); and the L1-resident spec on which
-``_drive`` retires most events inline.
+"""Shared pieces of the drive-loop pin (``tests/test_engine.py``) and
+the equivalence oracle's reference route (``tests/test_oracle.py``):
+the verbatim pre-optimization drive loop, which sends every event
+through ``System.access`` and decodes each trace's flag words per
+event; a drop-in for ``_drive`` that runs it on the state
+``_per_core_state`` builds (the trace's own ``blocks`` and ``flags``
+lists); the L1-resident spec on which ``_drive`` retires most events
+inline; and a write-heavy spec whose stores take the write upgrade.
 """
 
 from repro.cores.perf_model import CoreParams
@@ -21,6 +21,23 @@ HOT_SPEC = WorkloadSpec(
                    alpha=1.35, write_fraction=0.3),
     ),
     core=CoreParams(),
+)
+
+#: Half the data references are writes, most to a small region every
+#: core shares: store hits on S/E/O lines run the write upgrade, which
+#: the probe leaves to System.access.  The code footprint overflows the
+#: L1-I, so the probe's ifetch LRU touches decide evictions too.
+WRITE_SPEC = WorkloadSpec(
+    name="write_heavy",
+    code=CodeSpec(size_mb=0.5, alpha=1.0),
+    regions=(
+        RegionSpec("rw", 0.0625, "zipf", "shared", 0.7, alpha=0.8,
+                   write_fraction=0.5),
+        RegionSpec("heap", 0.125, "zipf", "private", 0.3, alpha=1.1,
+                   write_fraction=0.5),
+    ),
+    core=CoreParams(),
+    rw_shared_region="rw",
 )
 
 

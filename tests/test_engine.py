@@ -1,8 +1,10 @@
-"""Run-engine guarantees: serial, parallel and cache-replayed grids
-produce bit-identical results; RunSummary round-trips losslessly; the
+"""Run-engine guarantees: batches dedup; RunSummary round-trips
+losslessly; requests key by content and refuse hostile input; the
 drive loop, with its inline L1-hit probe, matches the pre-optimization
-reference loop exactly; the interleave chunk is validated; observation
-sessions still see what they need.
+reference loop exactly, call for call; the interleave chunk is
+validated; the run cache prunes by LRU; observation sessions still see
+what they need.  ``tests/test_oracle.py`` checks that every route to
+a result agrees bit for bit.
 """
 
 import dataclasses
@@ -19,36 +21,30 @@ import typing
 import pytest
 
 import repro
-from repro.core.systems import system_config
-from repro.cores.perf_model import CoreParams
+from repro.core.systems import SYSTEM_LABELS, system_config
+from repro.experiments.isolation import _ws_request
+from repro.experiments.mixes import _mix_request
 from repro.faults import FaultPlan
 from repro.faults.injector import FaultInjector
 from repro.obs import session as obs_session
 from repro.obs.trace import EventTracer
 from repro.serve import proto
-from repro.sim.driver import _drive, _per_core_state, run_system
+from repro.sim.driver import (DEFAULT_CHUNK, _drive, _per_core_state,
+                              run_system, use_chunk)
 from repro.sim.engine import (RunCache, RunEngine, RunRequest, RunSummary,
                               cache_max_bytes_from_env, code_fingerprint,
                               engine_from_env, parse_size_bytes,
-                              resolve_cache_dir, run_grid, use_engine)
-from repro.sim.sampling import SamplingPlan
+                              request_budget, resolve_cache_dir, run_grid)
+from repro.sim.sampling import PRESETS, SamplingPlan
 from repro.sim.system import System
-from repro.workloads.base import CodeSpec, RegionSpec, WorkloadSpec
 from repro.workloads.generator import generate_traces
-from repro.workloads.scaleout import SCALEOUT_WORKLOADS
-from repro.experiments.performance import fig10_scaleout
-from tests.drive_reference import HOT_SPEC, reference_drive, reference_state
+from repro.workloads import (ENTERPRISE_WORKLOADS, SCALEOUT_WORKLOADS,
+                             SPEC_APPS, SPEC_MIXES)
+from tests.drive_reference import (HOT_SPEC, WRITE_SPEC, reference_drive,
+                                   reference_state)
 
 PLAN = SamplingPlan(1500, 800)
 SCALE = 512
-WORKLOADS = ("web_search", "data_serving")
-SYSTEMS = ("baseline", "silo")
-
-
-def _fig10(engine):
-    with use_engine(engine):
-        return fig10_scaleout(plan=PLAN, scale=SCALE, seed=7,
-                              systems=SYSTEMS, workloads=WORKLOADS)
 
 
 def _point(seed=7, workload="web_search", track_sharing=False):
@@ -56,29 +52,6 @@ def _point(seed=7, workload="web_search", track_sharing=False):
         system_config("baseline", num_cores=4, scale=SCALE),
         SCALEOUT_WORKLOADS[workload], PLAN, seed,
         track_sharing=track_sharing)
-
-
-# ---------------------------------------------------------------------------
-# Determinism: serial == parallel == cache-replayed (exact equality)
-# ---------------------------------------------------------------------------
-
-
-def test_fig10_serial_parallel_cached_bit_identical(tmp_path):
-    serial = _fig10(RunEngine(jobs=1))
-
-    parallel_engine = RunEngine(jobs=4)
-    parallel = _fig10(parallel_engine)
-    assert parallel == serial          # exact float equality, no tolerance
-    assert parallel_engine.executed > 0
-
-    cold = RunEngine(jobs=1, cache=RunCache(str(tmp_path)))
-    assert _fig10(cold) == serial
-    assert cold.cache_misses == cold.executed > 0
-
-    warm = RunEngine(jobs=1, cache=RunCache(str(tmp_path)))
-    assert _fig10(warm) == serial      # replayed entirely from cache
-    assert warm.executed == 0
-    assert warm.cache_hits == warm.unique_points > 0
 
 
 def test_batch_dedup_simulates_duplicates_once():
@@ -99,65 +72,6 @@ def test_run_grid_uses_env_default_engine(monkeypatch):
 # ---------------------------------------------------------------------------
 # RunSummary fidelity and serialization
 # ---------------------------------------------------------------------------
-
-
-#: Evaluations that must agree between an engine summary and a direct
-#: run, as (name, call) pairs.
-_EVALUATIONS = (
-    ("per_core_ipc", lambda s: s.per_core_ipc()),
-    ("performance", lambda s: s.performance()),
-    ("llc_scale", lambda s: s.performance_with_llc_scale(1.5)),
-    ("rw_multiplier", lambda s: s.performance_with_rw_multiplier(3.0)),
-    ("ipc_of", lambda s: s.ipc_of([1, 3])),
-    ("level_counts", lambda s: s.level_counts()),
-    ("instructions", lambda s: s.instructions()),
-    ("llc_breakdown", lambda s: s.llc_breakdown()),
-    ("llc_mpki", lambda s: s.llc_mpki()),
-    ("max_core_cycles", lambda s: s.max_core_cycles()),
-    ("llc_power_w", lambda s: s.llc_power_w(1.0)),
-    ("latency_percentiles", lambda s: s.latency_percentiles()),
-    ("driven_events", lambda s: s.driven_events()),
-)
-
-
-def _simulated_fields(summary):
-    d = summary.to_dict()
-    for name in ("warmup_wall_s", "measure_wall_s", "request_key"):
-        del d[name]
-    return d
-
-
-def test_engine_summary_matches_a_direct_run():
-    """The engine's summary and ``simulate``'s RunResult are one result
-    model: the same fields (host clocks and the key aside) and the same
-    value from every evaluation, on Baseline and SILO with sharing
-    tracked and on SILO under an active fault plan.  The engine's is a
-    plain RunSummary that pickles without the System."""
-    from repro.faults.plan import FaultPlan
-    from repro.sim.driver import RunResult, simulate
-    spec = SCALEOUT_WORKLOADS["web_search"]
-    faults = FaultPlan(seed=1, data_flip_rate=0.05, tag_flip_rate=0.05,
-                       double_bit_fraction=1.0)
-    points = [
-        RunRequest.point(system_config(name, num_cores=4, scale=SCALE),
-                         spec, PLAN, 7, **kwargs)
-        for name, kwargs in (("baseline", {"track_sharing": True}),
-                             ("silo", {"track_sharing": True}),
-                             ("silo", {"faults": faults}))]
-    for req, summary in zip(points, RunEngine(jobs=1).run(points)):
-        live = simulate(req.config, spec, PLAN, seed=7,
-                        track_sharing=req.track_sharing,
-                        faults=req.faults)
-        assert type(summary) is RunSummary
-        assert isinstance(live, RunResult)
-        assert _simulated_fields(summary) == _simulated_fields(live)
-        for name, evaluate in _EVALUATIONS:
-            assert evaluate(summary) == evaluate(live), name
-        assert summary.seed == live.seed == 7
-        blob = pickle.dumps(summary)
-        assert b"repro.sim.system" not in blob
-        assert pickle.loads(blob) == summary
-    assert summary.counters["faults"]["injected"] > 0
 
 
 def test_summary_pickle_round_trip():
@@ -304,23 +218,6 @@ def test_manifest_session_records_cached_runs(tmp_path):
 #: Scale of the small specs below: their footprints then span many L1
 #: sets.
 HOT_SCALE = 64
-
-#: Half the data references are writes, most to a small region every
-#: core shares: store hits on S/E/O lines run the write upgrade, which
-#: the probe leaves to System.access.  The code footprint overflows the
-#: L1-I, so the probe's ifetch LRU touches decide evictions too.
-WRITE_SPEC = WorkloadSpec(
-    name="write_heavy",
-    code=CodeSpec(size_mb=0.5, alpha=1.0),
-    regions=(
-        RegionSpec("rw", 0.0625, "zipf", "shared", 0.7, alpha=0.8,
-                   write_fraction=0.5),
-        RegionSpec("heap", 0.125, "zipf", "private", 0.3, alpha=1.1,
-                   write_fraction=0.5),
-    ),
-    core=CoreParams(),
-    rw_shared_region="rw",
-)
 
 #: name -> (spec, scale) of the drive-loop pin's workloads.
 PIN_SPECS = {"web_search": (SCALEOUT_WORKLOADS["web_search"], SCALE),
@@ -485,6 +382,12 @@ def test_run_request_rejects_bad_chunk():
         wire["chunk"] = bad
         with pytest.raises(ValueError):
             RunRequest.from_canonical(wire)
+
+
+def test_run_request_defaults_from_ambient():
+    assert _point().chunk == DEFAULT_CHUNK
+    with use_chunk(77):
+        assert _point().chunk == 77
 
 
 BAD_SEEDS = ("x", 7.0, True, -1, None)
@@ -677,6 +580,14 @@ HOSTILE_EDITS = {
                              "fromat, priorty"),
     "placement-misspelled-key": (lambda w: w["placements"][0].update(
         coreids=[0, 1, 2, 3]), "coreids"),
+    # a machine or a trace far larger than any legitimate point: the
+    # job would run out of memory or time instead of failing here
+    "l1-size-2**40": (lambda w: w["config"].update(l1_size_bytes=2 ** 40),
+                      "cache lines/pages"),
+    "measure-events-10**12": (lambda w: w["plan"].update(
+        measure_events=10 ** 12), "trace events"),
+    "region-size-1e9-mb": (lambda w: _spec(w)["regions"][0].update(
+        size_mb=1e9), "workload blocks"),
 }
 
 
@@ -767,6 +678,29 @@ def test_run_request_rejects_hostile_wire_input(case):
         if len(body) == 1:      # the edit is inside the request
             with pytest.raises(ValueError, match=word):
                 RunRequest.from_canonical(body["request"])
+
+
+def test_every_experiment_point_fits_the_budget():
+    """The budget is the largest legitimate point's cost: at scale 1
+    under the largest preset, every system running every workload on
+    the 16-core machine, fig15's mixes and table6's colocated pair
+    all pass ``from_canonical``."""
+    plan = max(PRESETS.values(), key=lambda p: p.total_events)
+    points = [_ws_request(name, colocated, plan, 1, 7)
+              for name in ("baseline", "silo")
+              for colocated in (False, True)]
+    points += [_mix_request("silo", apps, plan, 1, 7)
+               for apps in SPEC_MIXES.values()]
+    points += [RunRequest.point(system_config(name, scale=1), spec, plan, 7)
+               for name in SYSTEM_LABELS
+               for spec in (*SCALEOUT_WORKLOADS.values(),
+                            *ENTERPRISE_WORKLOADS.values(),
+                            *SPEC_APPS.values())]
+    for req in points:
+        assert RunRequest.from_canonical(req.canonical()) == req
+    budget = request_budget()
+    for measure in budget:
+        assert max(req.cost()[measure] for req in points) == budget[measure]
 
 
 def test_run_request_accepts_square_meshes_and_disjoint_placements():

@@ -1,12 +1,15 @@
-"""Trace generator: determinism, the one-entry memo, layout, region
-semantics."""
+"""Trace generator: determinism, the one-entry memo (and the engine's
+grids sharing it), layout, region semantics."""
 
 import weakref
 
 import numpy as np
 import pytest
 
+from repro.core.systems import system_config
 from repro.cores.perf_model import CoreParams
+from repro.sim.engine import RunEngine, RunRequest
+from repro.sim.sampling import SamplingPlan
 from repro.workloads import colocation, generator
 from repro.workloads.base import CodeSpec, RegionSpec, WorkloadSpec
 from repro.workloads.generator import (generate_traces, _generate_traces,
@@ -15,6 +18,7 @@ from repro.workloads.generator import (generate_traces, _generate_traces,
                                        BLOCKS_PER_PAGE)
 from repro.workloads.colocation import generate_colocation_traces
 from repro.workloads.scaleout import WEB_SEARCH
+from tests.drive_reference import HOT_SPEC
 
 
 def tiny_spec(pattern="zipf", sharing="shared", page_sparse=False,
@@ -119,6 +123,10 @@ COLOCATED_CHANGES = {
 }
 
 
+#: The sampling plan of the engine-grid memo tests.
+GRID_PLAN = SamplingPlan(1500, 800)
+
+
 def _counting(monkeypatch):
     calls = []
 
@@ -156,6 +164,35 @@ def test_changing_any_colocation_argument_regenerates(monkeypatch, name):
     assert second == colocation._generate(
         tuple((spec, tuple(ids)) for spec, ids in changed["assignments"]),
         changed["events_per_core"], changed["scale"], changed["seed"])
+
+
+def test_a_grid_generates_each_workload_once(monkeypatch):
+    # The engine runs a grid's points in order; both systems of one
+    # workload share the trace set the first one generated.
+    monkeypatch.setattr(generator, "_last_traces", None)
+    calls = _counting(monkeypatch)
+    requests = [RunRequest.point(system_config(name, num_cores=4,
+                                               scale=512),
+                                 spec, GRID_PLAN, seed=7)
+                for spec in (HOT_SPEC, WEB_SEARCH)
+                for name in ("baseline", "silo")]
+    RunEngine(jobs=1).run(requests)
+    assert [args[0].name for args in calls] == ["l1_resident",
+                                                "web_search"]
+
+
+def test_a_colocated_pair_generates_its_mix_once(monkeypatch):
+    # Baseline then SILO on one mix share the colocated trace set.
+    monkeypatch.setattr(generator, "_last_traces", None)
+    calls = _counting(monkeypatch)
+    mix = [(HOT_SPEC, (0, 1)), (WEB_SEARCH, (2, 3))]
+    requests = [RunRequest.colocation(system_config(name, num_cores=4,
+                                                    scale=512),
+                                      mix, GRID_PLAN, seed=7)
+                for name in ("baseline", "silo")]
+    RunEngine(jobs=1).run(requests)
+    assert [args[0].name for args in calls] == ["l1_resident",
+                                                "web_search"]
 
 
 def test_a_process_holds_one_set_across_both_generators(monkeypatch):

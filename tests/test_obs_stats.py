@@ -6,7 +6,10 @@ from repro.cores.perf_model import CoreParams
 from repro.obs.stats import (Counter, BoundStat, Formula, Distribution,
                              Group)
 from repro.sim.config import HierarchyConfig
+from repro.sim.driver import simulate
+from repro.sim.sampling import SamplingPlan
 from repro.sim.system import System
+from repro.workloads.scaleout import WEB_SEARCH
 
 
 def small_system(kind="shared", **kw):
@@ -184,3 +187,15 @@ def test_a_run_frees_its_machine_by_reference_counting(request_kind):
     finally:
         if enabled:
             gc.enable()
+
+
+def test_snapshot_reading_does_not_mutate():
+    # the snapshot covers every live counter of the machine (LLC,
+    # coherence, NoC, memory), so reading and dumping it twice must
+    # give the same values
+    config = HierarchyConfig(name="inert", num_cores=4, scale=512,
+                             llc_kind="shared")
+    result = simulate(config, WEB_SEARCH, SamplingPlan(1500, 800), seed=2)
+    a = result.system.stats.snapshot()
+    result.system.stats.dump()
+    assert result.system.stats.snapshot() == a

@@ -23,12 +23,13 @@ import json
 import os
 import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.systems import SYSTEM_LABELS, system_config
 from repro.cores.perf_model import CoreParams
 from repro.faults import FaultPlan
-from repro.sim.engine import REQUEST_MODES, RunRequest
+from repro.sim.engine import REQUEST_MODES, RunRequest, request_budget
 from repro.sim.sampling import PRESETS, SamplingPlan
 from repro.workloads.enterprise import ENTERPRISE_WORKLOADS
 from repro.workloads.scaleout import SCALEOUT_WORKLOADS
@@ -193,6 +194,14 @@ def test_canonical_is_the_asdict_form_and_round_trips(req):
     wire = req.canonical()
     # repr, not ==: True == 1 and 1 == 1.0, but they key differently.
     assert repr(wire) == repr(asdict_canonical(req))
+    budget = request_budget()
+    over = [measure for measure, cost in req.cost().items()
+            if cost > budget[measure]]
+    if over:
+        # too big to post: refused, naming the first measure over
+        with pytest.raises(ValueError, match=over[0]):
+            RunRequest.from_canonical(json.loads(json.dumps(wire)))
+        return
     back = RunRequest.from_canonical(json.loads(json.dumps(wire)))
     assert back == req
     assert repr(back.canonical()) == repr(wire)

@@ -116,6 +116,23 @@ def test_summary_shape():
     json.dumps(s)  # manifest-ready
 
 
+def test_telemetry_only_grows_the_manifest():
+    """With telemetry on, the manifest gains a "telemetry" section but
+    every pre-existing key keeps its exact value."""
+    plain = simulate(config(), WEB_SEARCH, PLAN, seed=4)
+    base = plain.manifest()
+    watched = sampled_run(every=500, seed=4)
+    grown = watched.manifest()
+    assert "telemetry" not in base
+    assert grown.pop("telemetry")["windows"] > 0
+    # host wall-clock (and the throughput derived from it) is the one
+    # legitimately non-deterministic section -- drop it on both sides
+    for doc in (base, grown):
+        doc.pop("wall_clock")
+        doc["throughput"].pop("events_per_sec")
+    assert grown == base
+
+
 # -- phase detection --------------------------------------------------------
 
 

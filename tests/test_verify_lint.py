@@ -48,49 +48,6 @@ def _codes(report):
 
 
 # ---------------------------------------------------------------------------
-# SL001: unseeded randomness
-# ---------------------------------------------------------------------------
-
-
-def test_sl001_flags_module_level_random(tmp_path):
-    report = _lint_source(tmp_path, (
-        "import random\n"
-        "def pick(items):\n"
-        "    return random.choice(items)\n"))
-    assert _codes(report) == ["SL001"]
-    assert report.violations[0].line == 3
-
-
-def test_sl001_flags_unseeded_random_instance(tmp_path):
-    report = _lint_source(tmp_path, (
-        "import random\n"
-        "rng = random.Random()\n"))
-    assert _codes(report) == ["SL001"]
-
-
-def test_sl001_flags_from_import_alias(tmp_path):
-    report = _lint_source(tmp_path, (
-        "from random import randint as ri\n"
-        "x = ri(0, 10)\n"))
-    assert _codes(report) == ["SL001"]
-
-
-def test_sl001_quiet_on_seeded_random(tmp_path):
-    report = _lint_source(tmp_path, (
-        "from random import Random\n"
-        "rng = Random(42)\n"
-        "x = rng.choice([1, 2])\n"))
-    assert report.ok
-
-
-def test_sl001_suppression(tmp_path):
-    report = _lint_source(tmp_path, (
-        "import random\n"
-        "x = random.random()  # silolint: disable=SL001\n"))
-    assert report.ok
-
-
-# ---------------------------------------------------------------------------
 # SL002: counters outside the stats registry
 # ---------------------------------------------------------------------------
 
@@ -339,12 +296,12 @@ def test_sl006_suppression(tmp_path):
 
 
 def test_json_report_schema(tmp_path):
-    (tmp_path / "a.py").write_text("import random\nrandom.seed()\n")
+    (tmp_path / "a.py").write_text("import time\ntime.time()\n")
     report = lint_paths([str(tmp_path)])
     data = report.as_dict()
     assert data["version"] == 3
     assert data["files_scanned"] == 1
-    assert data["counts"] == {"SL001": 1}
+    assert data["counts"] == {"SL008": 1}
     assert data["errors"] == []
     assert data["rules"] == RULES
     assert data["suppressed"] == {"total": 0, "counts": {}}
@@ -352,48 +309,48 @@ def test_json_report_schema(tmp_path):
                          "violations", "suppressed", "errors"}
     (v,) = data["violations"]
     assert set(v) == {"file", "line", "col", "rule", "message"}
-    assert v["rule"] == "SL001"
+    assert v["rule"] == "SL008"
     assert v["line"] == 2
     json.dumps(data)  # must be JSON-serializable as-is
 
 
 def test_json_report_counts_suppressions(tmp_path):
     (tmp_path / "a.py").write_text(
-        "import random\n"
-        "x = random.random()  # silolint: disable=SL001\n"
-        "y = random.random()\n")
+        "import time\n"
+        "x = time.time()  # silolint: disable=SL008\n"
+        "y = time.time()\n")
     report = lint_paths([str(tmp_path)])
-    assert _codes(report) == ["SL001"]
+    assert _codes(report) == ["SL008"]
     data = report.as_dict()
-    assert data["suppressed"] == {"total": 1, "counts": {"SL001": 1}}
+    assert data["suppressed"] == {"total": 1, "counts": {"SL008": 1}}
 
 
 def test_disable_file_pragma_suppresses_whole_file(tmp_path):
     (tmp_path / "a.py").write_text(
-        "# silolint: disable-file=SL001\n"
-        "import random\n"
-        "x = random.random()\n"
-        "y = random.random()\n")
+        "# silolint: disable-file=SL008\n"
+        "import time\n"
+        "x = time.time()\n"
+        "y = time.time()\n")
     report = lint_paths([str(tmp_path)])
     assert report.ok
-    assert report.suppressed_counts == {"SL001": 2}
+    assert report.suppressed_counts == {"SL008": 2}
 
 
 def test_disable_file_pragma_is_per_rule(tmp_path):
     (tmp_path / "caches").mkdir()
     (tmp_path / "caches" / "m.py").write_text(
         "# silolint: disable-file=SL003\n"
-        "import random\n"
+        "import time\n"
         "bank_latency = 23\n"
-        "x = random.random()\n")
+        "x = time.time()\n")
     report = lint_paths([str(tmp_path)])
-    assert _codes(report) == ["SL001"]
+    assert _codes(report) == ["SL008"]
     assert report.suppressed_counts == {"SL003": 1}
 
 
 def test_violations_sorted_by_location(tmp_path):
-    (tmp_path / "b.py").write_text("import random\nx = random.random()\n")
-    (tmp_path / "a.py").write_text("import random\ny = random.random()\n")
+    (tmp_path / "b.py").write_text("import time\nx = time.time()\n")
+    (tmp_path / "a.py").write_text("import time\ny = time.time()\n")
     report = lint_paths([str(tmp_path)])
     files = [os.path.basename(v.file) for v in report.violations]
     assert files == sorted(files)
@@ -409,7 +366,7 @@ def test_syntax_error_reported_not_raised(tmp_path):
 def test_select_restricts_rules(tmp_path):
     (tmp_path / "caches").mkdir()
     (tmp_path / "caches" / "m.py").write_text(
-        "import random\nbank_latency = 23\nx = random.random()\n")
+        "import time\nbank_latency = 23\nx = time.time()\n")
     report = lint_paths([str(tmp_path)], select=["SL003"])
     assert _codes(report) == ["SL003"]
 
@@ -418,20 +375,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     clean = tmp_path / "clean.py"
     clean.write_text("x = 1\n")
     dirty = tmp_path / "dirty.py"
-    dirty.write_text("import random\nx = random.random()\n")
+    dirty.write_text("import time\nx = time.time()\n")
     assert main([str(clean)]) == 0
     assert main([str(dirty)]) == 1
     assert main([str(tmp_path / "missing.py")]) == 2
     out = capsys.readouterr().out
-    assert "SL001" in out
+    assert "SL008" in out
 
 
 def test_cli_json_output(tmp_path, capsys):
     dirty = tmp_path / "dirty.py"
-    dirty.write_text("import random\nx = random.random()\n")
+    dirty.write_text("import time\nx = time.time()\n")
     assert main(["--json", str(dirty)]) == 1
     data = json.loads(capsys.readouterr().out)
-    assert data["counts"] == {"SL001": 1}
+    assert data["counts"] == {"SL008": 1}
 
 
 def test_cli_list_rules(capsys):
@@ -442,8 +399,8 @@ def test_cli_list_rules(capsys):
 
 
 def test_rule_catalogue_is_complete():
-    assert sorted(RULES) == ["SL001", "SL002", "SL003", "SL004", "SL005",
-                             "SL006", "SL007", "SL008", "SL009", "SL010"]
+    assert sorted(RULES) == ["SL002", "SL003", "SL004", "SL005", "SL006",
+                             "SL007", "SL008", "SL009", "SL010"]
 
 
 # ---------------------------------------------------------------------------

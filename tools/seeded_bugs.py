@@ -74,7 +74,7 @@ DEFECTS = (
          "        total = self.latency\n")),
         "MainMemory.access(now=None) defaulting to time.perf_counter()"),
     # -- randomness and hashing ----------------------------------------
-    Defect("R1", "randomness", "SL001", "src/repro/workloads/generator.py", ((
+    Defect("R1", "randomness", None, "src/repro/workloads/generator.py", ((
         "    mult = 2654435761\n",
         "    import random\n"
         "    mult = random.choice((2654435761, 2246822519))\n"),),
@@ -83,7 +83,7 @@ DEFECTS = (
         "rng = np.random.default_rng((seed, name_hash, slot))",
         "rng = np.random.default_rng()"),),
         "an unseeded np.random.default_rng() in generate_traces"),
-    Defect("R3", "randomness", "SL001", "src/repro/faults/injector.py", ((
+    Defect("R3", "randomness", None, "src/repro/faults/injector.py", ((
         "        retries = 1 + (self._hash(SITE_STALL, counter, "
         "_LANE_RETRIES)\n"
         "                       % self.plan.stall_retries_max)\n",
