@@ -105,6 +105,15 @@ def test_llc_breakdown_sums_to_post_l1_accesses():
     assert local + remote + miss == sum(counts[2:])
 
 
+def test_simulate_determinism():
+    cfg = HierarchyConfig(name="t", num_cores=4, scale=512,
+                          memory_queueing=False)
+    a = simulate(cfg, WEB_SEARCH, SamplingPlan(500, 500), seed=5)
+    b = simulate(cfg, WEB_SEARCH, SamplingPlan(500, 500), seed=5)
+    assert a.performance() == pytest.approx(b.performance())
+    assert a.level_counts() == b.level_counts()
+
+
 def test_sampling_presets():
     assert set(PRESETS) == {"quick", "standard", "full"}
     for p in PRESETS.values():

@@ -1,10 +1,11 @@
-"""Run-engine guarantees: batches dedup; RunSummary round-trips
+"""Run-engine guarantees: serial, parallel and cache-replayed grids
+produce bit-identical results; batches dedup; RunSummary round-trips
 losslessly; requests key by content and refuse hostile input; the
 drive loop, with its inline L1-hit probe, matches the pre-optimization
 reference loop exactly, call for call; the interleave chunk is
 validated; the run cache prunes by LRU; observation sessions still see
 what they need.  ``tests/test_oracle.py`` checks that every route to
-a result agrees bit for bit.
+a result agrees bit for bit on random requests.
 """
 
 import dataclasses
@@ -24,6 +25,7 @@ import repro
 from repro.core.systems import SYSTEM_LABELS, system_config
 from repro.experiments.isolation import _ws_request
 from repro.experiments.mixes import _mix_request
+from repro.experiments.performance import fig10_scaleout
 from repro.faults import FaultPlan
 from repro.faults.injector import FaultInjector
 from repro.obs import session as obs_session
@@ -34,7 +36,8 @@ from repro.sim.driver import (DEFAULT_CHUNK, _drive, _per_core_state,
 from repro.sim.engine import (RunCache, RunEngine, RunRequest, RunSummary,
                               cache_max_bytes_from_env, code_fingerprint,
                               engine_from_env, parse_size_bytes,
-                              request_budget, resolve_cache_dir, run_grid)
+                              request_budget, resolve_cache_dir, run_grid,
+                              use_engine)
 from repro.sim.sampling import PRESETS, SamplingPlan
 from repro.sim.system import System
 from repro.workloads.generator import generate_traces
@@ -45,6 +48,14 @@ from tests.drive_reference import (HOT_SPEC, WRITE_SPEC, reference_drive,
 
 PLAN = SamplingPlan(1500, 800)
 SCALE = 512
+WORKLOADS = ("web_search", "data_serving")
+SYSTEMS = ("baseline", "silo")
+
+
+def _fig10(engine):
+    with use_engine(engine):
+        return fig10_scaleout(plan=PLAN, scale=SCALE, seed=7,
+                              systems=SYSTEMS, workloads=WORKLOADS)
 
 
 def _point(seed=7, workload="web_search", track_sharing=False):
@@ -52,6 +63,29 @@ def _point(seed=7, workload="web_search", track_sharing=False):
         system_config("baseline", num_cores=4, scale=SCALE),
         SCALEOUT_WORKLOADS[workload], PLAN, seed,
         track_sharing=track_sharing)
+
+
+# ---------------------------------------------------------------------------
+# Determinism: serial == parallel == cache-replayed (exact equality)
+# ---------------------------------------------------------------------------
+
+
+def test_fig10_serial_parallel_cached_bit_identical(tmp_path):
+    serial = _fig10(RunEngine(jobs=1))
+
+    parallel_engine = RunEngine(jobs=4)
+    parallel = _fig10(parallel_engine)
+    assert parallel == serial          # exact float equality, no tolerance
+    assert parallel_engine.executed > 0
+
+    cold = RunEngine(jobs=1, cache=RunCache(str(tmp_path)))
+    assert _fig10(cold) == serial
+    assert cold.cache_misses == cold.executed > 0
+
+    warm = RunEngine(jobs=1, cache=RunCache(str(tmp_path)))
+    assert _fig10(warm) == serial      # replayed entirely from cache
+    assert warm.executed == 0
+    assert warm.cache_hits == warm.unique_points > 0
 
 
 def test_batch_dedup_simulates_duplicates_once():
@@ -72,6 +106,64 @@ def test_run_grid_uses_env_default_engine(monkeypatch):
 # ---------------------------------------------------------------------------
 # RunSummary fidelity and serialization
 # ---------------------------------------------------------------------------
+
+
+#: Evaluations that must agree between an engine summary and a direct
+#: run, as (name, call) pairs.
+_EVALUATIONS = (
+    ("per_core_ipc", lambda s: s.per_core_ipc()),
+    ("performance", lambda s: s.performance()),
+    ("llc_scale", lambda s: s.performance_with_llc_scale(1.5)),
+    ("rw_multiplier", lambda s: s.performance_with_rw_multiplier(3.0)),
+    ("ipc_of", lambda s: s.ipc_of([1, 3])),
+    ("level_counts", lambda s: s.level_counts()),
+    ("instructions", lambda s: s.instructions()),
+    ("llc_breakdown", lambda s: s.llc_breakdown()),
+    ("llc_mpki", lambda s: s.llc_mpki()),
+    ("max_core_cycles", lambda s: s.max_core_cycles()),
+    ("llc_power_w", lambda s: s.llc_power_w(1.0)),
+    ("latency_percentiles", lambda s: s.latency_percentiles()),
+    ("driven_events", lambda s: s.driven_events()),
+)
+
+
+def _simulated_fields(summary):
+    d = summary.to_dict()
+    for name in ("warmup_wall_s", "measure_wall_s", "request_key"):
+        del d[name]
+    return d
+
+
+def test_engine_summary_matches_a_direct_run():
+    """The engine's summary and ``simulate``'s RunResult are one result
+    model: the same fields (host clocks and the key aside) and the same
+    value from every evaluation, on Baseline and SILO with sharing
+    tracked and on SILO under an active fault plan.  The engine's is a
+    plain RunSummary that pickles without the System."""
+    from repro.sim.driver import RunResult, simulate
+    spec = SCALEOUT_WORKLOADS["web_search"]
+    faults = FaultPlan(seed=1, data_flip_rate=0.05, tag_flip_rate=0.05,
+                       double_bit_fraction=1.0)
+    points = [
+        RunRequest.point(system_config(name, num_cores=4, scale=SCALE),
+                         spec, PLAN, 7, **kwargs)
+        for name, kwargs in (("baseline", {"track_sharing": True}),
+                             ("silo", {"track_sharing": True}),
+                             ("silo", {"faults": faults}))]
+    for req, summary in zip(points, RunEngine(jobs=1).run(points)):
+        live = simulate(req.config, spec, PLAN, seed=7,
+                        track_sharing=req.track_sharing,
+                        faults=req.faults)
+        assert type(summary) is RunSummary
+        assert isinstance(live, RunResult)
+        assert _simulated_fields(summary) == _simulated_fields(live)
+        for name, evaluate in _EVALUATIONS:
+            assert evaluate(summary) == evaluate(live), name
+        assert summary.seed == live.seed == 7
+        blob = pickle.dumps(summary)
+        assert b"repro.sim.system" not in blob
+        assert pickle.loads(blob) == summary
+    assert summary.counters["faults"]["injected"] > 0
 
 
 def test_summary_pickle_round_trip():

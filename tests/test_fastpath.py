@@ -9,10 +9,8 @@ event through ``System.access``: performance, per-level counts, the
 full stats snapshot and the latency distributions must be
 *bit-identical*.  Systems with prefetchers or an active fault plan act
 on every access, hits included, so they must send every event through
-``System.access`` and still match.  The interleave chunk is checked
-here too, and so is what the loop reads: each trace's own ``blocks``
-and ``flags`` lists, from one trace set that back-to-back systems on
-the same workload share.
+``System.access`` and still match.  The interleave chunk's own tests
+and those of what the loop reads are ``tests/test_driver.py``'s.
 """
 
 from unittest import mock
@@ -22,13 +20,9 @@ import pytest
 from repro.core.systems import system_config
 from repro.faults import FaultPlan
 from repro.sim import driver
-from repro.sim.driver import DEFAULT_CHUNK, _per_core_state, \
-    default_chunk, simulate, use_chunk
-from repro.sim.engine import RunEngine, RunRequest
+from repro.sim.driver import simulate
 from repro.sim.sampling import SamplingPlan
 from repro.sim.system import SharedSystem, System, VaultSystem
-from repro.workloads import generator
-from repro.workloads.generator import generate_traces
 from repro.workloads.scaleout import SCALEOUT_WORKLOADS
 from tests.drive_reference import HOT_SPEC, reference_run_drive
 
@@ -145,128 +139,3 @@ def test_inactive_faults_keep_the_kernel():
     assert fast.system.faults is None
     assert fast_calls < events // 2
     _pin(fast, slow)
-
-
-# ---------------------------------------------------------------------------
-# configuration plumbing
-# ---------------------------------------------------------------------------
-
-
-def test_use_chunk_override():
-    assert default_chunk() == DEFAULT_CHUNK
-    with use_chunk(64):
-        assert default_chunk() == 64
-    assert default_chunk() == DEFAULT_CHUNK
-
-
-@pytest.mark.parametrize("bad", [2.7, True, "5", 0, -1])
-def test_use_chunk_rejects_what_a_request_would(bad):
-    # int() would install 2.7 as 2, True as 1 and "5" as 5.
-    with pytest.raises(ValueError, match="chunk"):
-        with use_chunk(bad):
-            pass
-    assert default_chunk() == DEFAULT_CHUNK
-
-
-def test_run_request_defaults_from_ambient():
-    config = system_config("silo", num_cores=4, scale=SCALE)
-    req = RunRequest.point(config, HOT_SPEC, PLAN, seed=7)
-    assert req.chunk == DEFAULT_CHUNK
-    with use_chunk(77):
-        req = RunRequest.point(config, HOT_SPEC, PLAN, seed=7)
-    assert req.chunk == 77
-
-
-# ---------------------------------------------------------------------------
-# one trace set per workload, read in place
-# ---------------------------------------------------------------------------
-
-
-def test_decoded_lanes_are_reused_across_systems():
-    # Two points on one workload get the same generated trace set, and
-    # the drive loop of each system reads that set's own lists.
-    config = system_config("silo", num_cores=4, scale=SCALE)
-    args = dict(num_cores=4, events_per_core=PLAN.total_events,
-                scale=SCALE, seed=7)
-    traces, layout = generate_traces(HOT_SPEC, **args)
-    again, layout_again = generate_traces(HOT_SPEC, **args)
-    assert again is traces and layout_again is layout
-    state_a = _per_core_state(System(config, [HOT_SPEC.core] * 4),
-                              traces)
-    state_b = _per_core_state(System(config, [HOT_SPEC.core] * 4),
-                              again)
-    for tr, a, b in zip(traces, state_a, state_b):
-        assert a[2] is b[2] is tr.blocks
-        assert a[3] is b[3] is tr.flags
-
-
-def test_a_grid_generates_each_workload_once(monkeypatch):
-    # The engine runs a grid's points in order; both systems of one
-    # workload share the trace set the first one generated.
-    monkeypatch.setattr(generator, "_last_traces", None)
-    calls = []
-    real = generator._generate_traces
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(generator, "_generate_traces", counted)
-    requests = [RunRequest.point(system_config(name, num_cores=4,
-                                               scale=SCALE),
-                                 spec, PLAN, seed=7)
-                for spec in (HOT_SPEC, SCALEOUT_WORKLOADS["web_search"])
-                for name in ("baseline", "silo")]
-    RunEngine(jobs=1).run(requests)
-    assert [args[0].name for args in calls] == ["l1_resident",
-                                                "web_search"]
-
-
-def test_a_colocated_pair_generates_its_mix_once(monkeypatch):
-    # Baseline then SILO on one mix share the colocated trace set.
-    monkeypatch.setattr(generator, "_last_traces", None)
-    calls = []
-    real = generator._generate_traces
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(generator, "_generate_traces", counted)
-    mix = [(HOT_SPEC, (0, 1)), (SCALEOUT_WORKLOADS["web_search"], (2, 3))]
-    requests = [RunRequest.colocation(system_config(name, num_cores=4,
-                                                    scale=SCALE),
-                                      mix, PLAN, seed=7)
-                for name in ("baseline", "silo")]
-    RunEngine(jobs=1).run(requests)
-    assert [args[0].name for args in calls] == ["l1_resident",
-                                                "web_search"]
-
-
-# ---------------------------------------------------------------------------
-# chunk metamorphics
-# ---------------------------------------------------------------------------
-
-
-def test_single_core_results_are_chunk_invariant():
-    # With one core the interleave grain cannot change event order, so
-    # results must be exactly identical across chunk sizes -- with the
-    # fast path or the reference loop driving.
-    runs = {}
-    for chunk in (50, 200, 800):
-        for reference in (False, True):
-            r, _ = _run("silo", reference=reference, num_cores=1,
-                        chunk=chunk)
-            runs[(chunk, reference)] = (r.performance(),
-                                        r.system.stats.snapshot())
-    first = runs[(50, False)]
-    assert all(v == first for v in runs.values())
-
-
-def test_multi_core_chunk_drift_is_bounded():
-    # Chunk size changes multi-core interleaving, which legitimately
-    # perturbs contention; the measured metric must stay close.
-    perf = {}
-    for chunk in (50, 800):
-        perf[chunk] = _run("silo", chunk=chunk)[0].performance()
-    assert perf[800] == pytest.approx(perf[50], rel=0.10)

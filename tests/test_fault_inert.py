@@ -1,14 +1,15 @@
 """Property: fault injection is inert when off.
 
-Mirrors tests/test_obs_inert.py: a run with no fault plan, a run with
-a rate-zero plan, and a run with a force-attached zero-rate injector
-must all be bit-identical to the plain fault-free run.  The hooks may
-only *read* simulator state until a fault actually fires.
+Mirrors tests/test_obs_inert.py: a run with a rate-zero plan, and a
+run with a force-attached injector whose only event falls past the
+run, must both be bit-identical to the plain fault-free run.  The
+hooks may only *read* simulator state until a fault actually fires.
+``tests/test_oracle.py`` checks the same relation on random plans and
+that an active plan is not inert.
 """
 
 import pytest
 
-from repro.cores.perf_model import CoreParams
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.sim.config import HierarchyConfig
@@ -17,6 +18,7 @@ from repro.sim.sampling import SamplingPlan
 from repro.sim.system import System
 from repro.workloads.generator import generate_traces
 from repro.workloads.scaleout import WEB_SEARCH, DATA_SERVING
+from tests.test_obs_inert import fingerprint
 
 PLAN = SamplingPlan(1500, 800)
 
@@ -24,25 +26,6 @@ PLAN = SamplingPlan(1500, 800)
 def config(kind):
     return HierarchyConfig(name="fault_inert", num_cores=4, scale=512,
                            llc_kind=kind)
-
-
-def fingerprint(result):
-    s = result.system
-    return {
-        "performance": result.performance(),
-        "per_core_ipc": result.per_core_ipc(),
-        "level_counts": result.level_counts(),
-        "instructions": result.instructions(),
-        "llc_accesses": s.llc_accesses,
-        "invalidations": s.invalidations,
-        "directory_lookups": s.directory_lookups,
-        "remote_forwards": s.remote_forwards,
-        "vault_evictions": s.vault_evictions,
-        "l1_writebacks": s.l1_writebacks,
-        "memory_reads": s.memory.reads,
-        "memory_writes": s.memory.writes,
-        "link_traversals": s.mesh.link_traversals,
-    }
 
 
 @pytest.mark.parametrize("kind", ["shared", "private_vault"])
@@ -80,16 +63,3 @@ def test_attached_zero_rate_injector_is_inert(kind):
     assert system.faults.accesses > 0          # hooks did run
     assert system.faults.injected == 0
     assert fingerprint(hooked) == fingerprint(plain)
-
-
-def test_active_plan_changes_something():
-    """Sanity check on the property itself: a plan with real rates is
-    *not* inert (otherwise the inertness assertions are vacuous)."""
-    spec = DATA_SERVING
-    plain = simulate(config("private_vault"), spec, PLAN, seed=3)
-    noisy = simulate(config("private_vault"), spec, PLAN, seed=3,
-                     faults=FaultPlan(seed=1, data_flip_rate=0.5,
-                                      double_bit_fraction=1.0))
-    assert noisy.system.faults is not None
-    assert noisy.system.faults.uncorrectable > 0
-    assert fingerprint(noisy) != fingerprint(plain)

@@ -1,7 +1,7 @@
 """Metamorphic properties of the simulator.
 
 Rather than pinning absolute numbers, these tests assert relations
-that must hold between *pairs* of runs: seed sensitivity, invariance of
+that must hold between *pairs* of runs: seed stability, invariance of
 the SILO-vs-shared ranking under trace scale, and monotonicity of
 performance in vault latency and fault rate.  Everything here is
 deterministic -- a failure is a real property violation, not noise.
@@ -31,7 +31,16 @@ def perf(kind, scale=512, cores=4, seed=7, plan=PLAN, faults=None,
                     faults=faults).performance()
 
 
-# -- seed sensitivity ------------------------------------------------
+# -- seed stability ----------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["shared", "private_vault"])
+def test_same_seed_is_bit_identical(kind):
+    a = simulate(config(kind), DATA_SERVING, PLAN, seed=7)
+    b = simulate(config(kind), DATA_SERVING, PLAN, seed=7)
+    assert a.performance() == b.performance()
+    assert a.per_core_ipc() == b.per_core_ipc()
+    assert a.level_counts() == b.level_counts()
 
 
 def test_different_seeds_differ():

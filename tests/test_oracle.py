@@ -212,7 +212,7 @@ def batches(draw):
 
 
 # ---------------------------------------------------------------------------
-# explicit examples: the points the per-feature pins used to check
+# explicit examples: the points the per-feature pins check
 # ---------------------------------------------------------------------------
 
 PLAN = SamplingPlan(1500, 800)
@@ -234,7 +234,7 @@ def _hot(name, spec=HOT_SPEC, l1_prefetcher=False, **kwargs):
 
 def _raw(name, kind):
     """The bare 4-core, scale-512 HierarchyConfig the inertness and
-    metamorphic pins ran on."""
+    metamorphic pins run on."""
     return HierarchyConfig(name=name, num_cores=4, scale=512,
                            llc_kind=kind)
 

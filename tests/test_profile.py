@@ -253,3 +253,15 @@ def test_report_is_json_native(profiled_run):
     _result, report = profiled_run()
     assert json.loads(json.dumps(report)) == report
 
+
+# -- inertness --------------------------------------------------------------
+
+
+def test_profiled_run_is_bit_identical():
+    plain = simulate(config(), WEB_SEARCH, PLAN, seed=5)
+    with observe(profile=True):
+        profiled = simulate(config(), WEB_SEARCH, PLAN, seed=5)
+    assert profiled.performance() == plain.performance()
+    assert profiled.level_counts() == plain.level_counts()
+    assert (profiled.system.memory.reads, profiled.system.memory.writes) \
+        == (plain.system.memory.reads, plain.system.memory.writes)

@@ -5,9 +5,11 @@ The contracts the serving layer must keep:
 * N concurrent identical submissions execute exactly one simulation
   (in-flight dedup + response memo), and every caller gets the same
   summary;
-* ``--server`` against a real server process posts each distinct
+* results served through any transport (the local pool, HTTP) are
+  bit-identical to the serial engine -- fig3 rows row-for-row, and
+  ``--server`` against a real server process posts each distinct
   point once and records it like a local run (``tests/test_oracle.py``
-  checks that served results are bit-identical to serial ones);
+  checks served summaries against serial ones on random requests);
 * backpressure: past the configured queue depth the server answers
   429 with Retry-After instead of queueing without bound; an oversized
   request head or a truncated body gets 400, not a dropped connection;
@@ -41,6 +43,7 @@ import pytest
 import repro
 from repro.core.systems import system_config
 from repro.experiments.cli import main as experiments_main
+from repro.experiments.sharing import fig3_breakdown
 from repro.faults import FaultPlan
 from repro.obs.session import observe
 from repro.serve import __main__ as serve_cli
@@ -48,7 +51,7 @@ from repro.serve import proto
 from repro.serve.client import HttpTransport, ServerClient, ServerError
 from repro.serve.server import JobServer
 from repro.sim.engine import (LocalPoolTransport, RunCache, RunEngine,
-                              RunRequest)
+                              RunRequest, use_engine)
 from repro.sim.sampling import SamplingPlan
 from repro.workloads.scaleout import SCALEOUT_WORKLOADS
 from tests.test_engine import HOSTILE_EDITS, hostile_body
@@ -60,6 +63,7 @@ pytestmark = pytest.mark.filterwarnings(
 
 PLAN = SamplingPlan(1500, 800)
 SCALE = 512
+FIG3_WORKLOADS = tuple(SCALEOUT_WORKLOADS)
 
 #: to_dict fields that measure the host, not the simulation.
 WALL_FIELDS = ("warmup_wall_s", "measure_wall_s")
@@ -256,6 +260,35 @@ def test_stop_closes_idle_keep_alive_connections(monkeypatch):
 # ---------------------------------------------------------------------------
 # local-pool transport: fig3 over HTTP is bit-identical to serial
 # ---------------------------------------------------------------------------
+
+
+def _fig3(engine):
+    with use_engine(engine):
+        return fig3_breakdown(plan=PLAN, scale=SCALE, seed=7,
+                              workloads=list(FIG3_WORKLOADS))
+
+
+def test_fig3_server_local_pool_bit_identical_to_serial():
+    serial_rows = _fig3(RunEngine(jobs=1))
+
+    pool = LocalPoolTransport(2)
+    pool.start()
+    try:
+        engine = RunEngine(jobs=1, transport=pool)
+        with ServerThread(engine) as server:
+            http = HttpTransport(server.url)
+            remote = RunEngine(jobs=1, cache=None, transport=http)
+            try:
+                remote_rows = _fig3(remote)
+            finally:
+                http.stop()
+            transport = server.health()["transport"]
+        assert remote_rows == serial_rows   # row-for-row, no tolerance
+        assert engine.executed == len(FIG3_WORKLOADS) == 5
+        assert transport == "local-pool:2"
+        assert remote.snapshot()["transport"].startswith("http:")
+    finally:
+        pool.stop()
 
 
 def test_pool_workers_do_not_hold_the_server_socket():
