@@ -225,13 +225,6 @@ def main(argv=None):
                         if args.fault_stalls is not None else 0.0),
             target=args.fault_target)
 
-    if args.no_cache:
-        cache_dir = None
-    elif args.cache_dir is not None:
-        cache_dir = args.cache_dir
-    else:
-        cache_dir = sim_engine.resolve_cache_dir(
-            default=sim_engine.DEFAULT_CACHE_DIR)
     if args.mode != "simulate" and (args.trace or args.stats
                                     or args.profile
                                     or telemetry_every):
@@ -241,12 +234,13 @@ def main(argv=None):
     try:
         jobs = (args.jobs if args.jobs is not None
                 else sim_engine.jobs_from_env())
-        cache_max_bytes = (
-            sim_engine.parse_size_bytes(args.cache_max_bytes)
-            if args.cache_max_bytes is not None
-            else sim_engine.cache_max_bytes_from_env())
+        # with --server the server owns the cache: none here
+        cache = sim_engine.build_run_cache(
+            args.no_cache or args.server is not None, args.cache_dir,
+            args.cache_max_bytes)
     except ValueError as e:
         parser.error(str(e))
+    transport = None
     if args.server is not None:
         # Remote simulation: the server owns the workers and the run
         # cache; live-observation flags need a local System.
@@ -261,16 +255,9 @@ def main(argv=None):
                 parser.error("%s does not apply to --server (the "
                              "server owns its workers and cache)" % flag)
         from repro.serve.client import HttpTransport
-        engine = sim_engine.RunEngine(
-            jobs=jobs, cache=None, mode=args.mode,
-            transport=HttpTransport(args.server, args.priority))
-    else:
-        engine = sim_engine.RunEngine(
-            jobs=jobs,
-            cache=(sim_engine.RunCache(cache_dir,
-                                       max_bytes=cache_max_bytes)
-                   if cache_dir else None),
-            mode=args.mode)
+        transport = HttpTransport(args.server, args.priority)
+    engine = sim_engine.RunEngine(jobs=jobs, cache=cache, mode=args.mode,
+                                  transport=transport)
 
     if fault_plan is not None:
         from repro.faults import use_plan

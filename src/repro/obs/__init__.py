@@ -5,11 +5,12 @@ framework in particular):
 
 * :mod:`repro.obs.stats` -- a hierarchical registry of named statistics
   (counters, latency distributions, derived formulas) that every
-  subsystem registers into.  ``System.stats`` is the root group;
-  ``snapshot()`` exports the whole tree, ``reset()`` zeroes it (this is
-  what ``System.reset_stats`` delegates to after warmup).
-* :mod:`repro.obs.trace` -- an optional event tracer (bounded ring
-  buffer plus pluggable sinks) for coherence transitions, directory
+  subsystem registers into.  ``System.stats`` is the root group; its
+  jobs are the warm-up reset (``System.reset_stats`` delegates to its
+  ``reset()``), the ``--stats`` dump and ``snapshot()`` comparisons of
+  whole machines.
+* :mod:`repro.obs.trace` -- an optional event tracer (a bounded ring
+  buffer with per-kind counts) for coherence transitions, directory
   lookups, invalidation/downgrade flows and vault evictions.  Costs one
   ``is not None`` check per site when disabled.
 * :mod:`repro.obs.manifest` -- run-provenance manifests: JSON artifacts
@@ -18,10 +19,10 @@ framework in particular):
 
 Observability v2 adds three phase/time-resolved pieces on top:
 
-* :mod:`repro.obs.telemetry` -- a windowed sampler over the stats
-  registry (``--telemetry N``): per-core/per-vault time series, phase
-  detection on the windowed miss rate, JSONL / Prometheus / Perfetto
-  exporters.
+* :mod:`repro.obs.telemetry` -- a windowed sampler over the counters
+  a run summary records (``--telemetry N``): per-core/per-vault time
+  series, phase detection on the windowed miss rate, JSONL /
+  Prometheus / Perfetto exporters.
 * :mod:`repro.obs.profile` -- a ``SIGPROF`` stack sampler
   (``--profile``) that splits the simulator's wall clock by layer and
   wraps nothing; also owns :data:`clock`, the sanctioned wall-clock
@@ -37,9 +38,9 @@ functions.
 
 from repro.obs.stats import (Stat, Counter, BoundStat, Formula,
                              Distribution, Group)
-from repro.obs.trace import (EventTracer, TraceEvent, JsonlSink,
-                             EV_COHERENCE, EV_DIRECTORY, EV_INVALIDATE,
-                             EV_DOWNGRADE, EV_EVICTION)
+from repro.obs.trace import (EventTracer, TraceEvent, EV_COHERENCE,
+                             EV_DIRECTORY, EV_INVALIDATE, EV_DOWNGRADE,
+                             EV_EVICTION)
 from repro.obs.manifest import git_sha, write_manifest, MANIFEST_SCHEMA
 from repro.obs.session import observe, current_session
 from repro.obs.profile import clock, Profiler, render_report
@@ -50,7 +51,7 @@ from repro.obs.recorder import FlightRecorder
 
 __all__ = [
     "Stat", "Counter", "BoundStat", "Formula", "Distribution", "Group",
-    "EventTracer", "TraceEvent", "JsonlSink",
+    "EventTracer", "TraceEvent",
     "EV_COHERENCE", "EV_DIRECTORY", "EV_INVALIDATE", "EV_DOWNGRADE",
     "EV_EVICTION",
     "git_sha", "write_manifest", "MANIFEST_SCHEMA",

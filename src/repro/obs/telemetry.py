@@ -1,13 +1,14 @@
-"""Phase-resolved telemetry: a windowed sampler over the stats registry.
+"""Phase-resolved telemetry: a windowed sampler over the machine's counters.
 
 End-of-run totals hide how a run *evolves*: cold-cache warm-in, working
 -set shifts, a fault burst.  The :class:`TelemetrySampler` closes that
-gap by snapshotting the existing stats registry every N driven events
-(``--telemetry N``) and recording per-window *deltas*: per-core hit
-rates and exposed latency, NoC hops per event, memory traffic, fault
-events, and a per-vault occupancy/traffic heatmap series.  A greedy
-mean-shift change-point pass over the windowed miss rate segments the
-series into phases.
+gap by reading the counters a run summary records
+(``System.counters``) and each core's per-level counts and latency
+sums every N driven events (``--telemetry N``) and recording
+per-window *deltas*: per-core hit rates and exposed latency, NoC hops
+per event, memory traffic, fault events, and a per-vault
+occupancy/traffic heatmap series.  A greedy mean-shift change-point
+pass over the windowed miss rate segments the series into phases.
 
 Sampling happens at core-interleave *round* granularity inside
 ``_drive`` (one ``is not None`` check per round when enabled, nothing
@@ -26,7 +27,6 @@ detected phase).
 import json
 
 from repro.obs.profile import clock
-from repro.obs.stats import KIND_COUNTER
 
 #: Default miss-rate deviation (absolute) that opens a new phase.
 PHASE_ABS_TOL = 0.03
@@ -34,17 +34,15 @@ PHASE_ABS_TOL = 0.03
 PHASE_REL_TOL = 0.5
 
 
-def counter_values(root):
-    """Flat ``{dotted.path: value}`` view of every counter-kind leaf in
-    a stats registry (formulas and distributions are derived state and
-    are excluded -- deltas are only meaningful for counters)."""
-    out = {}
-    for path, stat in root.walk():
-        if stat.kind == KIND_COUNTER:
-            v = stat.value()
-            if isinstance(v, (int, float)):
-                out[path] = v
-    return out
+def _fault_events(counters):
+    """Faults fired by the time of a ``System.counters()`` dict: bit
+    flips, channel stalls and vault transitions, not ticks or recovery
+    work."""
+    faults = counters.get("faults")
+    if faults is None:
+        return 0
+    return (faults["injected"] + faults["stall_events"]
+            + faults["offline_events"] + faults["online_events"])
 
 
 def detect_phases(values, abs_tol=PHASE_ABS_TOL, rel_tol=PHASE_REL_TOL):
@@ -80,16 +78,14 @@ def detect_phases(values, abs_tol=PHASE_ABS_TOL, rel_tol=PHASE_REL_TOL):
 
 
 class TelemetrySampler:
-    """Windowed delta sampler over one System's stats registry.
+    """Windowed delta sampler over one System's counters.
 
-    ``run_system`` constructs the sampler before the warmup drive (the
-    registry walk is the expensive part and must stay out of the timed
-    measure window) and re-arms it with :meth:`start` right after the
-    warmup-boundary stats reset.  ``_drive`` calls :meth:`tick` once
-    per interleave round and the sampler closes a window whenever the
-    driven-event count crosses the next interval boundary.
-    :meth:`finish` closes the final partial window and runs phase
-    detection.
+    ``run_system`` builds the sampler right after the warmup-boundary
+    stats reset, so the first window's deltas start from zero;
+    ``_drive`` calls :meth:`tick` once per interleave round and the
+    sampler closes a window whenever the driven-event count crosses the
+    next interval boundary.  :meth:`finish` closes the final partial
+    window and runs phase detection.
     """
 
     def __init__(self, system, interval_events):
@@ -98,33 +94,24 @@ class TelemetrySampler:
                              % (interval_events,))
         self.system = system
         self.interval = int(interval_events)
-        # the registry's shape is frozen once the System is built, so
-        # the walk happens once here; each sample only re-reads values
-        self._leaves = [(path, stat)
-                        for path, stat in system.stats.walk()
-                        if stat.kind == KIND_COUNTER
-                        and isinstance(stat.value(), (int, float))]
-        self.start()
-
-    def start(self):
-        """(Re)arm: baseline counters, event count and wall clock.
-        Cheap (one value read per counter leaf); called after the
-        warmup-boundary stats reset so the first window's deltas start
-        from zero."""
         self.windows = []
         self.phases = []
         self.finished = False
         self._next_at = self.interval
-        self._last = self._snapshot()
+        self._last = self._read()
         self._last_events = 0
         self._t0 = clock()
         self._last_t = self._t0
 
     # -- sampling -------------------------------------------------------
 
-    def _snapshot(self):
-        """Current counter values over the leaves captured at init."""
-        return {path: stat.value() for path, stat in self._leaves}
+    def _read(self):
+        """``System.counters()`` and a copy of each core's per-level
+        ``(data_count, ifetch_count, data_latency)``."""
+        system = self.system
+        return system.counters(), [
+            (list(c.data_count), list(c.ifetch_count),
+             list(c.data_latency)) for c in system.cores]
 
     def tick(self, driven):
         """Close a window if ``driven`` (cumulative events this drive)
@@ -136,17 +123,16 @@ class TelemetrySampler:
                 self._next_at += self.interval
 
     def _sample(self, driven):
-        # Imported here, not at module top: perf_model itself imports
-        # repro.obs.stats, and this module is re-exported from the
-        # repro.obs package __init__ -- a module-level import would
-        # cycle when perf_model is the first thing imported.
-        from repro.cores.perf_model import LEVEL_NAMES
-        system = self.system
+        # Imported here, not at module top: perf_model imports
+        # repro.obs.stats, whose package __init__ imports this module.
+        from repro.cores.perf_model import LEVEL_L1, LEVEL_LLC_LOCAL
         now = clock()
-        cur = self._snapshot()
-        last = self._last
-        delta = {k: v - last.get(k, 0) for k, v in cur.items()}
+        counters, cores = self._read()
+        last, last_cores = self._last
         wevents = driven - self._last_events
+
+        def delta(name):
+            return counters[name] - last[name]
 
         per_core = []
         vault_traffic = []
@@ -155,46 +141,32 @@ class TelemetrySampler:
         tot_data = 0
         tot_data_l1 = 0
         tot_lat = 0.0
-        for c in range(system.num_cores):
-            prefix = "system.cores.core%d." % c
-            events = 0
-            l1 = 0
-            data = 0
-            data_l1 = 0
+        for (dc, ic, dl), (ldc, lic, ldl) in zip(cores, last_cores):
+            d = [n - m for n, m in zip(dc, ldc)]
+            i = [n - m for n, m in zip(ic, lic)]
+            data = sum(d)
+            events = data + sum(i)
             lat = 0.0
-            local = 0
-            for lvl, name in enumerate(LEVEL_NAMES):
-                g = prefix + name.lower() + "."
-                d = delta.get(g + "data_count", 0)
-                i = delta.get(g + "ifetch_count", 0)
-                events += d + i
-                data += d
-                lat += delta.get(g + "data_latency", 0.0)
-                if lvl == 0:
-                    l1 = d + i
-                    data_l1 = d
-                elif name == "LLC_LOCAL":
-                    local = d + i
-            misses = events - l1
-            data_misses = data - data_l1
+            for x, y in zip(dl, ldl):
+                lat += x - y
+            hits = d[LEVEL_L1] + i[LEVEL_L1]
+            data_misses = data - d[LEVEL_L1]
             per_core.append({
                 "events": events,
-                "l1_hit_rate": l1 / events if events else 0.0,
-                "miss_rate": misses / events if events else 0.0,
+                "l1_hit_rate": hits / events if events else 0.0,
+                "miss_rate": (events - hits) / events if events else 0.0,
                 "mean_exposed_latency": (lat / data_misses
                                          if data_misses else 0.0),
             })
-            vault_traffic.append(local)
+            vault_traffic.append(d[LEVEL_LLC_LOCAL] + i[LEVEL_LLC_LOCAL])
             tot_events += events
-            tot_l1 += l1
+            tot_l1 += hits
             tot_data += data
-            tot_data_l1 += data_l1
+            tot_data_l1 += d[LEVEL_L1]
             tot_lat += lat
 
         misses = tot_events - tot_l1
         data_misses = tot_data - tot_data_l1
-        fault_events = sum(v for k, v in delta.items()
-                           if k.startswith("system.faults."))
         self.windows.append({
             "index": len(self.windows),
             "events": driven,
@@ -205,18 +177,16 @@ class TelemetrySampler:
             "l1_hit_rate": tot_l1 / tot_events if tot_events else 0.0,
             "mean_exposed_latency": (tot_lat / data_misses
                                      if data_misses else 0.0),
-            "noc_hops_per_event": (
-                delta.get("system.noc.link_traversals", 0) / wevents
-                if wevents else 0.0),
-            "llc_accesses": delta.get("system.caches.llc_accesses", 0),
-            "memory_accesses": (delta.get("system.memory.reads", 0)
-                                + delta.get("system.memory.writes", 0)),
-            "fault_events": fault_events,
+            "noc_hops_per_event": (delta("link_traversals") / wevents
+                                   if wevents else 0.0),
+            "llc_accesses": delta("llc_accesses"),
+            "memory_accesses": delta("memory_accesses"),
+            "fault_events": _fault_events(counters) - _fault_events(last),
             "per_core": per_core,
-            "vault_occupancy": system.occupancy_by_bank(),
+            "vault_occupancy": self.system.occupancy_by_bank(),
             "vault_traffic": vault_traffic,
         })
-        self._last = cur
+        self._last = counters, cores
         self._last_events = driven
         self._last_t = now
 
@@ -257,98 +227,85 @@ def export_jsonl(samplers):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _prom_name(metric):
-    return "silo_" + metric
+def _prometheus_text(samples, helps=None):
+    """The one Prometheus text writer: ``(metric, labels, value)``
+    samples as ``silo_<metric>`` gauges, each metric's ``# HELP`` (from
+    ``helps``, if given) and ``# TYPE`` lines before its first sample."""
+    out = []
+    seen = set()
+    for metric, labels, value in samples:
+        name = "silo_" + metric
+        if metric not in seen:
+            seen.add(metric)
+            if helps is not None:
+                out.append("# HELP %s %s" % (name, helps[metric]))
+            out.append("# TYPE %s gauge" % name)
+        if labels:
+            label_s = ",".join('%s="%s"' % kv for kv in labels)
+            out.append("%s{%s} %.10g" % (name, label_s, value))
+        else:
+            out.append("%s %.10g" % (name, value))
+    return "\n".join(out) + ("\n" if out else "")
+
+
+_WINDOW_HELP = {
+    "miss_rate": "aggregate L1 miss rate of the latest window",
+    "l1_hit_rate": "aggregate L1 hit rate of the latest window",
+    "mean_exposed_latency_cycles":
+        "mean exposed data-miss latency of the latest window",
+    "noc_hops_per_event": "NoC link traversals per driven event",
+    "fault_events": "fault events observed in the latest window",
+    "windows_total": "telemetry windows recorded",
+    "phases_total": "phases detected on the windowed miss rate",
+    "core_miss_rate": "per-core L1 miss rate of the latest window",
+    "vault_occupancy": "per-vault/bank occupancy fraction",
+    "vault_traffic_events":
+        "per-vault local-LLC events in the latest window",
+}
+
+
+def _window_samples(samplers):
+    for run, sampler in enumerate(samplers):
+        rl = (("run", run),)
+        yield "windows_total", rl, len(sampler.windows)
+        yield "phases_total", rl, len(sampler.phases)
+        if not sampler.windows:
+            continue
+        w = sampler.windows[-1]
+        yield "miss_rate", rl, w["miss_rate"]
+        yield "l1_hit_rate", rl, w["l1_hit_rate"]
+        yield "mean_exposed_latency_cycles", rl, w["mean_exposed_latency"]
+        yield "noc_hops_per_event", rl, w["noc_hops_per_event"]
+        yield "fault_events", rl, w["fault_events"]
+        for core, pc in enumerate(w["per_core"]):
+            yield "core_miss_rate", rl + (("core", core),), pc["miss_rate"]
+        for vault, occ in enumerate(w["vault_occupancy"]):
+            yield "vault_occupancy", rl + (("vault", vault),), occ
+        for vault, traffic in enumerate(w["vault_traffic"]):
+            yield "vault_traffic_events", rl + (("vault", vault),), traffic
 
 
 def export_prometheus(samplers):
     """Prometheus text exposition of the latest window of every run
     (gauges labelled by run / run+core / run+vault, plus total window
     and phase counts)."""
-    helps = {
-        "miss_rate": "aggregate L1 miss rate of the latest window",
-        "l1_hit_rate": "aggregate L1 hit rate of the latest window",
-        "mean_exposed_latency_cycles":
-            "mean exposed data-miss latency of the latest window",
-        "noc_hops_per_event": "NoC link traversals per driven event",
-        "fault_events": "fault events observed in the latest window",
-        "windows_total": "telemetry windows recorded",
-        "phases_total": "phases detected on the windowed miss rate",
-        "core_miss_rate": "per-core L1 miss rate of the latest window",
-        "vault_occupancy": "per-vault/bank occupancy fraction",
-        "vault_traffic_events":
-            "per-vault local-LLC events in the latest window",
-    }
-    out = []
-    emitted = set()
-
-    def emit(metric, labels, value):
-        name = _prom_name(metric)
-        if metric not in emitted:
-            emitted.add(metric)
-            out.append("# HELP %s %s" % (name, helps[metric]))
-            out.append("# TYPE %s gauge" % name)
-        label_s = ",".join('%s="%s"' % kv for kv in labels)
-        out.append("%s{%s} %.10g" % (name, label_s, value))
-
-    for run, sampler in enumerate(samplers):
-        rl = (("run", run),)
-        emit("windows_total", rl, len(sampler.windows))
-        emit("phases_total", rl, len(sampler.phases))
-        if not sampler.windows:
-            continue
-        w = sampler.windows[-1]
-        emit("miss_rate", rl, w["miss_rate"])
-        emit("l1_hit_rate", rl, w["l1_hit_rate"])
-        emit("mean_exposed_latency_cycles", rl,
-             w["mean_exposed_latency"])
-        emit("noc_hops_per_event", rl, w["noc_hops_per_event"])
-        emit("fault_events", rl, w["fault_events"])
-        for core, pc in enumerate(w["per_core"]):
-            emit("core_miss_rate", rl + (("core", core),),
-                 pc["miss_rate"])
-        for vault, occ in enumerate(w["vault_occupancy"]):
-            emit("vault_occupancy", rl + (("vault", vault),), occ)
-        for vault, traffic in enumerate(w["vault_traffic"]):
-            emit("vault_traffic_events", rl + (("vault", vault),),
-                 traffic)
-    return "\n".join(out) + ("\n" if out else "")
+    return _prometheus_text(_window_samples(samplers), _WINDOW_HELP)
 
 
-def export_group_prometheus(snapshot, prefix, labels=()):
-    """Prometheus text exposition of a stats-group snapshot.
-
-    Flattens the nested plain-dict form returned by
-    :meth:`repro.obs.stats.Group.snapshot` into ``silo_<prefix>_<path>``
-    gauges, keeping only numeric leaves (strings, None and span lists
-    are manifest detail, not metrics).  This is what the job server's
-    ``GET /metrics`` endpoint serves for its own counters and the
-    engine group.
-    """
-    out = []
-
-    def walk(node, path):
+def export_group_prometheus(snapshot, prefix):
+    """Prometheus text of a nested plain-dict snapshot as
+    ``silo_<prefix>_<path>`` gauges, numeric leaves only (strings, None
+    and span lists are manifest detail): the job server's ``GET
+    /metrics`` for its own counters and the engine's snapshot."""
+    def leaves(node, path):
         for name in sorted(node):
             value = node[name]
-            sub = path + (name,)
             if isinstance(value, dict):
-                walk(value, sub)
-            elif isinstance(value, bool):
-                emit(sub, int(value))
+                yield from leaves(value, path + (name,))
             elif isinstance(value, (int, float)):
-                emit(sub, value)
+                yield "_".join(path + (name,)), (), value
 
-    def emit(path, value):
-        name = _prom_name("_".join((prefix,) + path))
-        out.append("# TYPE %s gauge" % name)
-        if labels:
-            label_s = ",".join('%s="%s"' % kv for kv in labels)
-            out.append("%s{%s} %.10g" % (name, label_s, value))
-        else:
-            out.append("%s %.10g" % (name, value))
-
-    walk(snapshot, ())
-    return "\n".join(out) + ("\n" if out else "")
+    return _prometheus_text(leaves(snapshot, (prefix,)))
 
 
 def export_chrome_trace(samplers, profile_report=None,

@@ -1,10 +1,10 @@
-"""Optional event tracer: bounded ring buffer plus pluggable sinks.
+"""Optional event tracer: a bounded ring buffer with per-kind counts.
 
 The simulator never constructs a tracer on its own -- ``System.tracer``
 is ``None`` until ``System.attach_tracer`` is called, so the disabled
 cost is one ``is not None`` check per instrumented site.  When enabled,
 each event is a small immutable record kept in a ``deque(maxlen=...)``
-(old events fall off the back) and offered to every registered sink.
+(old events fall off the back) and counted by kind.
 
 Event kinds
 -----------
@@ -16,7 +16,6 @@ Event kinds
 ``fault``           an injected fault fired or a recovery path ran
 """
 
-import json
 from collections import deque
 from typing import NamedTuple, Optional
 
@@ -26,9 +25,6 @@ EV_INVALIDATE = "invalidate"
 EV_DOWNGRADE = "downgrade"
 EV_EVICTION = "vault_eviction"
 EV_FAULT = "fault"
-
-EVENT_KINDS = (EV_COHERENCE, EV_DIRECTORY, EV_INVALIDATE, EV_DOWNGRADE,
-               EV_EVICTION, EV_FAULT)
 
 
 class TraceEvent(NamedTuple):
@@ -40,41 +36,22 @@ class TraceEvent(NamedTuple):
     block: int
     detail: Optional[str] = None
 
-    def to_dict(self):
-        d = {"kind": self.kind, "cycle": self.cycle, "core": self.core,
-             "block": self.block}
-        if self.detail is not None:
-            d["detail"] = self.detail
-        return d
-
 
 class EventTracer:
     """Ring buffer of :class:`TraceEvent` with per-kind counts."""
 
-    def __init__(self, capacity=4096, kinds=None):
+    def __init__(self, capacity=4096):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.kinds = frozenset(kinds) if kinds is not None else None
         self._ring = deque(maxlen=capacity)
-        self._sinks = []
         self.emitted = 0
         self.counts = {}
 
-    def add_sink(self, sink):
-        """Register a callable invoked with every accepted event."""
-        self._sinks.append(sink)
-        return sink
-
     def emit(self, kind, cycle, core, block, detail=None):
-        if self.kinds is not None and kind not in self.kinds:
-            return
-        ev = TraceEvent(kind, cycle, core, block, detail)
-        self._ring.append(ev)
+        self._ring.append(TraceEvent(kind, cycle, core, block, detail))
         self.emitted += 1
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        for sink in self._sinks:
-            sink(ev)
 
     def events(self):
         """The retained (most recent) events, oldest first."""
@@ -95,23 +72,3 @@ class EventTracer:
         self._ring.clear()
         self.emitted = 0
         self.counts = {}
-
-
-class JsonlSink:
-    """Sink writing one JSON object per event to a file."""
-
-    def __init__(self, path):
-        self.path = path
-        self._f = open(path, "w")
-
-    def __call__(self, event):
-        self._f.write(json.dumps(event.to_dict()) + "\n")
-
-    def close(self):
-        self._f.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()

@@ -43,23 +43,6 @@ def at_least_one(text):
     return value
 
 
-def build_engine(args):
-    if args.no_cache:
-        cache_dir = None
-    elif args.cache_dir is not None:
-        cache_dir = args.cache_dir
-    else:
-        cache_dir = sim_engine.resolve_cache_dir(
-            default=sim_engine.DEFAULT_CACHE_DIR)
-    max_bytes = (sim_engine.parse_size_bytes(args.cache_max_bytes)
-                 if args.cache_max_bytes
-                 else sim_engine.cache_max_bytes_from_env())
-    cache = (sim_engine.RunCache(cache_dir, max_bytes=max_bytes)
-             if cache_dir else None)
-    return sim_engine.RunEngine(jobs=1, cache=cache, mode=args.mode,
-                                transport=args.transport)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
@@ -92,10 +75,13 @@ def main(argv=None):
         parser.error("--retry-after must be a finite number of "
                      "seconds >= 0")
     try:
-        engine = build_engine(args)
+        cache = sim_engine.build_run_cache(
+            args.no_cache, args.cache_dir, args.cache_max_bytes)
     except ValueError as e:     # the --cache-max-bytes or env cap
         parser.error(str(e))
-    transport = engine.transport
+    transport = args.transport
+    engine = sim_engine.RunEngine(jobs=1, cache=cache, mode=args.mode,
+                                  transport=transport)
     if transport is not None:
         transport.start()
     server = JobServer(engine, host=args.host, port=args.port,

@@ -42,7 +42,6 @@ import pickle
 from collections import OrderedDict, deque
 
 from repro.obs.session import observe
-from repro.obs.stats import Group
 from repro.obs.telemetry import export_group_prometheus
 from repro.serve import proto
 from repro.serve.proto import ProtocolError
@@ -105,31 +104,6 @@ class JobServer:
         self.memo_hits = 0
         self.rejected = 0
         self.batches_dispatched = 0
-        self.stats = self._build_stats()
-
-    def _build_stats(self):
-        g = Group("serve", "job server traffic and dedup")
-        g.bind(self, "submitted", desc="POST /runs accepted")
-        g.bind(self, "completed", desc="jobs resolved successfully")
-        g.bind(self, "errors", desc="jobs resolved with an error")
-        g.bind(self, "deduped_inflight",
-               desc="submissions attached to an in-flight twin")
-        g.bind(self, "memo_hits",
-               desc="submissions served from the response memo")
-        g.bind(self, "rejected",
-               desc="submissions refused with 429 backpressure")
-        g.bind(self, "batches_dispatched",
-               desc="engine batches dispatched")
-        g.formula("queue_depth", self.queue_depth,
-                  desc="jobs queued and not yet dispatched")
-        g.formula("inflight", lambda: len(self._inflight),
-                  desc="deduplicated jobs queued or running")
-        g.formula("dedup_ratio", self.dedup_ratio,
-                  desc="fraction of submissions that did not need a "
-                       "new job")
-        g.formula("capacity", self.engine.capacity,
-                  desc="advisory parallelism of the engine transport")
-        return g
 
     # -- derived gauges --------------------------------------------------
 
@@ -404,11 +378,25 @@ class JobServer:
         }
 
     def metrics_text(self):
-        out = export_group_prometheus(self.stats.snapshot(), "serve")
-        engine_snap = self.engine.snapshot()
-        engine_snap.pop("flight_recorder", None)
-        out += export_group_prometheus(engine_snap, "engine")
-        return out
+        """``GET /metrics``: the server's counters, then the engine's
+        snapshot less its flight recorder, as Prometheus text."""
+        serve = {
+            "submitted": self.submitted,
+            "completed": self.completed,
+            "errors": self.errors,
+            "deduped_inflight": self.deduped_inflight,
+            "memo_hits": self.memo_hits,
+            "rejected": self.rejected,
+            "batches_dispatched": self.batches_dispatched,
+            "queue_depth": self.queue_depth(),
+            "inflight": len(self._inflight),
+            "dedup_ratio": self.dedup_ratio(),
+            "capacity": self.engine.capacity(),
+        }
+        engine = self.engine.snapshot()
+        del engine["flight_recorder"]
+        return (export_group_prometheus(serve, "serve")
+                + export_group_prometheus(engine, "engine"))
 
     async def _post_runs(self, request, writer):
         try:

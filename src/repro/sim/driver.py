@@ -245,13 +245,6 @@ def run_system(system, traces, warmup_events, measure_events,
                        else 0)
     if session is not None:
         session.attach(system)
-    sampler = None
-    if telemetry_every > 0:
-        # built here (the registry walk is the expensive part) and
-        # re-armed after the warmup-boundary reset, so the timed
-        # measure window only pays the per-window sampling cost
-        from repro.obs.telemetry import TelemetrySampler
-        sampler = TelemetrySampler(system, telemetry_every)
     times = [0.0] * system.num_cores
     per_core = _per_core_state(system, traces)
     system.measuring = False
@@ -260,8 +253,12 @@ def run_system(system, traces, warmup_events, measure_events,
     t1 = clock()
     system.reset_stats()
     system.measuring = True
-    if sampler is not None:
-        sampler.start()
+    sampler = None
+    if telemetry_every > 0:
+        # built after the warmup-boundary reset: its first window
+        # differences the machine's counters from zero
+        from repro.obs.telemetry import TelemetrySampler
+        sampler = TelemetrySampler(system, telemetry_every)
     _drive(system, per_core, warm_ends,
            [e + measure_events for e in warm_ends], times, chunk, sampler)
     t2 = clock()

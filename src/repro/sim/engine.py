@@ -56,7 +56,6 @@ from repro.obs import manifest as _manifest
 from repro.obs import session as _obs_session
 from repro.obs.profile import clock
 from repro.obs.recorder import FlightRecorder
-from repro.obs.stats import Group
 from repro.sim.config import HierarchyConfig
 from repro.sim.driver import DEFAULT_CHUNK, default_chunk, run_system
 from repro.sim.sampling import SamplingPlan
@@ -555,8 +554,8 @@ class RunCache:
     directory scan seeds and that puts, hits and evictions update; it
     rescans once per ``max_bytes`` written, so entries other processes
     write still count, and on every explicit ``prune(max_bytes=...)``.
-    Evictions are counted in :attr:`pruned_entries` (surfaced through
-    the engine stats group)."""
+    Evictions are counted in :attr:`pruned_entries` (surfaced in
+    :meth:`RunEngine.snapshot`)."""
 
     def __init__(self, directory, max_bytes=None):
         self.directory = os.path.abspath(os.path.expanduser(directory))
@@ -684,6 +683,23 @@ class RunCache:
         return removed
 
 
+def build_run_cache(no_cache=False, directory=None, max_bytes=None,
+                    default=DEFAULT_CACHE_DIR):
+    """The run-cache policy of both CLIs and :func:`engine_from_env`:
+    a :class:`RunCache` in ``directory`` (``--cache-dir``; None defers
+    to :func:`resolve_cache_dir`), or None for ``no_cache`` or an empty
+    directory.  The cap is ``max_bytes`` (``--cache-max-bytes``) when
+    not None, even empty, else ``$REPRO_CACHE_MAX_BYTES``; it is parsed
+    either way, so a malformed one raises ValueError."""
+    cap = (parse_size_bytes(max_bytes) if max_bytes is not None
+           else cache_max_bytes_from_env())
+    if no_cache:
+        return None
+    if directory is None:
+        directory = resolve_cache_dir(default)
+    return RunCache(directory, max_bytes=cap) if directory else None
+
+
 def resolve_cache_dir(default=None):
     """Cache directory policy: ``$REPRO_CACHE_DIR`` wins (empty string
     disables caching entirely), else ``default`` (the CLI passes
@@ -743,8 +759,8 @@ def jobs_from_env():
 
 class RunEngine:
     """Executes batches of RunRequests with dedup, memoization and
-    process fan-out; accumulates its own observability counters in a
-    stats registry group (recorded into experiment manifests)."""
+    process fan-out; :meth:`snapshot` reads its own observability
+    counters (recorded into experiment manifests)."""
 
     def __init__(self, jobs=None, cache=None, mode="simulate",
                  transport=None):
@@ -779,46 +795,6 @@ class RunEngine:
         self.auto_boundary_simulations = 0
         #: Per-request span log + engine gauges (repro.obs.recorder).
         self.recorder = FlightRecorder()
-        self.stats = self._build_stats()
-
-    def _build_stats(self):
-        g = Group("engine", "run engine throughput and memoization")
-        g.bind(self, "jobs", desc="process-pool width (1 = serial)",
-               resettable=False)
-        g.bind(self, "requests", desc="points requested by experiments")
-        g.bind(self, "unique_points",
-               desc="distinct points after in-batch dedup")
-        g.bind(self, "cache_hits", desc="points restored from RunCache")
-        g.bind(self, "cache_misses",
-               desc="cache lookups that missed (then simulated)")
-        g.bind(self, "executed", desc="points actually simulated")
-        g.bind(self, "exec_wall_s",
-               desc="wall-clock seconds spent executing points")
-        g.bind(self, "driven_events",
-               desc="measured events driven across executed points")
-        g.bind(self, "estimated",
-               desc="points resolved analytically (estimate mode)")
-        g.bind(self, "estimate_wall_s",
-               desc="wall-clock seconds spent in the analytic backend")
-        g.bind(self, "estimate_fallbacks",
-               desc="estimate-incapable or untrusted points simulated")
-        g.bind(self, "auto_boundary_simulations",
-               desc="auto-mode points simulated near a decision "
-                    "boundary")
-        g.formula("events_per_sec", self.events_per_sec,
-                  desc="engine-level simulation throughput")
-        g.formula("cache_hit_ratio", self.cache_hit_ratio,
-                  desc="fraction of cache lookups that hit")
-        g.formula("in_flight", lambda: self.recorder.in_flight,
-                  desc="requests dispatched in the open batch")
-        g.formula("worker_utilization",
-                  lambda: self.recorder.utilization(self.capacity()),
-                  desc="busy seconds over worker-count x batch wall")
-        g.formula("cache_pruned_entries",
-                  lambda: (self.cache.pruned_entries
-                           if self.cache is not None else 0),
-                  desc="run-cache entries evicted by the LRU size cap")
-        return g
 
     def events_per_sec(self):
         if self.exec_wall_s <= 0:
@@ -838,17 +814,37 @@ class RunEngine:
         return self.cache_hits / total if total else 0.0
 
     def snapshot(self):
-        """The engine stats group as a plain dict (manifest-ready)."""
-        snap = self.stats.snapshot()
-        snap["mode"] = self.mode
-        snap["cache_dir"] = (self.cache.directory
-                             if self.cache is not None else None)
-        snap["cache_max_bytes"] = (self.cache.max_bytes
-                                   if self.cache is not None else None)
-        snap["transport"] = (self.transport.describe()
-                             if self.transport is not None else "local")
-        snap["flight_recorder"] = self.recorder.summary(self.capacity())
-        return snap
+        """The engine's counters, gauges, settings and flight recorder
+        as a plain dict (manifest-ready)."""
+        cache = self.cache
+        return {
+            "jobs": self.jobs,
+            "requests": self.requests,
+            "unique_points": self.unique_points,
+            "cache_hits": self.cache_hits,
+            "cache_misses": self.cache_misses,
+            "executed": self.executed,
+            "exec_wall_s": self.exec_wall_s,
+            "driven_events": self.driven_events,
+            "estimated": self.estimated,
+            "estimate_wall_s": self.estimate_wall_s,
+            "estimate_fallbacks": self.estimate_fallbacks,
+            "auto_boundary_simulations": self.auto_boundary_simulations,
+            "events_per_sec": self.events_per_sec(),
+            "cache_hit_ratio": self.cache_hit_ratio(),
+            "in_flight": self.recorder.in_flight,
+            "worker_utilization":
+                self.recorder.utilization(self.capacity()),
+            "cache_pruned_entries": (cache.pruned_entries
+                                     if cache is not None else 0),
+            "mode": self.mode,
+            "cache_dir": cache.directory if cache is not None else None,
+            "cache_max_bytes": (cache.max_bytes if cache is not None
+                                else None),
+            "transport": (self.transport.describe()
+                          if self.transport is not None else "local"),
+            "flight_recorder": self.recorder.summary(self.capacity()),
+        }
 
     @staticmethod
     def _note_span(session, span):
@@ -914,87 +910,89 @@ class RunEngine:
         self.unique_points += len(order)
         rec.start_batch(len(order))
         t_batch = clock()
-
-        summaries = {}
-        missing = []
-        for key in order:
-            cached = None
-            if self.cache is not None and not live_only:
-                t_s = clock()
-                cached = self.cache.get(key)
-                if cached is not None:
-                    self.cache_hits += 1
-                    self._note_span(session, rec.record(
-                        key, "cache-replay", "local", 0.0,
-                        clock() - t_s, t_s - rec.epoch))
-                else:
-                    self.cache_misses += 1
-            if cached is not None:
-                summaries[key] = cached
-                if session is not None:
-                    session.note_summary(cached)
-            else:
-                missing.append(key)
-
-        est_missing = [k for k in missing
-                       if by_key[k].mode == "estimate"]
-        if est_missing:
-            # Analytic points resolve in microseconds: always
-            # in-process, with their own wall-clock accounting so the
-            # simulation throughput stats stay comparable.
-            from repro.analytic.estimator import estimate_to_summary
-            t0 = clock()
-            for k in est_missing:
-                t_s = clock()
-                summary = estimate_to_summary(by_key[k], k)
-                summaries[k] = summary
-                self.estimated += 1
-                self.estimate_wall_s += clock() - t_s
-                self._note_span(session, rec.record(
-                    k, "estimate", "local", t_s - t0,
-                    clock() - t_s, t_s - rec.epoch))
-                if session is not None:
-                    session.note_summary(summary)
+        try:
+            summaries = {}
+            missing = []
+            for key in order:
+                cached = None
                 if self.cache is not None and not live_only:
-                    self.cache.put(k, summary)
-
-        sim_missing = [k for k in missing
-                       if by_key[k].mode != "estimate"]
-        if sim_missing:
-            t0 = clock()
-            # A live session always executes in-process (tracer/stats
-            # need the System); otherwise an installed transport takes
-            # every point, and the classic local rules apply without
-            # one.
-            in_process = live_only or (
-                self.transport is None
-                and (self.jobs <= 1 or len(sim_missing) <= 1))
-            if in_process:
-                # run_system records these into the session itself
-                # (tracer attach, rich manifests) -- no double noting.
-                executed = []
-                for k in sim_missing:
                     t_s = clock()
-                    summary = _execute_to_summary(by_key[k], k)
-                    executed.append(summary)
+                    cached = self.cache.get(key)
+                    if cached is not None:
+                        self.cache_hits += 1
+                        self._note_span(session, rec.record(
+                            key, "cache-replay", "local", 0.0,
+                            clock() - t_s, t_s - rec.epoch))
+                    else:
+                        self.cache_misses += 1
+                if cached is not None:
+                    summaries[key] = cached
+                    if session is not None:
+                        session.note_summary(cached)
+                else:
+                    missing.append(key)
+
+            est_missing = [k for k in missing
+                           if by_key[k].mode == "estimate"]
+            if est_missing:
+                # Analytic points resolve in microseconds: always
+                # in-process, with their own wall-clock accounting so the
+                # simulation throughput stats stay comparable.
+                from repro.analytic.estimator import estimate_to_summary
+                t0 = clock()
+                for k in est_missing:
+                    t_s = clock()
+                    summary = estimate_to_summary(by_key[k], k)
+                    summaries[k] = summary
+                    self.estimated += 1
+                    self.estimate_wall_s += clock() - t_s
                     self._note_span(session, rec.record(
-                        k, "simulate", "local", t_s - t0,
+                        k, "estimate", "local", t_s - t0,
                         clock() - t_s, t_s - rec.epoch))
-            else:
-                executed = self._run_pool([(by_key[k], k)
-                                           for k in sim_missing],
-                                          t0, session)
-                if session is not None:
-                    for summary in executed:
+                    if session is not None:
                         session.note_summary(summary)
-            self.exec_wall_s += clock() - t0
-            for key, summary in zip(sim_missing, executed):
-                summaries[key] = summary
-                self.executed += 1
-                self.driven_events += summary.driven_events()
-                if self.cache is not None and not live_only:
-                    self.cache.put(key, summary)
-        rec.end_batch(clock() - t_batch)
+                    if self.cache is not None and not live_only:
+                        self.cache.put(k, summary)
+
+            sim_missing = [k for k in missing
+                           if by_key[k].mode != "estimate"]
+            if sim_missing:
+                t0 = clock()
+                # A live session always executes in-process (tracer/stats
+                # need the System); otherwise an installed transport takes
+                # every point, and the classic local rules apply without
+                # one.
+                in_process = live_only or (
+                    self.transport is None
+                    and (self.jobs <= 1 or len(sim_missing) <= 1))
+                if in_process:
+                    # run_system records these into the session itself
+                    # (tracer attach, rich manifests) -- no double noting.
+                    executed = []
+                    for k in sim_missing:
+                        t_s = clock()
+                        summary = _execute_to_summary(by_key[k], k)
+                        executed.append(summary)
+                        self._note_span(session, rec.record(
+                            k, "simulate", "local", t_s - t0,
+                            clock() - t_s, t_s - rec.epoch))
+                else:
+                    executed = self._run_pool([(by_key[k], k)
+                                               for k in sim_missing],
+                                              t0, session)
+                    if session is not None:
+                        for summary in executed:
+                            session.note_summary(summary)
+                self.exec_wall_s += clock() - t0
+                for key, summary in zip(sim_missing, executed):
+                    summaries[key] = summary
+                    self.executed += 1
+                    self.driven_events += summary.driven_events()
+                    if self.cache is not None and not live_only:
+                        self.cache.put(key, summary)
+        finally:
+            # a batch that raises must not leave the in-flight gauge up
+            rec.end_batch(clock() - t_batch)
         return [summaries[key] for key in keys]
 
     def _run_pool(self, payloads, t_batch, session=None):
@@ -1066,10 +1064,7 @@ def engine_from_env():
     """Default engine for direct library calls: ``$REPRO_JOBS`` workers
     and a cache only if ``$REPRO_CACHE_DIR`` names one (capped by
     ``$REPRO_CACHE_MAX_BYTES``)."""
-    directory = resolve_cache_dir(default=None)
-    cache = (RunCache(directory, max_bytes=cache_max_bytes_from_env())
-             if directory else None)
-    return RunEngine(jobs=None, cache=cache)
+    return RunEngine(jobs=None, cache=build_run_cache(default=None))
 
 
 def run_grid(requests):

@@ -160,7 +160,8 @@ class RunSummary:
     warmup_wall_s: float
     measure_wall_s: float
     cores: List[CoreSummary]
-    #: System-level counters of the measurement window.
+    #: ``System.counters()`` of the measurement window (the faults'
+    #: ``accesses`` and vault transitions span the whole run).
     counters: dict
     #: (reads, writes_nosharing, writes_rwsharing) when the request
     #: asked for sharing classification, else None.
@@ -178,26 +179,6 @@ class RunSummary:
         ``core_ids``: every list copied, so driving the system further
         leaves the snapshot as it was."""
         cores = [CoreSummary.snapshot(system.cores[c]) for c in core_ids]
-        counters = {
-            "llc_accesses": system.llc_accesses,
-            "dram_cache_accesses": system.dram_cache_accesses,
-            "invalidations": system.invalidations,
-            "l1_writebacks": system.l1_writebacks,
-            "llc_writebacks": system.llc_writebacks,
-            "vault_evictions": system.vault_evictions,
-            "directory_lookups": system.directory_lookups,
-            "remote_forwards": system.remote_forwards,
-            "replica_hits": system.replica_hits,
-            "prefetch_fills": system.prefetch_fills,
-            "link_traversals": system.mesh.link_traversals,
-            "memory_accesses": system.memory.accesses,
-            "memory_reads": system.memory.reads,
-            "memory_writes": system.memory.writes,
-        }
-        if system.faults is not None:
-            # Present only for faulted runs: fault-free summaries keep
-            # their pre-faults shape byte-for-byte.
-            counters["faults"] = system.faults.counters_dict()
         sharing = (system.sharing_breakdown() if system.track_sharing
                    else None)
         return cls(
@@ -211,7 +192,7 @@ class RunSummary:
             warmup_wall_s=warmup_wall_s,
             measure_wall_s=measure_wall_s,
             cores=cores,
-            counters=counters,
+            counters=system.counters(),
             sharing=sharing,
             energy=EnergyModel().breakdown(system),
         )

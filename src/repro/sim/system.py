@@ -187,7 +187,8 @@ class System:
         #: Root of the hierarchical stats registry.  Every counter above
         #: (and the per-subsystem ones owned by cores, mesh, memory,
         #: optimization structures and the energy model) is reachable
-        #: through it; ``reset_stats`` delegates to its ``reset``.
+        #: through it; ``reset_stats`` delegates to its ``reset``, and
+        #: ``--stats`` dumps it (summaries read :meth:`counters`).
         self.stats = self._build_stats()
 
     # ------------------------------------------------------------------
@@ -423,6 +424,29 @@ class System:
         missmap counters).  Architectural state (cache contents,
         predictor tables) is never touched."""
         self.stats.reset()
+
+    def counters(self):
+        """The counters a run summary records and telemetry samples,
+        plus the injector's under ``"faults"`` for a faulted run."""
+        counters = {
+            "llc_accesses": self.llc_accesses,
+            "dram_cache_accesses": self.dram_cache_accesses,
+            "invalidations": self.invalidations,
+            "l1_writebacks": self.l1_writebacks,
+            "llc_writebacks": self.llc_writebacks,
+            "vault_evictions": self.vault_evictions,
+            "directory_lookups": self.directory_lookups,
+            "remote_forwards": self.remote_forwards,
+            "replica_hits": self.replica_hits,
+            "prefetch_fills": self.prefetch_fills,
+            "link_traversals": self.mesh.link_traversals,
+            "memory_accesses": self.memory.accesses,
+            "memory_reads": self.memory.reads,
+            "memory_writes": self.memory.writes,
+        }
+        if self.faults is not None:
+            counters["faults"] = self.faults.counters_dict()
+        return counters
 
     def occupancy_by_bank(self):
         """Per-bank occupancy fractions (resident blocks over capacity)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.cli import main
+from repro.serve import __main__ as serve_cli
 
 
 def test_cli_runs_table1(capsys):
@@ -40,6 +41,23 @@ def test_cli_refuses_a_malformed_environment(variable, value, capsys,
         main(["fig3", "--scale", "1024", "--no-cache"])
     assert exc.value.code == 2
     assert variable in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cli", ["experiments", "serve"])
+def test_both_clis_refuse_an_empty_cache_cap(cli, capsys, monkeypatch):
+    # one run-cache policy: an explicit empty --cache-max-bytes is a
+    # malformed size in either CLI, not "no cap"
+    async def serve(_server, ready=None):
+        raise AssertionError("bad settings reached the server")
+
+    monkeypatch.setattr(serve_cli, "run_server", serve)
+    argv = {"experiments": ["fig3", "--scale", "1024"],
+            "serve": ["--port", "0"]}[cli]
+    entry = main if cli == "experiments" else serve_cli.main
+    with pytest.raises(SystemExit) as exc:
+        entry(argv + ["--no-cache", "--cache-max-bytes", ""])
+    assert exc.value.code == 2
+    assert "invalid byte size ''" in capsys.readouterr().err
 
 
 def test_cli_reads_sampling_variable_only_where_it_is_used(monkeypatch):

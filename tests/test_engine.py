@@ -31,6 +31,7 @@ from repro.faults.injector import FaultInjector
 from repro.obs import session as obs_session
 from repro.obs.trace import EventTracer
 from repro.serve import proto
+from repro.sim import engine as engine_mod
 from repro.sim.driver import (DEFAULT_CHUNK, _drive, _per_core_state,
                               run_system, use_chunk)
 from repro.sim.engine import (RunCache, RunEngine, RunRequest, RunSummary,
@@ -1043,6 +1044,19 @@ def test_engine_snapshot_surfaces_cache_cap_and_pruning(tmp_path):
     assert snap["cache_pruned_entries"] == 0
     cache.pruned_entries = 3
     assert engine.snapshot()["cache_pruned_entries"] == 3
+
+
+def test_a_batch_that_raises_drains_the_in_flight_gauge(monkeypatch):
+    def boom(request, key):
+        raise RuntimeError("simulation failed")
+
+    monkeypatch.setattr(engine_mod, "_execute_to_summary", boom)
+    engine = RunEngine(jobs=1)
+    with pytest.raises(RuntimeError):
+        engine.run([_point(), _point(seed=8)])
+    snap = engine.snapshot()
+    assert snap["in_flight"] == 0
+    assert snap["flight_recorder"]["batches"] == 1
 
 
 def test_cache_max_bytes_env_flows_through_engine_from_env(

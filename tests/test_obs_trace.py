@@ -1,10 +1,9 @@
-"""Event tracer: ring buffer, sinks, and simulator integration."""
-
-import json
+"""Event tracer: ring buffer, per-kind counts, and simulator
+integration."""
 
 from repro.cores.perf_model import CoreParams
-from repro.obs.trace import (EventTracer, JsonlSink, EV_COHERENCE,
-                             EV_DIRECTORY, EV_INVALIDATE, EV_EVICTION)
+from repro.obs.trace import (EventTracer, EV_DIRECTORY, EV_INVALIDATE,
+                             EV_EVICTION)
 from repro.sim.config import HierarchyConfig
 from repro.sim.system import System
 
@@ -30,27 +29,6 @@ def test_ring_buffer_bounds_retention():
     assert t.summary()["by_kind"] == {EV_DIRECTORY: 10}
     t.clear()
     assert t.emitted == 0 and t.events() == []
-
-
-def test_kind_filter():
-    t = EventTracer(capacity=16, kinds={EV_INVALIDATE})
-    t.emit(EV_DIRECTORY, 0.0, 0, 1)
-    t.emit(EV_INVALIDATE, 0.0, 0, 1)
-    assert [e.kind for e in t.events()] == [EV_INVALIDATE]
-
-
-def test_sinks_receive_events(tmp_path):
-    t = EventTracer(capacity=8)
-    seen = []
-    t.add_sink(seen.append)
-    path = tmp_path / "trace.jsonl"
-    with JsonlSink(str(path)) as sink:
-        t.add_sink(sink)
-        t.emit(EV_COHERENCE, 1.0, 2, 3, "upgrade:1->M")
-    assert len(seen) == 1
-    rec = json.loads(path.read_text())
-    assert rec == {"kind": EV_COHERENCE, "cycle": 1.0, "core": 2,
-                   "block": 3, "detail": "upgrade:1->M"}
 
 
 def test_silo_run_emits_directory_and_eviction_events():

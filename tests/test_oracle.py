@@ -16,16 +16,16 @@ that resolves one must agree bit for bit:
 * an observation session with stats, trace, manifests, telemetry and
   the profiler on.
 
-One derandomized Hypothesis strategy draws batches of one to three
-requests, duplicates allowed, over every system builder at 1 or 4
-cores; SILO's predictor, directory-cache and MESI options, the
-prefetcher, victim replication and memory queueing; vault size and
-scale; the scale-out and enterprise workloads plus the L1-resident and
-write-heavy drive-loop specs; colocation, seed, plan (warm-up 0
-included), chunk and sharing tracking; fault plans (none, inactive,
-rates, vault offline/online events, and events past the window); and
-estimate mode wherever ``can_estimate`` allows it.  The checks are
-exact:
+One derandomized Hypothesis strategy draws a seed per batch, and a
+``random.Random`` on that seed builds one to three requests,
+duplicates allowed, over every system builder at 1 or 4 cores; SILO's
+predictor, directory-cache and MESI options, the prefetcher, victim
+replication and memory queueing; vault size and scale; the scale-out
+and enterprise workloads plus the L1-resident and write-heavy
+drive-loop specs; colocation, seed, plan (warm-up 0 included), chunk
+and sharing tracking; fault plans (none, inactive, rates, vault
+offline/online events, and events past the window); and estimate mode
+wherever ``can_estimate`` allows it.  The checks are exact:
 
 * every route's summaries, with host clocks and keys dropped, are the
   same JSON byte for byte;
@@ -43,6 +43,7 @@ estimate-mode points.
 """
 
 import json
+import random
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -126,89 +127,87 @@ def idle(plan, summary):
 # ---------------------------------------------------------------------------
 
 
-@st.composite
-def configs(draw):
-    name = draw(st.sampled_from(sorted(SYSTEM_LABELS)))
-    cores = draw(st.sampled_from((1, 4)))
-    scale = draw(st.sampled_from((256, 512, 1024)))
-    overrides = {"l1_prefetcher": draw(st.booleans()),
-                 "memory_queueing": draw(st.booleans())}
+def random_config(rng):
+    name = rng.choice(sorted(SYSTEM_LABELS))
+    cores = rng.choice((1, 4))
+    scale = rng.choice((256, 512, 1024))
+    overrides = {"l1_prefetcher": rng.choice((False, True)),
+                 "memory_queueing": rng.choice((False, True))}
     if system_config(name, num_cores=cores).llc_kind == LLC_PRIVATE_VAULT:
         overrides.update(
-            local_miss_predictor=draw(st.sampled_from(
-                (False, True, "missmap"))),
-            directory_cache=draw(st.sampled_from((False, True, "sram"))),
-            protocol=draw(st.sampled_from(("moesi", "mesi"))),
-            llc_size_bytes=draw(st.sampled_from((64, 256, 512))) << 20)
+            local_miss_predictor=rng.choice((False, True, "missmap")),
+            directory_cache=rng.choice((False, True, "sram")),
+            protocol=rng.choice(("moesi", "mesi")),
+            llc_size_bytes=rng.choice((64, 256, 512)) << 20)
     else:
-        overrides["victim_replication"] = draw(st.booleans())
+        overrides["victim_replication"] = rng.choice((False, True))
     return system_config(name, num_cores=cores, scale=scale, **overrides)
 
 
-@st.composite
-def fault_plans(draw, cores):
-    kind = draw(st.sampled_from(("none", "inactive", "rates", "events",
-                                 "past the window")))
-    seed = draw(st.integers(0, 99))
-    vault = st.integers(0, cores - 1)
+def random_fault_plan(rng, cores):
+    kind = rng.choice(("none", "inactive", "rates", "events",
+                       "past the window"))
+    seed = rng.randint(0, 99)
     if kind == "none":
         return None
     if kind == "inactive":
         return FaultPlan(seed=seed)
     if kind == "past the window":
-        return FaultPlan(seed=seed,
-                         vault_events=((NEVER, draw(vault), "offline"),))
+        return FaultPlan(seed=seed, vault_events=(
+            (NEVER, rng.randrange(cores), "offline"),))
     if kind == "events":
-        target = draw(vault)
-        off = draw(st.integers(0, 3000))
+        target = rng.randrange(cores)
+        off = rng.randint(0, 3000)
         events = [(off, target, "offline")]
-        if draw(st.booleans()):
-            events.append((off + draw(st.integers(1, 3000)), target,
-                           "online"))
+        if rng.choice((False, True)):
+            events.append((off + rng.randint(1, 3000), target, "online"))
         return FaultPlan(seed=seed, vault_events=tuple(events))
-    rate = st.sampled_from((0.0, 1e-3, 0.05))
-    return FaultPlan(seed=seed, data_flip_rate=draw(rate),
-                     tag_flip_rate=draw(rate),
-                     directory_flip_rate=draw(rate),
-                     double_bit_fraction=draw(st.sampled_from(
-                         (0.0, 0.5, 1.0))),
-                     stall_rate=draw(rate),
-                     target=draw(st.none() | vault))
+    rates = (0.0, 1e-3, 0.05)
+    return FaultPlan(seed=seed, data_flip_rate=rng.choice(rates),
+                     tag_flip_rate=rng.choice(rates),
+                     directory_flip_rate=rng.choice(rates),
+                     double_bit_fraction=rng.choice((0.0, 0.5, 1.0)),
+                     stall_rate=rng.choice(rates),
+                     target=rng.choice((None, rng.randrange(cores))))
 
 
-@st.composite
-def requests(draw):
-    config = draw(configs())
+def random_request(rng):
+    config = random_config(rng)
     cores = config.num_cores
-    plan = SamplingPlan(draw(st.sampled_from((0, 300, 1000))),
-                        draw(st.sampled_from((100, 400))))
-    common = dict(plan=plan, seed=draw(st.integers(0, 2 ** 16)),
-                  chunk=draw(st.sampled_from((1, 7, 200))),
-                  faults=draw(fault_plans(cores)))
-    names = st.sampled_from(sorted(WORKLOADS))
-    if cores > 1 and draw(st.booleans()):
-        split = draw(st.integers(1, cores - 1))
+    plan = SamplingPlan(rng.choice((0, 300, 1000)), rng.choice((100, 400)))
+    common = dict(plan=plan, seed=rng.randint(0, 2 ** 16),
+                  chunk=rng.choice((1, 7, 200)),
+                  faults=random_fault_plan(rng, cores))
+    names = sorted(WORKLOADS)
+    if cores > 1 and rng.choice((False, True)):
+        split = rng.randint(1, cores - 1)
         return RunRequest.colocation(
-            config, [(WORKLOADS[draw(names)], range(split)),
-                     (WORKLOADS[draw(names)], range(split, cores))],
+            config, [(WORKLOADS[rng.choice(names)], range(split)),
+                     (WORKLOADS[rng.choice(names)], range(split, cores))],
             **common)
-    core_ids = draw(st.sampled_from((None, (0,))))
-    req = RunRequest.point(config, WORKLOADS[draw(names)],
-                           core_ids=core_ids,
-                           track_sharing=draw(st.booleans()), **common)
-    if can_estimate(req) and draw(st.booleans()):
+    req = RunRequest.point(config, WORKLOADS[rng.choice(names)],
+                           core_ids=rng.choice((None, (0,))),
+                           track_sharing=rng.choice((False, True)),
+                           **common)
+    if can_estimate(req) and rng.choice((False, True)):
         req = replace(req, mode="estimate")
     return req
 
 
-@st.composite
-def batches(draw):
-    """One to three requests, some of them drawn twice."""
-    size = draw(st.integers(1, 3))
-    distinct = [draw(requests())
-                for _ in range(draw(st.integers(1, size)))]
-    return distinct + [draw(st.sampled_from(distinct))
+def batch_from_seed(seed):
+    """One to three requests, some of them drawn twice, all drawn from
+    a ``random.Random`` on ``seed``."""
+    rng = random.Random(seed)
+    size = rng.randint(1, 3)
+    distinct = [random_request(rng) for _ in range(rng.randint(1, size))]
+    return distinct + [rng.choice(distinct)
                        for _ in range(size - len(distinct))]
+
+
+#: Each generated batch comes from its own seed: Hypothesis mutates
+#: earlier examples into later ones, so batches drawn field by field
+#: came out as near-copies of each other.
+batches = st.integers(0, 2 ** 32 - 1).map(batch_from_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +377,7 @@ def worker_routes(batch, pool, server):
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large,
                                  HealthCheck.function_scoped_fixture])
-@given(batch=batches())
+@given(batch=batches)
 @with_examples
 def test_every_route_gives_the_same_result(pool, server, batch):
     # The pool's workers simulate their routes' copies while this

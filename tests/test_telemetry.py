@@ -6,10 +6,11 @@ import math
 
 import pytest
 
+from repro.faults import FaultPlan
 from repro.obs.session import observe
-from repro.obs.telemetry import (counter_values, detect_phases,
-                                 export_chrome_trace, export_jsonl,
-                                 export_prometheus, TelemetrySampler)
+from repro.obs.telemetry import (detect_phases, export_chrome_trace,
+                                 export_jsonl, export_prometheus,
+                                 TelemetrySampler)
 from repro.sim.config import HierarchyConfig
 from repro.sim.driver import run_system, simulate
 from repro.sim.sampling import SamplingPlan
@@ -97,13 +98,28 @@ def test_vault_heatmap_series_shape(kind, banks):
         assert all(v >= 0 for v in w["vault_traffic"])
 
 
-def test_counter_values_excludes_formulas():
-    system = System(config(), [WEB_SEARCH.core] * 4)
-    values = counter_values(system.stats)
-    assert "system.caches.llc_accesses" in values
-    # memory.accesses is a formula (reads + writes): not a counter
-    assert "system.memory.accesses" not in values
-    assert "system.memory.reads" in values
+@pytest.mark.parametrize("kind", ["shared", "private_vault"])
+def test_window_fault_events_count_the_faults_that_fired(kind):
+    """A window's fault_events is the faults that fired in it -- bit
+    flips, stalls, vault transitions -- not fault-clock ticks, stall
+    cycles or recovery work."""
+    stalls = FaultPlan(seed=3, stall_rate=0.01)
+    silent = FaultPlan(seed=3, data_flip_rate=1e-9)
+    with observe(telemetry_every=300):
+        stalled = simulate(config(kind), WEB_SEARCH, PLAN, seed=4,
+                           faults=stalls)
+        quiet = simulate(config(kind), WEB_SEARCH, PLAN, seed=4,
+                         faults=silent)
+    counts = stalled.counters["faults"]
+    assert counts["stall_events"] > 0 and counts["stall_cycles"] > 0
+    assert (sum(w["fault_events"] for w in stalled.telemetry.windows)
+            == counts["injected"] + counts["stall_events"])
+    # an active plan whose faults never fire: the injector ticks its
+    # clock on every access, yet no window saw a fault
+    assert quiet.counters["faults"]["accesses"] > 0
+    assert quiet.counters["faults"]["injected"] == 0
+    assert quiet.telemetry.windows
+    assert all(w["fault_events"] == 0 for w in quiet.telemetry.windows)
 
 
 def test_summary_shape():
