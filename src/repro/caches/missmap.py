@@ -99,17 +99,6 @@ class MissMap:
         self.unknown = 0
         self.evicted_segments = 0
 
-    def register_stats(self, group):
-        """Register this MissMap's counters under a stats group."""
-        group.bind(self, "known_misses",
-                   desc="probes skipped on predicted misses")
-        group.bind(self, "unknown",
-                   desc="lookups outside tracked segments")
-        group.bind(self, "evicted_segments",
-                   desc="segment entries displaced (residency "
-                        "knowledge lost)")
-        return group
-
     def storage_bits(self):
         """SRAM cost: tag (~28b) + bit-vector per segment entry."""
         return self.max_segments * (28 + self.blocks_per_segment)

@@ -65,11 +65,3 @@ class StridePrefetcher:
         state and survive a post-warmup stats reset)."""
         self.issued = 0
         self.hits_observed = 0
-
-    def register_stats(self, group):
-        """Register this prefetcher's counters under a stats group."""
-        group.bind(self, "issued",
-                   desc="prefetch candidates produced")
-        group.bind(self, "hits_observed", name="useful",
-                   desc="observed hits on prefetched strides")
-        return group

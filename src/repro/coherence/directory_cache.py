@@ -53,14 +53,3 @@ class DirectoryCache:
         """Zero the hit/miss counters (cached set indices survive)."""
         self.hits = 0
         self.misses = 0
-
-    def register_stats(self, group):
-        """Register the directory cache's counters under a stats
-        group; resetting the group preserves the cached contents."""
-        group.bind(self, "hits", desc="metadata found in SRAM",
-                   resettable=False)
-        group.bind(self, "misses", desc="metadata fetched from DRAM",
-                   resettable=False)
-        group.formula("hit_rate", self.hit_rate)
-        group.on_reset(self.reset_stats)
-        return group

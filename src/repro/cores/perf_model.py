@@ -92,8 +92,7 @@ class CoreModel:
         # Exposed-latency histograms per service level (L1 hits return
         # before reaching record_*, so these cover L1 misses -- the
         # accesses whose latency the core actually sees).
-        self.latency_hist = [Distribution("latency", desc=name)
-                             for name in LEVEL_NAMES]
+        self.latency_hist = [Distribution() for _ in LEVEL_NAMES]
 
     def retire(self, instructions):
         """Account for ``instructions`` retired instructions."""
@@ -113,8 +112,7 @@ class CoreModel:
         self.latency_hist[level].record(latency)
 
     def reset(self):
-        # In place, not rebound: the stats registry holds references
-        # to these lists across reset_stats().
+        """Zero the counters and histograms (``System.reset_stats``)."""
         self.instructions = 0
         for lvl in range(NUM_LEVELS):
             self.data_latency[lvl] = 0.0
@@ -125,24 +123,3 @@ class CoreModel:
         self.rw_shared_count = 0
         for h in self.latency_hist:
             h.reset()
-
-    def register_stats(self, group):
-        """Register this core's statistics under ``group`` (counters
-        are views; resetting goes through :meth:`reset` so the lists
-        and histograms stay the objects the hot path writes to)."""
-        group.bind(self, "instructions", desc="instructions retired",
-                   resettable=False)
-        for lvl, name in enumerate(LEVEL_NAMES):
-            g = group.group(name.lower())
-            g.callback("data_count",
-                       lambda c=self, l=lvl: c.data_count[l],
-                       desc="data accesses satisfied here")
-            g.callback("ifetch_count",
-                       lambda c=self, l=lvl: c.ifetch_count[l],
-                       desc="ifetches satisfied here")
-            g.callback("data_latency",
-                       lambda c=self, l=lvl: c.data_latency[l],
-                       desc="summed exposed data latency (cycles)")
-            g.add(self.latency_hist[lvl])
-        group.on_reset(self.reset)
-        return group

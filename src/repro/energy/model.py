@@ -42,25 +42,6 @@ def energy_breakdown(llc_kind, num_cores, llc_accesses, memory_accesses,
 class EnergyModel:
     """The energy breakdown of a live system's counters."""
 
-    def register_stats(self, group, system):
-        """Register derived energy statistics for ``system`` under
-        ``group``.  These are formulas over the live access counters,
-        so they read zero right after a stats reset and track the
-        measurement window exactly like :meth:`breakdown` does."""
-        group.formula("llc_dynamic_nj",
-                      lambda: self.breakdown(system)["llc_dynamic_nj"],
-                      desc="LLC dynamic energy (nJ)")
-        group.formula("memory_dynamic_nj",
-                      lambda: self.breakdown(system)["memory_dynamic_nj"],
-                      desc="memory dynamic energy (nJ)")
-        group.formula("total_dynamic_nj",
-                      lambda: self.breakdown(system)["total_dynamic_nj"],
-                      desc="total dynamic energy (nJ)")
-        group.formula("llc_static_w",
-                      lambda: self.breakdown(system)["llc_static_w"],
-                      desc="LLC static power (W)")
-        return group
-
     def breakdown(self, system):
         """:func:`energy_breakdown` of everything the system counted
         since reset_stats."""

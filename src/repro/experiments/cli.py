@@ -19,6 +19,7 @@ from repro.experiments import EXPERIMENTS
 from repro.experiments.common import notice, render_table
 from repro.obs import manifest as obs_manifest
 from repro.obs import session as obs_session
+from repro.obs import stats as obs_stats
 from repro.params import NUM_CORES
 from repro.sim import engine as sim_engine
 from repro.sim.driver import DEFAULT_CHUNK, use_chunk
@@ -86,8 +87,9 @@ def main(argv=None):
                         help="emit {experiment, elapsed_s, rows} as "
                              "JSON instead of a table")
     parser.add_argument("--stats", action="store_true",
-                        help="dump the full stats registry tree of the "
-                             "last simulated system")
+                        help="print every statistic of the last "
+                             "simulated system (System.stats()), one "
+                             "'path value' line each")
     parser.add_argument("--trace", type=int, default=0, metavar="N",
                         help="trace coherence/directory/eviction events "
                              "into an N-entry ring; prints a summary "
@@ -323,8 +325,8 @@ def main(argv=None):
     if args.stats:
         print()
         if session.last_system is not None:
-            print("# stats registry (last simulated system)")
-            print(session.last_system.stats.dump())
+            print("# stats (last simulated system)")
+            print(obs_stats.dump(session.last_system.stats()))
         else:
             print("# stats: experiment ran no simulation")
     if args.trace and session.last_tracer is not None:

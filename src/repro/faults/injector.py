@@ -73,8 +73,20 @@ class FaultInjector:
         # Vault/bank availability; shared with System's degraded paths.
         self.offline = [False] * num_targets
         self.has_offline = False
-        # Injection counters.
+        # Whole-run counters: the fault clock that schedules vault
+        # events, and the transitions those events made.
         self.accesses = 0
+        self.offline_events = 0
+        self.online_events = 0
+        # The window counters start at zero: reset_stats defines them.
+        self.reset_stats()
+
+    def reset_stats(self):
+        """Zero the twelve injection and recovery counters of the
+        measurement window (the warm-up reset); the whole-run counters
+        ``accesses``, ``offline_events`` and ``online_events`` keep
+        counting."""
+        # Injection counters.
         self.injected = 0
         self.corrected = 0
         self.uncorrectable = 0
@@ -86,9 +98,9 @@ class FaultInjector:
         self.write_throughs = 0
         self.broadcast_snoops = 0
         self.stall_events = 0
-        self.stall_cycles = 0.0
-        self.offline_events = 0
-        self.online_events = 0
+        # An int until a stall adds cycles: a window without stalls
+        # records 0, not 0.0.
+        self.stall_cycles = 0
         self.drained_dirty = 0
 
     # -- hash stream -------------------------------------------------
@@ -260,32 +272,3 @@ class FaultInjector:
         """Manifest fragment: the plan plus the counters it produced."""
         return {"plan": self.plan.canonical(),
                 "counters": self.counters_dict()}
-
-    def register_stats(self, group):
-        group.bind(self, "accesses", "fault-clock accesses observed",
-                   resettable=False)
-        group.bind(self, "injected", "fault events injected")
-        group.bind(self, "corrected", "single-bit flips corrected by ECC")
-        group.bind(self, "uncorrectable",
-                   "double-bit flips detected (uncorrectable)")
-        group.bind(self, "data_loss_events",
-                   "dirty lines lost to uncorrectable errors")
-        group.bind(self, "refetches",
-                   "lines invalidated and refetched from memory")
-        group.bind(self, "directory_rebuilds",
-                   "directory sets rebuilt from vault tags")
-        group.bind(self, "remapped_accesses",
-                   "LLC accesses remapped around an offline vault/bank")
-        group.bind(self, "write_throughs",
-                   "degraded-mode stores written through to memory")
-        group.bind(self, "broadcast_snoops",
-                   "directory lookups served by broadcast (home offline)")
-        group.bind(self, "stall_events", "transient channel stalls")
-        group.bind(self, "stall_cycles",
-                   "cycles spent in stall retry/backoff")
-        group.bind(self, "offline_events", "vault offline transitions",
-                   resettable=False)
-        group.bind(self, "online_events", "vault online transitions",
-                   resettable=False)
-        group.bind(self, "drained_dirty",
-                   "dirty lines written back while draining a vault")

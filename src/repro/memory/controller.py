@@ -84,20 +84,8 @@ class ClosedPageController:
     def conflict_rate(self):
         return self.conflicts / self.accesses if self.accesses else 0.0
 
-    def reset(self):
+    def reset_stats(self):
         """Start a new measurement window (keeps the clock)."""
         self.accesses = 0
         self.conflicts = 0
         self._window_start = self._latest_now
-
-    def register_stats(self, group):
-        """Register controller statistics under ``group``.  The stats
-        are views; the owning model's reset hook calls :meth:`reset`
-        (which also restarts the utilization window)."""
-        group.bind(self, "accesses", desc="bank accesses",
-                   resettable=False)
-        group.bind(self, "conflicts", desc="accesses delayed >= 1 cycle",
-                   resettable=False)
-        group.formula("utilization", self.utilization,
-                      desc="measured bank utilization")
-        return group

@@ -69,17 +69,4 @@ class MainMemory:
         self.reads = 0
         self.writes = 0
         for c in self.controllers:
-            c.reset()
-
-    def register_stats(self, group):
-        """Register memory statistics under ``group`` (one sub-group
-        per channel controller); resets go through
-        :meth:`reset_stats` so the controller windows restart too."""
-        group.bind(self, "reads", desc="demand reads", resettable=False)
-        group.bind(self, "writes", desc="writebacks", resettable=False)
-        group.formula("accesses", lambda: self.accesses,
-                      desc="reads + writes")
-        for i, ctrl in enumerate(self.controllers):
-            ctrl.register_stats(group.group("channel%d" % i))
-        group.on_reset(self.reset_stats)
-        return group
+            c.reset_stats()

@@ -84,11 +84,3 @@ class Mesh2D:
 
     def reset_stats(self):
         self.link_traversals = 0
-
-    def register_stats(self, group):
-        """Register mesh statistics under ``group``."""
-        group.bind(self, "link_traversals",
-                   desc="link traversals (hops) since reset")
-        group.formula("avg_hops", self.average_hops,
-                      desc="mean hop count over all tile pairs")
-        return group

@@ -1,14 +1,13 @@
-"""Observability: hierarchical statistics, event tracing, provenance.
+"""Observability: statistics, event tracing, provenance.
 
 Three pieces, modelled on mature simulation stacks (gem5's stats
-framework in particular):
+dump in particular):
 
-* :mod:`repro.obs.stats` -- a hierarchical registry of named statistics
-  (counters, latency distributions, derived formulas) that every
-  subsystem registers into.  ``System.stats`` is the root group; its
-  jobs are the warm-up reset (``System.reset_stats`` delegates to its
-  ``reset()``), the ``--stats`` dump and ``snapshot()`` comparisons of
-  whole machines.
+* :mod:`repro.obs.stats` -- the log2-bucketed latency
+  :class:`~repro.obs.stats.Distribution` each core keeps per service
+  level, and :func:`~repro.obs.stats.dump`, the flat ``--stats``
+  listing of ``System.stats()`` (the whole machine's counters as
+  nested plain dicts; each counter's owner keeps and resets it).
 * :mod:`repro.obs.trace` -- an optional event tracer (a bounded ring
   buffer with per-kind counts) for coherence transitions, directory
   lookups, invalidation/downgrade flows and vault evictions.  Costs one
@@ -36,8 +35,7 @@ the run driver consults so ``--stats/--trace/--manifest/--telemetry/
 functions.
 """
 
-from repro.obs.stats import (Stat, Counter, BoundStat, Formula,
-                             Distribution, Group)
+from repro.obs.stats import Distribution
 from repro.obs.trace import (EventTracer, TraceEvent, EV_COHERENCE,
                              EV_DIRECTORY, EV_INVALIDATE, EV_DOWNGRADE,
                              EV_EVICTION)
@@ -50,7 +48,7 @@ from repro.obs.telemetry import (TelemetrySampler, detect_phases,
 from repro.obs.recorder import FlightRecorder
 
 __all__ = [
-    "Stat", "Counter", "BoundStat", "Formula", "Distribution", "Group",
+    "Distribution",
     "EventTracer", "TraceEvent",
     "EV_COHERENCE", "EV_DIRECTORY", "EV_INVALIDATE", "EV_DOWNGRADE",
     "EV_EVICTION",

@@ -15,11 +15,15 @@ well as the drive loop.
 Sessions are inert by construction: they only *read* simulator state
 (plus attach a tracer, which itself only records, and sample the
 interpreter stack), so enabling one never changes simulation
-results.  Sessions are also a streaming seam:
-listeners registered with :meth:`ObservationSession.add_listener`
-receive ``(kind, payload)`` events -- ``"run"`` per finished run and
-``"engine_span"`` per flight-recorder span -- which is the callback
-surface a future job server subscribes to for live progress.
+results.  A session keeps the last simulated ``System``, whose
+``stats()`` tree ``--stats`` prints.
+
+Sessions are also a streaming seam: listeners registered with
+:meth:`ObservationSession.add_listener` receive ``(kind, payload)``
+events -- ``"run"`` per finished run and ``"engine_span"`` per
+flight-recorder span -- which the job server
+(:mod:`repro.serve.server`) subscribes to and streams to its
+``GET /events`` clients as live progress.
 """
 
 from contextlib import contextmanager

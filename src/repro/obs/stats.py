@@ -1,116 +1,17 @@
-"""Hierarchical statistics registry (gem5-style).
+"""Latency histograms and the flat listing of a machine's statistics.
 
-A :class:`Group` holds named leaf statistics and sub-groups; the root
-group of a :class:`~repro.sim.system.System` spans every modelled
-subsystem (cores, caches, coherence, noc, memory, energy).  Leaves come
-in four kinds:
+A :class:`Distribution` is a log2-bucketed histogram with approximate
+percentiles; each core keeps one per service level
+(:class:`~repro.cores.perf_model.CoreModel`), and a run summary merges
+them into its latency percentiles.
 
-* :class:`Counter` -- a value the registry owns (``incr``).
-* :class:`BoundStat` -- a *view* over state another object owns (e.g.
-  ``System.llc_accesses``).  Binding views instead of moving the
-  counters keeps the existing attribute API -- and the hot-path cost of
-  ``self.llc_accesses += 1`` -- exactly as it was.
-* :class:`Distribution` -- a log2-bucketed histogram with approximate
-  percentiles, used for exposed-latency distributions.
-* :class:`Formula` -- a derived value computed on demand (rates,
-  energies); formulas are never reset.
-
-``Group.snapshot()`` exports the tree as nested plain dicts (JSON
-ready); ``Group.reset()`` zeroes every resettable leaf and runs any
-registered reset hooks (for stats state that is not a plain attribute,
-like the sharing-classification dicts); ``Group.dump()`` renders the
-gem5-style flat listing.
+:func:`dump` renders the whole-machine tree of
+:meth:`repro.sim.system.System.stats` (nested plain dicts) as the
+gem5-style flat listing ``--stats`` prints.
 """
 
-KIND_COUNTER = "counter"
-KIND_DIST = "distribution"
-KIND_FORMULA = "formula"
 
-
-class Stat:
-    """Base class: a named leaf statistic."""
-
-    kind = KIND_COUNTER
-
-    def __init__(self, name, desc=""):
-        if not name or "." in name:
-            raise ValueError("stat name must be non-empty and dot-free, "
-                             "got %r" % (name,))
-        self.name = name
-        self.desc = desc
-
-    def value(self):
-        raise NotImplementedError
-
-    def reset(self):
-        """Zero the statistic (no-op for derived stats)."""
-
-    def __repr__(self):
-        return "<%s %s=%r>" % (type(self).__name__, self.name,
-                               self.value())
-
-
-class Counter(Stat):
-    """A registry-owned integer counter."""
-
-    def __init__(self, name, desc=""):
-        super().__init__(name, desc)
-        self._value = 0
-
-    def incr(self, n=1):
-        self._value += n
-
-    def value(self):
-        return self._value
-
-    def reset(self):
-        self._value = 0
-
-
-class BoundStat(Stat):
-    """A view over state owned elsewhere.
-
-    ``getter`` produces the current value; ``resetter`` (optional)
-    zeroes the underlying state.  A stat without a resetter relies on
-    its group's reset hooks (e.g. ``MainMemory.reset_stats``) to clear
-    the state it reads.
-    """
-
-    def __init__(self, name, getter, resetter=None, desc=""):
-        super().__init__(name, desc)
-        self._get = getter
-        self._reset = resetter
-
-    @classmethod
-    def attr(cls, owner, attr, name=None, desc="", resettable=True):
-        """Bind to ``owner.<attr>`` (reset writes 0 back)."""
-        getter = lambda: getattr(owner, attr)
-        resetter = ((lambda: setattr(owner, attr, 0))
-                    if resettable else None)
-        return cls(name or attr, getter, resetter, desc)
-
-    def value(self):
-        return self._get()
-
-    def reset(self):
-        if self._reset is not None:
-            self._reset()
-
-
-class Formula(Stat):
-    """A derived statistic computed on demand; never reset."""
-
-    kind = KIND_FORMULA
-
-    def __init__(self, name, fn, desc=""):
-        super().__init__(name, desc)
-        self._fn = fn
-
-    def value(self):
-        return self._fn()
-
-
-class Distribution(Stat):
+class Distribution:
     """Log2-bucketed histogram with approximate percentiles.
 
     Samples land in bucket ``int(x).bit_length()`` (0, 1, 2-3, 4-7,
@@ -119,10 +20,7 @@ class Distribution(Stat):
     cycles -- at O(1) record cost and O(buckets) memory.
     """
 
-    kind = KIND_DIST
-
-    def __init__(self, name, desc="", max_bucket=24):
-        super().__init__(name, desc)
+    def __init__(self, max_bucket=24):
         self.max_bucket = max_bucket
         self.buckets = [0] * (max_bucket + 1)
         self.count = 0
@@ -180,6 +78,7 @@ class Distribution(Stat):
         return float(self.max or 0.0)
 
     def value(self):
+        """The summary a stats tree holds: one leaf of :func:`dump`."""
         return {
             "count": self.count,
             "mean": self.mean(),
@@ -198,117 +97,33 @@ class Distribution(Stat):
         self.max = None
 
 
-class Group:
-    """A named node in the stats tree."""
+#: The keys of :meth:`Distribution.value`: a dict holding exactly these
+#: is one leaf of a stats tree, not a group.
+_SUMMARY_KEYS = frozenset(Distribution().value())
 
-    def __init__(self, name, desc=""):
-        self.name = name
-        self.desc = desc
-        self._children = {}     # name -> Stat | Group (insertion order)
-        self._reset_hooks = []
 
-    # -- registration --------------------------------------------------
+def _leaves(tree, prefix):
+    for name, value in tree.items():
+        path = "%s.%s" % (prefix, name)
+        if isinstance(value, dict) and value.keys() != _SUMMARY_KEYS:
+            yield from _leaves(value, path)
+        else:
+            yield path, value
 
-    def add(self, child):
-        """Register a :class:`Stat` or sub-:class:`Group`."""
-        if child.name in self._children:
-            raise ValueError("duplicate stat name %r under %r"
-                             % (child.name, self.name))
-        self._children[child.name] = child
-        return child
 
-    def group(self, name, desc=""):
-        """Get or create the named sub-group."""
-        existing = self._children.get(name)
-        if existing is not None:
-            if not isinstance(existing, Group):
-                raise ValueError("%r is a leaf stat, not a group" % name)
-            return existing
-        return self.add(Group(name, desc))
-
-    def counter(self, name, desc=""):
-        return self.add(Counter(name, desc))
-
-    def bind(self, owner, attr, name=None, desc="", resettable=True):
-        """Register a view over ``owner.<attr>``."""
-        return self.add(BoundStat.attr(owner, attr, name, desc,
-                                       resettable))
-
-    def callback(self, name, fn, reset=None, desc=""):
-        """Register a view over an arbitrary getter."""
-        return self.add(BoundStat(name, fn, reset, desc))
-
-    def formula(self, name, fn, desc=""):
-        return self.add(Formula(name, fn, desc))
-
-    def distribution(self, name, desc="", max_bucket=24):
-        return self.add(Distribution(name, desc, max_bucket))
-
-    def on_reset(self, hook):
-        """Run ``hook()`` on every reset (for stats state that is not a
-        simple attribute: owner ``reset_stats`` methods, dict clears)."""
-        self._reset_hooks.append(hook)
-        return hook
-
-    # -- access --------------------------------------------------------
-
-    def __iter__(self):
-        return iter(self._children.values())
-
-    def __contains__(self, name):
-        return name in self._children
-
-    def find(self, path):
-        """Look up ``"a.b.c"`` relative to this group."""
-        node = self
-        for part in path.split("."):
-            if not isinstance(node, Group) or part not in node._children:
-                raise KeyError("no stat %r under %r" % (path, self.name))
-            node = node._children[part]
-        return node
-
-    def walk(self, prefix=None):
-        """Yield ``(dotted_path, leaf_stat)`` for every leaf."""
-        base = self.name if prefix is None else prefix
-        for child in self._children.values():
-            path = "%s.%s" % (base, child.name)
-            if isinstance(child, Group):
-                yield from child.walk(path)
-            else:
-                yield path, child
-
-    # -- export / lifecycle --------------------------------------------
-
-    def snapshot(self):
-        """The whole subtree as nested plain dicts."""
-        out = {}
-        for name, child in self._children.items():
-            out[name] = (child.snapshot() if isinstance(child, Group)
-                         else child.value())
-        return out
-
-    def reset(self):
-        """Zero every resettable leaf, then run reset hooks."""
-        for child in self._children.values():
-            child.reset()
-        for hook in self._reset_hooks:
-            hook()
-
-    def dump(self):
-        """gem5-style flat listing: ``path  value  # desc``."""
-        lines = []
-        for path, stat in self.walk():
-            v = stat.value()
-            if isinstance(v, dict):
-                rendered = " ".join("%s=%s" % (k, _fmt(x))
-                                    for k, x in v.items())
-            else:
-                rendered = _fmt(v)
-            line = "%-46s %s" % (path, rendered)
-            if stat.desc:
-                line = "%-70s # %s" % (line, stat.desc)
-            lines.append(line)
-        return "\n".join(lines)
+def dump(tree, prefix="system"):
+    """gem5-style flat listing of a stats tree: one ``path  value``
+    line per leaf, in tree order (a distribution's summary on one
+    line)."""
+    lines = []
+    for path, value in _leaves(tree, prefix):
+        if isinstance(value, dict):
+            rendered = " ".join("%s=%s" % (k, _fmt(x))
+                                for k, x in value.items())
+        else:
+            rendered = _fmt(value)
+        lines.append("%-46s %s" % (path, rendered))
+    return "\n".join(lines)
 
 
 def _fmt(v):

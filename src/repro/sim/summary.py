@@ -127,8 +127,8 @@ def _hist_state(dist):
             "min": dist.min, "max": dist.max}
 
 
-def _hist_restore(state, name="latency", desc=""):
-    dist = Distribution(name, desc=desc, max_bucket=state["max_bucket"])
+def _hist_restore(state):
+    dist = Distribution(max_bucket=state["max_bucket"])
     dist.buckets = list(state["buckets"])
     dist.count = state["count"]
     dist.total = state["total"]
@@ -296,7 +296,7 @@ class RunSummary:
         (merged histograms; levels with no samples are omitted)."""
         out = {}
         for lvl, name in enumerate(LEVEL_NAMES):
-            merged = Distribution("latency", desc=name)
+            merged = Distribution()
             for c in self.cores:
                 merged.merge(_hist_restore(c.latency_hist[lvl]))
             if merged.count:

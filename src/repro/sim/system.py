@@ -24,8 +24,6 @@ tests optional features on locals read once at its top (DESIGN.md Sec.
 probe, L2 victims -- stays in helpers.
 """
 
-import weakref
-
 from repro import params as P
 from repro.caches.sram_cache import SetAssocCache
 from repro.caches.vault_cache import VaultCache
@@ -36,16 +34,24 @@ from repro.coherence.states import (
 from repro.coherence.sharer_table import SharerTable
 from repro.coherence.dup_tag_directory import DupTagDirectory
 from repro.cores.perf_model import (
-    CoreModel, LEVEL_L1, LEVEL_L2, LEVEL_LLC_LOCAL, LEVEL_LLC_REMOTE,
-    LEVEL_DRAM_CACHE, LEVEL_MEMORY)
+    CoreModel, LEVEL_NAMES, LEVEL_L1, LEVEL_L2, LEVEL_LLC_LOCAL,
+    LEVEL_LLC_REMOTE, LEVEL_DRAM_CACHE, LEVEL_MEMORY)
+from repro.energy.model import EnergyModel
 from repro.memory.main_memory import MainMemory
 from repro.noc.mesh import Mesh2D
-from repro.obs.stats import Group
 from repro.obs.trace import (EV_COHERENCE, EV_DIRECTORY, EV_FAULT,
                              EV_INVALIDATE, EV_DOWNGRADE, EV_EVICTION)
 from repro.sim.config import LLC_SHARED
 
 _NO_OWNER = SharerTable.NO_OWNER
+
+
+def _channel_stats(controllers):
+    """``channelN`` groups of a list of closed-page controllers."""
+    return {"channel%d" % i: {"accesses": ctrl.accesses,
+                              "conflicts": ctrl.conflicts,
+                              "utilization": ctrl.utilization()}
+            for i, ctrl in enumerate(controllers)}
 
 
 class System:
@@ -139,12 +145,10 @@ class System:
             self.sram_dir_cache = DirectoryCache(n)
         self.moesi = config.protocol == "moesi"
         self.victim_replication = config.victim_replication
-        self.replica_hits = 0
         self.prefetchers = None
         if config.l1_prefetcher:
             from repro.caches.prefetcher import StridePrefetcher
             self.prefetchers = [StridePrefetcher() for _ in range(n)]
-        self.prefetch_fills = 0
         # A directory lookup reads a metadata set, not a 64 B TAD: it
         # pays the DRAM array + controller delay but not the data
         # serialization cycles.
@@ -166,30 +170,11 @@ class System:
         # (perfbench/simulate.py) still reads this attribute.
         self.shadow_filter = None
 
-        # System-level counters
-        self.llc_accesses = 0          # SRAM bank / DRAM vault accesses
-        self.dram_cache_accesses = 0
-        self.invalidations = 0
-        self.l1_writebacks = 0
-        self.llc_writebacks = 0        # dirty evictions leaving the LLC
-        self.vault_evictions = 0
-        self.directory_lookups = 0
-        self.remote_forwards = 0
-
         # Optional LLC-access sharing classification (Fig. 3)
         self.track_sharing = False
-        self.block_readers = {}
-        self.block_writers = {}
-        self.llc_reads = 0
-        self.llc_demand_writes = 0
-        self.llc_writes_by_block = {}
-
-        #: Root of the hierarchical stats registry.  Every counter above
-        #: (and the per-subsystem ones owned by cores, mesh, memory,
-        #: optimization structures and the energy model) is reachable
-        #: through it; ``reset_stats`` delegates to its ``reset``, and
-        #: ``--stats`` dumps it (summaries read :meth:`counters`).
-        self.stats = self._build_stats()
+        # The system-level counters and the classification dicts start
+        # at zero: reset_stats defines them.
+        self.reset_stats()
 
     # ------------------------------------------------------------------
     # observability
@@ -204,9 +189,9 @@ class System:
     def attach_faults(self, injector):
         """Enable fault injection through ``injector`` (repro.faults).
 
-        Wires the injector into the memory channels (transient stalls)
-        and registers its counters as the ``system.faults`` stats
-        group; returns the injector for chaining.
+        Wires the injector into the memory channels (transient stalls);
+        its counters join :meth:`counters` and :meth:`stats` under
+        ``"faults"``.  Returns the injector for chaining.
         """
         expected = self.num_cores
         if injector.num_targets != expected:
@@ -215,103 +200,7 @@ class System:
                 "banks" % (injector.num_targets, expected))
         self.faults = injector
         self.memory.attach_faults(injector)
-        injector.register_stats(
-            self.stats.group("faults", "fault injection and recovery"))
         return injector
-
-    def _build_stats(self):
-        """Assemble the stats registry over every subsystem.  Its
-        getters and reset hooks reach this machine through a weak
-        proxy: the registry hangs off the machine, so strong references
-        back would make every machine cyclic garbage that outlives its
-        run until a full collection."""
-        root = Group("system", "all statistics of one simulated machine")
-        me = weakref.proxy(self)
-
-        caches = root.group("caches", "cache hierarchy counters")
-        caches.bind(me, "llc_accesses",
-                    desc="SRAM bank / DRAM vault accesses")
-        caches.bind(me, "dram_cache_accesses",
-                    desc="conventional DRAM cache accesses")
-        caches.bind(me, "l1_writebacks", desc="dirty L1 evictions")
-        caches.bind(me, "llc_writebacks",
-                    desc="dirty evictions leaving the LLC")
-        caches.bind(me, "vault_evictions",
-                    desc="direct-mapped vault set evictions")
-        caches.bind(me, "replica_hits",
-                    desc="victim-replication local-bank hits")
-        caches.bind(me, "prefetch_fills",
-                    desc="stride prefetches issued to the hierarchy")
-        if self.prefetchers is not None:
-            pf = caches.group("prefetcher", "stride prefetcher totals")
-            pf.callback(
-                "issued",
-                lambda: sum(p.issued for p in me.prefetchers),
-                desc="prefetch candidates produced")
-            pf.callback(
-                "useful",
-                lambda: sum(p.hits_observed for p in me.prefetchers),
-                desc="observed hits on prefetched strides")
-
-            def _reset_prefetch_stats():
-                for p in me.prefetchers:
-                    p.reset_stats()
-            pf.on_reset(_reset_prefetch_stats)
-        if self.missmaps is not None:
-            mm = caches.group("missmap", "local miss predictor totals")
-            mm.callback(
-                "known_misses",
-                lambda: sum(m.known_misses for m in me.missmaps),
-                desc="probes skipped on predicted misses")
-            mm.callback(
-                "unknown",
-                lambda: sum(m.unknown for m in me.missmaps),
-                desc="lookups outside tracked segments")
-
-            def _reset_missmap_stats():
-                for m in me.missmaps:
-                    m.reset_stats()
-            mm.on_reset(_reset_missmap_stats)
-        if self.dram_cache_ctrl is not None:
-            dcc = caches.group("dram_cache_ctrl",
-                               "conventional DRAM cache channels")
-            for i, ctrl in enumerate(self.dram_cache_ctrl):
-                ctrl.register_stats(dcc.group("channel%d" % i))
-                dcc.on_reset(ctrl.reset)
-
-        coh = root.group("coherence", "coherence protocol counters")
-        coh.bind(me, "invalidations",
-                 desc="peer copies invalidated")
-        coh.bind(me, "directory_lookups",
-                 desc="home-node directory lookups")
-        coh.bind(me, "remote_forwards",
-                 desc="cache-to-cache data forwards")
-        if self.sram_dir_cache is not None:
-            self.sram_dir_cache.register_stats(
-                coh.group("directory_cache", "SRAM directory cache"))
-        sharing = coh.group("sharing", "Fig. 3 access classification")
-        sharing.bind(me, "llc_reads", desc="tracked LLC data reads")
-        sharing.bind(me, "llc_demand_writes",
-                     desc="tracked LLC demand writes")
-
-        def _reset_sharing():
-            me.block_readers = {}
-            me.block_writers = {}
-            me.llc_writes_by_block = {}
-        sharing.on_reset(_reset_sharing)
-
-        self.mesh.register_stats(root.group("noc", "2D mesh"))
-        self.memory.register_stats(root.group("memory", "main memory"))
-
-        cores = root.group("cores", "per-core performance model")
-        for c in self.cores:
-            c.register_stats(cores.group("core%d" % c.core_id))
-
-        from repro.energy import EnergyModel
-        EnergyModel().register_stats(
-            root.group("energy", "derived energy model (Table III)"),
-            me)
-        return root
 
     # ------------------------------------------------------------------
     # public entry point
@@ -416,14 +305,39 @@ class System:
     # ------------------------------------------------------------------
 
     def reset_stats(self):
-        """Zero all measurement state (after warmup).
-
-        Delegates to the stats registry, which owns the complete list
-        of resettable statistics -- including ones the pre-registry
-        code forgot (replica hits, prefetch fills, directory-cache and
-        missmap counters).  Architectural state (cache contents,
-        predictor tables) is never touched."""
-        self.stats.reset()
+        """Zero all measurement state (after warmup): the system's own
+        counters and sharing classification here, every other counter
+        through its owner's reset.  Architectural state (cache
+        contents, predictor tables, learned strides, cached directory
+        sets) is never touched."""
+        self.llc_accesses = 0          # SRAM bank / DRAM vault accesses
+        self.dram_cache_accesses = 0
+        self.invalidations = 0
+        self.l1_writebacks = 0
+        self.llc_writebacks = 0        # dirty evictions leaving the LLC
+        self.vault_evictions = 0
+        self.directory_lookups = 0
+        self.remote_forwards = 0
+        self.replica_hits = 0          # victim-replication local hits
+        self.prefetch_fills = 0
+        # the Fig. 3 sharing classification (kept when track_sharing)
+        self.block_readers = {}
+        self.block_writers = {}
+        self.llc_reads = 0
+        self.llc_demand_writes = 0
+        self.llc_writes_by_block = {}
+        for core in self.cores:
+            core.reset()
+        self.mesh.reset_stats()
+        self.memory.reset_stats()
+        for owners in (self.dram_cache_ctrl, self.missmaps,
+                       self.prefetchers):
+            for owner in owners or ():
+                owner.reset_stats()
+        if self.sram_dir_cache is not None:
+            self.sram_dir_cache.reset_stats()
+        if self.faults is not None:
+            self.faults.reset_stats()
 
     def counters(self):
         """The counters a run summary records and telemetry samples,
@@ -447,6 +361,60 @@ class System:
         if self.faults is not None:
             counters["faults"] = self.faults.counters_dict()
         return counters
+
+    def stats(self):
+        """The whole machine's statistics as nested plain dicts: the
+        tree ``--stats`` prints (:func:`repro.obs.stats.dump`).  Each
+        counter of :meth:`counters` sits under its subsystem, beside
+        the sharing counts, the optional structures' counters, every
+        channel controller's, each core's per-level counts and latency
+        histogram, and the derived values (mean hops, bank
+        utilization, directory-cache hit rate, energy)."""
+        caches = self.counters()
+        faults = caches.pop("faults", None)
+        coherence = {name: caches.pop(name) for name in (
+            "invalidations", "directory_lookups", "remote_forwards")}
+        noc = {"link_traversals": caches.pop("link_traversals"),
+               "avg_hops": self.mesh.average_hops()}
+        memory = {"reads": caches.pop("memory_reads"),
+                  "writes": caches.pop("memory_writes"),
+                  "accesses": caches.pop("memory_accesses")}
+        memory.update(_channel_stats(self.memory.controllers))
+        # What is left of counters() is the cache hierarchy's.
+        if self.prefetchers is not None:
+            caches["prefetcher"] = {
+                "issued": sum(p.issued for p in self.prefetchers),
+                "useful": sum(p.hits_observed for p in self.prefetchers)}
+        if self.missmaps is not None:
+            caches["missmap"] = {
+                "known_misses": sum(m.known_misses for m in self.missmaps),
+                "unknown": sum(m.unknown for m in self.missmaps)}
+        if self.dram_cache_ctrl is not None:
+            caches["dram_cache_ctrl"] = _channel_stats(self.dram_cache_ctrl)
+        if self.sram_dir_cache is not None:
+            dc = self.sram_dir_cache
+            coherence["directory_cache"] = {
+                "hits": dc.hits, "misses": dc.misses,
+                "hit_rate": dc.hit_rate()}
+        coherence["sharing"] = {"llc_reads": self.llc_reads,
+                                "llc_demand_writes": self.llc_demand_writes}
+        cores = {}
+        for c in self.cores:
+            core = cores["core%d" % c.core_id] = {
+                "instructions": c.instructions}
+            for lvl, name in enumerate(LEVEL_NAMES):
+                core[name.lower()] = {
+                    "data_count": c.data_count[lvl],
+                    "ifetch_count": c.ifetch_count[lvl],
+                    "data_latency": c.data_latency[lvl],
+                    "latency": c.latency_hist[lvl].value()}
+        energy = EnergyModel().breakdown(self)
+        del energy["memory_static_w"]
+        tree = {"caches": caches, "coherence": coherence, "noc": noc,
+                "memory": memory, "cores": cores, "energy": energy}
+        if faults is not None:
+            tree["faults"] = faults
+        return tree
 
     def occupancy_by_bank(self):
         """Per-bank occupancy fractions (resident blocks over capacity)

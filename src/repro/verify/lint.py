@@ -1,15 +1,15 @@
 """silolint: simulator-specific static lint rules.
 
 Generic linters know nothing about what makes a simulator *wrong*:
-results that silently stop being reproducible, counters that escape the
-stats registry, magic timing numbers that drift away from Table II.
+results that silently stop being reproducible, counters that nothing
+resets, magic timing numbers that drift away from Table II.
 silolint encodes those contracts as ``ast``-level rules:
 
 * **SL002** -- a counter-looking attribute (``self.hits += 1``, ...)
-  mutated in a module with no stats-registry linkage: the module
-  neither defines ``register_stats``/``_build_stats`` nor imports
-  :mod:`repro.obs`, so the counter can never be snapshot or reset by
-  the registry.
+  mutated in a module with no stats linkage: the module neither
+  defines ``reset_stats`` nor imports :mod:`repro.obs` (nor lives in
+  it), so nothing zeroes the counter at the warm-up boundary and
+  warm-up counts leak into the measurement.
 * **SL003** -- hard-coded latency/size constants in timing-critical
   packages (``sim``, ``caches``, ``noc``, ``memory``): a numeric
   literal assigned to (or defaulted into, or passed as a keyword named
@@ -17,7 +17,8 @@ silolint encodes those contracts as ``ast``-level rules:
   bypasses :mod:`repro.params`, the single source of Table II truth.
 * **SL004** -- iteration over a ``set``/``frozenset`` in
   timing-affecting code (``sim``, ``caches``, ``coherence``, ``noc``,
-  ``memory``): set order is unspecified across runs/versions, a
+  ``memory``, and ``workloads``, whose loop order decides trace
+  content): set order is unspecified across runs/versions, a
   nondeterminism hazard wherever iteration order can reach timing or
   eviction decisions.
 * **SL005** -- ``==``/``!=`` against a float literal in the same
@@ -87,7 +88,7 @@ from collections import namedtuple
 #: Rule registry: code -> one-line description.
 RULES = {
     "SL002": "stat counter mutated as a bare int in a module with no "
-             "stats-registry linkage (repro.obs)",
+             "stats linkage (reset_stats or repro.obs)",
     "SL003": "hard-coded latency/size constant bypassing repro.params",
     "SL004": "iteration over an unordered set in timing-affecting code",
     "SL005": "float equality comparison in timing-affecting code",
@@ -101,8 +102,10 @@ RULES = {
     "SL010": "environment read outside the ENV_READERS registry",
 }
 
-#: Packages whose code paths decide timing (SL004/SL005 scope).
-TIMING_DIRS = frozenset(("sim", "caches", "coherence", "noc", "memory"))
+#: Packages whose code paths decide timing (SL004/SL005 scope); the
+#: trace generator decides trace content, so its loop order is timing.
+TIMING_DIRS = frozenset(("sim", "caches", "coherence", "noc", "memory",
+                         "workloads"))
 #: Packages that must take latencies/sizes from repro.params (SL003).
 PARAMS_DIRS = frozenset(("sim", "caches", "noc", "memory"))
 #: Packages the run engine fans out across processes (SL006 scope):
@@ -229,14 +232,14 @@ def _file_suppressions(lines):
 
 class _ModuleFacts:
     """Module-level context the rules need: which names came from the
-    ``time`` and ``os`` modules, and whether the module is linked to
-    the stats registry."""
+    ``time`` and ``os`` modules, and whether the module's counters are
+    linked to a stats reset (SL002)."""
 
     def __init__(self, tree, path_parts):
         self.time_names = {}     # local name -> original time.* name
         self.os_names = {"os"}   # local names bound to the os module
         self.env_names = {}      # local name -> os.environ/getenv/...
-        self.has_registry = "obs" in path_parts
+        self.stats_linked = "obs" in path_parts
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 if node.module == "time":
@@ -249,17 +252,17 @@ class _ModuleFacts:
                             self.env_names[alias.asname or alias.name] \
                                 = alias.name
                 elif node.module and node.module.startswith("repro.obs"):
-                    self.has_registry = True
+                    self.stats_linked = True
             elif isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name == "os" and alias.asname:
                         self.os_names.add(alias.asname)
                     if alias.name.startswith("repro.obs"):
-                        self.has_registry = True
+                        self.stats_linked = True
             elif isinstance(node, (ast.FunctionDef,
                                    ast.AsyncFunctionDef)):
-                if node.name in ("register_stats", "_build_stats"):
-                    self.has_registry = True
+                if node.name == "reset_stats":
+                    self.stats_linked = True
 
 
 class _FileLinter(ast.NodeVisitor):
@@ -366,7 +369,7 @@ class _FileLinter(ast.NodeVisitor):
     # -- SL002 ---------------------------------------------------------
 
     def visit_AugAssign(self, node):
-        if (not self.facts.has_registry
+        if (not self.facts.stats_linked
                 and isinstance(node.op, (ast.Add, ast.Sub))
                 and isinstance(node.target, ast.Attribute)
                 and isinstance(node.target.value, ast.Name)
@@ -374,8 +377,8 @@ class _FileLinter(ast.NodeVisitor):
                 and _is_counter_name(node.target.attr)):
             self._flag(node, "SL002",
                        "counter self.%s mutated in a module with no "
-                       "stats-registry linkage (define register_stats "
-                       "or bind it via repro.obs)" % node.target.attr)
+                       "stats linkage (define reset_stats to zero it, "
+                       "or import repro.obs)" % node.target.attr)
         self.generic_visit(node)
 
     # -- SL003 ---------------------------------------------------------

@@ -147,6 +147,21 @@ def test_cli_stats_dump(capsys):
     assert "system.memory.reads" in out
 
 
+def test_cli_stats_dump_names_fault_counters(capsys):
+    assert main(["fig3", "--scale", "1024", "--sampling", "2000:1000",
+                 "--fault-stalls", "0.01", "--no-cache", "--stats"]) == 0
+    out = capsys.readouterr().out
+    paths = {line.split()[0] for line in out.splitlines()
+             if line.startswith("system.faults.")}
+    assert "system.faults.stall_events" in paths
+    assert paths == {"system.faults." + name for name in (
+        "accesses", "injected", "corrected", "uncorrectable",
+        "data_loss_events", "refetches", "directory_rebuilds",
+        "remapped_accesses", "write_throughs", "broadcast_snoops",
+        "stall_events", "stall_cycles", "offline_events",
+        "online_events", "drained_dirty")}
+
+
 def test_cli_trace_summary(capsys):
     assert main(["fig11", "--scale", "1024", "--sampling", "2000:1000",
                  "--trace", "64"]) == 0

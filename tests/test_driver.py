@@ -225,7 +225,7 @@ def test_single_core_results_are_chunk_invariant():
         for reference in (False, True):
             r = _silo_run(chunk, num_cores=1, reference=reference)
             runs[(chunk, reference)] = (r.performance(),
-                                        r.system.stats.snapshot())
+                                        r.system.stats())
     first = runs[(50, False)]
     assert all(v == first for v in runs.values())
 

@@ -328,7 +328,7 @@ def _pin_traces(spec_name):
 
 def _assert_same_state(fast, ref, fast_times, ref_times):
     assert fast_times == ref_times           # exact float equality
-    assert fast.stats.snapshot() == ref.stats.snapshot()
+    assert fast.stats() == ref.stats()
     assert fast.block_readers == ref.block_readers
     assert fast.block_writers == ref.block_writers
     if ref.tracer is not None:

@@ -74,7 +74,7 @@ def _pin(fast, slow):
     """All observable results of two runs are bit-identical."""
     assert fast.performance() == slow.performance()
     assert fast.level_counts() == slow.level_counts()
-    assert fast.system.stats.snapshot() == slow.system.stats.snapshot()
+    assert fast.system.stats() == slow.system.stats()
     assert fast.latency_percentiles() == slow.latency_percentiles()
 
 

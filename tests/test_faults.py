@@ -222,8 +222,20 @@ def attach(system, **plan_kwargs):
 def test_attach_faults_registers_stats_group():
     s = make_silo()
     attach(s, seed=1, data_flip_rate=0.5)
-    names = [g for g in s.stats.snapshot()]
+    names = [g for g in s.stats()]
     assert "faults" in names
+
+
+def test_stats_name_fault_counters_as_counters_dict():
+    s = make_silo()
+    inj = attach(s, seed=1, data_flip_rate=0.5)
+    for block in range(50):
+        s.access(0, block, False, False)
+        s.l1d[0].invalidate(block)
+        s.access(0, block, False, False)           # vault hit: draws
+    assert inj.injected > 0
+    assert s.stats()["faults"] == inj.counters_dict()
+    assert list(s.stats()["faults"]) == list(inj.counters_dict())
 
 
 def test_clean_uncorrectable_refetches_without_data_loss():

@@ -50,7 +50,7 @@ def test_reset_starts_new_window():
     c = ClosedPageController(2, 50)
     for i in range(100):
         c.access(i, now=float(i))
-    c.reset()
+    c.reset_stats()
     assert c.accesses == 0
     assert c.utilization() == 0.0
 

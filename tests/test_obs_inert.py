@@ -1,6 +1,6 @@
 """Property: observability is inert.
 
-Enabling the stats registry, the event tracer, manifest collection,
+Dumping the stats tree, the event tracer, manifest collection,
 telemetry, the profiler or any combination must not change simulation
 results: same config and seed must give bit-identical performance and
 counters whether or not anything is observing.  Observation only
@@ -11,6 +11,7 @@ on random requests through a fully observed session.
 import pytest
 
 from repro.obs.session import observe
+from repro.obs.stats import dump
 from repro.obs.trace import EventTracer
 from repro.sim.config import HierarchyConfig
 from repro.sim.driver import run_system, simulate
@@ -58,8 +59,7 @@ def test_observability_is_inert(kind, seed):
     with observe(trace_capacity=512, collect_manifests=True,
                  collect_stats=True) as session:
         watched = simulate(config(kind), spec, PLAN, seed=seed)
-        watched.system.stats.snapshot()
-        watched.system.stats.dump()
+        dump(watched.system.stats())
     assert session.runs, "manifest records collected"
     assert watched.system.tracer is not None
     if kind == "private_vault":
@@ -94,7 +94,7 @@ def test_telemetry_and_profiler_are_inert(kind):
         watched = simulate(config(kind), spec, PLAN, seed=7)
 
     assert fingerprint(watched) == fingerprint(plain)
-    assert watched.system.stats.snapshot() == plain.system.stats.snapshot()
+    assert watched.system.stats() == plain.system.stats()
     assert (watched.latency_percentiles()
             == plain.latency_percentiles())
     # ...and the observation actually happened

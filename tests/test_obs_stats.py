@@ -1,10 +1,9 @@
-"""Stats registry: counters, distributions, formulas, groups."""
+"""Machine statistics: latency distributions and ``System.stats()``."""
 
 import pytest
 
 from repro.cores.perf_model import CoreParams
-from repro.obs.stats import (Counter, BoundStat, Formula, Distribution,
-                             Group)
+from repro.obs.stats import Distribution, dump
 from repro.sim.config import HierarchyConfig
 from repro.sim.driver import simulate
 from repro.sim.sampling import SamplingPlan
@@ -21,45 +20,8 @@ def small_system(kind="shared", **kw):
     return System(config, [CoreParams()] * 4)
 
 
-def test_counter_basics():
-    c = Counter("hits", "demand hits")
-    c.incr()
-    c.incr(4)
-    assert c.value() == 5
-    c.reset()
-    assert c.value() == 0
-
-
-def test_stat_name_validation():
-    with pytest.raises(ValueError):
-        Counter("")
-    with pytest.raises(ValueError):
-        Counter("a.b")
-
-
-def test_bound_stat_views_and_resets_attribute():
-    class Owner:
-        hits = 7
-    o = Owner()
-    s = BoundStat.attr(o, "hits")
-    assert s.value() == 7
-    o.hits += 3
-    assert s.value() == 10
-    s.reset()
-    assert o.hits == 0
-
-
-def test_formula_never_resets():
-    c = Counter("n")
-    f = Formula("double", lambda: 2 * c.value())
-    c.incr(3)
-    assert f.value() == 6
-    f.reset()
-    assert f.value() == 6
-
-
 def test_distribution_percentiles():
-    d = Distribution("lat")
+    d = Distribution()
     for x in [1] * 90 + [100] * 9 + [1000]:
         d.record(x)
     assert d.count == 100
@@ -72,7 +34,7 @@ def test_distribution_percentiles():
 
 
 def test_distribution_merge():
-    a, b = Distribution("lat"), Distribution("lat")
+    a, b = Distribution(), Distribution()
     a.record(5)
     b.record(500)
     a.merge(b)
@@ -80,45 +42,26 @@ def test_distribution_merge():
     assert a.min == 5 and a.max == 500
 
 
-def test_group_registration_and_find():
-    root = Group("root")
-    g = root.group("sub")
-    g.counter("hits")
-    assert root.find("sub.hits").value() == 0
-    with pytest.raises(ValueError):
-        g.counter("hits")  # duplicate
-    with pytest.raises(KeyError):
-        root.find("sub.nope")
-    # get-or-create returns the same child
-    assert root.group("sub") is g
-
-
-def test_group_snapshot_walk_and_dump():
-    root = Group("system")
-    root.group("a").counter("x").incr(2)
-    root.group("b").formula("y", lambda: 1.5)
-    snap = root.snapshot()
-    assert snap == {"a": {"x": 2}, "b": {"y": 1.5}}
-    paths = dict(root.walk())
-    assert set(paths) == {"system.a.x", "system.b.y"}
-    dump = root.dump()
-    assert "system.a.x" in dump and "2" in dump
+def test_dump_lists_each_leaf_on_one_line():
+    hist = Distribution()
+    hist.record(3)
+    tree = {"a": {"x": 2, "latency": hist.value()}, "y": 1.5}
+    assert dump(tree).splitlines() == [
+        "%-46s 2" % "system.a.x",
+        "%-46s count=1 mean=3.0000 min=3 max=3 p50=3.0000 p95=3.0000 "
+        "p99=3.0000" % "system.a.latency",
+        "%-46s 1.5000" % "system.y"]
 
 
 def test_system_counters_reachable_through_registry():
     s = small_system()
     s.access(0, 1, False, False)
     s.access(1, 1, True, False)   # invalidates core 0's copy
-    assert (s.stats.find("caches.llc_accesses").value()
-            == s.llc_accesses > 0)
-    assert (s.stats.find("coherence.invalidations").value()
-            == s.invalidations == 1)
-    assert (s.stats.find("memory.reads").value()
-            == s.memory.reads > 0)
-    assert (s.stats.find("noc.link_traversals").value()
-            == s.mesh.link_traversals > 0)
-    snap = s.stats.snapshot()
-    assert snap["caches"]["llc_accesses"] == s.llc_accesses
+    snap = s.stats()
+    assert snap["caches"]["llc_accesses"] == s.llc_accesses > 0
+    assert snap["coherence"]["invalidations"] == s.invalidations == 1
+    assert snap["memory"]["reads"] == s.memory.reads > 0
+    assert snap["noc"]["link_traversals"] == s.mesh.link_traversals > 0
     assert "core0" in snap["cores"]
     assert "llc_dynamic_nj" in snap["energy"]
 
@@ -126,9 +69,10 @@ def test_system_counters_reachable_through_registry():
 def test_silo_system_registry_covers_directory():
     s = small_system(kind="private_vault", protocol="moesi")
     s.access(0, 1, False, False)
-    assert (s.stats.find("coherence.directory_lookups").value()
+    snap = s.stats()
+    assert (snap["coherence"]["directory_lookups"]
             == s.directory_lookups == 1)
-    assert s.stats.find("caches.vault_evictions").value() == 0
+    assert snap["caches"]["vault_evictions"] == 0
 
 
 def test_optimization_structures_register():
@@ -137,7 +81,7 @@ def test_optimization_structures_register():
                      directory_cache="sram", l1_prefetcher=True)
     for i in range(50):
         s.access(0, i, False, False)
-    snap = s.stats.snapshot()
+    snap = s.stats()
     assert "missmap" in snap["caches"]
     assert "prefetcher" in snap["caches"]
     assert "directory_cache" in snap["coherence"]
@@ -146,7 +90,7 @@ def test_optimization_structures_register():
 
 
 # ---------------------------------------------------------------------------
-# a machine's registry does not keep the machine alive
+# nothing a machine holds keeps the machine alive
 # ---------------------------------------------------------------------------
 
 
@@ -155,9 +99,9 @@ def test_optimization_structures_register():
     "vaults_sh", "silo-missmap", "baseline-sharing", "silo-faults",
     "baseline-prefetcher"])
 def test_a_run_frees_its_machine_by_reference_counting(request_kind):
-    # With strong references from the stats registry back to the
-    # machine, every finished run stayed as cyclic garbage until a
-    # full collection, and whatever ran next paid for collecting it.
+    # A reference cycle through the machine would keep every finished
+    # run as cyclic garbage until a full collection, and whatever ran
+    # next would pay for collecting it.
     import gc
     import weakref
 
@@ -180,7 +124,7 @@ def test_a_run_frees_its_machine_by_reference_counting(request_kind):
     gc.disable()
     try:
         result = execute_request(request)
-        result.system.stats.snapshot()      # readable while it lives
+        result.system.stats()      # readable while it lives
         machine = weakref.ref(result.system)
         del result
         assert machine() is None
@@ -196,6 +140,6 @@ def test_snapshot_reading_does_not_mutate():
     config = HierarchyConfig(name="inert", num_cores=4, scale=512,
                              llc_kind="shared")
     result = simulate(config, WEB_SEARCH, SamplingPlan(1500, 800), seed=2)
-    a = result.system.stats.snapshot()
-    result.system.stats.dump()
-    assert result.system.stats.snapshot() == a
+    a = result.system.stats()
+    dump(result.system.stats())
+    assert result.system.stats() == a

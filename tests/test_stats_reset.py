@@ -1,19 +1,26 @@
-"""Stats-reset semantics: after System.reset_stats() every registered
-resettable statistic must read zero.
+"""Stats-reset semantics: after System.reset_stats() every counter of
+``System.stats()`` must read zero.
 
 This is the bug class scattered counters invite: add a counter, forget
-to add it to reset_stats, and warmup pollution leaks into measurement.
-The registry owns the complete list, so the test drives a warmup that
-touches every subsystem (including the optional optimization
-structures) and then asserts over the whole tree.
+to reset it, and warmup pollution leaks into measurement.  Each
+counter's owner resets it and ``System.reset_stats`` calls every owner,
+so the test drives a warmup that touches every subsystem (including
+the optional optimization structures) and then asserts over the whole
+tree.
 """
 
 import pytest
 
 from repro.cores.perf_model import CoreParams
-from repro.obs.stats import KIND_FORMULA
 from repro.sim.config import HierarchyConfig
 from repro.sim.system import System
+
+#: Leaves derived from counters or constants, which a reset need not
+#: zero: the mesh's mean hop count, each channel's bank utilization,
+#: the directory cache's hit rate, memory's reads + writes, and the
+#: energy model's values.
+DERIVED = ("noc.avg_hops", ".utilization", "directory_cache.hit_rate",
+           "memory.accesses", "energy.")
 
 
 def build(kind, **kw):
@@ -36,19 +43,21 @@ def warm(s):
         c.retire(100)
 
 
+def leaves(tree, prefix="system"):
+    """``(path, value)`` for every number in a stats tree (a latency
+    histogram's summary contributes its count, mean, ...)."""
+    for name, value in tree.items():
+        path = "%s.%s" % (prefix, name)
+        if isinstance(value, dict):
+            yield from leaves(value, path)
+        else:
+            yield path, value
+
+
 def zero_violations(system):
-    """Resettable leaves that still read non-zero after a reset."""
-    bad = []
-    for path, stat in system.stats.walk():
-        if stat.kind == KIND_FORMULA:
-            continue  # derived from counters / constants
-        v = stat.value()
-        if isinstance(v, dict):
-            if v["count"] != 0:
-                bad.append((path, v))
-        elif v != 0:
-            bad.append((path, v))
-    return bad
+    """Counters that still read non-zero after a reset."""
+    return [(path, v) for path, v in leaves(system.stats())
+            if v != 0 and not any(d in path for d in DERIVED)]
 
 
 SILO_OPTS = dict(local_miss_predictor="missmap", directory_cache="sram",
@@ -71,13 +80,13 @@ def test_every_registered_stat_zero_after_reset(kind, kw):
     assert zero_violations(s), "warmup should move some stats"
     s.reset_stats()
     assert zero_violations(s) == []
-    # the classification dicts are cleared by the reset hooks too
+    # the classification dicts are cleared too
     assert s.block_readers == {} and s.llc_writes_by_block == {}
 
 
 def test_formerly_forgotten_counters_now_reset():
     """replica_hits / prefetch_fills / directory-cache and missmap
-    counters were not covered by the pre-registry reset_stats."""
+    counters were once left out of reset_stats."""
     s = build("shared", victim_replication=True,
               llc_size_bytes=64 * 1024, llc_ways=4)
     s.access(0, 1, False, False)

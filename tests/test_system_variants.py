@@ -7,7 +7,7 @@ the event tracer, the stride prefetcher, ECC fault injection, vault or
 bank offline/online events, the SILO miss predictors, directory caches
 and MESI), on small synthetic 16-core traces and compares a SHA-256 of
 the results with a recorded golden.  Each digest covers
-``system.stats.snapshot()``, ``level_counts()``,
+``system.stats()``, ``level_counts()``,
 ``repr(performance())`` and ``latency_percentiles()``, plus
 ``sharing_breakdown()`` and the traced events when those features are
 on.
@@ -180,7 +180,7 @@ def digest(builder, spec, chunk, feature, overrides):
     result = run_system(system, make_traces(spec), WARMUP, MEASURE,
                         chunk=chunk)
     record = {
-        "stats": result.system.stats.snapshot(),
+        "stats": result.system.stats(),
         "level_counts": result.level_counts(),
         "performance": "%.9g" % result.performance(),
         "latency_percentiles": result.latency_percentiles(),

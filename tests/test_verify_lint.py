@@ -48,7 +48,7 @@ def _codes(report):
 
 
 # ---------------------------------------------------------------------------
-# SL002: counters outside the stats registry
+# SL002: counters in modules with no stats reset
 # ---------------------------------------------------------------------------
 
 _SL002_BODY = (
@@ -65,10 +65,10 @@ def test_sl002_flags_unregistered_counter(tmp_path):
     assert "self.hits" in report.violations[0].message
 
 
-def test_sl002_quiet_when_module_defines_register_stats(tmp_path):
+def test_sl002_quiet_when_module_defines_reset_stats(tmp_path):
     report = _lint_source(tmp_path, _SL002_BODY + (
-        "    def register_stats(self, group):\n"
-        "        group.bind(self, 'hits')\n"))
+        "    def reset_stats(self):\n"
+        "        self.hits = 0\n"))
     assert report.ok
 
 
@@ -158,6 +158,17 @@ def test_sl004_flags_set_iteration_in_timing_dir(tmp_path):
         "    for req in set(pending):\n"
         "        req.serve()\n",
         subdir="coherence")
+    assert _codes(report) == ["SL004"]
+
+
+def test_sl004_flags_set_iteration_in_workloads_dir(tmp_path):
+    # the trace generator's loop order decides trace content
+    report = _lint_source(
+        tmp_path,
+        "def prewarm(regions):\n"
+        "    for region in set(regions):\n"
+        "        yield region.base\n",
+        subdir="workloads")
     assert _codes(report) == ["SL004"]
 
 

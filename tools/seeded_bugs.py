@@ -164,11 +164,11 @@ DEFECTS = (
         "            if mask & (1 << s):\n"
         "                st = self.l1d[s].invalidate(block)\n"),),
         "a set comprehension driving _invalidate_peer_l1s"),
-    Defect("S2", "set iteration", None, "src/repro/workloads/generator.py", ((
+    Defect("S2", "set iteration", "SL004",
+           "src/repro/workloads/generator.py", ((
         "    for region in spec.regions:\n",
         "    for region in set(spec.regions):\n"),),
-        "set(spec.regions) ordering _prewarm_blocks (outside SL004's "
-        "packages)"),
+        "set(spec.regions) ordering _prewarm_blocks"),
     Defect("S3", "set iteration", "SL004", "src/repro/caches/nuca.py", ((
         "        for bank in self.banks:\n",
         "        for bank in set(self.banks):\n"),),
@@ -229,7 +229,7 @@ DEFECTS = (
         "        if hit:\n"
         "            self.page_hits += 1\n"
         "        return hit\n")),
-        "a page_hits counter outside the stats registry"),
+        "a page_hits counter that no reset_stats zeroes"),
     Defect("C2", "counter", "SL002", "src/repro/caches/vault_cache.py", (
         ("\"holder_map\", \"holder_bit\")",
          "\"holder_map\", \"holder_bit\",\n                 \"hits\")"),
@@ -238,7 +238,7 @@ DEFECTS = (
         ("            return self.states[s]\n",
          "            self.hits += 1\n"
          "            return self.states[s]\n")),
-        "a vault hits counter outside the stats registry"),
+        "a vault hits counter that no reset_stats zeroes"),
     Defect("L1", "literal", "SL003", _SIM + "system.py", ((
         "bank_latency=config.llc_latency)",
         "bank_latency=5)"),),
