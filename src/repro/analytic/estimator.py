@@ -647,19 +647,21 @@ def _empty_hist():
             "total": 0.0, "min": None, "max": None}
 
 
-def _point_hist(count, latency):
-    """A degenerate latency distribution: ``count`` samples at the
-    expected latency (percentile queries stay meaningful)."""
+def _add_point_mass(state, count, latency):
+    """Merge ``count`` samples at the expected ``latency`` into a
+    histogram state, as Distribution.merge would merge a degenerate
+    distribution of them (percentile queries stay meaningful)."""
     n = int(round(count))
     if n <= 0 or latency <= 0:
-        return _empty_hist()
-    state = _empty_hist()
-    b = min(int(latency).bit_length(), 24)
-    state["buckets"][b] = n
-    state["count"] = n
-    state["total"] = float(latency) * n
-    state["min"] = state["max"] = float(latency)
-    return state
+        return
+    latency = float(latency)
+    state["buckets"][min(int(latency).bit_length(), 24)] += n
+    state["count"] += n
+    state["total"] += latency * n
+    if state["min"] is None or latency < state["min"]:
+        state["min"] = latency
+    if state["max"] is None or latency > state["max"]:
+        state["max"] = latency
 
 
 class _LatencyPaths:
@@ -987,6 +989,8 @@ def estimate_request(request):
 
     # -- per-core summaries -------------------------------------------
     cores = []
+    # L1 hits never enter the histograms.
+    latency_hist = [_empty_hist() for _ in range(NUM_LEVELS)]
     for core in core_ids:
         lat = level_lat[core]
         data_count = [rates["data"][lvl] * E
@@ -997,10 +1001,9 @@ def estimate_request(request):
                     for lvl in range(NUM_LEVELS)]
         if_lat = [if_count[lvl] * lat[lvl]
                   for lvl in range(NUM_LEVELS)]
-        hists = [_empty_hist()]     # L1 hits never enter the histogram
         for lvl in range(1, NUM_LEVELS):
-            hists.append(_point_hist(data_count[lvl] + if_count[lvl],
-                                     lat[lvl]))
+            _add_point_mass(latency_hist[lvl],
+                            data_count[lvl] + if_count[lvl], lat[lvl])
         cores.append(CoreSummary(
             core_id=core,
             instructions=instructions,
@@ -1014,7 +1017,6 @@ def estimate_request(request):
             rw_shared_latency=sum(rw_rates[lvl] * lat[lvl]
                                   for lvl in range(NUM_LEVELS)) * E,
             rw_shared_count=sum(rw_rates) * E,
-            latency_hist=hists,
         ))
 
     # -- counters and energy -------------------------------------------
@@ -1075,6 +1077,7 @@ def estimate_request(request):
         warmup_wall_s=0.0,
         measure_wall_s=0.0,
         cores=cores,
+        latency_hist=latency_hist,
         counters=counters,
         sharing=None,
         energy=energy,

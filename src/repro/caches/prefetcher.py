@@ -23,7 +23,6 @@ class StridePrefetcher:
         self.max_stride = max_stride
         self._table = {}  # stream id -> [last_block, stride, confidence]
         self.issued = 0
-        self.hits_observed = 0
 
     def observe(self, block):
         """Record a demand access; return the predicted next block to
@@ -64,4 +63,3 @@ class StridePrefetcher:
         """Zero the counters only (learned strides are architectural
         state and survive a post-warmup stats reset)."""
         self.issued = 0
-        self.hits_observed = 0

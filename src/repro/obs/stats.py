@@ -2,8 +2,9 @@
 
 A :class:`Distribution` is a log2-bucketed histogram with approximate
 percentiles; each core keeps one per service level
-(:class:`~repro.cores.perf_model.CoreModel`), and a run summary merges
-them into its latency percentiles.
+(:class:`~repro.cores.perf_model.CoreModel`), and a run summary keeps
+them merged over its driven cores, one per level, for its latency
+percentiles.
 
 :func:`dump` renders the whole-machine tree of
 :meth:`repro.sim.system.System.stats` (nested plain dicts) as the

@@ -2,8 +2,9 @@
 
 A :class:`RunSummary` is the measurement window of one run in plain,
 picklable, JSON-able data -- per-core per-level latency sums and
-counts, latency histograms, retired instructions, RW-shared splits,
-system counters and the energy breakdown -- and the only place the
+counts, retired instructions and RW-shared splits, one latency
+histogram per level merged over the driven cores, system counters and
+the energy breakdown -- and the only place the
 run's metrics are evaluated: IPC (base CPI plus the stall each service
 level exposes), performance under re-scaled latencies (Fig. 2, Fig. 4)
 or RW-shared multipliers, the LLC breakdown, MPKI, latency percentiles
@@ -21,7 +22,7 @@ This module imports neither the engine nor the simulator, so the
 driver, the estimator and the job server's wire format can share it.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple
 
 from repro.cores.perf_model import (
@@ -44,7 +45,9 @@ from repro.sim.config import LLC_PRIVATE_VAULT
 #: other way around, so the mode is part of the canonical request.
 #: /5: that drive-loop setting is gone again: every run takes the one
 #: drive loop, so a key no longer names it.
-ENGINE_SCHEMA = "silo-repro-runsummary/5"
+#: /6: a summary keeps one latency histogram per service level, merged
+#: over the driven cores, in place of one per core and level.
+ENGINE_SCHEMA = "silo-repro-runsummary/6"
 
 
 @dataclass
@@ -64,13 +67,10 @@ class CoreSummary:
     ifetch_count: List[int]
     rw_shared_latency: float
     rw_shared_count: int
-    #: Per service level: {"max_bucket", "buckets", "count", "total",
-    #: "min", "max"} -- a Distribution's full state.
-    latency_hist: List[dict] = field(default_factory=list)
 
     @classmethod
     def snapshot(cls, core):
-        """A copy of a live CoreModel's counters and histograms."""
+        """A copy of a live CoreModel's counters."""
         p = core.params
         return cls(
             core_id=core.core_id,
@@ -84,7 +84,6 @@ class CoreSummary:
             ifetch_count=list(core.ifetch_count),
             rw_shared_latency=core.rw_shared_latency,
             rw_shared_count=core.rw_shared_count,
-            latency_hist=[_hist_state(h) for h in core.latency_hist],
         )
 
     def stall_cycles(self, level_scale=None, rw_shared_extra_factor=0.0):
@@ -120,11 +119,16 @@ class CoreSummary:
         return self.instructions / cyc if cyc > 0 else 0.0
 
 
-def _hist_state(dist):
-    return {"max_bucket": dist.max_bucket,
-            "buckets": list(dist.buckets),
-            "count": dist.count, "total": dist.total,
-            "min": dist.min, "max": dist.max}
+def _merged_hist(dists):
+    """The full state of ``dists`` merged in order: {"max_bucket",
+    "buckets", "count", "total", "min", "max"}."""
+    merged = Distribution()
+    for dist in dists:
+        merged.merge(dist)
+    return {"max_bucket": merged.max_bucket,
+            "buckets": merged.buckets,
+            "count": merged.count, "total": merged.total,
+            "min": merged.min, "max": merged.max}
 
 
 def _hist_restore(state):
@@ -160,6 +164,10 @@ class RunSummary:
     warmup_wall_s: float
     measure_wall_s: float
     cores: List[CoreSummary]
+    #: Per service level: the exposed-latency histogram state of the
+    #: driven cores merged in ``core_ids`` order (see
+    #: :func:`_merged_hist`).
+    latency_hist: List[dict]
     #: ``System.counters()`` of the measurement window (the faults'
     #: ``accesses`` and vault transitions span the whole run).
     counters: dict
@@ -178,7 +186,7 @@ class RunSummary:
         """The measurement window of a live ``System`` over the driven
         ``core_ids``: every list copied, so driving the system further
         leaves the snapshot as it was."""
-        cores = [CoreSummary.snapshot(system.cores[c]) for c in core_ids]
+        live = [system.cores[c] for c in core_ids]
         sharing = (system.sharing_breakdown() if system.track_sharing
                    else None)
         return cls(
@@ -191,7 +199,10 @@ class RunSummary:
             measure_events=measure_events,
             warmup_wall_s=warmup_wall_s,
             measure_wall_s=measure_wall_s,
-            cores=cores,
+            cores=[CoreSummary.snapshot(core) for core in live],
+            latency_hist=[_merged_hist(core.latency_hist[lvl]
+                                       for core in live)
+                          for lvl in range(NUM_LEVELS)],
             counters=system.counters(),
             sharing=sharing,
             energy=EnergyModel().breakdown(system),
@@ -293,15 +304,10 @@ class RunSummary:
 
     def latency_percentiles(self):
         """Per-level exposed-latency percentiles over the driven cores
-        (merged histograms; levels with no samples are omitted)."""
-        out = {}
-        for lvl, name in enumerate(LEVEL_NAMES):
-            merged = Distribution()
-            for c in self.cores:
-                merged.merge(_hist_restore(c.latency_hist[lvl]))
-            if merged.count:
-                out[name] = merged.value()
-        return out
+        (levels with no samples are omitted)."""
+        return {name: _hist_restore(state).value()
+                for name, state in zip(LEVEL_NAMES, self.latency_hist)
+                if state["count"]}
 
     def manifest(self):
         """Run-provenance record: config, inputs, wall clock,

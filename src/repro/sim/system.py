@@ -383,12 +383,13 @@ class System:
         # What is left of counters() is the cache hierarchy's.
         if self.prefetchers is not None:
             caches["prefetcher"] = {
-                "issued": sum(p.issued for p in self.prefetchers),
-                "useful": sum(p.hits_observed for p in self.prefetchers)}
+                "issued": sum(p.issued for p in self.prefetchers)}
         if self.missmaps is not None:
             caches["missmap"] = {
                 "known_misses": sum(m.known_misses for m in self.missmaps),
-                "unknown": sum(m.unknown for m in self.missmaps)}
+                "unknown": sum(m.unknown for m in self.missmaps),
+                "evicted_segments": sum(m.evicted_segments
+                                        for m in self.missmaps)}
         if self.dram_cache_ctrl is not None:
             caches["dram_cache_ctrl"] = _channel_stats(self.dram_cache_ctrl)
         if self.sram_dir_cache is not None:

@@ -52,12 +52,13 @@ silolint encodes those contracts as ``ast``-level rules:
   access's ``now``) is flagged where it is written.
 * **SL009** -- blocking call inside an ``async def`` in event-loop
   packages (``serve``): ``time.sleep``, synchronous
-  ``socket.recv``-family methods, ``subprocess.run``-family calls or a
-  bare ``open()``/file ``read()`` on the loop starves *every*
-  connection the job server is handling.  Awaited calls are exempt
-  (``await reader.readline()`` is the asyncio stream API), and nested
-  plain ``def`` bodies pop back out of async context (they may run in
-  an executor thread).
+  ``socket.recv``-family methods, ``subprocess.run``-family calls, a
+  bare ``open()``/file ``read()`` or a disk-backed run-cache
+  ``get``/``put``/``prune`` reached through a ``.cache`` attribute on
+  the loop starves *every* connection the job server is handling.
+  Awaited calls are exempt (``await reader.readline()`` is the asyncio
+  stream API), and nested plain ``def`` bodies pop back out of async
+  context (they may run in an executor thread).
 * **SL010** -- environment read (``os.environ``, ``os.getenv``, or a
   name imported from :mod:`os` for either) outside the functions of
   :data:`ENV_READERS`: a run is a pure function of its request, so a
@@ -139,6 +140,11 @@ _ENV_ATTRS = frozenset(("environ", "environb", "getenv", "getenvb"))
 _BLOCKING_METHODS = frozenset((
     "recv", "recv_into", "recvfrom", "accept", "connect", "sendall",
     "read", "readline", "readlines", "readinto", "readexactly"))
+
+#: ``RunCache`` methods that read, write or scan files (SL009 when
+#: called through a ``.cache`` attribute; passing the bound method to
+#: ``run_in_executor`` calls nothing on the loop).
+_CACHE_METHODS = frozenset(("get", "put", "prune"))
 
 #: ``subprocess`` entry points that block until the child finishes.
 _SUBPROCESS_FNS = frozenset(("run", "call", "check_call",
@@ -351,6 +357,11 @@ class _FileLinter(ast.NodeVisitor):
             if owner == "os" and func.attr in ("system", "wait",
                                                "waitpid"):
                 return "os.%s()" % func.attr
+        if isinstance(func, ast.Attribute) \
+                and func.attr in _CACHE_METHODS \
+                and isinstance(func.value, ast.Attribute) \
+                and func.value.attr == "cache":
+            return "synchronous run-cache .cache.%s()" % func.attr
         if isinstance(func, ast.Attribute) \
                 and func.attr in _BLOCKING_METHODS:
             return "synchronous .%s()" % func.attr

@@ -174,6 +174,29 @@ def test_summary_pickle_round_trip():
     assert clone.performance() == summary.performance()
 
 
+def test_summary_keeps_the_driven_cores_histograms_merged():
+    """A summary holds one latency histogram per level: its driven
+    cores' live histograms merged in driven-core order (so the float
+    ``total`` adds up in that order), and no core holds one of its
+    own."""
+    from repro.cores.perf_model import NUM_LEVELS
+    from repro.obs.stats import Distribution
+    result = engine_mod.execute_request(_point_with(core_ids=(3, 0, 2)))
+    assert result.core_ids == [3, 0, 2]
+    assert len(result.latency_hist) == NUM_LEVELS
+    for lvl, state in enumerate(result.latency_hist):
+        merged = Distribution()
+        for core in (3, 0, 2):
+            merged.merge(result.system.cores[core].latency_hist[lvl])
+        assert state == {"max_bucket": merged.max_bucket,
+                         "buckets": merged.buckets,
+                         "count": merged.count, "total": merged.total,
+                         "min": merged.min, "max": merged.max}
+    assert sum(state["count"] for state in result.latency_hist) > 0
+    assert all("latency_hist" not in core
+               for core in result.to_dict()["cores"])
+
+
 def test_summary_json_round_trip():
     (summary,) = RunEngine(jobs=1).run([_point(track_sharing=True)])
     clone = RunSummary.from_dict(json.loads(json.dumps(summary.to_dict())))

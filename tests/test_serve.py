@@ -52,7 +52,7 @@ from repro.serve.client import HttpTransport, ServerClient, ServerError
 from repro.serve.server import JobServer
 from repro.sim.engine import (LocalPoolTransport, RunCache, RunEngine,
                               RunRequest, use_engine)
-from repro.sim.sampling import SamplingPlan
+from repro.sim.sampling import PRESETS, SamplingPlan
 from repro.workloads.scaleout import SCALEOUT_WORKLOADS
 from tests.test_engine import HOSTILE_EDITS, hostile_body
 
@@ -127,6 +127,28 @@ def test_run_request_canonical_roundtrip():
     restored = RunRequest.from_canonical(wire)
     assert restored.key() == req.key()
     assert restored.canonical() == req.canonical()
+
+
+def test_a_16_core_estimate_response_stays_small():
+    """The pickled response document a 16-core Fig. 10 estimate is
+    served as -- what every warm request moves -- carries one latency
+    histogram per service level, not one per core and level (with
+    those it pickled to about 16 KB)."""
+    req = RunRequest.point(
+        system_config("silo", num_cores=16, scale=256),
+        SCALEOUT_WORKLOADS["web_search"], PRESETS["quick"], 7,
+        mode="estimate")
+    body = json.dumps({"request": req.canonical(),
+                       "format": "pickle"}).encode("utf-8")
+    with ServerThread(RunEngine(jobs=1)) as server:
+        with ServerClient(server.url) as client:
+            status, _headers, payload = client._exchange(
+                proto.render_request("POST", "/runs", "%s:%d" % (
+                    client.host, client.port), body))
+    assert status == 200
+    doc = pickle.loads(payload)
+    assert doc["summary"].core_ids == list(range(16))
+    assert len(payload) < 9000
 
 
 def test_parse_run_payload_rejects_malformed():

@@ -693,6 +693,28 @@ def test_sl009_flags_from_import_sleep_alias(tmp_path):
     assert _codes(report) == ["SL009"]
 
 
+def test_sl009_flags_run_cache_disk_methods(tmp_path):
+    report = _lint_source(tmp_path, (
+        "async def get_run(self, key, summary):\n"
+        "    hit = self.engine.cache.get(key)\n"
+        "    self.engine.cache.put(key, summary)\n"
+        "    self.cache.prune()\n"
+        "    return hit\n"), subdir="serve")
+    assert _codes(report) == ["SL009"] * 3
+    assert ".cache.get()" in report.violations[0].message
+
+
+def test_sl009_quiet_on_run_cache_in_executor(tmp_path):
+    # The bound method goes to an executor thread; nothing is called
+    # on the loop.  A plain dict's get is no cache read either.
+    report = _lint_source(tmp_path, (
+        "async def get_run(self, loop, key):\n"
+        "    hit = await loop.run_in_executor(\n"
+        "        None, self.engine.cache.get, key)\n"
+        "    return hit or self.memo.get(key)\n"), subdir="serve")
+    assert report.ok, report.render()
+
+
 def test_sl009_suppression(tmp_path):
     report = _lint_source(tmp_path, (
         "import time\n"

@@ -174,12 +174,11 @@ DEFECTS = (
         "        for bank in set(self.banks):\n"),),
         "SharedNUCA.blocks() walking set(self.banks)"),
     # -- blocking calls in the server ----------------------------------
-    Defect("B1", "blocking call", None, "src/repro/serve/server.py", ((
+    Defect("B1", "blocking call", "SL009", "src/repro/serve/server.py", ((
         "            summary = await self._loop.run_in_executor(\n"
         "                None, self.engine.cache.get, key)\n",
         "            summary = self.engine.cache.get(key)\n"),),
-        "a blocking RunCache.get on the event loop in _get_run (SL009 "
-        "knows no cache method)"),
+        "a blocking RunCache.get on the event loop in _get_run"),
     Defect("B2", "blocking call", "SL009", "src/repro/serve/server.py", ((
         "                self.rejected += 1\n",
         "                self.rejected += 1\n"
