@@ -39,7 +39,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -49,6 +49,7 @@ from repro.cores.perf_model import (
     LEVEL_L1, LEVEL_LLC_LOCAL, LEVEL_LLC_REMOTE, LEVEL_DRAM_CACHE,
     LEVEL_MEMORY, NUM_LEVELS)
 from repro.energy.model import energy_breakdown
+from repro.fields import plain
 from repro.noc.mesh import Mesh2D
 from repro.sim.config import LLC_SHARED, LLC_PRIVATE_VAULT
 from repro.sim.summary import ENGINE_SCHEMA, CoreSummary, RunSummary
@@ -1069,7 +1070,7 @@ def estimate_request(request):
     return EstimateSummary(
         schema=ENGINE_SCHEMA,
         request_key="",
-        config=asdict(config),
+        config=plain(config),
         seed=request.seed,
         core_ids=core_ids,
         warmup_events=plan.warmup_events,

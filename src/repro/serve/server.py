@@ -8,10 +8,13 @@ is good at:
   :meth:`RunRequest.key` (canonical JSON + code fingerprint); N
   concurrent identical submissions attach N waiters to *one* job, so
   exactly one simulation runs no matter how the duplicates race in;
-* **response memo** -- finished summaries (and their rendered
-  response bytes, per format) are kept in a bounded in-memory LRU, so
-  a duplicate arriving *after* its twin completed is still served
-  without touching the engine;
+* **response memo** -- a finished job's response body, pickled once
+  when the job completes, is kept in a bounded in-memory LRU, so a
+  duplicate arriving *after* its twin completed is still served
+  without touching the engine.  The JSON body is rendered from those
+  bytes on its first request and kept beside them; the server only
+  ever unpickles bytes it pickled itself, and no entry holds a live
+  summary;
 * **priority classes** -- ``interactive`` jobs drain completely before
   any ``batch`` job is dispatched;
 * **bounded backpressure** -- past ``max_queue_depth`` queued jobs new
@@ -58,7 +61,7 @@ class _JobState:
     """One deduplicated unit of work and everyone waiting on it."""
 
     __slots__ = ("key", "request", "priority", "future", "waiters",
-                 "state", "fmt")
+                 "state")
 
     def __init__(self, key, request, priority, future):
         self.key = key
@@ -94,7 +97,7 @@ class JobServer:
         self._inflight = {}                       # key -> _JobState
         self._queues = {"interactive": deque(), "batch": deque()}
         self._wake = asyncio.Event()
-        self._memo = OrderedDict()   # key -> {"summary", "bodies"}
+        self._memo = OrderedDict()   # key -> {format: response body}
         self._subscribers = set()    # asyncio.Queue per /events client
         self._conns = {}             # open connection's writer -> task
         self.submitted = 0
@@ -259,8 +262,7 @@ class JobServer:
         else:
             self.completed += 1
             job.state = "complete"
-            self._memo_put(job.key, summary)
-            job.future.set_result(summary)
+            job.future.set_result(self._memo_put(job.key, summary))
             self._publish("job", {"key": job.key,
                                   "state": "complete",
                                   "waiters": job.waiters})
@@ -274,29 +276,35 @@ class JobServer:
         return entry
 
     def _memo_put(self, key, summary):
-        self._memo[key] = {"summary": summary, "bodies": {}}
+        """Memoize ``summary`` as ``{"pickle": body}``, its complete-job
+        response pickled once (a ``"json"`` body joins it on demand, see
+        :meth:`_result_response`); drop the oldest past
+        ``memo_entries`` and return the entry."""
+        entry = self._memo[key] = {"pickle": pickle.dumps(
+            {"key": key, "status": "complete", "summary": summary},
+            protocol=pickle.HIGHEST_PROTOCOL)}
         self._memo.move_to_end(key)
         while len(self._memo) > self.memo_entries:
             self._memo.popitem(last=False)
+        return entry
 
     def _result_response(self, key, entry, fmt, dedup,
                          keep_alive=True):
-        """Render a complete-job response, memoizing the body bytes so
-        the warm path serializes once per (key, format)."""
-        body = entry["bodies"].get(fmt)
+        """Render a complete-job response from a memo entry (see
+        :meth:`_memo_put`).  The pickle body is the entry's own; the
+        JSON body is rendered from it on the first JSON request and
+        kept in the entry, so the warm path serializes once per (key,
+        format)."""
+        body = entry.get(fmt)
         if body is None:
-            summary = entry["summary"]
-            if fmt == "pickle":
-                body = pickle.dumps(
-                    {"key": key, "status": "complete",
-                     "summary": summary},
-                    protocol=pickle.HIGHEST_PROTOCOL)
-            else:
-                body = (proto.json_response(
-                    200, {"key": key, "status": "complete",
-                          "summary": summary.to_dict()})
-                    .split(b"\r\n\r\n", 1)[1])
-            entry["bodies"][fmt] = body
+            # Bytes this server pickled in _memo_put: never the
+            # network's.
+            summary = pickle.loads(entry["pickle"])["summary"]
+            body = (proto.json_response(
+                200, {"key": key, "status": "complete",
+                      "summary": summary.to_dict()})
+                .split(b"\r\n\r\n", 1)[1])
+            entry[fmt] = body
         ctype = (proto.PICKLE_CONTENT_TYPE if fmt == "pickle"
                  else "application/json")
         return proto.render_response(
@@ -444,15 +452,16 @@ class JobServer:
             return True
         try:
             # Shield the shared future: one waiter disconnecting must
-            # not cancel the job out from under its twins.
-            await asyncio.shield(job.future)
+            # not cancel the job out from under its twins.  Its result
+            # is the job's memo entry, which a memo smaller than the
+            # batch may have evicted before this waiter resumed.
+            entry = await asyncio.shield(job.future)
         except asyncio.CancelledError:
             raise
         except Exception as e:
             writer.write(proto.error_response(
                 500, "run failed: %s" % e))
             return True
-        entry = self._memo_get(key)
         writer.write(self._result_response(key, entry, fmt, dedup))
         return True
 
@@ -485,9 +494,8 @@ class JobServer:
             summary = await self._loop.run_in_executor(
                 None, self.engine.cache.get, key)
             if summary is not None:
-                self._memo_put(key, summary)
                 writer.write(self._result_response(
-                    key, self._memo_get(key), fmt, "cache"))
+                    key, self._memo_put(key, summary), fmt, "cache"))
                 return True
         writer.write(proto.error_response(
             404, "unknown run %s" % key))

@@ -56,10 +56,10 @@ def use_chunk(chunk):
 
 def _per_core_state(system, traces):
     """Per-core hot-loop state: core id, the cycles retired per event,
-    the trace's own ``blocks`` and ``flags`` lists, and the two stall
-    multipliers (``ifetch_stall_factor`` for an ifetch, ``1/mlp`` for
-    a data access), so ``_drive`` does no per-event attribute lookups.
-    The trace is read, never copied or written."""
+    the trace's own ``blocks`` list and ``flags`` bytes, and the two
+    stall multipliers (``ifetch_stall_factor`` for an ifetch,
+    ``1/mlp`` for a data access), so ``_drive`` does no per-event
+    attribute lookups.  The trace is read, never copied or written."""
     out = []
     for tr in traces:
         p = system.cores[tr.core_id].params
@@ -76,9 +76,11 @@ def _drive(system, per_core, starts, ends, times, chunk, sampler=None):
     have different lengths).
 
     Each event's block and flag word are read together from the
-    chunk's slices of the trace, and the flag word is decoded with the
-    reference loop's bit tests (``FLAG_IFETCH``, ``FLAG_WRITE``; a word
-    may carry both); a miss's stall is ``lat * iff`` for an ifetch or
+    chunk's slices of the trace (a slice of ``flags`` is ``bytes``,
+    whose items are the flag words as ints), and the flag word is
+    decoded with the reference loop's bit tests (``FLAG_IFETCH``,
+    ``FLAG_WRITE``; a word may carry both); a miss's stall is
+    ``lat * iff`` for an ifetch or
     ``lat * inv_mlp`` for a data access, the same float operations in
     the same order.
 

@@ -45,13 +45,12 @@ import pickle
 import re
 import threading
 from contextlib import contextmanager
-from copy import deepcopy
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.cores.perf_model import CoreParams
 from repro.faults.plan import FaultPlan, current_plan
-from repro.fields import check_fields
+from repro.fields import check_fields, field_names, plain
 from repro.obs import manifest as _manifest
 from repro.obs import session as _obs_session
 from repro.obs.profile import clock
@@ -82,39 +81,6 @@ DEFAULT_CACHE_DIR = os.path.join("~", ".cache", "silo-repro")
 # ---------------------------------------------------------------------------
 # request keying
 # ---------------------------------------------------------------------------
-
-
-#: Leaf types of a request's fields, returned as they are.
-_ATOMS = frozenset((str, int, float, bool, type(None)))
-
-
-@functools.lru_cache(maxsize=None)
-def _field_names(cls):
-    """A dataclass's field names, in field order."""
-    return tuple(f.name for f in fields(cls))
-
-
-def _plain(value):
-    """``dataclasses.asdict``'s form of ``value``, equal to it in every
-    type and key order: a dataclass becomes a dict of its fields in
-    field order, a tuple or list one of the same type, and a leaf stays
-    itself.  ``asdict`` deep-copies every leaf and looks the fields up
-    anew on each call; a request's leaves are immutable and its field
-    names are kept per class, so this builds the same dict in about
-    a seventh of the time.  Any other value is deep-copied, as ``asdict``
-    does."""
-    cls = value.__class__
-    if cls in _ATOMS:
-        return value
-    if cls is tuple or cls is list:
-        return cls([_plain(item) for item in value])
-    if is_dataclass(cls):
-        out = {}
-        for name in _field_names(cls):
-            item = getattr(value, name)
-            out[name] = item if item.__class__ in _ATOMS else _plain(item)
-        return out
-    return deepcopy(value)
 
 
 @dataclass(frozen=True)
@@ -228,13 +194,13 @@ class RunRequest:
     def canonical(self):
         """JSON-native dict that fully determines the simulation: the
         very dict the ``dataclasses.asdict`` construction gave, built
-        without its per-value deepcopy (see :func:`_plain`)."""
+        without its per-value deepcopy (see :func:`repro.fields.plain`)."""
         return {
-            "config": _plain(self.config),
+            "config": plain(self.config),
             "placements": [
-                {"spec": _plain(spec), "core_ids": list(ids)}
+                {"spec": plain(spec), "core_ids": list(ids)}
                 for spec, ids in self.placements],
-            "plan": _plain(self.plan),
+            "plan": plain(self.plan),
             "seed": self.seed,
             "colocated": self.colocated,
             "track_sharing": self.track_sharing,
@@ -409,7 +375,7 @@ def summarize(result, request_key=""):
     stamped with ``request_key``: the same field values (the snapshot
     ``run_system`` took), without the live System and telemetry."""
     summary = RunSummary(**{name: getattr(result, name)
-                            for name in _field_names(RunSummary)})
+                            for name in field_names(RunSummary)})
     summary.request_key = request_key
     return summary
 

@@ -29,6 +29,7 @@ from repro.cores.perf_model import (
     NUM_LEVELS, LEVEL_NAMES, LEVEL_LLC_LOCAL, LEVEL_LLC_REMOTE,
     LEVEL_DRAM_CACHE, LEVEL_MEMORY)
 from repro.energy.model import EnergyModel
+from repro.fields import plain
 from repro.obs import manifest as _manifest
 from repro.obs.stats import Distribution
 from repro.sim.config import LLC_PRIVATE_VAULT
@@ -192,7 +193,7 @@ class RunSummary:
         return cls(
             schema=ENGINE_SCHEMA,
             request_key="",
-            config=asdict(system.config),
+            config=plain(system.config),
             seed=seed,
             core_ids=list(core_ids),
             warmup_events=warmup_events,

@@ -29,7 +29,8 @@ silolint encodes those contracts as ``ast``-level rules:
   loop with its inline L1-hit probe, ``System.access``) must not
   allocate containers (displays, comprehensions, ``list()``-family
   constructors) or re-traverse multi-step attribute chains
-  (``self.a.b``) inside its loops -- those costs multiply by hundreds
+  (``self.a.b``, or ``system.cores[core].data_count`` through a
+  subscript) inside its loops -- those costs multiply by hundreds
   of millions of events.  Hoist them to locals before the loop, or
   carry a justification with a ``disable`` comment (e.g. a bounded
   per-streak allocation, or a rarely-taken guarded branch).
@@ -210,6 +211,17 @@ def _numeric_literal(node):
             and not isinstance(node.value, bool)):
         return node.value
     return None
+
+
+def _chain_link(node, through_subscripts):
+    """The Attribute that attribute ``node`` is read from (``a.b`` in
+    ``a.b.c``), or None when ``node`` starts its chain (SL007).  With
+    ``through_subscripts`` the link may pass subscripts: ``a.b`` in
+    ``a.b[i].c`` too."""
+    value = node.value
+    while through_subscripts and isinstance(value, ast.Subscript):
+        value = value.value
+    return value if isinstance(value, ast.Attribute) else None
 
 
 def _suppressions(line_text):
@@ -550,12 +562,17 @@ class _FileLinter(ast.NodeVisitor):
                     seen.add(id(n))
                     nodes.append(n)
         # A chain like ``a.b.c`` nests an Attribute inside an
-        # Attribute; flag only the outermost node of each chain.
-        inner = set()
+        # Attribute; flag only the outermost node of each chain.  In a
+        # loop a chain runs through subscripts too: ``a.b`` of
+        # ``a.b[i].c`` is re-read every iteration although it could be
+        # bound before the loop.  A loop-free hot function has no
+        # "before": there ``self.l1d[core].lookup`` reads each link
+        # once per call, its least.
+        links = {}
         for n in nodes:
-            if (isinstance(n, ast.Attribute)
-                    and isinstance(n.value, ast.Attribute)):
-                inner.add(id(n.value))
+            if isinstance(n, ast.Attribute):
+                links[id(n)] = _chain_link(n, bool(loops))
+        inner = {id(link) for link in links.values() if link is not None}
         for n in nodes:
             if isinstance(n, (ast.ListComp, ast.SetComp, ast.DictComp,
                               ast.GeneratorExp)):
@@ -575,7 +592,7 @@ class _FileLinter(ast.NodeVisitor):
                            "%s() allocated per event in a hot path "
                            "(hoist it out of the loop)" % n.func.id)
             elif (isinstance(n, ast.Attribute)
-                    and isinstance(n.value, ast.Attribute)
+                    and links[id(n)] is not None
                     and id(n) not in inner):
                 self._flag(n, "SL007",
                            "attribute chain %s re-traversed per event "
@@ -584,13 +601,15 @@ class _FileLinter(ast.NodeVisitor):
 
     @staticmethod
     def _chain_repr(node):
-        """Dotted form of an attribute chain, best effort."""
+        """Dotted form of an attribute chain, best effort (a subscript
+        shows as ``[...]``)."""
         parts = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
+        while isinstance(node, (ast.Attribute, ast.Subscript)):
+            parts.append("." + node.attr if isinstance(node, ast.Attribute)
+                         else "[...]")
             node = node.value
         parts.append(node.id if isinstance(node, ast.Name) else "...")
-        return ".".join(reversed(parts))
+        return "".join(reversed(parts))
 
     # -- SL004 ---------------------------------------------------------
 

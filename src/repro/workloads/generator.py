@@ -1,11 +1,13 @@
 """Synthetic trace generation from workload models.
 
 Traces are per-core sequences of 64 B block references with write and
-ifetch flags.  Generation is vectorized with numpy and deterministic
-given the seed.  Every footprint is divided by the simulation ``scale``
-factor (the same divisor the system builder applies to cache
-capacities), so capacity ratios between workloads and caches match the
-full-scale machine.
+ifetch flags: a list of block numbers, one int object per distinct
+block across the whole set, and a ``bytes`` of flag words (see
+:class:`CoreTrace`).  Generation is vectorized with numpy and
+deterministic given the seed.  Every footprint is divided by the
+simulation ``scale`` factor (the same divisor the system builder
+applies to cache capacities), so capacity ratios between workloads and
+caches match the full-scale machine.
 """
 
 import math
@@ -123,6 +125,14 @@ class TraceLayout:
 class CoreTrace:
     """One core's reference stream.
 
+    ``blocks[i]`` is event ``i``'s block number and ``flags[i]`` its
+    flag word (``FLAG_WRITE`` and/or ``FLAG_IFETCH``, so 0-3): a list
+    of ints and a ``bytes`` of the same length.  In a generated set,
+    every occurrence of one block number, on any core, is the same int
+    object, so a trace costs a list slot and a byte per event plus one
+    int per distinct block, and the simulator's block-keyed dicts match
+    a key by identity.
+
     The first ``prewarm_events`` entries are a cache-warming prefix (one
     full pass over each scan region's slice, cf. the paper's
     checkpoint-based warm starts); the driver never measures them.
@@ -135,7 +145,7 @@ class CoreTrace:
 
     core_id: int
     blocks: List[int]
-    flags: List[int]
+    flags: bytes
     instr_per_event: float
     prewarm_events: int = 0
 
@@ -293,7 +303,9 @@ def generate_traces(spec, num_cores, events_per_core, scale=64, seed=0,
     -------
     (traces, layout):
         ``traces`` is a list of :class:`CoreTrace`, ``layout`` the
-        shared :class:`TraceLayout`.
+        shared :class:`TraceLayout`.  Across the set, each distinct
+        block number is one int object and each trace's ``flags`` is
+        ``bytes`` (see :class:`CoreTrace`).
 
     The result of the last call is memoized.  A figure's grid runs
     several systems on one workload back to back, so a call with the
@@ -328,6 +340,8 @@ def _generate_traces(spec, num_cores, events_per_core, scale=64, seed=0,
     fractions = np.array([r.fraction for r in spec.regions])
     cum = np.cumsum(fractions)
 
+    # block number -> the one int object every trace of the set holds
+    canonical = {}
     traces = []
     for slot, core_id in enumerate(core_ids):
         name_hash = zlib.crc32(spec.name.encode())  # stable across processes
@@ -338,7 +352,7 @@ def _generate_traces(spec, num_cores, events_per_core, scale=64, seed=0,
         n_d = n - n_if
 
         blocks = np.empty(n, dtype=np.int64)
-        flags = np.zeros(n, dtype=np.int64)
+        flags = np.zeros(n, dtype=np.uint8)
         flags[is_ifetch] = FLAG_IFETCH
         if n_if:
             blocks[is_ifetch] = _code_stream(spec, layout, n_if, rng)
@@ -366,11 +380,17 @@ def _generate_traces(spec, num_cores, events_per_core, scale=64, seed=0,
                 prewarm_events = int(prefix.size)
                 blocks = np.concatenate([prefix, blocks])
                 flags = np.concatenate(
-                    [np.zeros(prefix.size, dtype=np.int64), flags])
+                    [np.zeros(prefix.size, dtype=np.uint8), flags])
 
+        # One int object per distinct block number across the set: the
+        # core's distinct numbers are interned, then taken per event.
+        distinct, inverse = np.unique(blocks, return_inverse=True)
+        distinct = distinct.tolist()
+        objects = np.array(list(map(canonical.setdefault, distinct,
+                                    distinct)), dtype=object)
         traces.append(CoreTrace(core_id=core_id,
-                                blocks=blocks.tolist(),
-                                flags=flags.tolist(),
+                                blocks=objects[inverse].tolist(),
+                                flags=flags.tobytes(),
                                 instr_per_event=instr_per_event,
                                 prewarm_events=prewarm_events))
     return traces, layout

@@ -3,8 +3,8 @@ the equivalence oracle's reference route (``tests/test_oracle.py``):
 the verbatim pre-optimization drive loop, which sends every event
 through ``System.access`` and decodes each trace's flag words per
 event; a drop-in for ``_drive`` that runs it on the state
-``_per_core_state`` builds (the trace's own ``blocks`` and ``flags``
-lists); the L1-resident spec on which ``_drive`` retires most events
+``_per_core_state`` builds (the trace's own ``blocks`` list and
+``flags`` bytes); the L1-resident spec on which ``_drive`` retires most events
 inline; and a write-heavy spec whose stores take the write upgrade.
 """
 

@@ -1,6 +1,9 @@
-"""Trace generator: determinism, the one-entry memo (and the engine's
-grids sharing it), layout, region semantics."""
+"""Trace generator: determinism, the representation (one int object
+per distinct block, a byte per flag word), the one-entry memo (and
+the engine's grids sharing it), layout, region semantics."""
 
+import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 from repro.core.systems import system_config
 from repro.cores.perf_model import CoreParams
 from repro.sim.engine import RunEngine, RunRequest
-from repro.sim.sampling import SamplingPlan
+from repro.sim.sampling import PRESETS, SamplingPlan
 from repro.workloads import colocation, generator
 from repro.workloads.base import CodeSpec, RegionSpec, WorkloadSpec
 from repro.workloads.generator import (generate_traces, _generate_traces,
@@ -44,6 +47,63 @@ def test_determinism():
     assert a is not b
     assert a[0].blocks == b[0].blocks
     assert a[0].flags == b[0].flags
+
+
+# ---------------------------------------------------------------------------
+# the representation: one int per distinct block, a byte per flag word
+# ---------------------------------------------------------------------------
+
+
+def _one_object_per_block(traces):
+    """Is every occurrence of each block number across ``traces`` the
+    same int object?"""
+    first = {}
+    return all(first.setdefault(b, b) is b
+               for tr in traces for b in tr.blocks)
+
+
+def test_a_set_holds_one_int_per_distinct_block():
+    # past CPython's cached small ints, which are one object anyway
+    traces, _ = generate_traces(tiny_spec(), 4, 2000, scale=256, seed=3,
+                                base_block=1000)
+    # the shared regions put one block number on several cores
+    assert set(traces[0].blocks) & set(traces[1].blocks)
+    assert _one_object_per_block(traces)
+
+
+def test_a_colocated_set_holds_one_int_per_distinct_block():
+    traces, _ = generate_colocation_traces(
+        [(tiny_spec(), [0, 1]), (tiny_spec(pattern="scan"), [2, 3])],
+        events_per_core=2000, scale=256)
+    assert _one_object_per_block(traces)
+
+
+def test_flags_are_bytes_of_flag_words():
+    traces, _ = generate_traces(tiny_spec(), 2, 2000, scale=256, seed=3)
+    for tr in traces:
+        assert type(tr.flags) is bytes
+        assert len(tr.flags) == len(tr.blocks)
+        assert set(tr.flags) <= {0, 1, 2, 3}
+        assert any(fl & FLAG_WRITE for fl in tr.flags)
+        assert any(fl & FLAG_IFETCH for fl in tr.flags)
+
+
+def test_a_held_quick_set_costs_at_most_16_bytes_an_event():
+    """A list slot and a flag byte per event plus one int per distinct
+    block: about 12 B/event for web_search, the scale-out workload that
+    touches the most distinct blocks, where an int of its own per event
+    and a list of flag ints cost about 42."""
+    plan = PRESETS["quick"]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traces, _ = _generate_traces(WEB_SEARCH, 16, plan.total_events,
+                                     scale=256, seed=7)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / sum(len(tr) for tr in traces) <= 16
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,10 @@ The contracts the serving layer must keep:
   request head or a truncated body gets 400, not a dropped connection;
 * one job that fails fails only itself, not the jobs dispatched with
   it, and an SSE client that leaves is dropped;
+* the response memo holds rendered bytes, never a live summary: a
+  JSON body rendered from a memoized pickle body is the one the
+  summary itself renders to, and a waiter whose entry a memo smaller
+  than its batch evicted is still answered;
 * stopping the server closes every connection, keep-alive clients'
   idle ones included, and leaves no handler behind its event loop;
   a local pool's workers hold none of the server's sockets;
@@ -53,6 +57,7 @@ from repro.serve.server import JobServer
 from repro.sim.engine import (LocalPoolTransport, RunCache, RunEngine,
                               RunRequest, use_engine)
 from repro.sim.sampling import PRESETS, SamplingPlan
+from repro.sim.summary import RunSummary
 from repro.workloads.scaleout import SCALEOUT_WORKLOADS
 from tests.test_engine import HOSTILE_EDITS, hostile_body
 
@@ -435,6 +440,73 @@ def test_failing_job_fails_only_itself():
             assert _strip_wall(doc["summary"].to_dict()) \
                 == _strip_wall(direct.to_dict())
             assert (server.completed, server.errors) == (2, 1)
+
+
+def test_a_memo_smaller_than_a_batch_still_answers_every_waiter():
+    engine = _PlantedFailure(bad=None)      # holds its first batch
+    points = [_point(seed=s) for s in (11, 12, 13)]
+    deadline = time.monotonic() + 10
+    with ServerThread(engine, memo_entries=1) as server:
+        with ServerClient(server.url) as client:
+            client.submit(_point(seed=1), wait=False)
+            with concurrent.futures.ThreadPoolExecutor(3) as pool:
+                replies = [pool.submit(client.submit, p) for p in points]
+                while client.health()["queue_depth"] < 3:
+                    assert time.monotonic() < deadline, "posts never queued"
+                    time.sleep(0.01)
+                engine.release.set()
+                docs = [reply.result(30) for reply in replies]
+            assert engine.batches == [[1], [11, 12, 13]]
+            # one job of the batch stayed memoized (the last to arrive,
+            # which the threads decide): the other two waiters' entries
+            # were evicted before they resumed
+            keys = {p.key(engine.fingerprint) for p in points}
+            assert len(server._memo) == 1 and set(server._memo) <= keys
+            assert [(doc["summary"].seed, dedup) for doc, dedup in docs] \
+                == [(11, "none"), (12, "none"), (13, "none")]
+            assert server.errors == 0
+
+
+def _referents(root):
+    """Every object reachable from ``root`` through gc referents."""
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen:
+            seen[id(obj)] = obj
+            stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+def _raw(client, method, target, body=None):
+    if body is not None:
+        body = json.dumps(body).encode("utf-8")
+    status, _headers, payload = client._exchange(proto.render_request(
+        method, target, "%s:%d" % (client.host, client.port), body))
+    assert status == 200, payload
+    return payload
+
+
+def test_memo_keeps_bytes_and_renders_json_from_them():
+    req = _point()
+    with ServerThread(RunEngine(jobs=1)) as server:
+        with ServerClient(server.url) as client:
+            doc, _dedup = client.submit(req)             # pickle first
+            key = doc["key"]
+            (entry,) = server._memo.values()
+            assert list(entry) == ["pickle"]
+            assert not any(isinstance(obj, RunSummary)
+                           for obj in _referents(server._memo))
+            want = proto.json_response(200, {
+                "key": key, "status": "complete",
+                "summary": doc["summary"].to_dict()}).split(
+                    b"\r\n\r\n", 1)[1]
+            posted = _raw(client, "POST", "/runs", {
+                "request": req.canonical(), "format": "json"})
+            fetched = _raw(client, "GET", "/runs/%s?format=json" % key)
+            assert posted == fetched == want
+            assert sorted(entry) == ["json", "pickle"]
+            assert all(type(body) is bytes for body in entry.values())
 
 
 def test_priority_classes_exist_on_the_wire():

@@ -485,6 +485,31 @@ def test_sl007_chain_flagged_once_not_per_link(tmp_path):
     assert _codes(report) == ["SL007"]
 
 
+def test_sl007_follows_a_chain_through_a_subscript_in_a_loop(tmp_path):
+    report = _lint_source(tmp_path, HOT_LOOP % (
+        "        out.cores[ev].data_count[0] += 1\n"))
+    assert _codes(report) == ["SL007"]
+    assert "out.cores[...].data_count" in report.violations[0].message
+
+
+def test_sl007_one_attribute_per_subscript_step_stays_clean(tmp_path):
+    # the driver's per-chunk form: one link read off a subscripted
+    # local
+    report = _lint_source(tmp_path, HOT_LOOP % (
+        "        out[ev].data_count[0] += 1\n"))
+    assert report.ok, report.render()
+
+
+def test_sl007_loop_free_subscript_chain_stays_clean(tmp_path):
+    # System.access: each link is read once per call, the least a
+    # per-event method can do
+    report = _lint_source(tmp_path, (
+        "# silolint: hotpath\n"
+        "def access(self, core, block):\n"
+        "    return self.l1d[core].lookup(block)\n"))
+    assert report.ok, report.render()
+
+
 def test_sl007_loop_free_hot_function_checks_whole_body(tmp_path):
     report = _lint_source(tmp_path, (
         "# silolint: hotpath\n"

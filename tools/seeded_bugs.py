@@ -202,13 +202,12 @@ DEFECTS = (
         "                            last = {\"core\": core, "
         "\"block\": block}\n"),),
         "a dict display allocated on every ifetch hit"),
-    Defect("A2", "per-event work", None, _SIM + "driver.py", ((
+    Defect("A2", "per-event work", "SL007", _SIM + "driver.py", ((
         "                        dhits += 1\n",
         "                        if measuring:\n"
         "                            system.cores[core].data_count[LEVEL_L1] "
         "+= 1\n"),),
-        "system.cores[core].data_count[...] += 1 per data hit (SL007 "
-        "sees no chain through a subscript)"),
+        "system.cores[core].data_count[...] += 1 per data hit"),
     Defect("A3", "per-event work", "SL007", _SIM + "driver.py", ((
         "                        dhits += 1\n",
         "                        dhits += 1\n"
