@@ -378,7 +378,7 @@ def _export_files(experiment, session, profile_report, engine):
     if session.telemetry or profile_report is not None:
         from repro.obs.telemetry import export_chrome_trace
         trace = export_chrome_trace(session.telemetry, profile_report,
-                                    engine.recorder.spans())
+                                    engine.spans())
         out.append(("%s-perfetto.json" % experiment,
                     _json.dumps(trace) + "\n"))
     if session.telemetry:

@@ -16,7 +16,7 @@ dump in particular):
   capturing config, seed, git sha, sampling plan, wall clock,
   events/sec and exposed-latency percentiles for every run.
 
-Observability v2 adds three phase/time-resolved pieces on top:
+Observability v2 adds two phase/time-resolved pieces on top:
 
 * :mod:`repro.obs.telemetry` -- a windowed sampler over the counters
   a run summary records (``--telemetry N``): per-core/per-vault time
@@ -26,8 +26,10 @@ Observability v2 adds three phase/time-resolved pieces on top:
   (``--profile``) that splits the simulator's wall clock by layer and
   wraps nothing; also owns :data:`clock`, the sanctioned wall-clock
   for simulator code (silolint SL008).
-* :mod:`repro.obs.recorder` -- the run engine's flight recorder:
-  per-RunRequest spans and engine gauges.
+
+The run engine keeps its own flight recorder (one span per resolved
+point, and its gauges: :class:`repro.sim.engine.RunEngine`);
+:func:`~repro.obs.telemetry.export_chrome_trace` draws its spans.
 
 :mod:`repro.obs.session` ties them to the CLI: a context manager that
 the run driver consults so ``--stats/--trace/--manifest/--telemetry/
@@ -45,7 +47,6 @@ from repro.obs.profile import clock, Profiler, render_report
 from repro.obs.telemetry import (TelemetrySampler, detect_phases,
                                  export_jsonl, export_prometheus,
                                  export_chrome_trace)
-from repro.obs.recorder import FlightRecorder
 
 __all__ = [
     "Distribution",
@@ -57,5 +58,4 @@ __all__ = [
     "clock", "Profiler", "render_report",
     "TelemetrySampler", "detect_phases",
     "export_jsonl", "export_prometheus", "export_chrome_trace",
-    "FlightRecorder",
 ]

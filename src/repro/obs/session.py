@@ -18,12 +18,10 @@ interpreter stack), so enabling one never changes simulation
 results.  A session keeps the last simulated ``System``, whose
 ``stats()`` tree ``--stats`` prints.
 
-Sessions are also a streaming seam: listeners registered with
-:meth:`ObservationSession.add_listener` receive ``(kind, payload)``
-events -- ``"run"`` per finished run and ``"engine_span"`` per
-flight-recorder span -- which the job server
-(:mod:`repro.serve.server`) subscribes to and streams to its
-``GET /events`` clients as live progress.
+A session records; it publishes nothing.  Live progress -- each point
+a run engine resolves, with its span -- goes to that engine's own
+:attr:`repro.sim.engine.RunEngine.listeners`, which is what the job
+server streams to its ``GET /events`` clients.
 """
 
 from contextlib import contextmanager
@@ -46,7 +44,6 @@ class ObservationSession:
         self.runs = []            # per-run manifest dicts
         self.last_system = None
         self.last_tracer = None
-        self._listeners = []
 
     @property
     def active(self):
@@ -63,17 +60,6 @@ class ObservationSession:
         return (self.trace_capacity > 0 or self.collect_stats
                 or self.telemetry_every > 0
                 or self.profiler is not None)
-
-    # -- streaming -------------------------------------------------------
-
-    def add_listener(self, fn):
-        """Register ``fn(kind, payload)`` for live progress events."""
-        self._listeners.append(fn)
-
-    def emit(self, kind, payload):
-        """Deliver one progress event to every listener."""
-        for fn in self._listeners:
-            fn(kind, payload)
 
     # -- hooks consulted by the driver / engine -------------------------
 
@@ -93,18 +79,14 @@ class ObservationSession:
             self.profiler.driven_events += result.driven_events()
         if self.collect_manifests:
             self.runs.append(result.manifest())
-        if self._listeners:
-            self.emit("run", {"events": result.driven_events(),
-                              "performance": result.performance()})
 
     def note_summary(self, summary):
         """Record a run that finished without a live System in this
-        process -- restored from the run cache or simulated in a pool
-        worker (called by :class:`repro.sim.engine.RunEngine`)."""
+        process -- restored from the run cache, estimated, or simulated
+        through a transport (called by
+        :class:`repro.sim.engine.RunEngine`)."""
         if self.collect_manifests:
             self.runs.append(summary.manifest())
-        if self._listeners:
-            self.emit("run", {"key": summary.request_key})
 
 
 _current = None

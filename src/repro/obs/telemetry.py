@@ -315,10 +315,9 @@ def export_chrome_trace(samplers, profile_report=None,
     Per run: counter (``"ph": "C"``) tracks for miss rate and NoC hops
     per event, plus one ``"ph": "X"`` span per detected phase.
     Optionally appends the sampled profile's flame chart
-    (:func:`repro.obs.profile.trace_events`) and the engine
-    flight recorder's real spans
-    (:meth:`repro.obs.recorder.FlightRecorder` spans via
-    ``repro.obs.recorder.span_trace_events``).
+    (:func:`repro.obs.profile.trace_events`) and a run engine's spans
+    (:meth:`repro.sim.engine.RunEngine.spans`, drawn by
+    :func:`span_trace_events`).
     """
     events = []
     for run, sampler in enumerate(samplers):
@@ -350,6 +349,33 @@ def export_chrome_trace(samplers, profile_report=None,
         from repro.obs.profile import trace_events
         events.extend(trace_events(profile_report, pid=1))
     if engine_spans:
-        from repro.obs.recorder import span_trace_events
         events.extend(span_trace_events(engine_spans, pid=2))
     return {"traceEvents": events, "displayTimeUnit": "ms"}
+
+
+def span_trace_events(spans, pid=2):
+    """Chrome-tracing ``X`` events for run-engine spans: one track per
+    worker, span start/duration taken from the recorded engine
+    -relative timestamps (renders as a worker-occupancy lane chart in
+    Perfetto)."""
+    events = [{"ph": "M", "name": "process_name", "pid": pid, "tid": 0,
+               "args": {"name": "run engine"}}]
+    tids = {}
+    for span in spans:
+        worker = span["worker"]
+        tid = tids.get(worker)
+        if tid is None:
+            tid = tids[worker] = len(tids) + 1
+            events.append({"ph": "M", "name": "thread_name",
+                           "pid": pid, "tid": tid,
+                           "args": {"name": worker}})
+        events.append({
+            "ph": "X", "cat": "engine",
+            "name": "%s %s" % (span["mode"], span["key"][:12]),
+            "pid": pid, "tid": tid,
+            "ts": span["started_s"] * 1e6,
+            "dur": max(span["exec_s"] * 1e6, 1.0),
+            "args": {"key": span["key"], "outcome": span["outcome"],
+                     "queue_wait_s": span["queue_wait_s"]},
+        })
+    return events

@@ -343,13 +343,22 @@ class HttpTransport:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_submit(args):
+def _read_request(path):
+    """The RunRequest a canonical-JSON file (``-`` = stdin) holds."""
     from repro.sim.engine import RunRequest
-    raw = (sys.stdin.read() if args.file == "-"
-           else open(args.file, "r", encoding="utf-8").read())
-    request = RunRequest.from_canonical(json.loads(raw))
-    client = ServerClient(args.server)
-    doc, dedup = client.submit(request, priority=args.priority,
+    if path == "-":
+        raw = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as f:
+            raw = f.read()
+    data = json.loads(raw)
+    if not isinstance(data, dict):
+        raise ValueError("expected a RunRequest.canonical() object")
+    return RunRequest.from_canonical(data)
+
+
+def _cmd_submit(args, client):
+    doc, dedup = client.submit(args.request, priority=args.priority,
                                wait=not args.no_wait)
     if args.no_wait:
         print(json.dumps(doc, indent=2, default=str))
@@ -362,8 +371,7 @@ def _cmd_submit(args):
     return 0
 
 
-def _cmd_watch(args):
-    client = ServerClient(args.server)
+def _cmd_watch(args, client):
     for event, payload in client.watch(key=args.key):
         print("%s %s" % (event, json.dumps(payload, sort_keys=True,
                                            default=str)))
@@ -371,14 +379,16 @@ def _cmd_watch(args):
     return 0
 
 
-def _cmd_health(args):
-    client = ServerClient(args.server)
+def _cmd_health(args, client):
     print(json.dumps(client.health(), indent=2, sort_keys=True))
     return 0
 
 
 def main(argv=None):
-    """CLI entry point: ``python -m repro.serve.client``."""
+    """CLI entry point: ``python -m repro.serve.client``.  A request
+    file that cannot be read or is no valid run request is a usage
+    error (exit 2); a server that cannot be reached or answers with an
+    error exits 1 with a one-line message."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve.client",
         description="Submit simulation runs to a repro.serve server.")
@@ -387,14 +397,14 @@ def main(argv=None):
                              "http://127.0.0.1:8421)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("submit",
-                       help="submit one RunRequest.canonical() JSON")
-    p.add_argument("file", help="canonical-JSON file ('-' = stdin)")
-    p.add_argument("--priority", choices=proto.PRIORITIES,
-                   default="interactive")
-    p.add_argument("--no-wait", action="store_true",
-                   help="return 202 immediately instead of waiting")
-    p.set_defaults(func=_cmd_submit)
+    submit = sub.add_parser("submit",
+                            help="submit one RunRequest.canonical() JSON")
+    submit.add_argument("file", help="canonical-JSON file ('-' = stdin)")
+    submit.add_argument("--priority", choices=proto.PRIORITIES,
+                        default="interactive")
+    submit.add_argument("--no-wait", action="store_true",
+                        help="return 202 immediately instead of waiting")
+    submit.set_defaults(func=_cmd_submit)
 
     p = sub.add_parser("watch", help="stream server events (SSE)")
     p.add_argument("--key", default=None,
@@ -405,7 +415,25 @@ def main(argv=None):
     p.set_defaults(func=_cmd_health)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    if args.command == "submit":
+        try:
+            args.request = _read_request(args.file)
+        except KeyError as e:
+            submit.error("%s: missing field %s" % (args.file, e))
+        except (OSError, TypeError, ValueError) as e:
+            submit.error("%s: %s" % (args.file, e))
+    try:
+        client = ServerClient(args.server)
+    except ValueError as e:
+        parser.error("--server %s: %s" % (args.server, e))
+    try:
+        with client:
+            return args.func(args, client)
+    except (OSError, ServerError) as e:
+        print("%s: error: %s: %s" % (parser.prog, args.server,
+                                     " ".join(str(e).split())),
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

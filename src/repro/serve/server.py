@@ -20,10 +20,10 @@ is good at:
 * **bounded backpressure** -- past ``max_queue_depth`` queued jobs new
   work is refused with ``429`` + ``Retry-After`` instead of growing an
   unbounded queue;
-* **streaming** -- flight-recorder spans and per-run events (both
-  via :meth:`ObservationSession.add_listener`) and job lifecycle
-  transitions are broadcast to ``GET /events`` subscribers as
-  Server-Sent Events.
+* **streaming** -- the points its own engine resolves (an
+  ``engine_span`` and a ``run`` event each, from the server's entry in
+  :attr:`RunEngine.listeners`) and job lifecycle transitions are
+  broadcast to ``GET /events`` subscribers as Server-Sent Events.
 
 Endpoints: ``POST /runs`` (submit; body per
 :func:`repro.serve.proto.parse_run_payload`), ``GET /runs/<key>``
@@ -35,8 +35,10 @@ Threading model: the asyncio loop never simulates.  All engine work
 runs on a single dedicated thread (``_engine_pool``), which serializes
 engine access (the engine's counters are not thread-safe) while the
 engine itself fans out through its transport; results cross back via
-``run_in_executor``.  Span/run callbacks fire on the engine thread and
-hop onto the loop with ``call_soon_threadsafe``.
+``run_in_executor``.  The engine calls the server's listener on the
+engine thread; it builds the span and run events only while a
+subscriber is connected, and they hop onto the loop with
+``call_soon_threadsafe``.
 """
 
 import asyncio
@@ -44,7 +46,6 @@ import concurrent.futures
 import pickle
 from collections import OrderedDict, deque
 
-from repro.obs.session import observe
 from repro.obs.telemetry import export_group_prometheus
 from repro.serve import proto
 from repro.serve.proto import ProtocolError
@@ -87,7 +88,6 @@ class JobServer:
         self.memo_entries = memo_entries
         self._server = None
         self._dispatcher = None
-        self._session_cm = None
         self._running = False
         self._loop = None
         # Engine access is serialized on this one thread; the engine's
@@ -122,17 +122,14 @@ class JobServer:
     # -- lifecycle -------------------------------------------------------
 
     async def start(self):
-        """Bind, install the streaming tap, start the dispatcher."""
+        """Bind, listen to the engine's resolved points, start the
+        dispatcher."""
         self._loop = asyncio.get_running_loop()
         self._running = True
-        # Streaming tap: the engine emits spans and run events through
-        # the current session, from the engine thread.
-        self._session_cm = observe()
-        session = self._session_cm.__enter__()
-        session.add_listener(self._tap_session)
         self._server = await asyncio.start_server(
             self._handle_conn, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
+        self.engine.listeners.append(self._on_point)
         self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
 
     async def stop(self):
@@ -143,6 +140,8 @@ class JobServer:
         client would otherwise hold it open for good; before that, a
         handler left waiting outlives the event loop."""
         self._running = False
+        if self._on_point in self.engine.listeners:
+            self.engine.listeners.remove(self._on_point)
         if self._dispatcher is not None:
             self._wake.set()
             self._dispatcher.cancel()
@@ -161,9 +160,6 @@ class JobServer:
             self._server.close()
             await self._close_connections()
             await self._server.wait_closed()
-        if self._session_cm is not None:
-            self._session_cm.__exit__(None, None, None)
-            self._session_cm = None
         for q in self._queues.values():
             q.clear()
         self._engine_pool.shutdown(wait=False)
@@ -189,12 +185,17 @@ class JobServer:
     def url(self):
         return "http://%s:%d" % (self.host, self.port)
 
-    # -- streaming tap (called on the engine thread) ---------------------
+    # -- streaming -------------------------------------------------------
 
-    def _tap_session(self, kind, payload):
-        if self._loop is not None and self._subscribers:
-            self._loop.call_soon_threadsafe(self._publish, kind,
-                                            dict(payload))
+    def _on_point(self, span, summary):
+        """Engine listener, on the engine thread: a resolved point's
+        span and run events, built only while anyone subscribes."""
+        if self._running and self._subscribers:
+            run = {"key": span["key"], "events": summary.driven_events(),
+                   "performance": summary.performance()}
+            self._loop.call_soon_threadsafe(self._publish, "engine_span",
+                                            span)
+            self._loop.call_soon_threadsafe(self._publish, "run", run)
 
     def _publish(self, kind, payload):
         for queue in list(self._subscribers):

@@ -44,6 +44,7 @@ import os
 import pickle
 import re
 import threading
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -54,7 +55,6 @@ from repro.fields import check_fields, field_names, plain
 from repro.obs import manifest as _manifest
 from repro.obs import session as _obs_session
 from repro.obs.profile import clock
-from repro.obs.recorder import FlightRecorder
 from repro.sim.config import HierarchyConfig
 from repro.sim.driver import DEFAULT_CHUNK, default_chunk, run_system
 from repro.sim.sampling import SamplingPlan
@@ -72,6 +72,10 @@ REQUEST_MODES = ("simulate", "estimate")
 #: and falls back to simulation outside the validated error envelope
 #: or near a shared-vs-SILO decision boundary.
 ENGINE_MODES = ("simulate", "estimate", "auto")
+
+#: Spans a RunEngine keeps before dropping the oldest (its gauges
+#: cover every span).
+SPAN_CAPACITY = 4096
 
 #: Default on-disk cache location (the CLI's default; library use only
 #: caches when $REPRO_CACHE_DIR is set -- see resolve_cache_dir).
@@ -442,8 +446,7 @@ def _execute_to_summary(request, request_key):
 def _pool_worker(payload):
     """Top-level (picklable) ProcessPoolExecutor entry point; returns
     ``(summary, meta)`` in the transport contract, ``meta`` naming the
-    worker pid and its execution wall clock for the parent's flight
-    recorder."""
+    worker pid and its execution wall clock for the parent's span."""
     request, request_key = payload
     t0 = clock()
     summary = _execute_to_summary(request, request_key)
@@ -725,8 +728,20 @@ def jobs_from_env():
 
 class RunEngine:
     """Executes batches of RunRequests with dedup, memoization and
-    process fan-out; :meth:`snapshot` reads its own observability
-    counters (recorded into experiment manifests)."""
+    process fan-out, and keeps its own record of each point it resolves.
+
+    Every distinct point of a batch resolves by one of four routes --
+    cache replay, estimate, in-process simulation or the executor
+    transport -- and each route ends in one step: count the point,
+    record its *span* (key, how it was resolved, worker, queue wait,
+    run time, start and end, outcome), note the summary to the
+    observation session, put it in the run cache and hand ``(span,
+    summary)`` to every callable in :attr:`listeners`.  The engine is
+    its own flight recorder: the last :data:`SPAN_CAPACITY` spans, plus
+    gauges over every batch (busy and queue-wait seconds, batch wall
+    clock, in-flight points, worker utilization).  :meth:`snapshot`
+    reads all of it as one plain dict (recorded into experiment
+    manifests)."""
 
     def __init__(self, jobs=None, cache=None, mode="simulate",
                  transport=None):
@@ -747,6 +762,9 @@ class RunEngine:
         #: ``submit(request, key)`` returning a Future of ``(summary,
         #: meta)`` with ``meta = {"worker": str, "exec_s": float}``.
         self.transport = transport
+        #: ``fn(span, summary)`` for every resolved point, called on the
+        #: thread running :meth:`run` (the job server streams them).
+        self.listeners = []
         self.fingerprint = code_fingerprint()
         self.requests = 0
         self.unique_points = 0
@@ -759,8 +777,17 @@ class RunEngine:
         self.estimate_wall_s = 0.0
         self.estimate_fallbacks = 0
         self.auto_boundary_simulations = 0
-        #: Per-request span log + engine gauges (repro.obs.recorder).
-        self.recorder = FlightRecorder()
+        # The flight recorder.  Span times are seconds since ``_epoch``,
+        # on this process's clock (a pool worker reports only its run
+        # time; see _run_pool).
+        self._spans = deque(maxlen=SPAN_CAPACITY)
+        self._epoch = clock()
+        self._batch_count = 0
+        self.batch_wall_s = 0.0
+        self.busy_s = 0.0
+        self.queue_wait_s = 0.0
+        self.in_flight = 0
+        self.workers = set()
 
     def events_per_sec(self):
         if self.exec_wall_s <= 0:
@@ -779,10 +806,21 @@ class RunEngine:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
 
+    def spans(self):
+        """The retained spans, oldest first."""
+        return list(self._spans)
+
     def snapshot(self):
         """The engine's counters, gauges, settings and flight recorder
-        as a plain dict (manifest-ready)."""
+        as a plain dict (manifest-ready).  Every resolved point records
+        one span, so ``spans_recorded`` is ``cache_hits + estimated +
+        executed``; worker utilization is busy seconds over
+        :meth:`capacity` workers times the batches' wall clock."""
         cache = self.cache
+        denom = self.capacity() * self.batch_wall_s
+        utilization = self.busy_s / denom if denom > 0 else 0.0
+        recorded = self.cache_hits + self.estimated + self.executed
+        spans = self.spans()
         return {
             "jobs": self.jobs,
             "requests": self.requests,
@@ -798,9 +836,8 @@ class RunEngine:
             "auto_boundary_simulations": self.auto_boundary_simulations,
             "events_per_sec": self.events_per_sec(),
             "cache_hit_ratio": self.cache_hit_ratio(),
-            "in_flight": self.recorder.in_flight,
-            "worker_utilization":
-                self.recorder.utilization(self.capacity()),
+            "in_flight": self.in_flight,
+            "worker_utilization": utilization,
             "cache_pruned_entries": (cache.pruned_entries
                                      if cache is not None else 0),
             "mode": self.mode,
@@ -809,15 +846,20 @@ class RunEngine:
                                 else None),
             "transport": (self.transport.describe()
                           if self.transport is not None else "local"),
-            "flight_recorder": self.recorder.summary(self.capacity()),
+            "flight_recorder": {
+                "spans_recorded": recorded,
+                "spans_retained": len(spans),
+                "spans_dropped": recorded - len(spans),
+                "busy_s": self.busy_s,
+                "queue_wait_s": self.queue_wait_s,
+                "batches": self._batch_count,
+                "batch_wall_s": self.batch_wall_s,
+                "in_flight": self.in_flight,
+                "workers": sorted(self.workers),
+                "worker_utilization": utilization,
+                "spans": spans,
+            },
         }
-
-    @staticmethod
-    def _note_span(session, span):
-        """Stream one flight-recorder span through the session (the
-        job-server progress seam); no-op when nothing is observing."""
-        if session is not None:
-            session.emit("engine_span", span)
 
     def _apply_mode_policy(self, requests):
         """Resolve the engine-level mode into per-request modes.
@@ -862,64 +904,80 @@ class RunEngine:
         session = _obs_session.current_session()
         # Tracing, stats inspection, telemetry sampling and profiling
         # all need live Systems: force in-process execution and skip
-        # cache reads so every point simulates.
+        # the cache so every point simulates.
         live_only = session is not None and session.needs_live()
-        rec = self.recorder
+        cache = None if live_only else self.cache
 
         keys = [req.key(self.fingerprint) for req in requests]
-        order = []
         by_key = {}
         for req, key in zip(requests, keys):
-            if key not in by_key:
-                by_key[key] = req
-                order.append(key)
-        self.unique_points += len(order)
-        rec.start_batch(len(order))
+            by_key.setdefault(key, req)
+        self.unique_points += len(by_key)
+        self._batch_count += 1
+        self.in_flight += len(by_key)
+        summaries = {}
+
+        def resolved(key, summary, mode, started, exec_s,
+                     queue_wait_s=0.0, worker="local"):
+            """The step every resolved point takes, whatever its
+            route."""
+            started_s = started - self._epoch
+            span = {"key": key, "mode": mode, "worker": worker,
+                    "queue_wait_s": queue_wait_s, "exec_s": exec_s,
+                    "started_s": started_s, "ended_s": started_s + exec_s,
+                    "outcome": "ok"}
+            self._spans.append(span)
+            self.busy_s += exec_s
+            self.queue_wait_s += queue_wait_s
+            self.workers.add(worker)
+            self.in_flight -= 1
+            summaries[key] = summary
+            if mode == "cache-replay":
+                self.cache_hits += 1
+            elif mode == "estimate":
+                self.estimated += 1
+                self.estimate_wall_s += exec_s
+            else:
+                self.executed += 1
+                self.driven_events += summary.driven_events()
+            # run_system notes a point simulated in-process itself,
+            # with its live System.
+            if session is not None and (mode != "simulate"
+                                        or worker != "local"):
+                session.note_summary(summary)
+            if cache is not None and mode != "cache-replay":
+                cache.put(key, summary)
+            for fn in self.listeners:
+                fn(span, summary)
+
+        def in_process(batch_keys):
+            t0 = clock()
+            for k in batch_keys:
+                t_s = clock()
+                summary = _execute_to_summary(by_key[k], k)
+                resolved(k, summary, by_key[k].mode, t_s, clock() - t_s,
+                         t_s - t0)
+
         t_batch = clock()
         try:
-            summaries = {}
             missing = []
-            for key in order:
-                cached = None
-                if self.cache is not None and not live_only:
-                    t_s = clock()
-                    cached = self.cache.get(key)
-                    if cached is not None:
-                        self.cache_hits += 1
-                        self._note_span(session, rec.record(
-                            key, "cache-replay", "local", 0.0,
-                            clock() - t_s, t_s - rec.epoch))
-                    else:
-                        self.cache_misses += 1
-                if cached is not None:
-                    summaries[key] = cached
-                    if session is not None:
-                        session.note_summary(cached)
-                else:
+            for key in by_key:
+                if cache is None:
                     missing.append(key)
-
-            est_missing = [k for k in missing
-                           if by_key[k].mode == "estimate"]
-            if est_missing:
-                # Analytic points resolve in microseconds: always
-                # in-process, with their own wall-clock accounting so the
-                # simulation throughput stats stay comparable.
-                from repro.analytic.estimator import estimate_to_summary
-                t0 = clock()
-                for k in est_missing:
-                    t_s = clock()
-                    summary = estimate_to_summary(by_key[k], k)
-                    summaries[k] = summary
-                    self.estimated += 1
-                    self.estimate_wall_s += clock() - t_s
-                    self._note_span(session, rec.record(
-                        k, "estimate", "local", t_s - t0,
-                        clock() - t_s, t_s - rec.epoch))
-                    if session is not None:
-                        session.note_summary(summary)
-                    if self.cache is not None and not live_only:
-                        self.cache.put(k, summary)
-
+                    continue
+                t_s = clock()
+                cached = cache.get(key)
+                if cached is None:
+                    self.cache_misses += 1
+                    missing.append(key)
+                else:
+                    resolved(key, cached, "cache-replay", t_s,
+                             clock() - t_s)
+            # Analytic points resolve in microseconds: always
+            # in-process, with their own wall-clock accounting so the
+            # simulation throughput stats stay comparable.
+            in_process([k for k in missing
+                        if by_key[k].mode == "estimate"])
             sim_missing = [k for k in missing
                            if by_key[k].mode != "estimate"]
             if sim_missing:
@@ -928,41 +986,23 @@ class RunEngine:
                 # need the System); otherwise an installed transport takes
                 # every point, and the classic local rules apply without
                 # one.
-                in_process = live_only or (
-                    self.transport is None
-                    and (self.jobs <= 1 or len(sim_missing) <= 1))
-                if in_process:
-                    # run_system records these into the session itself
-                    # (tracer attach, rich manifests) -- no double noting.
-                    executed = []
-                    for k in sim_missing:
-                        t_s = clock()
-                        summary = _execute_to_summary(by_key[k], k)
-                        executed.append(summary)
-                        self._note_span(session, rec.record(
-                            k, "simulate", "local", t_s - t0,
-                            clock() - t_s, t_s - rec.epoch))
+                if live_only or (self.transport is None
+                                 and (self.jobs <= 1
+                                      or len(sim_missing) <= 1)):
+                    in_process(sim_missing)
                 else:
-                    executed = self._run_pool([(by_key[k], k)
-                                               for k in sim_missing],
-                                              t0, session)
-                    if session is not None:
-                        for summary in executed:
-                            session.note_summary(summary)
+                    self._run_pool([(by_key[k], k) for k in sim_missing],
+                                   t0, resolved)
                 self.exec_wall_s += clock() - t0
-                for key, summary in zip(sim_missing, executed):
-                    summaries[key] = summary
-                    self.executed += 1
-                    self.driven_events += summary.driven_events()
-                    if self.cache is not None and not live_only:
-                        self.cache.put(key, summary)
         finally:
             # a batch that raises must not leave the in-flight gauge up
-            rec.end_batch(clock() - t_batch)
+            self.in_flight = 0
+            self.batch_wall_s += clock() - t_batch
         return [summaries[key] for key in keys]
 
-    def _run_pool(self, payloads, t_batch, session=None):
-        """Fan a batch out through the executor transport.
+    def _run_pool(self, payloads, t_batch, resolved):
+        """Fan a batch out through the executor transport, passing each
+        point to ``resolved`` as its result is read.
 
         Without an installed transport a per-batch local process pool
         is built and torn down here; an installed transport is
@@ -982,19 +1022,14 @@ class RunEngine:
                 fut.add_done_callback(
                     functools.partial(_stamp_done, done_at, payload[1]))
                 futures.append(fut)
-            results = []
             for (_request, key), fut in zip(payloads, futures):
                 summary, meta = fut.result()
                 # Span start reconstructed parent-side: completion
                 # stamp minus the worker-reported duration.
-                ended = done_at.get(key, clock())
-                started = ended - meta["exec_s"]
-                self._note_span(session, self.recorder.record(
-                    key, "simulate", meta["worker"],
-                    max(started - t_batch, 0.0), meta["exec_s"],
-                    started - self.recorder.epoch))
-                results.append(summary)
-            return results
+                exec_s = meta["exec_s"]
+                started = done_at.get(key, clock()) - exec_s
+                resolved(key, summary, "simulate", started, exec_s,
+                         max(started - t_batch, 0.0), meta["worker"])
         finally:
             if owned:
                 transport.stop()

@@ -22,7 +22,7 @@ This module imports neither the engine nor the simulator, so the
 driver, the estimator and the job server's wire format can share it.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.cores.perf_model import (
@@ -339,8 +339,10 @@ class RunSummary:
     # -- serialization -------------------------------------------------
 
     def to_dict(self):
-        """JSON-native dict (``from_dict`` round-trips it exactly)."""
-        return asdict(self)
+        """JSON-native dict (``from_dict`` round-trips it exactly): the
+        dict ``dataclasses.asdict`` gives, built by
+        :func:`repro.fields.plain`."""
+        return plain(self)
 
     @classmethod
     def from_dict(cls, data):

@@ -197,6 +197,19 @@ def test_summary_keeps_the_driven_cores_histograms_merged():
                for core in result.to_dict()["cores"])
 
 
+def test_summary_to_dict_is_asdict():
+    """``to_dict`` builds the dict ``dataclasses.asdict`` gives, without
+    its deep copies: equal, with the same JSON bytes, for a simulated
+    summary and for an estimate."""
+    (simulated,) = RunEngine(jobs=1).run([_point(track_sharing=True)])
+    (estimated,) = RunEngine(jobs=1, mode="estimate").run([_point()])
+    assert (simulated.mode, estimated.mode) == ("simulate", "estimate")
+    for summary in (simulated, estimated):
+        plain = summary.to_dict()
+        assert plain == dataclasses.asdict(summary)
+        assert json.dumps(plain) == json.dumps(dataclasses.asdict(summary))
+
+
 def test_summary_json_round_trip():
     (summary,) = RunEngine(jobs=1).run([_point(track_sharing=True)])
     clone = RunSummary.from_dict(json.loads(json.dumps(summary.to_dict())))

@@ -1,12 +1,14 @@
-"""Engine flight recorder: span accounting, gauges, streaming through
-ObservationSession listeners, and the engine integration."""
+"""The run engine's flight recorder: one span per resolved point
+whatever its route, the gauges over them, the snapshot that carries
+both, and the ``(span, summary)`` stream of ``RunEngine.listeners``."""
 
 import json
 
 import pytest
 
-from repro.obs.recorder import FlightRecorder, span_trace_events
 from repro.obs.session import observe
+from repro.obs.telemetry import span_trace_events
+from repro.sim import engine as engine_mod
 from repro.sim.config import HierarchyConfig
 from repro.sim.engine import RunCache, RunEngine, RunRequest
 from repro.sim.sampling import SamplingPlan
@@ -14,70 +16,130 @@ from repro.workloads.scaleout import WEB_SEARCH
 
 PLAN = SamplingPlan(1500, 800)
 
+#: ``RunEngine.snapshot()``'s keys, in order, at every level: the
+#: ``engine`` block of ``--json`` output and manifest envelopes, the
+#: BENCH records and the job server's ``/metrics`` names.
+SNAPSHOT_KEYS = [
+    "jobs", "requests", "unique_points", "cache_hits", "cache_misses",
+    "executed", "exec_wall_s", "driven_events", "estimated",
+    "estimate_wall_s", "estimate_fallbacks", "auto_boundary_simulations",
+    "events_per_sec", "cache_hit_ratio", "in_flight",
+    "worker_utilization", "cache_pruned_entries", "mode", "cache_dir",
+    "cache_max_bytes", "transport", "flight_recorder"]
+FLIGHT_RECORDER_KEYS = [
+    "spans_recorded", "spans_retained", "spans_dropped", "busy_s",
+    "queue_wait_s", "batches", "batch_wall_s", "in_flight", "workers",
+    "worker_utilization", "spans"]
+SPAN_KEYS = ["key", "mode", "worker", "queue_wait_s", "exec_s",
+             "started_s", "ended_s", "outcome"]
+
 
 def config(seed_name="rec"):
     return HierarchyConfig(name=seed_name, num_cores=4, scale=512,
                            llc_kind="private_vault")
 
 
-def request(seed=3):
-    return RunRequest.point(config(), WEB_SEARCH, PLAN, seed=seed)
+def request(seed=3, mode="simulate"):
+    return RunRequest.point(config(), WEB_SEARCH, PLAN, seed=seed,
+                            mode=mode)
 
 
-# -- unit: the recorder itself ----------------------------------------------
+# -- the recorder's gauges and ring -----------------------------------------
 
 
-def test_record_accumulates_gauges():
-    rec = FlightRecorder()
-    rec.start_batch(2)
-    assert rec.in_flight == 2
-    rec.record("k1", "simulate", "local", 0.1, 2.0, 0.0)
-    rec.record("k2", "cache-replay", "local", 0.0, 0.5, 2.0)
-    rec.end_batch(3.0)
-    assert rec.total_spans == 2
-    assert rec.busy_s == pytest.approx(2.5)
-    assert rec.queue_wait_s == pytest.approx(0.1)
-    assert rec.in_flight == 0
-    assert rec.batches == 1
-    assert rec.utilization(jobs=1) == pytest.approx(2.5 / 3.0)
-    assert rec.utilization(jobs=2) == pytest.approx(2.5 / 6.0)
+def test_record_accumulates_gauges(tmp_path):
+    engine = RunEngine(jobs=1, cache=RunCache(str(tmp_path)))
+    engine.run([request()])
+    engine.run([request(), request(mode="estimate")])
+    spans = engine.spans()
+    assert [s["mode"] for s in spans] \
+        == ["simulate", "cache-replay", "estimate"]
+    assert engine.busy_s == pytest.approx(sum(s["exec_s"] for s in spans))
+    assert engine.queue_wait_s \
+        == pytest.approx(sum(s["queue_wait_s"] for s in spans))
+    assert engine.in_flight == 0
+    snap = engine.snapshot()
+    assert snap["flight_recorder"]["batches"] == 2
+    assert snap["worker_utilization"] \
+        == pytest.approx(engine.busy_s / engine.batch_wall_s)
 
 
-def test_span_shape_and_ring_bound():
-    rec = FlightRecorder(capacity=3)
-    for i in range(5):
-        span = rec.record("k%d" % i, "simulate", "local", 0.0, 1.0,
-                          float(i))
-        assert span["ended_s"] == pytest.approx(span["started_s"] + 1.0)
-    spans = rec.spans()
-    assert [s["key"] for s in spans] == ["k2", "k3", "k4"]
-    assert rec.total_spans == 5
-    assert rec.dropped == 2
+def test_span_shape_and_ring_bound(monkeypatch):
+    monkeypatch.setattr(engine_mod, "SPAN_CAPACITY", 3)
+    engine = RunEngine(jobs=1)
+    points = [request(seed=s, mode="estimate") for s in range(5)]
+    engine.run(points)
+    spans = engine.spans()
+    assert [s["key"] for s in spans] \
+        == [p.key(engine.fingerprint) for p in points[2:]]
+    for span in spans:
+        assert list(span) == SPAN_KEYS
+        assert span["ended_s"] == pytest.approx(span["started_s"]
+                                                + span["exec_s"])
+    fr = engine.snapshot()["flight_recorder"]
+    assert (fr["spans_recorded"], fr["spans_retained"],
+            fr["spans_dropped"]) == (5, 3, 2)
 
 
 def test_summary_is_json_native():
-    rec = FlightRecorder()
-    rec.start_batch(1)
-    rec.record("k", "simulate", "pid:123", 0.0, 1.0, 0.0)
-    rec.end_batch(1.0)
-    summary = rec.summary(jobs=4)
-    json.dumps(summary)
-    assert summary["spans_recorded"] == 1
-    assert summary["workers"] == ["pid:123"]
-    assert summary["worker_utilization"] == pytest.approx(0.25)
-    assert summary["spans"][0]["mode"] == "simulate"
+    engine = RunEngine(jobs=4)
+    engine.run([request()])         # one point never fans out
+    snap = json.loads(json.dumps(engine.snapshot()))
+    fr = snap["flight_recorder"]
+    assert fr["spans_recorded"] == 1
+    assert fr["workers"] == ["local"]
+    # busy seconds are divided by four workers' capacity
+    assert 0.0 < fr["worker_utilization"] <= 0.25
+    assert fr["spans"][0]["mode"] == "simulate"
 
 
-def test_span_trace_events_one_lane_per_worker():
-    rec = FlightRecorder()
-    rec.record("a" * 64, "simulate", "pid:1", 0.0, 1.0, 0.0)
-    rec.record("b" * 64, "simulate", "pid:2", 0.0, 1.0, 0.5)
-    rec.record("c" * 64, "cache-replay", "pid:1", 0.0, 0.1, 1.0)
-    events = span_trace_events(rec.spans())
+def test_span_trace_events_one_lane_per_worker(tmp_path):
+    engine = RunEngine(jobs=2, cache=RunCache(str(tmp_path)))
+    engine.run([request(seed=11), request(seed=12)])   # pool workers
+    engine.run([request(seed=11)])                     # a local replay
+    spans = engine.spans()
+    workers = {s["worker"] for s in spans}
+    assert "local" in workers and len(workers) >= 2
+    events = span_trace_events(spans)
     lanes = {e["tid"] for e in events if e["ph"] == "X"}
-    assert len(lanes) == 2
+    assert len(lanes) == len(workers)
     names = [e for e in events if e.get("name") == "thread_name"]
-    assert len(names) == 2
+    assert len(names) == len(workers)
+
+
+def test_snapshot_keys_are_pinned_at_every_level(tmp_path):
+    engine = RunEngine(jobs=1, cache=RunCache(str(tmp_path)))
+    engine.run([request()])
+    snap = engine.snapshot()
+    assert list(snap) == SNAPSHOT_KEYS
+    assert list(snap["flight_recorder"]) == FLIGHT_RECORDER_KEYS
+    assert [list(s) for s in snap["flight_recorder"]["spans"]] \
+        == [SPAN_KEYS]
+
+
+def test_every_route_records_one_span(tmp_path):
+    """Cache replay, estimate, in-process simulation and the pool each
+    record one span per point, so the recorder's count is the three
+    route counters' sum."""
+    engine = RunEngine(jobs=2, cache=RunCache(str(tmp_path)))
+
+    def check():
+        snap = engine.snapshot()
+        assert snap["flight_recorder"]["spans_recorded"] \
+            == snap["cache_hits"] + snap["estimated"] + snap["executed"] \
+            == len(engine.spans())
+
+    engine.run([request()])         # one point simulates in-process
+    check()
+    engine.run([request(), request(mode="estimate"), request(seed=11),
+                request(seed=12)])
+    check()
+    spans = engine.spans()
+    assert [(s["mode"], s["worker"] == "local") for s in spans] == [
+        ("simulate", True), ("cache-replay", True), ("estimate", True),
+        ("simulate", False), ("simulate", False)]
+    assert (engine.cache_hits, engine.estimated, engine.executed) \
+        == (1, 1, 3)
 
 
 # -- integration: RunEngine -------------------------------------------------
@@ -86,14 +148,14 @@ def test_span_trace_events_one_lane_per_worker():
 def test_engine_records_simulate_then_replay_spans(tmp_path):
     engine = RunEngine(jobs=1, cache=RunCache(str(tmp_path)))
     engine.run([request()])
-    spans = engine.recorder.spans()
+    spans = engine.spans()
     assert [s["mode"] for s in spans] == ["simulate"]
     assert spans[0]["worker"] == "local"
     assert spans[0]["outcome"] == "ok"
 
     warm = RunEngine(jobs=1, cache=RunCache(str(tmp_path)))
     warm.run([request()])
-    spans = warm.recorder.spans()
+    spans = warm.spans()
     assert [s["mode"] for s in spans] == ["cache-replay"]
     assert warm.cache_hit_ratio() == 1.0
 
@@ -111,36 +173,38 @@ def test_engine_snapshot_carries_flight_recorder(tmp_path):
 
 
 def test_engine_streams_spans_through_session(tmp_path):
+    # The engine hands each resolved point to its own listeners; no
+    # observation session needs to be open.
     engine = RunEngine(jobs=1, cache=RunCache(str(tmp_path)))
-    events = []
-    with observe(collect_manifests=True) as session:
-        session.add_listener(lambda kind, p: events.append((kind, p)))
-        engine.run([request()])
-    kinds = [k for k, _ in events]
-    assert "engine_span" in kinds
-    assert "run" in kinds
-    span = next(p for k, p in events if k == "engine_span")
+    points = []
+    engine.listeners.append(lambda span, s: points.append((span, s)))
+    (summary,) = engine.run([request()])
+    [(span, got)] = points
     assert span["mode"] == "simulate"
-    # spans stream for cache replays too
-    events.clear()
+    assert span == engine.spans()[-1] and got is summary
+    # spans stream for cache replays too, and an open session still
+    # records the replayed run
+    points.clear()
     warm = RunEngine(jobs=1, cache=RunCache(str(tmp_path)))
+    warm.listeners.append(lambda span, s: points.append((span, s)))
     with observe(collect_manifests=True) as session:
-        session.add_listener(lambda kind, p: events.append((kind, p)))
         warm.run([request()])
-    span = next(p for k, p in events if k == "engine_span")
+    [(span, got)] = points
     assert span["mode"] == "cache-replay"
+    assert got.performance() == summary.performance()
+    assert len(session.runs) == 1
 
 
 def test_pool_spans_carry_worker_pids(tmp_path):
     engine = RunEngine(jobs=2, cache=RunCache(str(tmp_path)))
     engine.run([request(seed=11), request(seed=12)])
-    spans = engine.recorder.spans()
+    spans = engine.spans()
     assert len(spans) == 2
     assert all(s["mode"] == "simulate" for s in spans)
     assert all(s["worker"].startswith("pid:") for s in spans)
     assert all(s["exec_s"] > 0 for s in spans)
     assert all(s["queue_wait_s"] >= 0 for s in spans)
-    assert engine.recorder.utilization(engine.jobs) > 0
+    assert engine.snapshot()["worker_utilization"] > 0
 
 
 def test_profiling_session_forces_live_execution(tmp_path):

@@ -49,7 +49,7 @@ from repro.core.systems import system_config
 from repro.experiments.cli import main as experiments_main
 from repro.experiments.sharing import fig3_breakdown
 from repro.faults import FaultPlan
-from repro.obs.session import observe
+from repro.obs.session import current_session, observe
 from repro.serve import __main__ as serve_cli
 from repro.serve import proto
 from repro.serve.client import HttpTransport, ServerClient, ServerError
@@ -752,6 +752,99 @@ def test_sse_subscriber_dropped_after_client_leaves():
         assert not server._subscribers
 
 
+def _until(done, what, timeout=30):
+    deadline = time.monotonic() + timeout
+    while not done():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.01)
+
+
+def _watched(server, client, key, submit, until_kind="run"):
+    """The events a ``watch(key=key)`` client receives on ``server``
+    while ``submit()`` runs, up to the first ``until_kind`` event."""
+    events = []
+
+    def watch():
+        for event, payload in client.watch(key=key):
+            events.append((event, payload))
+            if event == until_kind:
+                return
+
+    watcher = threading.Thread(target=watch, daemon=True)
+    watcher.start()
+    _until(lambda: server._subscribers, "the watcher never subscribed")
+    submit()
+    watcher.join(30)
+    assert not watcher.is_alive(), "no %s event: %r" % (until_kind, events)
+    return events
+
+
+@pytest.mark.parametrize("pooled", [False, True],
+                         ids=["in-process", "local-pool"])
+def test_watch_by_key_receives_the_run_event(pooled):
+    """``watch --key K`` receives K's ``run`` event, carrying its key,
+    driven events and performance, whether the server simulates in
+    process or through ``--transport local:2``'s pool."""
+    pool = LocalPoolTransport(2) if pooled else None
+    if pool is not None:
+        pool.start()
+    try:
+        engine = RunEngine(jobs=1, transport=pool)
+        req = _point(seed=5)
+        key = req.key(engine.fingerprint)
+        with ServerThread(engine) as server:
+            with ServerClient(server.url) as client:
+                events = _watched(server, client, key,
+                                  lambda: client.submit(req))
+        direct = RunEngine(jobs=1).run([req])[0]
+        run = events[-1][1]
+        assert run == {"key": key, "events": direct.driven_events(),
+                       "performance": direct.performance()}
+        span = next(p for e, p in events if e == "engine_span")
+        assert span["key"] == key
+        assert span["worker"].startswith("pid:") == pooled
+        assert all(p.get("key") == key for e, p in events if e != "hello")
+    finally:
+        if pool is not None:
+            pool.stop()
+
+
+def test_event_stream_carries_nothing_from_another_engine():
+    """A server streams the points of its own engine: one run by
+    another engine in the same process sends its subscribers
+    nothing."""
+    engine = RunEngine(jobs=1)
+    mine, other = _point(seed=1), _point(seed=2)
+    with ServerThread(engine) as server:
+        with ServerClient(server.url) as client:
+            def submit():
+                RunEngine(jobs=1).run([other])
+                client.submit(mine)
+
+            events = _watched(server, client, None, submit,
+                              until_kind="run")
+    assert engine.executed == 1
+    keyed = [(e, p.get("key")) for e, p in events if e != "hello"]
+    key = mine.key(engine.fingerprint)
+    assert {k for _e, k in keyed} == {key}
+    assert [e for e, _k in keyed if e != "job"] == ["engine_span", "run"]
+
+
+def test_servers_stopped_in_start_order_leave_no_session():
+    """A server opens no observation session, so two in-process
+    servers stopped in the order they started (not in reverse) leave
+    none installed, and each leaves its engine's listeners as they
+    were."""
+    engines = [RunEngine(jobs=1), RunEngine(jobs=1)]
+    threads = [ServerThread(engine) for engine in engines]
+    for thread in threads:
+        thread.__enter__()
+    for thread in threads:
+        thread.__exit__(None, None, None)
+    assert current_session() is None
+    assert [engine.listeners for engine in engines] == [[], []]
+
+
 def test_get_run_falls_back_to_disk_cache(tmp_path):
     req = _point()
     cache = RunCache(str(tmp_path))
@@ -842,7 +935,7 @@ def test_http_transport_against_server_process(server_url):
         # the in-batch duplicate is folded client-side: one POST each
         assert _submitted(http.client) == 2
         assert len(session.runs) == 2
-        workers = {s["worker"] for s in engine.recorder.spans()}
+        workers = {s["worker"] for s in engine.spans()}
         assert workers and all(w.startswith("http:") for w in workers)
         assert [_strip_wall(s.to_dict()) for s in got] \
             == [_strip_wall(s.to_dict())

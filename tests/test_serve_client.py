@@ -10,9 +10,13 @@ within its timeout: never a hang, never an ``IndexError`` or
 scripted here, as do the keep-alive rules: a reused connection the
 server closed before answering is retried exactly once on a fresh one,
 and a response carrying ``Connection: close`` drops its connection.
+The command line fails the same way: a request file it cannot read or
+that holds no run request is a usage error (exit 2), and a server it
+cannot reach or that answers with an error exits 1 with one line.
 """
 
 import concurrent.futures
+import json
 import socket
 import sys
 import threading
@@ -20,8 +24,12 @@ import time
 
 import pytest
 
+from repro.core.systems import system_config
 from repro.serve import proto
-from repro.serve.client import ServerClient, ServerError
+from repro.serve.client import ServerClient, ServerError, main
+from repro.sim.engine import RunRequest
+from repro.sim.sampling import SamplingPlan
+from repro.workloads.scaleout import WEB_SEARCH
 
 #: The client's timeout in these tests, and the slack allowed past it.
 TIMEOUT_S = 0.5
@@ -344,3 +352,71 @@ def test_watch_refuses_a_broken_stream_head():
             with pytest.raises(ServerError) as exc:
                 list(client.watch())
             assert exc.value.status == 502
+
+
+# -- the command line -------------------------------------------------------
+
+
+def _request_file(tmp_path, text=None):
+    """A request file holding ``text``, or a valid point's canonical
+    JSON."""
+    if text is None:
+        request = RunRequest.point(system_config("baseline", num_cores=4,
+                                                 scale=512),
+                                   WEB_SEARCH, SamplingPlan(1500, 800), 7)
+        text = json.dumps(request.canonical())
+    path = tmp_path / "request.json"
+    path.write_text(text)
+    return str(path)
+
+
+def _no_server_url():
+    """The URL of a loopback port nothing listens on."""
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        return "http://127.0.0.1:%d" % sock.getsockname()[1]
+
+
+@pytest.mark.parametrize("case", ["missing-config", "not-json",
+                                  "not-an-object", "missing-file"])
+def test_cli_refuses_a_bad_request_file_with_usage(case, tmp_path,
+                                                   capsys):
+    if case == "missing-file":
+        path = str(tmp_path / "absent.json")
+    else:
+        data = json.loads(open(_request_file(tmp_path)).read())
+        del data["config"]
+        path = _request_file(tmp_path, {
+            "missing-config": json.dumps(data),
+            "not-json": "{config: baseline",
+            "not-an-object": "[1, 2]"}[case])
+    with pytest.raises(SystemExit) as exc:
+        main(["--server", _no_server_url(), "submit", path])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: python -m repro.serve.client submit")
+    assert "error: %s: " % path in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["submit", "health", "watch"])
+def test_cli_without_a_server_exits_1_with_one_line(command, tmp_path,
+                                                    capsys):
+    argv = [command] + ([_request_file(tmp_path)]
+                        if command == "submit" else [])
+    url = _no_server_url()
+    assert main(["--server", url] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("python -m repro.serve.client: error: %s: "
+                          % url)
+
+
+def test_cli_with_a_failing_server_exits_1_with_one_line(tmp_path,
+                                                         capsys):
+    reply = proto.error_response(500, "run failed:\nplanted")
+    with ScriptedServer(_answer_once_then(reply)) as server:
+        assert main(["--server", server.url, "submit",
+                     _request_file(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "HTTP 500: run failed: planted" in err
