@@ -897,8 +897,7 @@ def test_get_run_refuses_traversal_key(tmp_path):
 @pytest.fixture
 def server_url():
     """URL of ``python -m repro.serve --port 0 --no-cache`` running in
-    its own process (a server in this process would share the
-    module-global observation session with the client)."""
+    its own process, as a user starts it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         repro.__file__)))
     proc = subprocess.Popen(

@@ -383,7 +383,8 @@ def test_cli_refuses_a_bad_request_file_with_usage(case, tmp_path,
     if case == "missing-file":
         path = str(tmp_path / "absent.json")
     else:
-        data = json.loads(open(_request_file(tmp_path)).read())
+        with open(_request_file(tmp_path)) as f:
+            data = json.load(f)
         del data["config"]
         path = _request_file(tmp_path, {
             "missing-config": json.dumps(data),
