@@ -29,9 +29,6 @@ class PageDRAMCache:
         self.tags = [-1] * self.num_pages
         self.dirty = [False] * self.num_pages
 
-    def page_of(self, block):
-        return block // self.blocks_per_page
-
     def lookup_block(self, block):
         """True if the block's page is resident."""
         page = block // self.blocks_per_page

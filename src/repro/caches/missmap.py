@@ -88,10 +88,6 @@ class MissMap:
             else:
                 del self._lost[seg]
 
-    def tracked_segments(self):
-        """Number of segments with a live presence bit-vector."""
-        return len(self._map)
-
     def reset_stats(self):
         """Zero the prediction counters (tracked segments survive:
         they are architectural state, not measurement)."""

@@ -358,24 +358,20 @@ def span_trace_events(spans, pid=2):
     worker, span start/duration taken from the recorded engine
     -relative timestamps (renders as a worker-occupancy lane chart in
     Perfetto)."""
-    events = [{"ph": "M", "name": "process_name", "pid": pid, "tid": 0,
-               "args": {"name": "run engine"}}]
     tids = {}
     for span in spans:
-        worker = span["worker"]
-        tid = tids.get(worker)
-        if tid is None:
-            tid = tids[worker] = len(tids) + 1
-            events.append({"ph": "M", "name": "thread_name",
-                           "pid": pid, "tid": tid,
-                           "args": {"name": worker}})
-        events.append({
-            "ph": "X", "cat": "engine",
-            "name": "%s %s" % (span["mode"], span["key"][:12]),
-            "pid": pid, "tid": tid,
-            "ts": span["started_s"] * 1e6,
-            "dur": max(span["exec_s"] * 1e6, 1.0),
-            "args": {"key": span["key"], "outcome": span["outcome"],
-                     "queue_wait_s": span["queue_wait_s"]},
-        })
+        tids.setdefault(span["worker"], len(tids) + 1)
+    events = [{"ph": "M", "name": "process_name", "pid": pid, "tid": 0,
+               "args": {"name": "run engine"}}]
+    events += [{"ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
+                "args": {"name": worker}} for worker, tid in tids.items()]
+    events += [{
+        "ph": "X", "cat": "engine",
+        "name": "%s %s" % (span["mode"], span["key"][:12]),
+        "pid": pid, "tid": tids[span["worker"]],
+        "ts": span["started_s"] * 1e6,
+        "dur": max(span["exec_s"] * 1e6, 1.0),
+        "args": {"key": span["key"], "outcome": span["outcome"],
+                 "queue_wait_s": span["queue_wait_s"]},
+    } for span in spans]
     return events

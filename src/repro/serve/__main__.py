@@ -90,10 +90,8 @@ def main(argv=None):
                        max_batch=args.max_batch)
 
     def ready(srv):
-        line = "READY %s transport=%s" % (
-            srv.url, transport.describe() if transport is not None
-            else "local")
-        print(line, flush=True)
+        print("READY %s transport=%s" % (srv.url, srv.health()["transport"]),
+              flush=True)
 
     try:
         asyncio.run(run_server(server, ready=ready))

@@ -343,20 +343,6 @@ class HttpTransport:
 # ---------------------------------------------------------------------------
 
 
-def _read_request(path):
-    """The RunRequest a canonical-JSON file (``-`` = stdin) holds."""
-    from repro.sim.engine import RunRequest
-    if path == "-":
-        raw = sys.stdin.read()
-    else:
-        with open(path, encoding="utf-8") as f:
-            raw = f.read()
-    data = json.loads(raw)
-    if not isinstance(data, dict):
-        raise ValueError("expected a RunRequest.canonical() object")
-    return RunRequest.from_canonical(data)
-
-
 def _cmd_submit(args, client):
     doc, dedup = client.submit(args.request, priority=args.priority,
                                wait=not args.no_wait)
@@ -416,11 +402,16 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     if args.command == "submit":
+        # The request is checked as the server checks a posted one.
         try:
-            args.request = _read_request(args.file)
-        except KeyError as e:
-            submit.error("%s: missing field %s" % (args.file, e))
-        except (OSError, TypeError, ValueError) as e:
+            if args.file == "-":
+                raw = sys.stdin.read()
+            else:
+                with open(args.file, encoding="utf-8") as f:
+                    raw = f.read()
+            args.request = proto.parse_run_payload(
+                {"request": json.loads(raw)})[0]
+        except (OSError, ValueError, proto.ProtocolError) as e:
             submit.error("%s: %s" % (args.file, e))
     try:
         client = ServerClient(args.server)

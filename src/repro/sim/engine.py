@@ -454,13 +454,6 @@ def _pool_worker(payload):
                      "exec_s": clock() - t0}
 
 
-def _stamp_done(done_at, key, _fut):
-    """``add_done_callback`` hook: stamp a future's completion on the
-    *parent's* clock (worker timestamps are not comparable across
-    processes; the worker only reports its execution duration)."""
-    done_at[key] = clock()
-
-
 class LocalPoolTransport:
     """A local ``ProcessPoolExecutor`` of ``jobs`` workers as an
     executor transport (see :attr:`RunEngine.transport`)."""
@@ -789,22 +782,12 @@ class RunEngine:
         self.in_flight = 0
         self.workers = set()
 
-    def events_per_sec(self):
-        if self.exec_wall_s <= 0:
-            return 0.0
-        return self.driven_events / self.exec_wall_s
-
     def capacity(self):
         """Worker count points fan out to: the transport's capacity,
         else ``jobs``."""
         if self.transport is not None:
             return self.transport.capacity()
         return self.jobs
-
-    def cache_hit_ratio(self):
-        """Warm-cache hit ratio across this engine's lifetime."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
 
     def spans(self):
         """The retained spans, oldest first."""
@@ -820,6 +803,7 @@ class RunEngine:
         denom = self.capacity() * self.batch_wall_s
         utilization = self.busy_s / denom if denom > 0 else 0.0
         recorded = self.cache_hits + self.estimated + self.executed
+        lookups = self.cache_hits + self.cache_misses
         spans = self.spans()
         return {
             "jobs": self.jobs,
@@ -834,8 +818,10 @@ class RunEngine:
             "estimate_wall_s": self.estimate_wall_s,
             "estimate_fallbacks": self.estimate_fallbacks,
             "auto_boundary_simulations": self.auto_boundary_simulations,
-            "events_per_sec": self.events_per_sec(),
-            "cache_hit_ratio": self.cache_hit_ratio(),
+            "events_per_sec": (self.driven_events / self.exec_wall_s
+                               if self.exec_wall_s > 0 else 0.0),
+            "cache_hit_ratio": (self.cache_hits / lookups if lookups
+                                else 0.0),
             "in_flight": self.in_flight,
             "worker_utilization": utilization,
             "cache_pruned_entries": (cache.pruned_entries
@@ -909,18 +895,18 @@ class RunEngine:
         cache = None if live_only else self.cache
 
         keys = [req.key(self.fingerprint) for req in requests]
-        by_key = {}
-        for req, key in zip(requests, keys):
-            by_key.setdefault(key, req)
+        by_key = dict(zip(keys, requests))      # one per distinct point
         self.unique_points += len(by_key)
         self._batch_count += 1
         self.in_flight += len(by_key)
         summaries = {}
+        aside = 0.0
 
         def resolved(key, summary, mode, started, exec_s,
                      queue_wait_s=0.0, worker="local"):
             """The step every resolved point takes, whatever its
             route."""
+            nonlocal aside
             started_s = started - self._epoch
             span = {"key": key, "mode": mode, "worker": worker,
                     "queue_wait_s": queue_wait_s, "exec_s": exec_s,
@@ -945,10 +931,12 @@ class RunEngine:
             if session is not None and (mode != "simulate"
                                         or worker != "local"):
                 session.note_summary(summary)
+            t_aside = clock()
             if cache is not None and mode != "cache-replay":
                 cache.put(key, summary)
             for fn in self.listeners:
                 fn(span, summary)
+            aside += clock() - t_aside
 
         def in_process(batch_keys):
             t0 = clock()
@@ -962,17 +950,14 @@ class RunEngine:
         try:
             missing = []
             for key in by_key:
-                if cache is None:
-                    missing.append(key)
-                    continue
                 t_s = clock()
-                cached = cache.get(key)
-                if cached is None:
+                cached = cache.get(key) if cache is not None else None
+                if cached is not None:
+                    resolved(key, cached, "cache-replay", t_s, clock() - t_s)
+                    continue
+                missing.append(key)
+                if cache is not None:
                     self.cache_misses += 1
-                    missing.append(key)
-                else:
-                    resolved(key, cached, "cache-replay", t_s,
-                             clock() - t_s)
             # Analytic points resolve in microseconds: always
             # in-process, with their own wall-clock accounting so the
             # simulation throughput stats stay comparable.
@@ -981,6 +966,7 @@ class RunEngine:
             sim_missing = [k for k in missing
                            if by_key[k].mode != "estimate"]
             if sim_missing:
+                aside = 0.0
                 t0 = clock()
                 # A live session always executes in-process (tracer/stats
                 # need the System); otherwise an installed transport takes
@@ -993,7 +979,9 @@ class RunEngine:
                 else:
                     self._run_pool([(by_key[k], k) for k in sim_missing],
                                    t0, resolved)
-                self.exec_wall_s += clock() - t0
+                # The throughput meter times the simulation, not the
+                # step's cache puts and listeners.
+                self.exec_wall_s += clock() - t0 - aside
         finally:
             # a batch that raises must not leave the in-flight gauge up
             self.in_flight = 0
@@ -1002,34 +990,32 @@ class RunEngine:
 
     def _run_pool(self, payloads, t_batch, resolved):
         """Fan a batch out through the executor transport, passing each
-        point to ``resolved`` as its result is read.
+        point to ``resolved`` as it completes.
 
         Without an installed transport a per-batch local process pool
         is built and torn down here; an installed transport is
         long-lived and owned by whoever installed it (the job server,
         the CLI's ``--server``, a test)."""
+        from concurrent.futures import as_completed
         transport = self.transport
         owned = transport is None
         if owned:
             transport = LocalPoolTransport(
                 jobs=min(self.jobs, len(payloads)))
         transport.start()
-        done_at = {}
         try:
-            futures = []
-            for payload in payloads:
-                fut = transport.submit(*payload)
-                fut.add_done_callback(
-                    functools.partial(_stamp_done, done_at, payload[1]))
-                futures.append(fut)
-            for (_request, key), fut in zip(payloads, futures):
+            futures = {transport.submit(request, key): key
+                       for request, key in payloads}
+            for fut in as_completed(futures):
                 summary, meta = fut.result()
-                # Span start reconstructed parent-side: completion
-                # stamp minus the worker-reported duration.
+                # Span start reconstructed on this process's clock
+                # (worker clocks are not comparable): completion minus
+                # the worker-reported duration.
                 exec_s = meta["exec_s"]
-                started = done_at.get(key, clock()) - exec_s
-                resolved(key, summary, "simulate", started, exec_s,
-                         max(started - t_batch, 0.0), meta["worker"])
+                started = clock() - exec_s
+                resolved(futures[fut], summary, "simulate", started,
+                         exec_s, max(started - t_batch, 0.0),
+                         meta["worker"])
         finally:
             if owned:
                 transport.stop()

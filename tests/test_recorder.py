@@ -3,6 +3,7 @@ whatever its route, the gauges over them, the snapshot that carries
 both, and the ``(span, summary)`` stream of ``RunEngine.listeners``."""
 
 import json
+import time
 
 import pytest
 
@@ -96,13 +97,18 @@ def test_summary_is_json_native():
 def test_span_trace_events_one_lane_per_worker(tmp_path):
     engine = RunEngine(jobs=2, cache=RunCache(str(tmp_path)))
     engine.run([request(seed=11), request(seed=12)])   # pool workers
-    engine.run([request(seed=11)])                     # a local replay
+    engine.run([request(seed=11), request(seed=12)])   # two local replays
     spans = engine.spans()
+    assert [s["worker"] for s in spans[2:]] == ["local", "local"]
     workers = {s["worker"] for s in spans}
-    assert "local" in workers and len(workers) >= 2
+    assert len(spans) > len(workers)    # some worker has several spans
     events = span_trace_events(spans)
-    lanes = {e["tid"] for e in events if e["ph"] == "X"}
+    xs = [e for e in events if e["ph"] == "X"]
+    lanes = {e["tid"] for e in xs}
     assert len(lanes) == len(workers)
+    # each worker's spans share one lane, and no two workers share one
+    assert len({(s["worker"], e["tid"]) for s, e in zip(spans, xs)}) \
+        == len(workers)
     names = [e for e in events if e.get("name") == "thread_name"]
     assert len(names) == len(workers)
 
@@ -142,6 +148,17 @@ def test_every_route_records_one_span(tmp_path):
         == (1, 1, 3)
 
 
+def test_exec_wall_meters_simulation_alone(tmp_path):
+    """``exec_wall_s`` (and so ``events_per_sec``) leaves out the time
+    the per-point step spends on cache puts and listeners."""
+    engine = RunEngine(jobs=1, cache=RunCache(str(tmp_path)))
+    engine.listeners.append(lambda span, summary: time.sleep(0.3))
+    engine.run([request()])
+    (span,) = engine.spans()
+    assert engine.batch_wall_s > 0.3
+    assert span["exec_s"] <= engine.exec_wall_s < span["exec_s"] + 0.1
+
+
 # -- integration: RunEngine -------------------------------------------------
 
 
@@ -157,7 +174,7 @@ def test_engine_records_simulate_then_replay_spans(tmp_path):
     warm.run([request()])
     spans = warm.spans()
     assert [s["mode"] for s in spans] == ["cache-replay"]
-    assert warm.cache_hit_ratio() == 1.0
+    assert warm.snapshot()["cache_hit_ratio"] == 1.0
 
 
 def test_engine_snapshot_carries_flight_recorder(tmp_path):

@@ -377,7 +377,8 @@ def _no_server_url():
 
 
 @pytest.mark.parametrize("case", ["missing-config", "not-json",
-                                  "not-an-object", "missing-file"])
+                                  "not-an-object", "missing-file",
+                                  "unestimable"])
 def test_cli_refuses_a_bad_request_file_with_usage(case, tmp_path,
                                                    capsys):
     if case == "missing-file":
@@ -385,17 +386,31 @@ def test_cli_refuses_a_bad_request_file_with_usage(case, tmp_path,
     else:
         with open(_request_file(tmp_path)) as f:
             data = json.load(f)
+        # the server refuses an estimate its model cannot resolve
+        unestimable = dict(data, mode="estimate", track_sharing=True)
         del data["config"]
         path = _request_file(tmp_path, {
             "missing-config": json.dumps(data),
             "not-json": "{config: baseline",
-            "not-an-object": "[1, 2]"}[case])
+            "not-an-object": "[1, 2]",
+            "unestimable": json.dumps(unestimable)}[case])
     with pytest.raises(SystemExit) as exc:
         main(["--server", _no_server_url(), "submit", path])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: python -m repro.serve.client submit")
     assert "error: %s: " % path in err
+    assert "Traceback" not in err
+
+
+def test_cli_refuses_a_server_url_with_a_bad_port(capsys):
+    url = "http://127.0.0.1:port"
+    with pytest.raises(SystemExit) as exc:
+        main(["--server", url, "health"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: python -m repro.serve.client")
+    assert "error: --server %s: " % url in err
     assert "Traceback" not in err
 
 
