@@ -372,9 +372,10 @@ def _cmd_health(args, client):
 
 def main(argv=None):
     """CLI entry point: ``python -m repro.serve.client``.  A request
-    file that cannot be read or is no valid run request is a usage
-    error (exit 2); a server that cannot be reached or answers with an
-    error exits 1 with a one-line message."""
+    file that cannot be read or holds a run request the server would
+    refuse, and a ``--server`` URL whose port is not a number, are
+    usage errors (exit 2); a server that cannot be reached or answers
+    with an error exits 1 with a one-line message."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve.client",
         description="Submit simulation runs to a repro.serve server.")
