@@ -38,16 +38,3 @@ def state_name(state):
     except KeyError:
         raise ValueError("unknown coherence state %r" % (state,))
 
-
-def read_response_states(holder_state):
-    """MOESI transition when a holder supplies a block to a reader.
-
-    Returns ``(new_holder_state, requester_state)``.  A dirty holder
-    (M or O) keeps ownership as O and the reader gets S; a clean holder
-    (E or S) downgrades/stays at S.
-    """
-    if holder_state in (MODIFIED, OWNED):
-        return OWNED, SHARED
-    if holder_state in (EXCLUSIVE, SHARED):
-        return SHARED, SHARED
-    raise ValueError("holder in invalid state %r" % (holder_state,))

@@ -11,6 +11,7 @@ Usage::
 
 import argparse
 import contextlib
+import inspect
 import sys
 import time
 
@@ -184,38 +185,36 @@ def main(argv=None):
                      "[0, %d), got %d" % (NUM_CORES, args.fault_target))
 
     func = EXPERIMENTS[args.experiment]
-    kwargs = {}
-    no_sim = ("fig7", "fig8", "table1", "validate_tech")
-    if args.experiment == "characterize":
-        kwargs = {"scale": args.scale}
-    elif args.experiment not in no_sim:
-        kwargs = {"scale": args.scale, "seed": args.seed}
-        if args.sampling is not None:
-            kwargs["plan"] = args.sampling
-        else:
-            # The experiment reads $REPRO_SAMPLING: check it up front.
-            try:
-                from_env()
-            except ValueError as e:
-                parser.error(str(e))
+    # Each experiment gets the scale, seed and plan its signature takes.
+    params = inspect.signature(func).parameters
+    kwargs = {name: value for name, value in (("scale", args.scale),
+                                              ("seed", args.seed))
+              if name in params}
+    if "plan" in params:
+        try:
+            kwargs["plan"] = (args.sampling if args.sampling is not None
+                              else from_env())
+        except ValueError as e:     # a malformed $REPRO_SAMPLING
+            parser.error(str(e))
 
-    # Fault flags: 'resilience' takes them as explicit sweep kwargs;
-    # every other simulating experiment gets an ambient FaultPlan that
-    # RunRequest.point picks up (see repro.faults.use_plan).
+    # Fault flags: an experiment that sweeps faults itself takes them as
+    # explicit sweep kwargs; every other simulating experiment gets an
+    # ambient FaultPlan that RunRequest.point picks up (see
+    # repro.faults.use_plan).
     fault_plan = None
     any_fault_flag = (args.faults is not None
                       or args.fault_stalls is not None)
-    if args.experiment == "resilience":
+    if "fault_seed" in params:
         kwargs["fault_seed"] = args.fault_seed
         if args.fault_target is not None:
             kwargs["target"] = args.fault_target
         if args.faults is not None:
             kwargs["rates"] = (0.0, args.faults)
         if args.fault_stalls is not None:
-            parser.error("--fault-stalls does not apply to "
-                         "'resilience' (it sweeps bit-flip rates)")
+            parser.error("--fault-stalls does not apply to '%s' (it "
+                         "sweeps bit-flip rates)" % args.experiment)
     elif any_fault_flag:
-        if args.experiment in no_sim or args.experiment == "characterize":
+        if "seed" not in params:
             parser.error("--faults/--fault-stalls: experiment '%s' "
                          "runs no simulation" % args.experiment)
         from repro.faults import FaultPlan
@@ -243,6 +242,7 @@ def main(argv=None):
     except ValueError as e:
         parser.error(str(e))
     transport = None
+    server_errors = ()
     if args.server is not None:
         # Remote simulation: the server owns the workers and the run
         # cache; live-observation flags need a local System.
@@ -256,8 +256,13 @@ def main(argv=None):
             if value is not None:
                 parser.error("%s does not apply to --server (the "
                              "server owns its workers and cache)" % flag)
-        from repro.serve.client import HttpTransport
-        transport = HttpTransport(args.server, args.priority)
+        from repro.serve.client import HttpTransport, ServerError
+        try:
+            transport = HttpTransport(args.server, args.priority)
+        except ValueError as e:     # a port that is not a number
+            parser.error("--server %s: %s" % (args.server, e))
+        # An unreachable or failing server ends the run with one line.
+        server_errors = (OSError, ServerError)
     engine = sim_engine.RunEngine(jobs=jobs, cache=cache, mode=args.mode,
                                   transport=transport)
 
@@ -270,16 +275,23 @@ def main(argv=None):
                  else contextlib.nullcontext())
 
     start = time.time()
-    with obs_session.observe(trace_capacity=args.trace,
-                             collect_manifests=args.manifest is not None,
-                             collect_stats=args.stats,
-                             telemetry_every=telemetry_every,
-                             profile=args.profile) as session:
-        with sim_engine.use_engine(engine), plan_ctx, chunk_ctx:
-            rows = func(**kwargs)
+    try:
+        with obs_session.observe(
+                trace_capacity=args.trace,
+                collect_manifests=args.manifest is not None,
+                collect_stats=args.stats, telemetry_every=telemetry_every,
+                profile=args.profile) as session:
+            with sim_engine.use_engine(engine), plan_ctx, chunk_ctx:
+                rows = func(**kwargs)
+    except server_errors as e:
+        print("%s: error: %s: %s" % (parser.prog, args.server,
+                                     " ".join(str(e).split())),
+              file=sys.stderr)
+        return 1
+    finally:
+        if transport is not None:
+            transport.stop()
     elapsed = time.time() - start
-    if engine.transport is not None:
-        engine.transport.stop()
     profile_report = (session.profiler.report()
                       if session.profiler is not None else None)
     telemetry_summaries = [s.summary() for s in session.telemetry]

@@ -1,10 +1,18 @@
-"""Shared experiment plumbing: sampling plans, statistics helpers, a
-plain-text table renderer and the stdout/stderr notice policy."""
+"""Shared experiment plumbing: sampling plans, the workload x system
+grid most figures sweep, statistics helpers, a plain-text table
+renderer and the stdout/stderr notice policy.
+
+Every figure that plots workloads x systems builds its points through
+:func:`run_points`; only Fig. 15's and Table VI's colocation grids and
+the resilience rate sweep declare their own requests.
+"""
 
 import math
 import sys
 
-from repro.sim.sampling import SamplingPlan, from_env
+from repro.sim.engine import RunRequest, run_grid
+from repro.sim.sampling import from_env
+from repro.workloads.scaleout import SCALEOUT_WORKLOADS
 
 DEFAULT_SCALE = 64
 DEFAULT_SEED = 7
@@ -27,6 +35,27 @@ def resolve_plan(plan=None, default="standard"):
     if plan is not None:
         return plan
     return from_env(default)
+
+
+def run_points(systems, plan=None, seed=DEFAULT_SEED, workloads=None,
+               suite=SCALEOUT_WORKLOADS, **point):
+    """Resolve every system of ``systems`` (``{label:
+    HierarchyConfig}``) on every workload of ``suite`` -- or of its
+    subset ``workloads`` -- as one :func:`run_grid` batch; returns
+    ``{workload: {label: summary}}``, both in order.
+
+    The grid runs workload by workload, so consecutive points share a
+    trace set (the generator holds the last one).  ``plan`` None
+    resolves the default (:func:`resolve_plan`); ``point`` passes on to
+    :meth:`RunRequest.point` (``track_sharing``, ``core_ids``, ...)."""
+    plan = resolve_plan(plan)
+    if workloads is None:
+        workloads = list(suite)
+    results = iter(run_grid(
+        [RunRequest.point(config, suite[name], plan, seed, **point)
+         for name in workloads for config in systems.values()]))
+    return {name: {label: next(results) for label in systems}
+            for name in workloads}
 
 
 def geomean(values):

@@ -9,9 +9,8 @@ so a shared run cache serves them without re-simulating.
 
 from repro.core.systems import system_config, SYSTEM_LABELS
 from repro.params import NS_PER_CYCLE
-from repro.sim.engine import RunRequest, run_grid
-from repro.workloads.scaleout import SCALEOUT_WORKLOADS, SCALEOUT_LABELS
-from repro.experiments.common import resolve_plan, DEFAULT_SCALE, DEFAULT_SEED
+from repro.workloads.scaleout import SCALEOUT_LABELS
+from repro.experiments.common import run_points, DEFAULT_SCALE, DEFAULT_SEED
 
 
 def fig13_energy(plan=None, scale=DEFAULT_SCALE, seed=DEFAULT_SEED,
@@ -19,22 +18,14 @@ def fig13_energy(plan=None, scale=DEFAULT_SCALE, seed=DEFAULT_SEED,
     """Fig. 13 rows: per workload and system, the LLC and main-memory
     dynamic energy normalized to that workload's baseline total.  Also
     reports SILO's average LLC power (Sec. VII-C bounds it at 2.5 W)."""
-    plan = resolve_plan(plan)
-    if workloads is None:
-        workloads = list(SCALEOUT_WORKLOADS)
-    systems = ("baseline", "silo")
-    points = [(wname, sname) for wname in workloads for sname in systems]
-    grid = [RunRequest.point(system_config(sname, scale=scale),
-                             SCALEOUT_WORKLOADS[wname], plan, seed)
-            for wname, sname in points]
-    by_point = dict(zip(points, run_grid(grid)))
+    grid = run_points({s: system_config(s, scale=scale)
+                       for s in ("baseline", "silo")},
+                      plan, seed, workloads)
     rows = []
-    for wname in workloads:
-        base_total = max(
-            by_point[(wname, "baseline")].energy["total_dynamic_nj"],
-            1e-12)
-        for sname in systems:
-            result = by_point[(wname, sname)]
+    for wname, results in grid.items():
+        base_total = max(results["baseline"].energy["total_dynamic_nj"],
+                         1e-12)
+        for sname, result in results.items():
             energy = result.energy
             # Wall-clock of the measured window: the slowest core's
             # cycle count at 2 GHz.

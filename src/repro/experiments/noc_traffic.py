@@ -7,45 +7,39 @@ measures mesh link traversals per kilo-instruction for both systems
 (the paper states the claim qualitatively; we quantify it)."""
 
 from repro.core.systems import system_config
-from repro.sim.engine import RunRequest, run_grid
-from repro.workloads.scaleout import SCALEOUT_WORKLOADS, SCALEOUT_LABELS
-from repro.experiments.common import resolve_plan, DEFAULT_SCALE, DEFAULT_SEED
+from repro.workloads.scaleout import SCALEOUT_LABELS
+from repro.experiments.common import run_points, DEFAULT_SCALE, DEFAULT_SEED
 
 
-def _pair_grid(workloads, systems, plan, scale, seed):
-    """The (workload x system) grid every study here sweeps; returns
-    the point list and the aligned run summaries as a dict."""
-    points = [(wname, sname) for wname in workloads for sname in systems]
-    grid = [RunRequest.point(system_config(sname, scale=scale),
-                             SCALEOUT_WORKLOADS[wname], plan, seed)
-            for wname, sname in points]
-    return dict(zip(points, run_grid(grid)))
+def _systems(names, scale):
+    return {name: system_config(name, scale=scale) for name in names}
+
+
+def _baseline_vs_silo(plan, scale, seed, workloads, column, per_ki):
+    """Rows of ``per_ki(summary)`` for Baseline and SILO per workload,
+    as ``baseline_<column>``/``silo_<column>`` and SILO's reduction."""
+    grid = run_points(_systems(("baseline", "silo"), scale), plan, seed,
+                      workloads)
+    rows = []
+    for wname, results in grid.items():
+        base = per_ki(results["baseline"])
+        silo = per_ki(results["silo"])
+        rows.append({
+            "workload": SCALEOUT_LABELS.get(wname, wname),
+            "baseline_" + column: base,
+            "silo_" + column: silo,
+            "reduction": 1.0 - silo / max(1e-12, base),
+        })
+    return rows
 
 
 def noc_traffic(plan=None, scale=DEFAULT_SCALE, seed=DEFAULT_SEED,
                 workloads=None):
     """Mesh link traversals per kilo-instruction, Baseline vs SILO."""
-    plan = resolve_plan(plan)
-    if workloads is None:
-        workloads = list(SCALEOUT_WORKLOADS)
-    by_point = _pair_grid(workloads, ("baseline", "silo"), plan, scale,
-                          seed)
-    rows = []
-    for wname in workloads:
-        lpki = {}
-        for sname in ("baseline", "silo"):
-            result = by_point[(wname, sname)]
-            instrs = result.instructions()
-            lpki[sname] = (1000.0 * result.counters["link_traversals"]
-                           / max(1, instrs))
-        rows.append({
-            "workload": SCALEOUT_LABELS.get(wname, wname),
-            "baseline_links_per_ki": lpki["baseline"],
-            "silo_links_per_ki": lpki["silo"],
-            "reduction": 1.0 - lpki["silo"] / max(1e-12,
-                                                  lpki["baseline"]),
-        })
-    return rows
+    return _baseline_vs_silo(
+        plan, scale, seed, workloads, "links_per_ki",
+        lambda r: (1000.0 * r.counters["link_traversals"]
+                   / max(1, r.instructions())))
 
 
 def offchip_traffic(plan=None, scale=DEFAULT_SCALE, seed=DEFAULT_SEED,
@@ -53,28 +47,10 @@ def offchip_traffic(plan=None, scale=DEFAULT_SCALE, seed=DEFAULT_SEED,
     """Off-chip traffic in bytes per kilo-instruction (reads + writes),
     Baseline vs SILO -- the bandwidth-side view behind Fig. 13's
     energy result and the paper's Sec. VII-A bandwidth discussion."""
-    plan = resolve_plan(plan)
-    if workloads is None:
-        workloads = list(SCALEOUT_WORKLOADS)
-    by_point = _pair_grid(workloads, ("baseline", "silo"), plan, scale,
-                          seed)
-    rows = []
-    for wname in workloads:
-        bpki = {}
-        for sname in ("baseline", "silo"):
-            result = by_point[(wname, sname)]
-            instrs = result.instructions()
-            bpki[sname] = (64.0 * 1000.0
-                           * result.counters["memory_accesses"]
-                           / max(1, instrs))
-        rows.append({
-            "workload": SCALEOUT_LABELS.get(wname, wname),
-            "baseline_bytes_per_ki": bpki["baseline"],
-            "silo_bytes_per_ki": bpki["silo"],
-            "reduction": 1.0 - bpki["silo"] / max(1e-12,
-                                                  bpki["baseline"]),
-        })
-    return rows
+    return _baseline_vs_silo(
+        plan, scale, seed, workloads, "bytes_per_ki",
+        lambda r: (64.0 * 1000.0 * r.counters["memory_accesses"]
+                   / max(1, r.instructions())))
 
 
 def dnuca_comparison(plan=None, scale=DEFAULT_SCALE, seed=DEFAULT_SEED,
@@ -84,16 +60,13 @@ def dnuca_comparison(plan=None, scale=DEFAULT_SCALE, seed=DEFAULT_SEED,
     fundamentally limited by the small capacity of nearby banks; here
     VR's local-bank replicas buy a little locality while SILO's
     hundreds of MB of private capacity buy much more."""
-    plan = resolve_plan(plan)
-    if workloads is None:
-        workloads = list(SCALEOUT_WORKLOADS)
-    by_point = _pair_grid(workloads, ("baseline", "baseline_vr", "silo"),
-                          plan, scale, seed)
+    grid = run_points(_systems(("baseline", "baseline_vr", "silo"), scale),
+                      plan, seed, workloads)
     rows = []
-    for wname in workloads:
-        base = by_point[(wname, "baseline")].performance()
-        vr = by_point[(wname, "baseline_vr")]
-        silo = by_point[(wname, "silo")].performance()
+    for wname, results in grid.items():
+        base = results["baseline"].performance()
+        vr = results["baseline_vr"]
+        silo = results["silo"].performance()
         rows.append({
             "workload": SCALEOUT_LABELS.get(wname, wname),
             "victim_replication": vr.performance() / base,

@@ -7,9 +7,8 @@ together.  Normalized to NoOpt per workload.
 """
 
 from repro.core.systems import silo_config
-from repro.sim.engine import RunRequest, run_grid
-from repro.workloads.scaleout import SCALEOUT_WORKLOADS, SCALEOUT_LABELS
-from repro.experiments.common import resolve_plan, DEFAULT_SCALE, DEFAULT_SEED
+from repro.workloads.scaleout import SCALEOUT_LABELS
+from repro.experiments.common import run_points, DEFAULT_SCALE, DEFAULT_SEED
 
 VARIANTS = (
     ("NoOpt", dict(local_miss_predictor=False, directory_cache=False)),
@@ -36,24 +35,18 @@ REALISTIC_VARIANTS = (
 
 
 def _run_variants(variants, plan, scale, seed, workloads):
-    points = [(wname, label) for wname in workloads
-              for label, _opts in variants]
-    variant_opts = dict(variants)
-    grid = [RunRequest.point(
-                silo_config(scale=scale, **variant_opts[label]),
-                SCALEOUT_WORKLOADS[wname], plan, seed)
-            for wname, label in points]
+    grid = run_points({label: silo_config(scale=scale, **opts)
+                       for label, opts in variants},
+                      plan, seed, workloads)
     rows = []
-    base = {}
-    for (wname, label), result in zip(points, run_grid(grid)):
-        perf = result.performance()
-        if wname not in base:
-            base[wname] = perf
-        rows.append({
-            "workload": SCALEOUT_LABELS.get(wname, wname),
-            "variant": label,
-            "normalized_performance": perf / base[wname],
-        })
+    for wname, results in grid.items():
+        base = results[variants[0][0]].performance()
+        for label, result in results.items():
+            rows.append({
+                "workload": SCALEOUT_LABELS.get(wname, wname),
+                "variant": label,
+                "normalized_performance": result.performance() / base,
+            })
     return rows
 
 
@@ -61,9 +54,6 @@ def fig12_optimizations(plan=None, scale=DEFAULT_SCALE, seed=DEFAULT_SEED,
                         workloads=None):
     """Fig. 12: performance of the four SILO optimization variants
     (ideal limit study), normalized to NoOpt."""
-    plan = resolve_plan(plan)
-    if workloads is None:
-        workloads = list(SCALEOUT_WORKLOADS)
     return _run_variants(VARIANTS, plan, scale, seed, workloads)
 
 
@@ -71,8 +61,5 @@ def fig12x_realistic_optimizations(plan=None, scale=DEFAULT_SCALE,
                                    seed=DEFAULT_SEED, workloads=None):
     """Extension: realistic MissMap / SRAM directory cache versus the
     ideal limit, normalized to NoOpt."""
-    plan = resolve_plan(plan)
-    if workloads is None:
-        workloads = list(SCALEOUT_WORKLOADS)
     return _run_variants(REALISTIC_VARIANTS, plan, scale, seed,
                          workloads)

@@ -12,9 +12,8 @@ run cache simulates them once across both figures.
 
 from repro import params as P
 from repro.core.systems import baseline_config
-from repro.sim.engine import RunRequest, run_grid
-from repro.workloads.scaleout import SCALEOUT_WORKLOADS, SCALEOUT_LABELS
-from repro.experiments.common import (resolve_plan, geomean, DEFAULT_SCALE,
+from repro.workloads.scaleout import SCALEOUT_LABELS
+from repro.experiments.common import (run_points, geomean, DEFAULT_SCALE,
                                       DEFAULT_SEED)
 
 #: Fig. 1 x-axis.
@@ -25,35 +24,28 @@ FIG2_CAPACITIES_MB = (64, 128, 256, 512, 1024)
 FIG2_LATENCY_INCREASES = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 
-def _capacity_request(workload, capacity_mb, plan, scale, seed):
-    config = baseline_config(
-        scale=scale, llc_size_bytes=capacity_mb * P.MB,
-        name="baseline_%dmb" % capacity_mb)
-    return RunRequest.point(config, workload, plan, seed)
+def _capacity_systems(capacities_mb, scale):
+    """The baseline at each LLC capacity, keyed by capacity in MB."""
+    return {cap: baseline_config(scale=scale, llc_size_bytes=cap * P.MB,
+                                 name="baseline_%dmb" % cap)
+            for cap in capacities_mb}
 
 
 def fig1_capacity(plan=None, scale=DEFAULT_SCALE, seed=DEFAULT_SEED,
                   workloads=None, capacities_mb=CAPACITIES_MB):
     """Fig. 1: performance vs. LLC capacity at fixed latency, per
     workload, normalized to the 8 MB baseline."""
-    plan = resolve_plan(plan)
-    if workloads is None:
-        workloads = list(SCALEOUT_WORKLOADS)
-    points = [(name, cap) for name in workloads for cap in capacities_mb]
-    grid = [_capacity_request(SCALEOUT_WORKLOADS[name], cap, plan, scale,
-                              seed)
-            for name, cap in points]
+    grid = run_points(_capacity_systems(capacities_mb, scale), plan, seed,
+                      workloads)
     rows = []
-    base_perf = {}
-    for (name, cap), result in zip(points, run_grid(grid)):
-        perf = result.performance()
-        if name not in base_perf:
-            base_perf[name] = perf
-        rows.append({
-            "workload": SCALEOUT_LABELS.get(name, name),
-            "capacity_mb": cap,
-            "normalized_performance": perf / base_perf[name],
-        })
+    for name, results in grid.items():
+        base = results[capacities_mb[0]].performance()
+        for cap, result in results.items():
+            rows.append({
+                "workload": SCALEOUT_LABELS.get(name, name),
+                "capacity_mb": cap,
+                "normalized_performance": result.performance() / base,
+            })
     return rows
 
 
@@ -63,23 +55,17 @@ def fig2_latency(plan=None, scale=DEFAULT_SCALE, seed=DEFAULT_SEED,
     """Fig. 2: geomean (over scale-out workloads) performance vs. LLC
     latency increase, one isocurve per capacity, normalized to the 8 MB
     baseline at +0%."""
-    plan = resolve_plan(plan)
-    workloads = list(SCALEOUT_WORKLOADS)
-    # One point per (capacity, workload); the 8 MB column is the
+    # One point per (workload, capacity); the 8 MB column is the
     # normalization denominator.
-    caps = (8,) + tuple(capacities_mb)
-    points = [(cap, name) for cap in caps for name in workloads]
-    grid = [_capacity_request(SCALEOUT_WORKLOADS[name], cap, plan, scale,
-                              seed)
-            for cap, name in points]
-    by_point = dict(zip(points, run_grid(grid)))
-    base = {name: by_point[(8, name)].performance() for name in workloads}
+    grid = run_points(_capacity_systems((8,) + tuple(capacities_mb), scale),
+                      plan, seed)
+    base = {name: results[8].performance()
+            for name, results in grid.items()}
     rows = []
     for cap in capacities_mb:
-        results = {name: by_point[(cap, name)] for name in workloads}
         for inc in increases:
-            ratios = [results[n].performance_with_llc_scale(1.0 + inc)
-                      / base[n] for n in workloads]
+            ratios = [results[cap].performance_with_llc_scale(1.0 + inc)
+                      / base[name] for name, results in grid.items()]
             rows.append({
                 "capacity_mb": cap,
                 "latency_increase_pct": int(inc * 100),

@@ -9,9 +9,8 @@ form from the recorded RW-shared latency sums.
 """
 
 from repro.core.systems import baseline_config
-from repro.sim.engine import RunRequest, run_grid
-from repro.workloads.scaleout import SCALEOUT_WORKLOADS, SCALEOUT_LABELS
-from repro.experiments.common import resolve_plan, DEFAULT_SCALE, DEFAULT_SEED
+from repro.workloads.scaleout import SCALEOUT_LABELS
+from repro.experiments.common import run_points, DEFAULT_SCALE, DEFAULT_SEED
 
 RW_MULTIPLIERS = (1.0, 2.0, 3.0, 4.0)
 
@@ -19,16 +18,11 @@ RW_MULTIPLIERS = (1.0, 2.0, 3.0, 4.0)
 def fig3_breakdown(plan=None, scale=DEFAULT_SCALE, seed=DEFAULT_SEED,
                    workloads=None):
     """Fig. 3: percentage breakdown of LLC accesses."""
-    plan = resolve_plan(plan)
-    if workloads is None:
-        workloads = list(SCALEOUT_WORKLOADS)
-    grid = [RunRequest.point(baseline_config(scale=scale),
-                             SCALEOUT_WORKLOADS[name], plan, seed,
-                             track_sharing=True)
-            for name in workloads]
+    grid = run_points({"baseline": baseline_config(scale=scale)}, plan,
+                      seed, workloads, track_sharing=True)
     rows = []
-    for name, result in zip(workloads, run_grid(grid)):
-        reads, w_nosh, w_rw = result.sharing
+    for name, results in grid.items():
+        reads, w_nosh, w_rw = results["baseline"].sharing
         total = reads + w_nosh + w_rw
         if total == 0:
             total = 1
@@ -46,14 +40,11 @@ def fig4_rw_latency(plan=None, scale=DEFAULT_SCALE, seed=DEFAULT_SEED,
     """Fig. 4: performance (normalized to 1x) when RW-shared blocks'
     access latency is multiplied by 1x-4x (closed-form re-evaluation
     from one simulated point per workload)."""
-    plan = resolve_plan(plan)
-    if workloads is None:
-        workloads = list(SCALEOUT_WORKLOADS)
-    grid = [RunRequest.point(baseline_config(scale=scale),
-                             SCALEOUT_WORKLOADS[name], plan, seed)
-            for name in workloads]
+    grid = run_points({"baseline": baseline_config(scale=scale)}, plan,
+                      seed, workloads)
     rows = []
-    for name, result in zip(workloads, run_grid(grid)):
+    for name, results in grid.items():
+        result = results["baseline"]
         base = result.performance_with_rw_multiplier(1.0)
         for mult in multipliers:
             perf = result.performance_with_rw_multiplier(mult)

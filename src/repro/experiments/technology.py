@@ -1,13 +1,12 @@
 """DRAM technology studies (Sec. IV): Fig. 7, Fig. 8 and Table I."""
 
 from repro import params as P
-from repro.params import MB
 from repro.dram.sweep import (tile_dimension_sweep, sweep_vault_designs,
                               pareto_frontier, latency_optimized_point,
                               capacity_optimized_point)
 
 
-def fig7_tile_sweep(**_ignored):
+def fig7_tile_sweep():
     """Fig. 7: normalized access latency and die area vs. (square) tile
     dimensions for a 1 Gb commodity-organization die."""
     rows = []
@@ -22,7 +21,7 @@ def fig7_tile_sweep(**_ignored):
     return rows
 
 
-def fig8_vault_space(frontier_only=False, **_ignored):
+def fig8_vault_space():
     """Fig. 8: the vault capacity / access-latency design space under a
     5 mm^2, 4-die stack budget.  Returns all sweep points (the scatter)
     with a ``pareto`` flag, plus the two selected design points."""
@@ -32,8 +31,6 @@ def fig8_vault_space(frontier_only=False, **_ignored):
     co = capacity_optimized_point(points)
     rows = []
     for p in points:
-        if frontier_only and id(p) not in frontier:
-            continue
         tag = ""
         if p is lo:
             tag = "latency-optimized"
@@ -49,7 +46,7 @@ def fig8_vault_space(frontier_only=False, **_ignored):
     return rows
 
 
-def table1_design_points(**_ignored):
+def table1_design_points():
     """Table I: latency- vs capacity-optimized vault designs, normalized
     to the latency-optimized point."""
     points = sweep_vault_designs()

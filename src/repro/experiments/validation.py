@@ -16,10 +16,9 @@ from repro.params import MB
 from repro.core.systems import baseline_config
 from repro.cores.perf_model import (LEVEL_L1, LEVEL_L2, LEVEL_LLC_LOCAL,
                                     LEVEL_LLC_REMOTE)
-from repro.sim.engine import RunRequest, run_grid
 from repro.workloads.analysis import max_data_hit_fraction
 from repro.workloads.scaleout import SCALEOUT_WORKLOADS, SCALEOUT_LABELS
-from repro.experiments.common import resolve_plan, DEFAULT_SCALE, DEFAULT_SEED
+from repro.experiments.common import run_points, DEFAULT_SCALE, DEFAULT_SEED
 
 
 def _simulated_data_hit_fraction(result):
@@ -40,20 +39,15 @@ def validate_hit_rates(plan=None, scale=DEFAULT_SCALE, seed=DEFAULT_SEED,
     shared LLC of ``capacity_mb``.  The analytic number is an upper
     bound (no conflict misses, no cross-region churn), so the simulated
     value should sit at or below it, within a modest band."""
-    plan = resolve_plan(plan)
-    if workloads is None:
-        workloads = list(SCALEOUT_WORKLOADS)
-    grid = [RunRequest.point(
-                baseline_config(scale=scale,
-                                llc_size_bytes=capacity_mb * MB),
-                SCALEOUT_WORKLOADS[wname], plan, seed)
-            for wname in workloads]
+    grid = run_points({"baseline": baseline_config(
+                           scale=scale, llc_size_bytes=capacity_mb * MB)},
+                      plan, seed, workloads)
     rows = []
-    for wname, result in zip(workloads, run_grid(grid)):
+    for wname, results in grid.items():
         spec = SCALEOUT_WORKLOADS[wname]
         analytic = max_data_hit_fraction(spec, capacity_mb * MB,
                                          scale=scale)
-        simulated = _simulated_data_hit_fraction(result)
+        simulated = _simulated_data_hit_fraction(results["baseline"])
         rows.append({
             "workload": SCALEOUT_LABELS.get(wname, wname),
             "analytic_upper_bound": analytic,
@@ -82,7 +76,7 @@ def validate_technology_link():
     return rows
 
 
-def characterize_workloads(scale=DEFAULT_SCALE, **_ignored):
+def characterize_workloads(scale=DEFAULT_SCALE):
     """Working-set inventory of every modeled workload (scaled blocks
     and reference shares) -- the analytic view behind Table IV."""
     from repro.workloads.analysis import working_set_summary

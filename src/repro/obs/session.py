@@ -97,6 +97,13 @@ def current_session():
     return _current
 
 
+def clear_current():
+    """Leave this process with no active session (a pool worker's
+    start: what it would note, nothing reads)."""
+    global _current
+    _current = None
+
+
 @contextmanager
 def observe(trace_capacity=0, collect_manifests=False,
             collect_stats=False, telemetry_every=0, profile=False):

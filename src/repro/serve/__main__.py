@@ -34,6 +34,15 @@ def transport_from_spec(spec):
         "expected none, local or local:N with N >= 1, got %r" % spec)
 
 
+def port_number(text):
+    """argparse type: a TCP port in [0, 65535] (0 picks a free one)."""
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            "expected a port in [0, 65535], got %r" % text)
+    return value
+
+
 def at_least_one(text):
     """argparse type: an integer >= 1."""
     value = int(text)
@@ -49,7 +58,7 @@ def main(argv=None):
         description="Serve RunRequests over HTTP with in-flight "
                     "dedup, priorities and backpressure.")
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=DEFAULT_PORT)
+    parser.add_argument("--port", type=port_number, default=DEFAULT_PORT)
     parser.add_argument("--transport", default="",
                         type=transport_from_spec, metavar="SPEC",
                         help="executor transport: none (simulate "
@@ -97,6 +106,11 @@ def main(argv=None):
         asyncio.run(run_server(server, ready=ready))
     except KeyboardInterrupt:
         pass
+    except OSError as e:        # the bind: a port in use, a bad host
+        print("%s: error: %s:%d: %s" % (parser.prog, args.host, args.port,
+                                        " ".join(str(e).split())),
+              file=sys.stderr)
+        return 1
     finally:
         if transport is not None:
             transport.stop()

@@ -56,10 +56,15 @@ def _bad_response(message):
 
 
 def _parse_url(url):
-    """``http://host:port`` -> (host, port)."""
+    """``http://host:port`` -> (host, port).  A port that is not a
+    number in [0, 65535] raises ValueError (the resolver would take
+    70000 as 4464)."""
     rest = url.split("://", 1)[-1].rstrip("/")
     host, _, port = rest.partition(":")
-    return host or "127.0.0.1", int(port) if port else 80
+    port = int(port) if port else 80
+    if not 0 <= port <= 65535:
+        raise ValueError("port %d outside [0, 65535]" % port)
+    return host or "127.0.0.1", port
 
 
 class _Connection:
@@ -373,9 +378,10 @@ def _cmd_health(args, client):
 def main(argv=None):
     """CLI entry point: ``python -m repro.serve.client``.  A request
     file that cannot be read or holds a run request the server would
-    refuse, and a ``--server`` URL whose port is not a number, are
-    usage errors (exit 2); a server that cannot be reached or answers
-    with an error exits 1 with a one-line message."""
+    refuse, and a ``--server`` URL whose port is not a number in
+    [0, 65535], are usage errors (exit 2); a server that cannot be
+    reached or answers with an error exits 1 with a one-line
+    message."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve.client",
         description="Submit simulation runs to a repro.serve server.")

@@ -473,7 +473,11 @@ class LocalPoolTransport:
             # Imported here: loading multiprocessing costs milliseconds
             # of set-up that a run without a pool should not pay.
             from concurrent.futures import ProcessPoolExecutor
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+            # A forked worker would inherit an open observation session
+            # and note into a copy nobody reads; the parent notes each
+            # transported point itself.
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs, initializer=_obs_session.clear_current)
             self._pool.submit(os.getpid).result()
 
     def stop(self):
@@ -1010,10 +1014,12 @@ class RunEngine:
                 summary, meta = fut.result()
                 # Span start reconstructed on this process's clock
                 # (worker clocks are not comparable): completion minus
-                # the worker-reported duration.
+                # the worker-reported duration.  The route is the
+                # summary's own mode: a server in estimate mode answers
+                # a simulate request with an estimate.
                 exec_s = meta["exec_s"]
                 started = clock() - exec_s
-                resolved(futures[fut], summary, "simulate", started,
+                resolved(futures[fut], summary, summary.mode, started,
                          exec_s, max(started - t_batch, 0.0),
                          meta["worker"])
         finally:

@@ -11,7 +11,10 @@ into the ``verify-static`` CI job:
   state hashing) for small systems.  Every reachable (directory entry
   x per-core vault/L1 state x in-flight request) configuration is
   checked against the protocol invariants; violations come with a
-  minimal counterexample trace.
+  minimal counterexample trace.  Every transition the search
+  enumerates is then replayed on a live ``VaultSystem`` of the same
+  protocol (``check_concrete_system``), and each core's vault, L1 and
+  directory state must land where the table says.
 * :mod:`repro.verify.lint` -- "silolint", an ``ast``-based, per-file
   lint pass with simulator-specific rules SL002-SL010 (unregistered
   stat counters, hard-coded timing/size constants, set-iteration
@@ -24,8 +27,9 @@ into the ``verify-static`` CI job:
 
 Dynamic testing (``tests/test_coherence_invariants.py``) only checks
 the states a workload happens to reach; the model checker covers the
-transitions a trace never exercises, and silolint hardens every future
-refactor against the simulator's reproducibility contracts.
+transitions a trace never exercises, its replay holds the simulator to
+each of them, and silolint hardens every future refactor against the
+simulator's reproducibility contracts.
 """
 
 from repro.verify.protocol_spec import build_table, EVENTS, INVARIANTS

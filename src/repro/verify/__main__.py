@@ -4,13 +4,15 @@ Usage::
 
     python -m repro.verify lint src/repro [--json]
     python -m repro.verify check --cores 2 [--protocol moesi] [--json]
-    python -m repro.verify check --cores 3 --abstract-only
 
 ``lint`` runs silolint (see :mod:`repro.verify.lint`); ``check`` runs
-the exhaustive protocol model checker (and, unless ``--abstract-only``,
-the concrete-simulator companion check) and prints the reachable-state
-count or the minimal counterexample.  All exit non-zero on failure,
-which is what the ``verify-static`` CI job keys off.
+the exhaustive protocol model checker, prints the reachable-state count
+or the minimal counterexample, and then replays every transition it
+enumerated on a live ``VaultSystem`` of the same protocol
+(:func:`repro.verify.model_check.check_concrete_system`), printing each
+mismatch with its path.  Both exit non-zero on failure, which is what
+the ``verify-static`` CI job keys off; ``--cores`` below 2 is a usage
+error (exit 2).
 """
 
 import argparse
@@ -25,20 +27,26 @@ def _run_check(args):
     """The ``check`` subcommand; returns the process exit code."""
     result = model_check.check_protocol(num_cores=args.cores,
                                         protocol=args.protocol)
+    mismatches = []
+    doc = result.as_dict()
+    if result.ok:
+        replayed, mismatches = model_check.check_concrete_system(
+            args.cores, args.protocol)
+        doc["replay"] = {"transitions": replayed,
+                         "mismatches": mismatches}
     if args.json:
-        print(json.dumps(result.as_dict(), indent=2))
-    else:
-        print(result.summary())
-        if not result.ok:
-            print()
-            print(result.counterexample())
-    if result.ok and not args.abstract_only:
-        driven = model_check.check_concrete_system(
-            num_cores=args.cores)
-        if not args.json:
-            print("concrete companion check: %d accesses driven, "
-                  "directory view consistent throughout" % driven)
-    return 0 if result.ok else 1
+        print(json.dumps(doc, indent=2))
+        return 0 if result.ok and not mismatches else 1
+    print(result.summary())
+    if not result.ok:
+        print()
+        print(result.counterexample())
+        return 1
+    print("replay on a live VaultSystem: %d transitions, %d mismatch(es)"
+          % (replayed, len(mismatches)))
+    for line in mismatches:
+        print("  " + line)
+    return 1 if mismatches else 0
 
 
 def main(argv=None):
@@ -46,7 +54,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.verify",
         description="Static verification of the SILO simulator: "
-                    "silolint + exhaustive MOESI model checking.")
+                    "silolint + exhaustive MOESI model checking, "
+                    "replayed on the simulator.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     lint_p = sub.add_parser(
@@ -63,9 +72,6 @@ def main(argv=None):
     check_p.add_argument("--protocol", choices=("moesi", "mesi"),
                          default="moesi")
     check_p.add_argument("--json", action="store_true")
-    check_p.add_argument("--abstract-only", action="store_true",
-                         help="skip the concrete-simulator companion "
-                              "check")
 
     args = parser.parse_args(argv)
     if args.command == "lint":
@@ -77,6 +83,9 @@ def main(argv=None):
         if args.list_rules:
             lint_argv.append("--list-rules")
         return lint_mod.main(lint_argv)
+    if args.cores < 2:
+        check_p.error("--cores: need at least 2 cores to exercise "
+                      "coherence, got %d" % args.cores)
     return _run_check(args)
 
 

@@ -24,17 +24,21 @@ The abstract state is exactly what the issue of a request can observe:
   faithful; what the two-phase structure buys is totality checking --
   a reachable ``(event, state)`` pair with no table entry is reported
   as a deadlock with the trace that reaches it.
+
+:func:`check_concrete_system` ties the table to the simulator that
+runs: it replays every transition the search enumerates on a live
+``VaultSystem`` and compares each core's vault, L1 and directory state,
+and memory's freshness, with the state the table names.
 """
 
+import math
 from collections import deque, namedtuple
 
 from repro.coherence.states import (
-    INVALID, SHARED, EXCLUSIVE, OWNED, MODIFIED, state_name)
+    INVALID, EXCLUSIVE, OWNED, MODIFIED, state_name)
 from repro.verify.protocol_spec import (
-    EVENTS, LOAD, STORE, EVICT, L1_EVICT,
-    L1_FILL, L1_DROP, L1_KEEP,
-    MEM_KEEP, MEM_STALE, MEM_WRITEBACK,
-    build_table)
+    LOAD, STORE, EVICT, L1_EVICT, L1_FILL, L1_DROP, MEM_STALE,
+    MEM_WRITEBACK, build_table)
 
 #: One core's view of the block: vault coherence state, whether an L1
 #: copy exists, and the duplicate-tag directory entry for this core's
@@ -348,62 +352,110 @@ def check_protocol(num_cores=2, protocol="moesi", table=None):
                         table=table).run()
 
 
-def check_concrete_system(num_cores=2, blocks=None):
-    """Companion dynamic check on the *real* simulator.
+#: The block every replay tracks; the accesses that displace it reach
+#: other blocks (see :func:`check_concrete_system`).
+_BLOCK = 0
 
-    Builds a private-vault :class:`~repro.sim.system.System` and drives
-    a deterministic access pattern chosen to exercise every event the
-    abstract model enumerates (read/write misses, upgrades, remote
-    forwards, direct-mapped conflict evictions), asserting after every
-    access that the duplicate-tag directory view is internally
-    consistent (:meth:`DupTagDirectory.check_consistent`) and that the
-    SWMR/owner invariants hold.  Returns the number of accesses driven.
 
-    The mesh wants a perfect-square tile count, so ``num_cores`` is
-    rounded up to one (2 -> 4); every core of the built system is
-    driven.
-    """
-    import math
-
+def _replay_system(num_cores, protocol):
+    """A live vault system for the replay: the smallest square mesh
+    holding ``num_cores`` tiles, a 2-way L1 of 32 sets and a vault of
+    128, so a block can leave the L1 while its vault set keeps it."""
     from repro.cores.perf_model import CoreParams
     from repro.sim.config import HierarchyConfig
     from repro.sim.system import System
 
-    side = math.isqrt(num_cores)
-    if side * side < num_cores:
-        side += 1
-    num_cores = side * side
+    tiles = (math.isqrt(num_cores - 1) + 1) ** 2
     config = HierarchyConfig(
-        name="verify", num_cores=num_cores, scale=1,
-        l1_size_bytes=1024, l1_ways=2,
-        llc_kind="private_vault", llc_size_bytes=8 * 64,
-        llc_latency=23, memory_queueing=False)
-    system = System(config, [CoreParams()] * num_cores)
-    num_sets = system.vaults[0].num_sets
-    if blocks is None:
-        # Same-set conflicts (b, b + num_sets) force evictions.
-        blocks = [0, 1, num_sets, num_sets + 1, 2 * num_sets, 2]
-    driven = 0
-    for is_write in (False, True, False):
-        for block in blocks:
-            for core in range(num_cores):
-                system.access(core, block, is_write, False)
-                driven += 1
-                system.directory.check_consistent()
-                _assert_system_invariants(system, block)
-    return driven
+        name="verify", num_cores=tiles, scale=1,
+        l1_size_bytes=64 * 64, l1_ways=2,
+        llc_kind="private_vault", llc_size_bytes=128 * 64,
+        llc_latency=23, memory_queueing=False, protocol=protocol)
+    return System(config, [CoreParams()] * tiles)
 
 
-def _assert_system_invariants(system, block):
-    """SWMR / single-owner / exclusive-sole on a live System."""
-    holders = system.directory.holder_states(block)
-    states = [s for _, s in holders]
-    if MODIFIED in states and len(holders) > 1:
-        raise AssertionError("SWMR violated for block %d: %r"
-                             % (block, holders))
-    if sum(1 for s in states if s in _OWNERISH) > 1:
-        raise AssertionError("multiple owners for block %d: %r"
-                             % (block, holders))
-    if EXCLUSIVE in states and len(holders) > 1:
-        raise AssertionError("E copy is not sole for block %d: %r"
-                             % (block, holders))
+def _drive(system, core, event):
+    """Inject ``event`` at ``core`` for the tracked block; returns
+    whether memory took a writeback (only the tracked block is ever
+    dirty, so any write is its)."""
+    writes = system.memory.writes
+    if event in (LOAD, STORE):
+        system.access(core, _BLOCK, event == STORE, False)
+    elif event == EVICT:
+        # A block of the same vault set that only this core touches.
+        system.access(core, _BLOCK + system.vaults[core].num_sets
+                      * (core + 1), False, False)
+    else:
+        # Two blocks of the block's L1 set in other vault sets: the
+        # 2-way set keeps them and drops the block.
+        l1_sets = system.l1d[core].num_sets
+        for k in (1, 2):
+            system.access(core, _BLOCK + k * l1_sets, False, False)
+    return system.memory.writes > writes
+
+
+def _live_views(system):
+    """Every core's :class:`CoreView` of the tracked block."""
+    directory = dict(system.directory.holder_states(_BLOCK))
+    views = []
+    for c, vault in enumerate(system.vaults):
+        s = vault.set_index(_BLOCK)
+        views.append(CoreView(
+            vault.states[s] if vault.tags[s] == _BLOCK else INVALID,
+            system.l1d[c].contains(_BLOCK),
+            directory.get(c, INVALID)))
+    return tuple(views)
+
+
+def check_concrete_system(num_cores=2, protocol="moesi"):
+    """Replay every transition the model checker enumerates on a live
+    :class:`~repro.sim.system.VaultSystem` of ``protocol``.
+
+    Breadth-first over the spec's quiescent states: every enabled
+    ``(core, event)`` of each is driven on a new system after the path
+    that reached the state -- ``load`` and ``store`` as an
+    access to the tracked block, ``evict`` as an access that conflicts
+    with it in the core's vault, ``l1_evict`` as two accesses that
+    displace it from the core's L1 only -- and each core's vault state,
+    L1 presence and directory entry, and memory's freshness (stale
+    after a store, fresh after a writeback), are compared with the
+    spec's next state.  Tiles the mesh adds beyond ``num_cores`` stay
+    idle and must hold nothing.
+
+    Returns ``(transitions, mismatches)``: the number of transitions
+    replayed, and one line per mismatch naming its path from reset
+    (the replay does not go past a mismatch).
+    """
+    checker = ModelChecker(num_cores=num_cores, protocol=protocol)
+    blank = CoreView(INVALID, False, INVALID)
+    init = initial_state(num_cores)
+    frontier = deque([(init, ())])
+    seen = {init}
+    transitions = 0
+    mismatches = []
+    while frontier:
+        state, path = frontier.popleft()
+        for core, view in enumerate(state.cores):
+            for event in checker._enabled_events(view):
+                rule = checker.table[(event, view.vault)]
+                spec = checker._apply_rule(state, core, event, rule)
+                # Systems are cheap to build: each transition replays
+                # its whole path on a new one.
+                step = path + ((core, event),)
+                live = _replay_system(num_cores, protocol)
+                for c, e in path:
+                    _drive(live, c, e)
+                wrote_back = _drive(live, core, event)
+                fresh = event != STORE and (state.mem_fresh or wrote_back)
+                transitions += 1
+                views = _live_views(live)
+                idle = (blank,) * (len(views) - num_cores)
+                if views != spec.cores + idle or fresh != spec.mem_fresh:
+                    mismatches.append("%s: simulator %s, spec %s" % (
+                        " ".join("C%d.%s" % ce for ce in step),
+                        format_state(State(views, fresh, None)),
+                        format_state(spec)))
+                elif spec not in seen:
+                    seen.add(spec)
+                    frontier.append((spec, step))
+    return transitions, mismatches

@@ -10,16 +10,19 @@ happens to the requester, to every peer vault holding the block, to the
 L1 copies (the vault is inclusive of its core's L1s) and to main
 memory's freshness.  The model checker enumerates exactly this table;
 a protocol change in the simulator must be mirrored here (and survive
-the checker) or the dynamic invariant tests will diverge from the spec.
+the checker), or the replay of every enumerated transition on the
+simulator (``model_check.check_concrete_system``) reports the
+mismatch.
 
 Faithfulness notes, tied to the operational code:
 
 * On a read miss with remote holders the simulator picks *one* supplier
-  (``max`` state, M > O > E > S) and downgrades only it via
-  ``read_response_states``.  Because M and E exclude other copies, and
-  O/S holders map to themselves under the read-response map, applying
-  the peer map to *all* holders is equivalent to downgrading only the
-  supplier -- which lets the table stay a simple per-state map.
+  (``max`` state, M > O > E > S) and downgrades only it
+  (``VaultSystem._downgrade_supplier``).  Because M and E exclude other
+  copies, and O/S holders map to themselves under the read-response
+  map, applying the peer map to *all* holders is equivalent to
+  downgrading only the supplier -- which lets the table stay a simple
+  per-state map.
 * A store invalidates every peer copy (``_invalidate_peer_vaults``);
   dirty remote data is supplied to the writer, **not** written back, so
   memory stays stale and the writer's M copy is the only valid one --
@@ -133,8 +136,8 @@ class Rule:
 _STORE_INVALIDATE = {MODIFIED: INVALID, OWNED: INVALID,
                      EXCLUSIVE: INVALID, SHARED: INVALID}
 
-#: Peer map of a MOESI read miss: ``read_response_states`` -- a dirty
-#: supplier keeps ownership as O, a clean one downgrades/stays S.
+#: Peer map of a MOESI read miss: a dirty supplier keeps ownership as
+#: O, a clean one downgrades/stays S.
 _MOESI_READ_RESPONSE = {MODIFIED: OWNED, OWNED: OWNED,
                         EXCLUSIVE: SHARED, SHARED: SHARED}
 

@@ -251,3 +251,63 @@ def test_cli_server_rejects_local_engine_flags(flag, capsys):
     assert exc.value.code == 2
     assert "%s does not apply to --server" % flag[0] \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("port", ["abc", "70000"])
+def test_cli_refuses_a_server_url_with_a_bad_port(port, capsys):
+    # a port past 65535 would reach port 70000 - 65536 = 4464
+    url = "http://127.0.0.1:" + port
+    with pytest.raises(SystemExit) as exc:
+        main(["fig3", "--server", url])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: silo-repro")
+    assert "error: --server %s: " % url in err
+
+
+def test_cli_without_a_server_exits_1_with_one_line(capsys):
+    import socket
+    import threading
+
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        url = "http://127.0.0.1:%d" % sock.getsockname()[1]
+    assert main(["fig3", "--scale", "1024", "--sampling", "1500:800",
+                 "--server", url]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("silo-repro: error: %s: " % url)
+    # the transport stopped: none of its connection threads is left
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("silo-http")]
+
+
+@pytest.mark.parametrize("port", ["70000", "-5", "65536"])
+def test_serve_refuses_a_port_out_of_range(port, capsys):
+    with pytest.raises(SystemExit) as exc:
+        serve_cli.main(["--port", port, "--no-cache"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: python -m repro.serve")
+    assert "expected a port in [0, 65535]" in err
+
+
+@pytest.mark.parametrize("failure", ["port-in-use", "unknown-host"])
+def test_serve_exits_1_with_one_line_when_it_cannot_bind(failure, capsys,
+                                                          monkeypatch):
+    import socket
+
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        port = taken.getsockname()[1]
+        if failure == "unknown-host":
+            # the resolver's answer for a host that does not resolve
+            async def unresolved(_server, ready=None):
+                raise socket.gaierror(-2, "Name or service not known")
+
+            monkeypatch.setattr(serve_cli, "run_server", unresolved)
+            port = 0
+        assert serve_cli.main(["--port", str(port), "--no-cache"]) == 1
+    captured = capsys.readouterr()
+    assert "READY" not in captured.out
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(
+        "python -m repro.serve: error: 127.0.0.1:%d: " % port)

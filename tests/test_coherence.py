@@ -4,7 +4,7 @@ import pytest
 
 from repro.coherence.states import (
     INVALID, SHARED, EXCLUSIVE, OWNED, MODIFIED, is_dirty, state_name,
-    read_response_states, MESI_STATES, MOESI_STATES)
+    MESI_STATES, MOESI_STATES)
 from repro.coherence.sharer_table import SharerTable
 from repro.coherence.dup_tag_directory import DupTagDirectory
 from repro.caches.vault_cache import VaultCache
@@ -32,13 +32,13 @@ def test_owned_only_in_moesi():
 
 def test_read_response_transitions():
     # Dirty holders keep ownership as O (the MOESI advantage: no
-    # memory writeback to serve a reader).
-    assert read_response_states(MODIFIED) == (OWNED, SHARED)
-    assert read_response_states(OWNED) == (OWNED, SHARED)
-    assert read_response_states(EXCLUSIVE) == (SHARED, SHARED)
-    assert read_response_states(SHARED) == (SHARED, SHARED)
-    with pytest.raises(ValueError):
-        read_response_states(INVALID)
+    # memory writeback to serve a reader); the reader gets S.
+    from repro.verify.protocol_spec import LOAD, build_table
+
+    rule = build_table("moesi")[(LOAD, INVALID)]
+    assert rule.peers == {MODIFIED: OWNED, OWNED: OWNED,
+                          EXCLUSIVE: SHARED, SHARED: SHARED}
+    assert rule.requester_next(True) == SHARED
 
 
 # -- sharer table ---------------------------------------------------------

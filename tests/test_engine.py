@@ -340,6 +340,24 @@ def test_manifest_session_records_cached_runs(tmp_path):
     assert record["throughput"]["events_per_sec"] > 0
 
 
+def test_pool_workers_run_with_no_session():
+    # A pool forked inside a manifest-only session must not hand its
+    # workers a copy of the session: what they note there, nothing
+    # reads.  The parent notes each transported point once.
+    pool = engine_mod.LocalPoolTransport(jobs=2)
+    with obs_session.observe(collect_manifests=True) as session:
+        pool.start()
+        try:
+            seen = [pool._pool.submit(obs_session.current_session)
+                    .result() for _ in range(4)]
+            engine = RunEngine(jobs=1, transport=pool)
+            engine.run([_point(seed=s) for s in (7, 8)])
+        finally:
+            pool.stop()
+    assert seen == [None] * 4
+    assert sorted(r["seed"] for r in session.runs) == [7, 8]
+
+
 # ---------------------------------------------------------------------------
 # Drive loop: the inline L1-hit probe is bit-identical to the reference
 # ---------------------------------------------------------------------------

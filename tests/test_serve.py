@@ -318,6 +318,24 @@ def test_fig3_server_local_pool_bit_identical_to_serial():
         pool.stop()
 
 
+def test_client_books_what_the_server_estimated_as_estimated():
+    # A server in estimate mode answers simulate-mode points with
+    # estimates; the client engine counts them as such, not as
+    # simulations with driven events.
+    with ServerThread(RunEngine(jobs=1, mode="estimate")) as server:
+        http = HttpTransport(server.url)
+        client = RunEngine(jobs=1, cache=None, transport=http)
+        try:
+            summaries = client.run([_point(seed=7), _point(seed=8)])
+        finally:
+            http.stop()
+    assert [s.mode for s in summaries] == ["estimate", "estimate"]
+    snap = client.snapshot()
+    assert (snap["estimated"], snap["executed"]) == (2, 0)
+    assert snap["driven_events"] == 0
+    assert [span["mode"] for span in client.spans()] == ["estimate"] * 2
+
+
 def test_pool_workers_do_not_hold_the_server_socket():
     # A pool started before the server forks its workers in start(),
     # so none inherits the listening socket: once the server stops,
